@@ -277,10 +277,11 @@ def _derive_symplectic(args):
 
 def _build_nilpotent(args):
     a = fileio.load_algebra(args.inputs[0], MAX_DIM)
-    bundle, rep = symplectic.nilpotent_extension(a, args.steps)
-    if bundle.double.dim > 4 * MAX_DIM:
-        raise InputError(f"double dimension {bundle.double.dim} exceeds the "
+    double_dim = 2 * a.dim * (args.steps - 1)
+    if double_dim > 4 * MAX_DIM:
+        raise InputError(f"double dimension {double_dim} exceeds the "
                          f"supported maximum {4 * MAX_DIM}")
+    bundle, rep = symplectic.nilpotent_extension(a, args.steps)
     _write(args, "extension.alg", fileio.algebra_to_doc(bundle.extension))
     _write(args, "derivation.mat", fileio.matrix_to_doc(bundle.derivation))
     _write(args, "double.alg", fileio.algebra_to_doc(bundle.double))

@@ -141,17 +141,13 @@ class Mat:
         return [[(i, self.entries[i][j]) for i in range(self.rows)
                  if self.entries[i][j]] for j in range(self.cols)]
 
+    def _same_shape(self, other: "Mat") -> None:
+        if self.shape != other.shape:
+            raise InputError(f"shape mismatch {self.shape} vs {other.shape}")
+
     def __repr__(self) -> str:
         body = "; ".join(" ".join(rat_str(v) for v in row) for row in self.entries)
         return f"Mat[{body}]"
-
-
-def _same_shape(a: Mat, b: Mat) -> None:
-    if a.shape != b.shape:
-        raise InputError(f"shape mismatch {a.shape} vs {b.shape}")
-
-
-Mat._same_shape = lambda self, other: _same_shape(self, other)  # type: ignore[attr-defined]
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple:
@@ -351,3 +347,39 @@ def dense(vec: Mapping, n: int) -> tuple:
 
 def sparse_of(vec: Sequence[Fraction]) -> dict:
     return {i: v for i, v in enumerate(vec) if v}
+
+
+# Sparse matrices {p: {q: value}} with no zero entries and no empty rows, so
+# two of them compare equal exactly when the matrices they stand for do.
+
+def spmat_of(m: Mat) -> dict:
+    return {p: row for p, row in enumerate(map(sparse_of, m.entries)) if row}
+
+
+def spmat_to_mat(s: Mapping, rows: int, cols: int) -> Mat:
+    return Mat([dense(s.get(p, {}), cols) for p in range(rows)])
+
+
+def spmat_add_into(acc: dict, s: Mapping, scale: Fraction = ONE) -> None:
+    """acc += scale * s."""
+    for p, row in s.items():
+        r = acc.setdefault(p, {})
+        vec_add_into(r, row, scale)
+        if not r:
+            del acc[p]
+
+
+def spmat_matmul(a: Mapping, b: Mapping, acc: Optional[dict] = None) -> dict:
+    """a @ b, accumulated into ``acc`` when one is given; returns the sum."""
+    out = {} if acc is None else acc
+    if not b:
+        return out
+    for p, arow in a.items():
+        r = out.setdefault(p, {})
+        for k, v in arow.items():
+            brow = b.get(k)
+            if brow:
+                vec_add_into(r, brow, v)
+        if not r:
+            del out[p]
+    return out

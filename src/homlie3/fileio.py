@@ -27,12 +27,19 @@ def _ctx(path: Optional[str], field: str) -> str:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file")
+    except OSError as e:  # a directory, an unreadable file, ...
+        raise InputError(f"{path}: cannot read ({e.strerror})")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text (byte {e.start})")
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: line {e.lineno}: invalid JSON ({e.msg})")
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _need(doc: dict, field: str, path: Optional[str]):

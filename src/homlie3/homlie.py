@@ -110,9 +110,7 @@ def twist_slots(c: Tensor4, mats: Mapping[int, Mat]) -> dict:
     Returns {(i,j,k): {l: val}} for the tensor of (x,y,z) ->
     [m0(x), m1(y), m2(z)] where ms is mats.get(slot, identity).
     """
-    sup = {s: m.col_support() for s, m in mats.items()}
-    # col_support is per column of the target index; we need, for original
-    # index a, the columns x with M[a][x] != 0, i.e. row supports.
+    # for each original index a, the columns x with M[a][x] != 0
     row_sup = {}
     for s, m in mats.items():
         row_sup[s] = [[(x, m.entries[a][x]) for x in range(m.cols)

@@ -2,14 +2,18 @@
 
 A representation is a skew bilinear family rho(x, y) of operators on a
 carrier V together with a carrier twist A, subject to three compatibility
-identities (checked exhaustively on basis tuples).
+identities (checked exhaustively on basis tuples, in lex order).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from itertools import product
+from typing import Mapping
 
-from .exactlin import InputError, Mat, ONE, Tensor4, ZERO, vec_add_into
+from .exactlin import (
+    InputError, Mat, Tensor4, ZERO, spmat_add_into, spmat_matmul, spmat_of,
+    spmat_to_mat,
+)
 from .homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, check_algebra,
 )
@@ -50,108 +54,87 @@ def rep_from_upper(base: Algebra3, vdim: int, upper: Mapping, A: Mat) -> Rep3:
     return Rep3(base, vdim, tuple(tuple(r) for r in fam), A)
 
 
-def _twisted_family(rep: Rep3, left: bool, right: bool) -> list:
-    """Family rho(alpha^?x, alpha^?y) as an n x n table of matrices."""
-    n, A = rep.base.dim, rep.base.twist
-    out = [[None] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            acc = Mat.zeros(rep.vdim, rep.vdim)
-            for a in range(n):
-                fa = A.entries[a][u] if left else (ONE if a == u else ZERO)
-                if not fa:
-                    continue
-                for b in range(n):
-                    fb = A.entries[b][v] if right else (ONE if b == v else ZERO)
-                    if fa * fb:
-                        acc = acc + rep.rho[a][b].scale(fa * fb)
-            out[u][v] = acc
-    return out
+def _combine(terms) -> dict:
+    """Sum of scale * s over (s, scale) pairs of sparse matrices."""
+    acc: dict = {}
+    for s, f in terms:
+        spmat_add_into(acc, s, f)
+    return acc
 
 
 def check_representation(r: Rep3) -> CheckReport:
-    """Exhaustive check of the three representation identities."""
-    n, c, A = r.base.dim, r.base.bracket, r.base.twist
-    B = r.A
-    tw = _twisted_family(r, True, True)     # rho(a(u), a(v))
-    half2 = _twisted_family(r, False, True)  # rho(u, a(v))
-    half1 = _twisted_family(r, True, False)  # rho(a(u), v)
-    parts = []
+    """Exhaustive check of the three representation identities.
 
-    checked = 0
-    witness = None
-    for u in range(n):
-        if witness:
-            break
-        for v in range(n):
-            checked += 1
-            lhs = tw[u][v] @ B
-            rhs = B @ r.rho[u][v]
+        intertwine  rho(a(u), a(v)) B = B rho(u, v)
+        action      rho([x,y,z], a(u)) B = rho(a(y), a(z)) rho(x, u)
+                        + rho(a(z), a(x)) rho(y, u) + rho(a(x), a(y)) rho(z, u)
+        exchange    rho(a(x), a(y)) rho(z, u) = rho(a(z), a(u)) rho(x, y)
+                        + rho([x,y,z], a(u)) B + rho(a(z), [x,y,u]) B
+
+    where a is the algebra twist and B the carrier twist. Each part
+    enumerates its basis tuples (u, v) or (x, y, z, u) in lex order and
+    stops at the first failure, so its ``checked`` counts the tuples
+    enumerated up to and including the witness (n**2 or n**4 when it
+    passes). Operators are held as sparse matrices; the dense witness
+    matrices are built only at the failing tuple.
+    """
+    n, m, c = r.base.dim, r.vdim, r.base.bracket
+    B = spmat_of(r.A)
+    rho = [[spmat_of(mat) for mat in row] for row in r.rho]
+    cols = r.base.twist.col_support()  # cols[u]: (a, alpha[a][u]) nonzero
+    # half2[a][v] = rho(a, a(v)), half1[u][b] = rho(a(u), b),
+    # tw[u][v] = rho(a(u), a(v)); the halves are used only times B
+    half2 = [[_combine((rho[a][b], f) for b, f in cols[v]) for v in range(n)]
+             for a in range(n)]
+    tw = [[_combine((half2[a][v], f) for a, f in cols[u]) for v in range(n)]
+          for u in range(n)]
+    half2B = [[spmat_matmul(h, B) for h in row] for row in half2]
+    half1B = [[spmat_matmul(_combine((rho[a][b], f) for a, f in cols[u]), B)
+               for b in range(n)] for u in range(n)]
+
+    def fail(check, at, checked, lhs, rhs):
+        return CheckReport(False, checked, Witness(
+            check, at, tuple(spmat_to_mat(lhs, m, m).entries),
+            tuple(spmat_to_mat(rhs, m, m).entries)))
+
+    def bracket_half2B(x, y, z, u):
+        # rho([x,y,z], a(u)) B
+        acc: dict = {}
+        for k, f in c.row(x, y, z).items():
+            spmat_add_into(acc, half2B[k][u], f)
+        return acc
+
+    def intertwine():
+        for checked, (u, v) in enumerate(product(range(n), repeat=2), 1):
+            lhs = spmat_matmul(tw[u][v], B)
+            rhs = spmat_matmul(B, rho[u][v])
             if lhs != rhs:
-                witness = Witness("rep_intertwine", (u, v),
-                                  tuple(lhs.entries), tuple(rhs.entries))
-                break
-    parts.append(("intertwine", CheckReport(witness is None, checked, witness)))
+                return fail("rep_intertwine", (u, v), checked, lhs, rhs)
+        return CheckReport(True, n ** 2)
 
-    def rho_bracket_half2(x, y, z, u):
-        # rho([x,y,z], a(u)) o B
-        acc = Mat.zeros(r.vdim, r.vdim)
-        for m, f in c.row(x, y, z).items():
-            acc = acc + half2[m][u].scale(f)
-        return acc @ B
+    def action():
+        for checked, (x, y, z, u) in enumerate(product(range(n), repeat=4), 1):
+            lhs = bracket_half2B(x, y, z, u)
+            rhs = spmat_matmul(tw[y][z], rho[x][u])
+            spmat_matmul(tw[z][x], rho[y][u], rhs)
+            spmat_matmul(tw[x][y], rho[z][u], rhs)
+            if lhs != rhs:
+                return fail("rep_action", (x, y, z, u), checked, lhs, rhs)
+        return CheckReport(True, n ** 4)
 
-    checked = 0
-    witness = None
-    for x in range(n):
-        if witness:
-            break
-        for y in range(n):
-            if witness:
-                break
-            for z in range(n):
-                if witness:
-                    break
-                for u in range(n):
-                    checked += 1
-                    lhs = rho_bracket_half2(x, y, z, u)
-                    rhs = (tw[y][z] @ r.rho[x][u] + tw[z][x] @ r.rho[y][u]
-                           + tw[x][y] @ r.rho[z][u])
-                    if lhs != rhs:
-                        witness = Witness("rep_action", (x, y, z, u),
-                                          tuple(lhs.entries), tuple(rhs.entries))
-                        break
-    parts.append(("action", CheckReport(witness is None, checked, witness)))
+    def exchange():
+        for checked, (x, y, z, u) in enumerate(product(range(n), repeat=4), 1):
+            lhs = spmat_matmul(tw[x][y], rho[z][u])
+            rhs = spmat_matmul(tw[z][u], rho[x][y], bracket_half2B(x, y, z, u))
+            for k, f in c.row(x, y, u).items():
+                spmat_add_into(rhs, half1B[z][k], f)
+            if lhs != rhs:
+                return fail("rep_exchange", (x, y, z, u), checked, lhs, rhs)
+        return CheckReport(True, n ** 4)
 
-    def rho_half1_bracket(z, x, y, u):
-        # rho(a(z), [x,y,u]) o B
-        acc = Mat.zeros(r.vdim, r.vdim)
-        for m, f in c.row(x, y, u).items():
-            acc = acc + half1[z][m].scale(f)
-        return acc @ B
-
-    checked = 0
-    witness = None
-    for x in range(n):
-        if witness:
-            break
-        for y in range(n):
-            if witness:
-                break
-            for z in range(n):
-                if witness:
-                    break
-                for u in range(n):
-                    checked += 1
-                    lhs = tw[x][y] @ r.rho[z][u]
-                    rhs = (tw[z][u] @ r.rho[x][y]
-                           + rho_bracket_half2(x, y, z, u)
-                           + rho_half1_bracket(z, x, y, u))
-                    if lhs != rhs:
-                        witness = Witness("rep_exchange", (x, y, z, u),
-                                          tuple(lhs.entries), tuple(rhs.entries))
-                        break
-    parts.append(("exchange", CheckReport(witness is None, checked, witness)))
-    return CheckReport.combine(parts)
+    return CheckReport.combine([("intertwine", intertwine()),
+                                ("action", action()),
+                                ("exchange", exchange())])
 
 
 def adjoint_rep(a: Algebra3) -> Rep3:

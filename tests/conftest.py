@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from homlie3 import (Algebra3, Mat, PreLie3, Rep3, RTensor, Tensor4,
-                     rep_from_upper)
+                     mat_inverse, rep_from_upper, yau_twist)
 
 F = Fraction
 PERMS3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
@@ -40,6 +40,29 @@ def n4(twist=None, label="n4"):
 
 N4_DIAG = Mat.diag([F(2), F(2), F(2), F(8)])
 N4_NEG = Mat.diag([F(-1)] * 4)
+
+
+def a4():
+    """Filippov's simple 3-Lie algebra: [e_i, e_j, e_k] = eps_ijkl e_l."""
+    levi = []
+    for p in itertools.permutations(range(4)):
+        inv = sum(p[a] > p[b] for a in range(4) for b in range(a + 1, 4))
+        levi.append((*p, F((-1) ** inv)))
+    return Algebra3(4, Tensor4.from_entries((4,) * 4, levi), Mat.identity(4),
+                    "a4")
+
+
+# Skew S whose Cayley transform (I - S)(I + S)^-1 is a rational rotation,
+# hence an automorphism of A4 and a non-diagonal orthogonal twist.
+CAYLEY_S = Mat([[F(v) for v in row] for row in
+                ((0, 1, 0, 2), (-1, 0, 1, 0), (0, -1, 0, 1), (-2, 0, -1, 0))])
+
+
+def a4_cayley():
+    """A4 Yau-twisted along the Cayley rotation of CAYLEY_S: a non-diagonal
+    twist and 96 nonzero structure constants."""
+    eye = Mat.identity(4)
+    return yau_twist(a4(), (eye - CAYLEY_S) @ mat_inverse(eye + CAYLEY_S))
 
 
 def corrupted_n4():

@@ -94,6 +94,22 @@ def test_invalid_json_exits_two(capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("name, content, message", [
+    ("a-directory", None, "cannot read"),
+    ("latin1.alg", b'{"dim": 4, "label": "caf\xe9"}\n', "not UTF-8"),
+    ("number.alg", b"42\n", "expected a JSON object"),
+], ids=["directory", "non-utf8", "non-object"])
+def test_unreadable_input_exits_two(tmp_path, capsys, name, content, message):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, _, err = run(["check", "algebra", str(path)], capsys)
+    assert code == 2
+    assert message in err
+
+
 def test_dimension_cap_exits_two(capsys):
     code, _, err = run(["check", "algebra", fx("toobig.alg")], capsys)
     assert code == 2
@@ -240,7 +256,8 @@ def test_build_nilpotent_refuses_oversized_double(tmp_path, capsys):
     code, _, err = run(["build", "nilpotent", fx("n4.alg"), "--steps", "8",
                         "-o", str(tmp_path)], capsys)
     assert code == 2
-    assert "exceeds" in err
+    assert f"exceeds the supported maximum {4 * MAX_DIM}" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_derive_prelie_roundtrip(tmp_path, capsys):

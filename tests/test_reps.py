@@ -1,14 +1,19 @@
 """Representations, duals, coadjoint actions, and semidirect sums."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from homlie3 import (Mat, PreconditionError, Rep3, adjoint_rep, check_algebra,
-                     check_representation, coadjoint_rep, dual_representation,
-                     rep_from_upper, semidirect_sum)
+from homlie3 import (Algebra3, Mat, PreconditionError, Rep3, adjoint_rep,
+                     check_algebra, check_representation, coadjoint_rep,
+                     dual_representation, fileio, rep_from_upper,
+                     semidirect_sum)
+from homlie3.cli import report_doc
 from homlie3.reps import base_projection
 
-from conftest import (N4_DIAG, N4_NEG, n4, random_nilpotent, rank1_rep)
+from conftest import (N4_DIAG, N4_NEG, a4, a4_cayley, n4, random_nilpotent,
+                      rank1_rep, skew_tensor)
+from oracles import check_representation_dense
 
 F = Fraction
 
@@ -102,3 +107,50 @@ def test_semidirect_rejects_invalid_rep(rng):
 def test_rep_shape_validation():
     with pytest.raises(Exception):
         Rep3(n4(), 3, ((Mat.identity(2),) * 4,) * 4, Mat.identity(3))
+
+
+def _mutant(rep, i, j, p, q, d):
+    """rho(i, j)[p][q] += d, with rho(j, i) kept skew."""
+    rho = [list(row) for row in rep.rho]
+    m = [list(row) for row in rep.rho[i][j].entries]
+    m[p][q] += d
+    rho[i][j] = Mat(m)
+    rho[j][i] = -rho[i][j]
+    return Rep3(rep.base, rep.vdim, tuple(map(tuple, rho)), rep.A)
+
+
+def _oracle_corpus():
+    # N4 with its basis reversed ([e2,e3,e4] = e1) keeps rho(e1, -) zero, so
+    # a mutant of rho(e3, e4) first fails well inside the enumeration.
+    n4_rev = Algebra3(4, skew_tensor(4, {(1, 2, 3): {0: 1}}), Mat.identity(4),
+                      "n4-reversed")
+    bases = [(f"{name}.{kind}", build(alg))
+             for name, alg in (("n4", n4()), ("a4", a4()), ("a4t", a4_cayley()))
+             for kind, build in (("ad", adjoint_rep), ("coad", coadjoint_rep))]
+    rng = random.Random(20190310)
+    corpus = list(bases)
+    for key, rep in bases:
+        for _ in range(3):
+            i, j = sorted(rng.sample(range(4), 2))
+            site = (i, j, rng.randrange(4), rng.randrange(4))
+            d = rng.choice((F(1), F(-1), F(2), F(1, 2)))
+            corpus.append((f"{key}~{site}+{d}", _mutant(rep, *site, d)))
+    late = _mutant(adjoint_rep(n4_rev), 2, 3, 2, 3, F(1))
+    corpus.append(("n4-reversed.ad~(2, 3, 2, 3)+1", late))
+    return corpus
+
+
+def test_sparse_checker_matches_dense_oracle():
+    failed_parts = set()
+    late_exit = False
+    for key, rep in _oracle_corpus():
+        new = check_representation(rep)
+        old = check_representation_dense(rep)
+        assert fileio.dumps(report_doc(new)) == fileio.dumps(report_doc(old)), key
+        failed = [(name, part) for name, part in old.parts if not part.passed]
+        failed_parts.update(name for name, _ in failed)
+        if failed and failed[0][1].checked > rep.base.dim ** 3:
+            late_exit = True
+    # the corpus fails every part, and once past the first quarter of a part
+    assert failed_parts == {"intertwine", "action", "exchange"}
+    assert late_exit
