@@ -8,18 +8,15 @@ dual space has matrix transpose(alpha); coadjoint actions are defined by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
-from .exactlin import (
-    InputError, Mat, ONE, Tensor4, ZERO, dense, sparse_of, unit_vec,
-    vec_add_into,
-)
+from .exactlin import InputError, Mat, ONE, Tensor4, ZERO
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, bracket_vec,
-    check_algebra, _skew_check,
+    Algebra3, CheckReport, PreconditionError, Witness, _identity, _pairing,
+    _skew_check, _slot_outer, check_algebra,
 )
-from .reps import Rep3, check_representation, semidirect_sum
+from .reps import Rep3, _action_tensor, check_representation
 
 
 @dataclass(frozen=True)
@@ -106,26 +103,43 @@ def standard_manin_reps(c: Cobracket) -> MatchedPairData:
     return MatchedPairData(left, right, rho, mu)
 
 
-def _apply_family(fam, u: Mapping, v: Mapping, w: Mapping, dim_out: int) -> dict:
-    """fam(u, v) applied to w, all sparse vectors."""
-    out: dict = {}
-    for i, ui in u.items():
-        for j, vj in v.items():
-            f = ui * vj
-            if not f:
-                continue
-            m = fam[i][j]
-            for k, wk in w.items():
-                col = m.col(k)
-                for l in range(dim_out):
-                    val = col[l]
-                    if val:
-                        nv = out.get(l, ZERO) + f * wk * val
-                        if nv:
-                            out[l] = nv
-                        else:
-                            out.pop(l, None)
-    return out
+def _matched_side(c: Tensor4, A: Mat, act: Tensor4, B: Mat,
+                  other: Tensor4) -> tuple:
+    """Term lists of the three matched-pair equations on one side.
+
+    c, A are the bracket and twist of the algebra that ``act`` acts on, B
+    the twist of the acting algebra, ``other`` the action the other way
+    (all actions as rows, see _action_tensor). With (L, mu, rho) this is
+    (2.1)-(2.3), keyed (x, x, x, a, a); its mirror with (L', rho, mu) is
+    (2.4)-(2.6). The bare second arguments of an action carry the twist, so
+    every term has twist degree two, matching the Hom-Jacobi expansion; at
+    identity twist these are the printed equations.
+    """
+    cr, ar, orr = dict(c.rows()), dict(act.rows()), dict(other.rows())
+    act_bb = _slot_outer(act, 2, {0: B, 1: B})
+    act_0 = _slot_outer(act, 0, {1: B, 2: A})
+    c_0 = _slot_outer(c, 0, {1: A, 2: A})
+    c_2 = _slot_outer(c, 2, {0: A, 1: A})
+    return (
+        # mu(a'(a4), a'(a5))[x1,x2,x3] - [mu(a4,a5)x1, a(x2), a(x3)]
+        #   - [a(x1), mu(a4,a5)x2, a(x3)] - [a(x1), a(x2), mu(a4,a5)x3]
+        [(1, cr, act_bb, (0, 1, 2, 3, 4)),
+         (-1, ar, c_0, (2, 3, 4, 0, 1)),
+         (-1, ar, _slot_outer(c, 1, {0: A, 2: A}), (3, 2, 4, 0, 1)),
+         (-1, ar, c_2, (3, 4, 2, 0, 1))],
+        # mu(rho(x1,x4)a5, a'(a3))a(x2) - mu(rho(x2,x4)a5, a'(a3))a(x1)
+        #   - mu(rho(x1,x2)a3, a'(a5))a(x4) + [a(x1), a(x2), mu(a3,a5)x4]
+        [(1, orr, act_0, (0, 4, 1, 3, 2)),
+         (-1, orr, act_0, (4, 0, 1, 3, 2)),
+         (-1, orr, act_0, (0, 1, 4, 2, 3)),
+         (1, ar, c_2, (3, 4, 2, 0, 1))],
+        # [mu(a2,a3)x1, a(x4), a(x5)] - mu(a'(a2), a'(a3))[x1,x4,x5]
+        #   - mu(rho(x4,x5)a2, a'(a3))a(x1) - mu(a'(a2), rho(x4,x5)a3)a(x1)
+        [(1, ar, c_0, (2, 3, 4, 0, 1)),
+         (-1, cr, act_bb, (0, 1, 2, 3, 4)),
+         (-1, orr, act_0, (4, 0, 1, 2, 3)),
+         (-1, orr, _slot_outer(act, 1, {0: B, 2: A}), (4, 0, 1, 3, 2))],
+    )
 
 
 def check_matched_pair(m: MatchedPairData) -> CheckReport:
@@ -134,6 +148,7 @@ def check_matched_pair(m: MatchedPairData) -> CheckReport:
     Also assembles the direct-sum bracket and cross-checks it against the
     algebra axioms; the two verdicts appearing in the parts must agree for a
     coherent input (disagreement is an internal-inconsistency finding).
+    Each equation reports its residual at the lex-first failing tuple.
     """
     for name, rep in (("rho", m.rho), ("mu", m.mu)):
         r = check_representation(rep)
@@ -141,126 +156,18 @@ def check_matched_pair(m: MatchedPairData) -> CheckReport:
             raise PreconditionError(f"{name} fails the representation axioms",
                                     witness=r.witness)
     n, p = m.left.dim, m.right.dim
-    cl, cr = m.left.bracket, m.right.bracket
-    al, ar = m.left.twist, m.right.twist
-    rho, mu = m.rho.rho, m.mu.rho
-    ucL = [unit_vec(n, i) for i in range(n)]
-    ucR = [unit_vec(p, i) for i in range(p)]
-    colL = [sparse_of(al.col(i)) for i in range(n)]
-    colR = [sparse_of(ar.col(i)) for i in range(p)]
-
-    def muv(u, v, w):
-        return _apply_family(mu, u, v, w, n)
-
-    def rhov(u, v, w):
-        return _apply_family(rho, u, v, w, p)
-
+    rho, mu = _action_tensor(m.rho), _action_tensor(m.mu)
+    eqs = (_matched_side(m.left.bracket, m.left.twist, mu, m.right.twist, rho)
+           + _matched_side(m.right.bracket, m.right.twist, rho, m.left.twist,
+                           mu))
     parts = []
-
-    def run(name, index_dims, evaluate):
-        checked = 0
-        witness = None
-        idx = [0] * len(index_dims)
-
-        def rec(d):
-            nonlocal checked, witness
-            if witness:
-                return
-            if d == len(index_dims):
-                checked += 1
-                val = evaluate(*idx)
-                if val:
-                    witness = Witness(name, tuple(idx),
-                                      dense(val, max(n, p)), ())
-                return
-            for t in range(index_dims[d]):
-                idx[d] = t
-                rec(d + 1)
-                if witness:
-                    return
-
-        rec(0)
-        parts.append((name, CheckReport(witness is None, checked, witness)))
-
-    # (i) mu(a'(a4), a'(a5))[x1,x2,x3] - [mu(a4,a5)x1, a(x2), a(x3)]
-    #     - [a(x1), mu(a4,a5)x2, a(x3)] - [a(x1), a(x2), mu(a4,a5)x3] = 0
-    def eq1(x1, x2, x3, a4, a5):
-        acc = muv(colR[a4], colR[a5], cl.row(x1, x2, x3))
-        mx = [muv(ucR[a4], ucR[a5], ucL[x]) for x in (x1, x2, x3)]
-        vec_add_into(acc, bracket_vec(cl, mx[0], colL[x2], colL[x3]), -ONE)
-        vec_add_into(acc, bracket_vec(cl, colL[x1], mx[1], colL[x3]), -ONE)
-        vec_add_into(acc, bracket_vec(cl, colL[x1], colL[x2], mx[2]), -ONE)
-        return acc
-
-    run("eq_2_1", (n, n, n, p, p), eq1)
-
-    # (ii) mu(rho(x1,x4)a5, a'(a3))a(x2) - mu(rho(x2,x4)a5, a'(a3))a(x1)
-    #      - mu(rho(x1,x2)a3, a'(a5))a(x4) + [a(x1), a(x2), mu(a3,a5)x4] = 0
-    # (the bare second mu-arguments carry the dual twist so every term has
-    # twist degree two, matching the Hom-Jacobi expansion; at identity
-    # twist this is the printed equation)
-    def eq2(x1, x2, x4, a3, a5):
-        acc = muv(rhov(ucL[x1], ucL[x4], ucR[a5]), colR[a3], colL[x2])
-        vec_add_into(acc, muv(rhov(ucL[x2], ucL[x4], ucR[a5]), colR[a3], colL[x1]), -ONE)
-        vec_add_into(acc, muv(rhov(ucL[x1], ucL[x2], ucR[a3]), colR[a5], colL[x4]), -ONE)
-        vec_add_into(acc, bracket_vec(cl, colL[x1], colL[x2],
-                                      muv(ucR[a3], ucR[a5], ucL[x4])))
-        return acc
-
-    run("eq_2_2", (n, n, n, p, p), eq2)
-
-    # (iii) [mu(a2,a3)x1, a(x4), a(x5)] - mu(a'(a2), a'(a3))[x1,x4,x5]
-    #       - mu(rho(x4,x5)a2, a'(a3))a(x1) - mu(a'(a2), rho(x4,x5)a3)a(x1) = 0
-    # (same twist-degree balancing on the bare mu-arguments)
-    def eq3(x1, x4, x5, a2, a3):
-        acc = bracket_vec(cl, muv(ucR[a2], ucR[a3], ucL[x1]), colL[x4], colL[x5])
-        vec_add_into(acc, muv(colR[a2], colR[a3], cl.row(x1, x4, x5)), -ONE)
-        rv = rhov(ucL[x4], ucL[x5], ucR[a2])
-        vec_add_into(acc, muv(rv, colR[a3], colL[x1]), -ONE)
-        rv = rhov(ucL[x4], ucL[x5], ucR[a3])
-        vec_add_into(acc, muv(colR[a2], rv, colL[x1]), -ONE)
-        return acc
-
-    run("eq_2_3", (n, n, n, p, p), eq3)
-
-    # (iv) rho(a(x4), a(x5))[a1,a2,a3]' - [rho(x4,x5)a1, a'(a2), a'(a3)]'
-    #      - [a'(a1), rho(x4,x5)a2, a'(a3)]' - [a'(a1), a'(a2), rho(x4,x5)a3]' = 0
-    def eq4(a1, a2, a3, x4, x5):
-        acc = rhov(colL[x4], colL[x5], cr.row(a1, a2, a3))
-        ra = [rhov(ucL[x4], ucL[x5], ucR[a]) for a in (a1, a2, a3)]
-        vec_add_into(acc, bracket_vec(cr, ra[0], colR[a2], colR[a3]), -ONE)
-        vec_add_into(acc, bracket_vec(cr, colR[a1], ra[1], colR[a3]), -ONE)
-        vec_add_into(acc, bracket_vec(cr, colR[a1], colR[a2], ra[2]), -ONE)
-        return acc
-
-    run("eq_2_4", (p, p, p, n, n), eq4)
-
-    # (v) rho(mu(a1,a4)x5, a(x3))a'(a2) - rho(mu(a2,a4)x5, a(x3))a'(a1)
-    #     - rho(mu(a1,a2)x3, a(x5))a'(a4) + [a'(a1), a'(a2), rho(x3,x5)a4]' = 0
-    # (mirror of eq (2.2) with the same twist-degree balancing)
-    def eq5(a1, a2, a4, x3, x5):
-        acc = rhov(muv(ucR[a1], ucR[a4], ucL[x5]), colL[x3], colR[a2])
-        vec_add_into(acc, rhov(muv(ucR[a2], ucR[a4], ucL[x5]), colL[x3], colR[a1]), -ONE)
-        vec_add_into(acc, rhov(muv(ucR[a1], ucR[a2], ucL[x3]), colL[x5], colR[a4]), -ONE)
-        vec_add_into(acc, bracket_vec(cr, colR[a1], colR[a2],
-                                      rhov(ucL[x3], ucL[x5], ucR[a4])))
-        return acc
-
-    run("eq_2_5", (p, p, p, n, n), eq5)
-
-    # (vi) [rho(x2,x3)a1, a'(a4), a'(a5)]' - rho(a(x2), a(x3))[a1,a4,a5]'
-    #      - rho(mu(a4,a5)x2, a(x3))a'(a1) - rho(a(x2), mu(a4,a5)x3)a'(a1) = 0
-    # (mirror of eq (2.3) with the same twist-degree balancing)
-    def eq6(a1, a4, a5, x2, x3):
-        acc = bracket_vec(cr, rhov(ucL[x2], ucL[x3], ucR[a1]), colR[a4], colR[a5])
-        vec_add_into(acc, rhov(colL[x2], colL[x3], cr.row(a1, a4, a5)), -ONE)
-        mv = muv(ucR[a4], ucR[a5], ucL[x2])
-        vec_add_into(acc, rhov(mv, colL[x3], colR[a1]), -ONE)
-        mv = muv(ucR[a4], ucR[a5], ucL[x3])
-        vec_add_into(acc, rhov(colL[x2], mv, colR[a1]), -ONE)
-        return acc
-
-    run("eq_2_6", (p, p, p, n, n), eq6)
+    for k, terms in enumerate(eqs, 1):
+        name = f"eq_2_{k}"
+        r = _identity(name, terms, (n,) * 3 + (p,) * 2 if k <= 3
+                      else (p,) * 3 + (n,) * 2, max(n, p))
+        if not r.passed:
+            r = CheckReport(False, r.checked, replace(r.witness, right=()))
+        parts.append((name, r))
 
     eqs_passed = all(r.passed for _, r in parts)
     eq_witness = next((r.witness for _, r in parts if not r.passed), None)
@@ -316,26 +223,13 @@ def assemble_matched_pair(m: MatchedPairData, checked: bool = True) -> Algebra3:
 
 def check_invariance(a: Algebra3, form: BilForm) -> CheckReport:
     """([x,y,z], a(u)) + ([x,y,u], a(z)) = 0 on all basis 4-tuples."""
-    n, c, A = a.dim, a.bracket, a.twist
+    n, A = a.dim, a.twist
     if form.dim != n:
         raise InputError(f"form dim {form.dim} vs algebra dim {n}")
-    cols = [A.col(i) for i in range(n)]
-    checked = 0
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                rz = c.row(x, y, z)
-                for u in range(n):
-                    checked += 1
-                    ru = c.row(x, y, u)
-                    if not rz and not ru:
-                        continue
-                    val = (form.value(dense(rz, n), cols[u])
-                           + form.value(dense(ru, n), cols[z]))
-                    if val:
-                        return CheckReport(False, checked, Witness(
-                            "invariance", (x, y, z, u), (val,), (ZERO,)))
-    return CheckReport(True, checked)
+    BA = _pairing(form.matrix @ A)
+    c = dict(a.bracket.rows())
+    terms = [(1, c, BA, (0, 1, 2, 3)), (1, c, BA, (0, 1, 3, 2))]
+    return _identity("invariance", terms, (n,) * 4, 1)
 
 
 def standard_form(n: int) -> BilForm:

@@ -8,7 +8,7 @@ all functions are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 Rat = Fraction
 ZERO = Fraction(0)

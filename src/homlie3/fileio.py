@@ -48,6 +48,13 @@ def _need(doc: dict, field: str, path: Optional[str]):
     return doc[field]
 
 
+def _need_rows(doc: dict, field: str, path: Optional[str]) -> list:
+    rows = _need(doc, field, path)
+    if not isinstance(rows, list):
+        raise InputError(f"{_ctx(path, field)}: expected a list of rows")
+    return rows
+
+
 def _parse_rat(v, where: str):
     try:
         return rat(v)
@@ -116,9 +123,7 @@ def algebra_from_doc(doc: dict, path: Optional[str] = None,
                      max_dim: Optional[int] = None) -> Algebra3:
     n = _parse_dim(doc, path, max_dim)
     _parse_basis(doc, path, n)
-    rows = _need(doc, "bracket", path)
-    if not isinstance(rows, list):
-        raise InputError(f"{_ctx(path, 'bracket')}: expected a list of rows")
+    rows = _need_rows(doc, "bracket", path)
     seen = set()
     for rnum, row in enumerate(rows, 1):
         if isinstance(row, list) and len(row) == 5:
@@ -166,10 +171,16 @@ def load_rep(path: str, max_dim: Optional[int] = None) -> Rep3:
     if max_dim is not None and m > max_dim:
         raise InputError(f"{_ctx(path, 'vdim')}: dimension {m} exceeds the "
                          f"supported maximum {max_dim}")
-    rows = _need(doc, "rho", path)
+    return _rep_from_rows(doc, path, base, m, "rho", "A")
+
+
+def _rep_from_rows(doc: dict, path: Optional[str], base: Algebra3, vdim: int,
+                   field: str, twist_field: str) -> Rep3:
+    """A representation from rows [i, j, matrix], i < j and each pair at
+    most once, in ``field`` and its carrier twist in ``twist_field``."""
     upper = {}
-    for rnum, row in enumerate(rows, 1):
-        loc = f"{_ctx(path, 'rho')}[{rnum}]"
+    for rnum, row in enumerate(_need_rows(doc, field, path), 1):
+        loc = f"{_ctx(path, field)}[{rnum}]"
         if not isinstance(row, list) or len(row) != 3:
             raise InputError(f"{loc}: expected [i, j, matrix]")
         i = _index(row[0], loc, base.dim)
@@ -178,9 +189,10 @@ def load_rep(path: str, max_dim: Optional[int] = None) -> Rep3:
             raise InputError(f"{loc}: indices must satisfy i < j")
         if (i, j) in upper:
             raise InputError(f"{loc}: duplicate pair ({row[0]},{row[1]})")
-        upper[(i, j)] = _parse_matrix(row[2], loc, m, m)
-    A = _parse_matrix(_need(doc, "A", path), _ctx(path, "A"), m, m)
-    return rep_from_upper(base, m, upper, A)
+        upper[(i, j)] = _parse_matrix(row[2], loc, vdim, vdim)
+    A = _parse_matrix(_need(doc, twist_field, path), _ctx(path, twist_field),
+                      vdim, vdim)
+    return rep_from_upper(base, vdim, upper, A)
 
 
 def rep_to_doc(r: Rep3) -> dict:
@@ -198,7 +210,7 @@ def load_cobracket(path: str, max_dim: Optional[int] = None) -> Cobracket:
     doc = _load_json(path)
     base = _resolve(_need(doc, "algebra", path), path, algebra_from_doc, max_dim)
     n = base.dim
-    rows = _need(doc, "delta", path)
+    rows = _need_rows(doc, "delta", path)
     entries = []
     seen = set()
     for rnum, row in enumerate(rows, 1):
@@ -223,7 +235,7 @@ def load_prelie(path: str, max_dim: Optional[int] = None) -> PreLie3:
     doc = _load_json(path)
     n = _parse_dim(doc, path, max_dim)
     _parse_basis(doc, path, n)
-    rows = _need(doc, "bracket", path)
+    rows = _need_rows(doc, "bracket", path)
     entries = []
     seen = set()
     for rnum, row in enumerate(rows, 1):
@@ -302,25 +314,9 @@ def load_matched_pair(path: str, max_dim: Optional[int] = None) -> MatchedPairDa
     left = _resolve(_need(doc, "left", path), path, algebra_from_doc, max_dim)
     right = _resolve(_need(doc, "right", path), path, algebra_from_doc, max_dim)
 
-    def action(field, base, vdim):
-        rows = _need(doc, field, path)
-        upper = {}
-        for rnum, row in enumerate(rows, 1):
-            loc = f"{_ctx(path, field)}[{rnum}]"
-            if not isinstance(row, list) or len(row) != 3:
-                raise InputError(f"{loc}: expected [i, j, matrix]")
-            i = _index(row[0], loc, base.dim)
-            j = _index(row[1], loc, base.dim)
-            if not i < j:
-                raise InputError(f"{loc}: indices must satisfy i < j")
-            upper[(i, j)] = _parse_matrix(row[2], loc, vdim, vdim)
-        A = _parse_matrix(_need(doc, field + "_A", path), _ctx(path, field + "_A"),
-                          vdim, vdim)
-        return rep_from_upper(base, vdim, upper, A)
-
-    return MatchedPairData(left, right,
-                           action("rho", left, right.dim),
-                           action("mu", right, left.dim))
+    return MatchedPairData(
+        left, right, _rep_from_rows(doc, path, left, right.dim, "rho", "rho_A"),
+        _rep_from_rows(doc, path, right, left.dim, "mu", "mu_A"))
 
 
 def load_o_operator(path: str, max_dim: Optional[int] = None) -> OOperator:

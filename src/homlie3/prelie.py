@@ -8,17 +8,13 @@ bracket; invertible O-operators produce compatible pre-Lie structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
 
-from .exactlin import (
-    InputError, Mat, ONE, Tensor4, ZERO, dense, mat_inverse, sparse_of,
-    vec_add_into,
-)
+from .exactlin import InputError, Mat, Tensor4, ZERO, mat_inverse
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, bracket_vec,
-    check_algebra, twist_slots,
+    Algebra3, CheckReport, PreconditionError, Witness, _columns, _identity,
+    _image, _slot_outer, twist_slots,
 )
-from .reps import Rep3, check_representation
+from .reps import Rep3, _action_tensor, check_representation
 
 
 @dataclass(frozen=True)
@@ -115,96 +111,35 @@ def check_prelie(p: PreLie3) -> CheckReport:
     parts = [("skew_pair", _pair_skew_check(p))]
     if not parts[0][1].passed:
         return CheckReport.combine(parts)
-    n, t, A = p.dim, p.product, p.twist
-    cc = subadjacent_tensor(t)
-    q1 = twist_slots(t, {0: A, 1: A})
-    q23 = twist_slots(t, {1: A, 2: A})
-    q13 = twist_slots(t, {0: A, 2: A})
-    rng = range(n)
-
-    def contract(coeffs: Mapping, table, key3) -> dict:
-        acc: dict = {}
-        for m, f in coeffs.items():
-            vec = table.get(key3(m))
-            if vec:
-                vec_add_into(acc, vec, f)
-        return acc
-
-    # identity A: {a(x),a(y),{z,u,v}} = {[x,y,z]_C,a(u),a(v)}
-    #             + {a(z),[x,y,u]_C,a(v)} + {a(z),a(u),[x,y,v]_C}
-    checked = 0
-    witness = None
-    for x in rng:
-        if witness:
+    for name, r in _prelie_identities(p):
+        parts.append((name, r))
+        if not r.passed:
             break
-        for y in rng:
-            if witness:
-                break
-            for z in rng:
-                if witness:
-                    break
-                for u in rng:
-                    if witness:
-                        break
-                    for v in rng:
-                        checked += 1
-                        lhs = contract(t.row(z, u, v), q1, lambda m: (x, y, m))
-                        rhs: dict = {}
-                        for m, f in cc.row(x, y, z).items():
-                            vec = q23.get((m, u, v))
-                            if vec:
-                                vec_add_into(rhs, vec, f)
-                        for m, f in cc.row(x, y, u).items():
-                            vec = q13.get((z, m, v))
-                            if vec:
-                                vec_add_into(rhs, vec, f)
-                        for m, f in cc.row(x, y, v).items():
-                            vec = q1.get((z, u, m))
-                            if vec:
-                                vec_add_into(rhs, vec, f)
-                        if lhs != rhs:
-                            witness = Witness("prelie_identity_1", (x, y, z, u, v),
-                                              dense(lhs, n), dense(rhs, n))
-                            break
-    parts.append(("identity_1", CheckReport(witness is None, checked, witness)))
-    if witness:
-        return CheckReport.combine(parts)
-
-    # identity B: {[x,y,z]_C,a(u),a(v)} = {a(x),a(y),[z,u,v]_C}
-    #             + {a(y),a(z),[x,u,v]_C} + {a(z),a(x),[y,u,v]_C}
-    checked = 0
-    witness = None
-    for x in rng:
-        if witness:
-            break
-        for y in rng:
-            if witness:
-                break
-            for z in rng:
-                if witness:
-                    break
-                for u in rng:
-                    if witness:
-                        break
-                    for v in rng:
-                        checked += 1
-                        lhs: dict = {}
-                        for m, f in cc.row(x, y, z).items():
-                            vec = q23.get((m, u, v))
-                            if vec:
-                                vec_add_into(lhs, vec, f)
-                        rhs: dict = {}
-                        for (a, b), w in (((x, y), z), ((y, z), x), ((z, x), y)):
-                            for m, f in cc.row(w, u, v).items():
-                                vec = q1.get((a, b, m))
-                                if vec:
-                                    vec_add_into(rhs, vec, f)
-                        if lhs != rhs:
-                            witness = Witness("prelie_identity_2", (x, y, z, u, v),
-                                              dense(lhs, n), dense(rhs, n))
-                            break
-    parts.append(("identity_2", CheckReport(witness is None, checked, witness)))
     return CheckReport.combine(parts)
+
+
+def _prelie_identities(p: PreLie3):
+    """Reports of the two pre-Lie identities, each computed only when the
+    caller asks for it; brackets inside them are sub-adjacent."""
+    t, A = p.product, p.twist
+    prod, cyc = dict(t.rows()), dict(subadjacent_tensor(t).rows())
+    q1 = _slot_outer(t, 2, {0: A, 1: A})
+    q23 = _slot_outer(t, 0, {1: A, 2: A})
+    # {a(x),a(y),{z,u,v}} = {[x,y,z]_C,a(u),a(v)} + {a(z),[x,y,u]_C,a(v)}
+    #                       + {a(z),a(u),[x,y,v]_C}   at key (x, y, z, u, v)
+    one = [(1, prod, q1, (3, 4, 0, 1, 2)),
+           (-1, cyc, q23, (0, 1, 2, 3, 4)),
+           (-1, cyc, _slot_outer(t, 1, {0: A, 2: A}), (0, 1, 3, 2, 4)),
+           (-1, cyc, q1, (0, 1, 3, 4, 2))]
+    # {[x,y,z]_C,a(u),a(v)} = {a(x),a(y),[z,u,v]_C} + {a(y),a(z),[x,u,v]_C}
+    #                         + {a(z),a(x),[y,u,v]_C}
+    two = [(1, cyc, q23, (0, 1, 2, 3, 4)),
+           (-1, cyc, q1, (3, 4, 0, 1, 2)),
+           (-1, cyc, q1, (0, 3, 4, 1, 2)),
+           (-1, cyc, q1, (4, 0, 3, 1, 2))]
+    for k, terms in ((1, one), (2, two)):
+        yield f"identity_{k}", _identity(f"prelie_identity_{k}", terms,
+                                         (p.dim,) * 5, p.dim, lhs=1)
 
 
 def subadjacent(p: PreLie3) -> Algebra3:
@@ -216,17 +151,6 @@ def subadjacent(p: PreLie3) -> Algebra3:
                     label=f"{p.label}^C" if p.label else "subadjacent")
 
 
-def _rho_at(rep: Rep3, x, y) -> Mat:
-    """rho(x, y) for sparse vectors x, y in the base."""
-    acc = Mat.zeros(rep.vdim, rep.vdim)
-    for i, xi in x.items():
-        for j, yj in y.items():
-            f = xi * yj
-            if f:
-                acc = acc + rep.rho[i][j].scale(f)
-    return acc
-
-
 def check_o_operator(o: OOperator) -> CheckReport:
     """alpha o T = T o A, and T transports the cyclic action to the bracket."""
     rep_ok = check_representation(o.rep)
@@ -236,35 +160,27 @@ def check_o_operator(o: OOperator) -> CheckReport:
     base = o.rep.base
     n, m = base.dim, o.rep.vdim
     parts = []
-    inter = base.twist @ o.T == o.T @ o.rep.A
+    T = o.T
+    inter = base.twist @ T == T @ o.rep.A
     parts.append(("intertwine", CheckReport(
         inter, 1, None if inter else Witness(
-            "o_intertwine", (), tuple((base.twist @ o.T).entries),
-            tuple((o.T @ o.rep.A).entries)))))
-    tcols = [sparse_of(o.T.col(p)) for p in range(m)]
-    checked = 0
-    witness = None
-    for u in range(m):
-        if witness:
-            break
-        for v in range(m):
-            if witness:
-                break
-            ruv = _rho_at(o.rep, tcols[u], tcols[v])
-            for w in range(m):
-                checked += 1
-                lhs = bracket_vec(base.bracket, tcols[u], tcols[v], tcols[w])
-                inner = [ruv.entries[p][w] for p in range(m)]
-                rvw = _rho_at(o.rep, tcols[v], tcols[w])
-                rwu = _rho_at(o.rep, tcols[w], tcols[u])
-                for p in range(m):
-                    inner[p] = inner[p] + rvw.entries[p][u] + rwu.entries[p][v]
-                rhs = o.T.apply(inner)
-                if dense(lhs, n) != rhs:
-                    witness = Witness("o_operator", (u, v, w), dense(lhs, n), rhs)
-                    break
-    parts.append(("transport", CheckReport(witness is None, checked, witness)))
+            "o_intertwine", (), tuple((base.twist @ T).entries),
+            tuple((T @ o.rep.A).entries)))))
+    act = _acted(o)
+    # [Tu,Tv,Tw] - T(rho(Tu,Tv)w + rho(Tv,Tw)u + rho(Tw,Tu)v) at key (u, v, w)
+    terms = [(1, _columns(T), _slot_outer(base.bracket, 2, {0: T, 1: T}),
+              (1, 2, 0)),
+             (-1, act, _image(T), (0, 1, 2)),
+             (-1, act, _image(T), (2, 0, 1)),
+             (-1, act, _image(T), (1, 2, 0))]
+    parts.append(("transport", _identity("o_operator", terms, (m,) * 3, n,
+                                         lhs=1)))
     return CheckReport.combine(parts)
+
+
+def _acted(o: OOperator) -> dict:
+    """{(u, v, w): rho(Tu, Tv)w} on the carrier basis."""
+    return twist_slots(_action_tensor(o.rep), {0: o.T, 1: o.T})
 
 
 def induced_prelie_on_module(o: OOperator) -> PreLie3:
@@ -273,16 +189,8 @@ def induced_prelie_on_module(o: OOperator) -> PreLie3:
     if not rep.passed:
         raise PreconditionError("not an O-operator", witness=rep.witness)
     m = o.rep.vdim
-    tcols = [sparse_of(o.T.col(p)) for p in range(m)]
-    entries = []
-    for u in range(m):
-        for v in range(m):
-            ruv = _rho_at(o.rep, tcols[u], tcols[v])
-            for w in range(m):
-                for l in range(m):
-                    val = ruv.entries[l][w]
-                    if val:
-                        entries.append((u, v, w, l, val))
+    entries = sorted((*key, l, v) for key, vec in _acted(o).items()
+                     for l, v in vec.items())
     p = PreLie3(m, Tensor4.from_entries((m,) * 4, entries), o.rep.A,
                 label="induced")
     rep2 = check_prelie(p)

@@ -54,6 +54,15 @@ def rep_from_upper(base: Algebra3, vdim: int, upper: Mapping, A: Mat) -> Rep3:
     return Rep3(base, vdim, tuple(tuple(r) for r in fam), A)
 
 
+def _action_tensor(r: Rep3) -> Tensor4:
+    """rho as rows, (x, y, v) -> rho(x, y) v: a Tensor4 of dims (n, n, m, m)."""
+    n, m = r.base.dim, r.vdim
+    return Tensor4.from_entries((n, n, m, m), (
+        (i, j, q, p, v) for i in range(n) for j in range(n)
+        for p, row in enumerate(r.rho[i][j].entries)
+        for q, v in enumerate(row) if v))
+
+
 def _combine(terms) -> dict:
     """Sum of scale * s over (s, scale) pairs of sparse matrices."""
     acc: dict = {}

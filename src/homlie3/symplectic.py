@@ -8,47 +8,23 @@ from dataclasses import dataclass
 
 from .exactlin import InputError, Mat, ONE, Tensor4, ZERO, mat_inverse, solve_linear
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, check_algebra,
-    is_derivation,
+    Algebra3, CheckReport, PreconditionError, Witness, _identity, _pairing,
+    check_algebra, is_derivation,
 )
 from .reps import Rep3, coadjoint_rep, dual_representation, semidirect_sum
-from .bialgebra import BilForm, check_invariance, standard_form
+from .bialgebra import BilForm, standard_form
 from .prelie import PreLie3, check_prelie, left_multiplication, subadjacent_tensor
 
 
 def _fourterm_check(a: Algebra3, W: Mat) -> CheckReport:
     """w([x,y,z], a(w)) - w([y,z,w], a(x)) + w([z,w,x], a(y))
     - w([w,x,y], a(z)) = 0 on all basis 4-tuples."""
-    n, c, A = a.dim, a.bracket, a.twist
-    # term(x, y, z, w) = sum_l c(x, y, z, l) * (W @ A)[l][w]; accumulate the
-    # alternating sum sparsely: each bracket entry lands in one of the four
-    # slot patterns for every choice of the remaining pairing index.
-    WA = W @ A
-    residual: dict = {}
-
-    def add(key, v):
-        val = residual.get(key, ZERO) + v
-        if val:
-            residual[key] = val
-        else:
-            residual.pop(key, None)
-
-    for i, j, k, l, v in c.items():
-        for t in range(n):
-            wt = WA.entries[l][t]
-            if not wt:
-                continue
-            vw = v * wt
-            add((i, j, k, t), vw)
-            add((t, i, j, k), -vw)
-            add((k, t, i, j), vw)
-            add((j, k, t, i), -vw)
-    checked = n ** 4
-    if not residual:
-        return CheckReport(True, checked)
-    key = min(residual)
-    return CheckReport(False, checked, Witness(
-        "symplectic_cocycle", key, (residual[key],), (ZERO,)))
+    # with term(x,y,z,w) = w([x,y,z], a(w)), at key (x, y, z, w)
+    WA, c = _pairing(W @ a.twist), dict(a.bracket.rows())
+    terms = [(1, c, WA, (0, 1, 2, 3)), (-1, c, WA, (3, 0, 1, 2)),
+             (1, c, WA, (2, 3, 0, 1)), (-1, c, WA, (1, 2, 3, 0))]
+    return _identity("symplectic_cocycle", terms, (a.dim,) * 4, 1,
+                     nominal=True)
 
 
 def check_symplectic(a: Algebra3, form: BilForm) -> CheckReport:
@@ -77,7 +53,7 @@ def check_metric(a: Algebra3, form: BilForm) -> CheckReport:
 
     Note the metric identity carries no twist (unlike pseudo-metric
     invariance, which pairs against a(w))."""
-    n, c = a.dim, a.bracket
+    n = a.dim
     if form.dim != n:
         raise InputError(f"form dim {form.dim} vs algebra dim {n}")
     B = form.matrix
@@ -88,29 +64,10 @@ def check_metric(a: Algebra3, form: BilForm) -> CheckReport:
     nondeg = mat_inverse(B) is not None
     parts.append(("nondegenerate", CheckReport(nondeg, 1, None if nondeg else
                                                Witness("form_nondegenerate", (), (), ()))))
-    witness = None
-    checked = 0
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                rz = c.row(x, y, z)
-                for w in range(n):
-                    checked += 1
-                    rw = c.row(x, y, w)
-                    if not rz and not rw:
-                        continue
-                    val = (sum((v * B.entries[l][w] for l, v in rz.items()), ZERO)
-                           + sum((v * B.entries[z][l] for l, v in rw.items()), ZERO))
-                    if val:
-                        witness = Witness("metric", (x, y, z, w), (val,), (ZERO,))
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    parts.append(("invariance", CheckReport(witness is None, checked, witness)))
+    c = dict(a.bracket.rows())
+    terms = [(1, c, _pairing(B), (0, 1, 2, 3)),
+             (1, c, _pairing(B.transpose()), (0, 1, 3, 2))]
+    parts.append(("invariance", _identity("metric", terms, (n,) * 4, 1)))
     return CheckReport.combine(parts)
 
 
@@ -362,10 +319,10 @@ def nilpotent_extension(a: Algebra3, steps: int) -> tuple:
     Dhat = Mat.block_diag(D, -D.transpose())
     omega, om_rep = symplectic_from_derivation(double, metric, Dhat)
 
+    ext_der = is_derivation(ext, D)
     parts = [
         ("extension_algebra", check_algebra(ext)),
-        ("derivation", CheckReport(is_derivation(ext, D) is None, 1,
-                                   is_derivation(ext, D))),
+        ("derivation", CheckReport(ext_der is None, 1, ext_der)),
         ("double_algebra", check_algebra(double)),
         ("metric", check_metric(double, metric)),
         ("double_derivation", is_metric_derivation(double, metric, Dhat)),

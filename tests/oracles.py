@@ -4,10 +4,29 @@
 kernel in ``homlie3.reps`` replaced: every identity is evaluated as ``Mat``
 products on every basis tuple, in lex order, stopping at the first failure.
 The sparse kernel must reproduce its reports byte for byte.
+
+The ``*_dense`` and ``*_loop`` checkers below are the hand-written loops
+that the sparse residual engine in ``homlie3.homlie`` replaced, kept
+verbatim apart from their names (and identity 2 of ``check_prelie_dense``
+split out so that it can be compared on its own). The ``_dense`` ones walk
+every basis tuple in lex order; the ``_loop`` ones accumulate their own
+sparse residual. The engine must reproduce their reports byte for byte.
 """
-from homlie3.exactlin import Mat, ONE, ZERO
-from homlie3.homlie import CheckReport, Witness
-from homlie3.reps import Rep3
+from typing import Mapping, Optional
+
+from homlie3.exactlin import (
+    InputError, Mat, ONE, ZERO, dense, mat_inverse, sparse_of, unit_vec,
+    vec_add_into,
+)
+from homlie3.homlie import (
+    Algebra3, CheckReport, PreconditionError, Witness, bracket_vec,
+    check_algebra, twist_slots,
+)
+from homlie3.reps import Rep3, check_representation
+from homlie3.bialgebra import BilForm, MatchedPairData, assemble_matched_pair
+from homlie3.prelie import (
+    OOperator, PreLie3, _pair_skew_check, subadjacent_tensor,
+)
 
 
 def _twisted_family(rep: Rep3, left: bool, right: bool) -> list:
@@ -112,3 +131,603 @@ def check_representation_dense(r: Rep3) -> CheckReport:
                         break
     parts.append(("exchange", CheckReport(witness is None, checked, witness)))
     return CheckReport.combine(parts)
+
+
+def hom_jacobi_check_loop(a: Algebra3) -> CheckReport:
+    # Sparse strategy: instead of walking all n^5 basis tuples, accumulate
+    # the residual of the identity from pairs of composable bracket
+    # entries.  A tuple absent from the accumulator has residual zero, so
+    # the verdict is exhaustive; witnesses are reconstructed per tuple.
+    n, c, A = a.dim, a.bracket, a.twist
+    t12 = twist_slots(c, {0: A, 1: A})
+    t23 = twist_slots(c, {1: A, 2: A})
+    t13 = twist_slots(c, {0: A, 2: A})
+    t12_by_third: dict = {}
+    for (i, j, m), vec in t12.items():
+        t12_by_third.setdefault(m, []).append((i, j, vec))
+    t23_by_first: dict = {}
+    for (m, j, k), vec in t23.items():
+        t23_by_first.setdefault(m, []).append((j, k, vec))
+    t13_by_mid: dict = {}
+    for (i, m, k), vec in t13.items():
+        t13_by_mid.setdefault(m, []).append((i, k, vec))
+
+    residual: dict = {}
+
+    def add(key, vec, scale):
+        for l, v in vec.items():
+            val = residual.get(key, {}).get(l, ZERO) + scale * v
+            slot = residual.setdefault(key, {})
+            if val:
+                slot[l] = val
+            else:
+                slot.pop(l, None)
+                if not slot:
+                    residual.pop(key, None)
+
+    for (i, j, k), row in c.rows():
+        for m, f in row.items():
+            # [a(x), a(y), [u,v,w]] with (u,v,w) = (i,j,k)
+            for x, y, vec in t12_by_third.get(m, ()):
+                add((x, y, i, j, k), vec, f)
+            # -[[x,y,u], a(v), a(w)] with (x,y,u) = (i,j,k)
+            for v, w, vec in t23_by_first.get(m, ()):
+                add((i, j, k, v, w), vec, -f)
+            # -[a(u), [x,y,v], a(w)] with (x,y,v) = (i,j,k)
+            for u, w, vec in t13_by_mid.get(m, ()):
+                add((i, j, u, k, w), vec, -f)
+            # -[a(u), a(v), [x,y,w]] with (x,y,w) = (i,j,k)
+            for u, v, vec in t12_by_third.get(m, ()):
+                add((i, j, u, v, k), vec, -f)
+
+    checked = n ** 5
+    bad = [key for key, slot in residual.items() if slot]
+    if not bad:
+        return CheckReport(True, checked)
+    x, y, u, v, w = min(bad)
+    lhs: dict = {}
+    mxy = {m: t12.get((x, y, m)) for m in range(n)}
+    for m, f in c.row(u, v, w).items():
+        t = mxy.get(m)
+        if t:
+            vec_add_into(lhs, t, f)
+    rhs = dict(lhs)
+    for l, v2 in residual[(x, y, u, v, w)].items():
+        rhs[l] = rhs.get(l, ZERO) - v2
+    return CheckReport(False, checked, Witness(
+        "hom_jacobi", (x, y, u, v, w), dense(lhs, n), dense(rhs, n)))
+
+
+def multiplicative_check_loop(a: Algebra3) -> CheckReport:
+    n, c, A = a.dim, a.bracket, a.twist
+    full = twist_slots(c, {0: A, 1: A, 2: A})
+    colsup = A.col_support()
+    checked = 0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                checked += 1
+                lhs: dict = {}
+                for m, f in c.row(i, j, k).items():
+                    for l, v in colsup[m]:
+                        nv = lhs.get(l, ZERO) + f * v
+                        if nv:
+                            lhs[l] = nv
+                        else:
+                            lhs.pop(l, None)
+                rhs = full.get((i, j, k), {})
+                if lhs != rhs:
+                    return CheckReport(False, checked, Witness(
+                        "multiplicative", (i, j, k), dense(lhs, n), dense(rhs, n)))
+    return CheckReport(True, checked)
+
+
+def is_derivation_loop(a: Algebra3, d: Mat) -> Optional[Witness]:
+    """None when d commutes with the twist and satisfies the Leibniz rule."""
+    n, c, A = a.dim, a.bracket, a.twist
+    if d.shape != (n, n):
+        raise InputError(f"derivation shape {d.shape} for dim {n}")
+    if d @ A != A @ d:
+        return Witness("derivation_commutes", (), (), ())
+    # Sparse residual accumulation: each bracket entry contributes to
+    # D[x,y,z] at (i,j,k) and to the three Leibniz terms at the triples
+    # reachable by replacing one slot through a row of D.
+    drow = [[(i, d.entries[m][i]) for i in range(n) if d.entries[m][i]]
+            for m in range(n)]
+    residual: dict = {}
+
+    def add(key, l, v):
+        slot = residual.setdefault(key, {})
+        val = slot.get(l, ZERO) + v
+        if val:
+            slot[l] = val
+        else:
+            slot.pop(l, None)
+            if not slot:
+                residual.pop(key, None)
+
+    for i, j, k, m, v in c.items():
+        for l in range(n):
+            dv = d.entries[l][m]
+            if dv:
+                add((i, j, k), l, v * dv)
+        for x, dv in drow[i]:
+            add((x, j, k), m, -v * dv)
+        for x, dv in drow[j]:
+            add((i, x, k), m, -v * dv)
+        for x, dv in drow[k]:
+            add((i, j, x), m, -v * dv)
+    if not residual:
+        return None
+    i, j, k = min(residual)
+    lhs = [sum((c.get(i, j, k, m) * d.entries[l][m]
+                for m in range(n)), ZERO) for l in range(n)]
+    rhs = [lhs[l] - residual[(i, j, k)].get(l, ZERO) for l in range(n)]
+    return Witness("derivation", (i, j, k), tuple(lhs), tuple(rhs))
+
+
+def check_prelie_dense(p: PreLie3) -> CheckReport:
+    """Skewness in the first two slots plus the two pre-Lie identities.
+
+    Occurrences of the bracket inside the identities use the sub-adjacent
+    commutator (cyclic sum of the product).
+    """
+    parts = [("skew_pair", _pair_skew_check(p))]
+    if not parts[0][1].passed:
+        return CheckReport.combine(parts)
+    n, t, A = p.dim, p.product, p.twist
+    cc = subadjacent_tensor(t)
+    q1 = twist_slots(t, {0: A, 1: A})
+    q23 = twist_slots(t, {1: A, 2: A})
+    q13 = twist_slots(t, {0: A, 2: A})
+    rng = range(n)
+
+    def contract(coeffs: Mapping, table, key3) -> dict:
+        acc: dict = {}
+        for m, f in coeffs.items():
+            vec = table.get(key3(m))
+            if vec:
+                vec_add_into(acc, vec, f)
+        return acc
+
+    # identity A: {a(x),a(y),{z,u,v}} = {[x,y,z]_C,a(u),a(v)}
+    #             + {a(z),[x,y,u]_C,a(v)} + {a(z),a(u),[x,y,v]_C}
+    checked = 0
+    witness = None
+    for x in rng:
+        if witness:
+            break
+        for y in rng:
+            if witness:
+                break
+            for z in rng:
+                if witness:
+                    break
+                for u in rng:
+                    if witness:
+                        break
+                    for v in rng:
+                        checked += 1
+                        lhs = contract(t.row(z, u, v), q1, lambda m: (x, y, m))
+                        rhs: dict = {}
+                        for m, f in cc.row(x, y, z).items():
+                            vec = q23.get((m, u, v))
+                            if vec:
+                                vec_add_into(rhs, vec, f)
+                        for m, f in cc.row(x, y, u).items():
+                            vec = q13.get((z, m, v))
+                            if vec:
+                                vec_add_into(rhs, vec, f)
+                        for m, f in cc.row(x, y, v).items():
+                            vec = q1.get((z, u, m))
+                            if vec:
+                                vec_add_into(rhs, vec, f)
+                        if lhs != rhs:
+                            witness = Witness("prelie_identity_1", (x, y, z, u, v),
+                                              dense(lhs, n), dense(rhs, n))
+                            break
+    parts.append(("identity_1", CheckReport(witness is None, checked, witness)))
+    if witness:
+        return CheckReport.combine(parts)
+    parts.append(("identity_2", prelie_identity_2_dense(p)))
+    return CheckReport.combine(parts)
+
+
+def prelie_identity_2_dense(p: PreLie3) -> CheckReport:
+    """The identity-2 loop of check_prelie_dense on its own: check_prelie
+    never reaches it when identity 1 fails."""
+    n, t, A = p.dim, p.product, p.twist
+    cc = subadjacent_tensor(t)
+    q1 = twist_slots(t, {0: A, 1: A})
+    q23 = twist_slots(t, {1: A, 2: A})
+    rng = range(n)
+
+    # identity B: {[x,y,z]_C,a(u),a(v)} = {a(x),a(y),[z,u,v]_C}
+    #             + {a(y),a(z),[x,u,v]_C} + {a(z),a(x),[y,u,v]_C}
+    checked = 0
+    witness = None
+    for x in rng:
+        if witness:
+            break
+        for y in rng:
+            if witness:
+                break
+            for z in rng:
+                if witness:
+                    break
+                for u in rng:
+                    if witness:
+                        break
+                    for v in rng:
+                        checked += 1
+                        lhs: dict = {}
+                        for m, f in cc.row(x, y, z).items():
+                            vec = q23.get((m, u, v))
+                            if vec:
+                                vec_add_into(lhs, vec, f)
+                        rhs: dict = {}
+                        for (a, b), w in (((x, y), z), ((y, z), x), ((z, x), y)):
+                            for m, f in cc.row(w, u, v).items():
+                                vec = q1.get((a, b, m))
+                                if vec:
+                                    vec_add_into(rhs, vec, f)
+                        if lhs != rhs:
+                            witness = Witness("prelie_identity_2", (x, y, z, u, v),
+                                              dense(lhs, n), dense(rhs, n))
+                            break
+    return CheckReport(witness is None, checked, witness)
+
+
+def _rho_at(rep: Rep3, x, y) -> Mat:
+    """rho(x, y) for sparse vectors x, y in the base."""
+    acc = Mat.zeros(rep.vdim, rep.vdim)
+    for i, xi in x.items():
+        for j, yj in y.items():
+            f = xi * yj
+            if f:
+                acc = acc + rep.rho[i][j].scale(f)
+    return acc
+
+
+def check_o_operator_dense(o: OOperator) -> CheckReport:
+    """alpha o T = T o A, and T transports the cyclic action to the bracket."""
+    rep_ok = check_representation(o.rep)
+    if not rep_ok.passed:
+        raise PreconditionError("underlying representation fails",
+                                witness=rep_ok.witness)
+    base = o.rep.base
+    n, m = base.dim, o.rep.vdim
+    parts = []
+    inter = base.twist @ o.T == o.T @ o.rep.A
+    parts.append(("intertwine", CheckReport(
+        inter, 1, None if inter else Witness(
+            "o_intertwine", (), tuple((base.twist @ o.T).entries),
+            tuple((o.T @ o.rep.A).entries)))))
+    tcols = [sparse_of(o.T.col(p)) for p in range(m)]
+    checked = 0
+    witness = None
+    for u in range(m):
+        if witness:
+            break
+        for v in range(m):
+            if witness:
+                break
+            ruv = _rho_at(o.rep, tcols[u], tcols[v])
+            for w in range(m):
+                checked += 1
+                lhs = bracket_vec(base.bracket, tcols[u], tcols[v], tcols[w])
+                inner = [ruv.entries[p][w] for p in range(m)]
+                rvw = _rho_at(o.rep, tcols[v], tcols[w])
+                rwu = _rho_at(o.rep, tcols[w], tcols[u])
+                for p in range(m):
+                    inner[p] = inner[p] + rvw.entries[p][u] + rwu.entries[p][v]
+                rhs = o.T.apply(inner)
+                if dense(lhs, n) != rhs:
+                    witness = Witness("o_operator", (u, v, w), dense(lhs, n), rhs)
+                    break
+    parts.append(("transport", CheckReport(witness is None, checked, witness)))
+    return CheckReport.combine(parts)
+
+
+def _apply_family(fam, u: Mapping, v: Mapping, w: Mapping, dim_out: int) -> dict:
+    """fam(u, v) applied to w, all sparse vectors."""
+    out: dict = {}
+    for i, ui in u.items():
+        for j, vj in v.items():
+            f = ui * vj
+            if not f:
+                continue
+            m = fam[i][j]
+            for k, wk in w.items():
+                col = m.col(k)
+                for l in range(dim_out):
+                    val = col[l]
+                    if val:
+                        nv = out.get(l, ZERO) + f * wk * val
+                        if nv:
+                            out[l] = nv
+                        else:
+                            out.pop(l, None)
+    return out
+
+
+def check_matched_pair_dense(m: MatchedPairData) -> CheckReport:
+    """Exhaustive check of the six matched-pair equations.
+
+    Also assembles the direct-sum bracket and cross-checks it against the
+    algebra axioms; the two verdicts appearing in the parts must agree for a
+    coherent input (disagreement is an internal-inconsistency finding).
+    """
+    for name, rep in (("rho", m.rho), ("mu", m.mu)):
+        r = check_representation(rep)
+        if not r.passed:
+            raise PreconditionError(f"{name} fails the representation axioms",
+                                    witness=r.witness)
+    n, p = m.left.dim, m.right.dim
+    cl, cr = m.left.bracket, m.right.bracket
+    al, ar = m.left.twist, m.right.twist
+    rho, mu = m.rho.rho, m.mu.rho
+    ucL = [unit_vec(n, i) for i in range(n)]
+    ucR = [unit_vec(p, i) for i in range(p)]
+    colL = [sparse_of(al.col(i)) for i in range(n)]
+    colR = [sparse_of(ar.col(i)) for i in range(p)]
+
+    def muv(u, v, w):
+        return _apply_family(mu, u, v, w, n)
+
+    def rhov(u, v, w):
+        return _apply_family(rho, u, v, w, p)
+
+    parts = []
+
+    def run(name, index_dims, evaluate):
+        checked = 0
+        witness = None
+        idx = [0] * len(index_dims)
+
+        def rec(d):
+            nonlocal checked, witness
+            if witness:
+                return
+            if d == len(index_dims):
+                checked += 1
+                val = evaluate(*idx)
+                if val:
+                    witness = Witness(name, tuple(idx),
+                                      dense(val, max(n, p)), ())
+                return
+            for t in range(index_dims[d]):
+                idx[d] = t
+                rec(d + 1)
+                if witness:
+                    return
+
+        rec(0)
+        parts.append((name, CheckReport(witness is None, checked, witness)))
+
+    # (i) mu(a'(a4), a'(a5))[x1,x2,x3] - [mu(a4,a5)x1, a(x2), a(x3)]
+    #     - [a(x1), mu(a4,a5)x2, a(x3)] - [a(x1), a(x2), mu(a4,a5)x3] = 0
+    def eq1(x1, x2, x3, a4, a5):
+        acc = muv(colR[a4], colR[a5], cl.row(x1, x2, x3))
+        mx = [muv(ucR[a4], ucR[a5], ucL[x]) for x in (x1, x2, x3)]
+        vec_add_into(acc, bracket_vec(cl, mx[0], colL[x2], colL[x3]), -ONE)
+        vec_add_into(acc, bracket_vec(cl, colL[x1], mx[1], colL[x3]), -ONE)
+        vec_add_into(acc, bracket_vec(cl, colL[x1], colL[x2], mx[2]), -ONE)
+        return acc
+
+    run("eq_2_1", (n, n, n, p, p), eq1)
+
+    # (ii) mu(rho(x1,x4)a5, a'(a3))a(x2) - mu(rho(x2,x4)a5, a'(a3))a(x1)
+    #      - mu(rho(x1,x2)a3, a'(a5))a(x4) + [a(x1), a(x2), mu(a3,a5)x4] = 0
+    # (the bare second mu-arguments carry the dual twist so every term has
+    # twist degree two, matching the Hom-Jacobi expansion; at identity
+    # twist this is the printed equation)
+    def eq2(x1, x2, x4, a3, a5):
+        acc = muv(rhov(ucL[x1], ucL[x4], ucR[a5]), colR[a3], colL[x2])
+        vec_add_into(acc, muv(rhov(ucL[x2], ucL[x4], ucR[a5]), colR[a3], colL[x1]), -ONE)
+        vec_add_into(acc, muv(rhov(ucL[x1], ucL[x2], ucR[a3]), colR[a5], colL[x4]), -ONE)
+        vec_add_into(acc, bracket_vec(cl, colL[x1], colL[x2],
+                                      muv(ucR[a3], ucR[a5], ucL[x4])))
+        return acc
+
+    run("eq_2_2", (n, n, n, p, p), eq2)
+
+    # (iii) [mu(a2,a3)x1, a(x4), a(x5)] - mu(a'(a2), a'(a3))[x1,x4,x5]
+    #       - mu(rho(x4,x5)a2, a'(a3))a(x1) - mu(a'(a2), rho(x4,x5)a3)a(x1) = 0
+    # (same twist-degree balancing on the bare mu-arguments)
+    def eq3(x1, x4, x5, a2, a3):
+        acc = bracket_vec(cl, muv(ucR[a2], ucR[a3], ucL[x1]), colL[x4], colL[x5])
+        vec_add_into(acc, muv(colR[a2], colR[a3], cl.row(x1, x4, x5)), -ONE)
+        rv = rhov(ucL[x4], ucL[x5], ucR[a2])
+        vec_add_into(acc, muv(rv, colR[a3], colL[x1]), -ONE)
+        rv = rhov(ucL[x4], ucL[x5], ucR[a3])
+        vec_add_into(acc, muv(colR[a2], rv, colL[x1]), -ONE)
+        return acc
+
+    run("eq_2_3", (n, n, n, p, p), eq3)
+
+    # (iv) rho(a(x4), a(x5))[a1,a2,a3]' - [rho(x4,x5)a1, a'(a2), a'(a3)]'
+    #      - [a'(a1), rho(x4,x5)a2, a'(a3)]' - [a'(a1), a'(a2), rho(x4,x5)a3]' = 0
+    def eq4(a1, a2, a3, x4, x5):
+        acc = rhov(colL[x4], colL[x5], cr.row(a1, a2, a3))
+        ra = [rhov(ucL[x4], ucL[x5], ucR[a]) for a in (a1, a2, a3)]
+        vec_add_into(acc, bracket_vec(cr, ra[0], colR[a2], colR[a3]), -ONE)
+        vec_add_into(acc, bracket_vec(cr, colR[a1], ra[1], colR[a3]), -ONE)
+        vec_add_into(acc, bracket_vec(cr, colR[a1], colR[a2], ra[2]), -ONE)
+        return acc
+
+    run("eq_2_4", (p, p, p, n, n), eq4)
+
+    # (v) rho(mu(a1,a4)x5, a(x3))a'(a2) - rho(mu(a2,a4)x5, a(x3))a'(a1)
+    #     - rho(mu(a1,a2)x3, a(x5))a'(a4) + [a'(a1), a'(a2), rho(x3,x5)a4]' = 0
+    # (mirror of eq (2.2) with the same twist-degree balancing)
+    def eq5(a1, a2, a4, x3, x5):
+        acc = rhov(muv(ucR[a1], ucR[a4], ucL[x5]), colL[x3], colR[a2])
+        vec_add_into(acc, rhov(muv(ucR[a2], ucR[a4], ucL[x5]), colL[x3], colR[a1]), -ONE)
+        vec_add_into(acc, rhov(muv(ucR[a1], ucR[a2], ucL[x3]), colL[x5], colR[a4]), -ONE)
+        vec_add_into(acc, bracket_vec(cr, colR[a1], colR[a2],
+                                      rhov(ucL[x3], ucL[x5], ucR[a4])))
+        return acc
+
+    run("eq_2_5", (p, p, p, n, n), eq5)
+
+    # (vi) [rho(x2,x3)a1, a'(a4), a'(a5)]' - rho(a(x2), a(x3))[a1,a4,a5]'
+    #      - rho(mu(a4,a5)x2, a(x3))a'(a1) - rho(a(x2), mu(a4,a5)x3)a'(a1) = 0
+    # (mirror of eq (2.3) with the same twist-degree balancing)
+    def eq6(a1, a4, a5, x2, x3):
+        acc = bracket_vec(cr, rhov(ucL[x2], ucL[x3], ucR[a1]), colR[a4], colR[a5])
+        vec_add_into(acc, rhov(colL[x2], colL[x3], cr.row(a1, a4, a5)), -ONE)
+        mv = muv(ucR[a4], ucR[a5], ucL[x2])
+        vec_add_into(acc, rhov(mv, colL[x3], colR[a1]), -ONE)
+        mv = muv(ucR[a4], ucR[a5], ucL[x3])
+        vec_add_into(acc, rhov(colL[x2], mv, colR[a1]), -ONE)
+        return acc
+
+    run("eq_2_6", (p, p, p, n, n), eq6)
+
+    eqs_passed = all(r.passed for _, r in parts)
+    eq_witness = next((r.witness for _, r in parts if not r.passed), None)
+    total_checked = sum(r.checked for _, r in parts)
+
+    assembled = assemble_matched_pair(m, checked=False)
+    alg_report = check_algebra(assembled)
+    parts.append(("assembled_algebra", alg_report))
+    agree = eqs_passed == alg_report.passed
+    parts.append(("verdicts_agree", CheckReport(
+        agree, 1, None if agree else Witness("internal_inconsistency", (), (), ()))))
+    return CheckReport(eqs_passed and agree, total_checked, eq_witness
+                       if eq_witness else (None if agree else alg_report.witness),
+                       tuple(parts))
+
+
+def check_invariance_dense(a: Algebra3, form: BilForm) -> CheckReport:
+    """([x,y,z], a(u)) + ([x,y,u], a(z)) = 0 on all basis 4-tuples."""
+    n, c, A = a.dim, a.bracket, a.twist
+    if form.dim != n:
+        raise InputError(f"form dim {form.dim} vs algebra dim {n}")
+    cols = [A.col(i) for i in range(n)]
+    checked = 0
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                rz = c.row(x, y, z)
+                for u in range(n):
+                    checked += 1
+                    ru = c.row(x, y, u)
+                    if not rz and not ru:
+                        continue
+                    val = (form.value(dense(rz, n), cols[u])
+                           + form.value(dense(ru, n), cols[z]))
+                    if val:
+                        return CheckReport(False, checked, Witness(
+                            "invariance", (x, y, z, u), (val,), (ZERO,)))
+    return CheckReport(True, checked)
+
+
+def fourterm_check_loop(a: Algebra3, W: Mat) -> CheckReport:
+    """w([x,y,z], a(w)) - w([y,z,w], a(x)) + w([z,w,x], a(y))
+    - w([w,x,y], a(z)) = 0 on all basis 4-tuples."""
+    n, c, A = a.dim, a.bracket, a.twist
+    # term(x, y, z, w) = sum_l c(x, y, z, l) * (W @ A)[l][w]; accumulate the
+    # alternating sum sparsely: each bracket entry lands in one of the four
+    # slot patterns for every choice of the remaining pairing index.
+    WA = W @ A
+    residual: dict = {}
+
+    def add(key, v):
+        val = residual.get(key, ZERO) + v
+        if val:
+            residual[key] = val
+        else:
+            residual.pop(key, None)
+
+    for i, j, k, l, v in c.items():
+        for t in range(n):
+            wt = WA.entries[l][t]
+            if not wt:
+                continue
+            vw = v * wt
+            add((i, j, k, t), vw)
+            add((t, i, j, k), -vw)
+            add((k, t, i, j), vw)
+            add((j, k, t, i), -vw)
+    checked = n ** 4
+    if not residual:
+        return CheckReport(True, checked)
+    key = min(residual)
+    return CheckReport(False, checked, Witness(
+        "symplectic_cocycle", key, (residual[key],), (ZERO,)))
+
+
+def check_metric_dense(a: Algebra3, form: BilForm) -> CheckReport:
+    """Symmetric, nondegenerate, B([x,y,z],w) + B(z,[x,y,w]) = 0.
+
+    Note the metric identity carries no twist (unlike pseudo-metric
+    invariance, which pairs against a(w))."""
+    n, c = a.dim, a.bracket
+    if form.dim != n:
+        raise InputError(f"form dim {form.dim} vs algebra dim {n}")
+    B = form.matrix
+    parts = []
+    sym = B.transpose() == B
+    parts.append(("symmetric", CheckReport(sym, 1, None if sym else
+                                           Witness("form_symmetric", (), (), ()))))
+    nondeg = mat_inverse(B) is not None
+    parts.append(("nondegenerate", CheckReport(nondeg, 1, None if nondeg else
+                                               Witness("form_nondegenerate", (), (), ()))))
+    witness = None
+    checked = 0
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                rz = c.row(x, y, z)
+                for w in range(n):
+                    checked += 1
+                    rw = c.row(x, y, w)
+                    if not rz and not rw:
+                        continue
+                    val = (sum((v * B.entries[l][w] for l, v in rz.items()), ZERO)
+                           + sum((v * B.entries[z][l] for l, v in rw.items()), ZERO))
+                    if val:
+                        witness = Witness("metric", (x, y, z, w), (val,), (ZERO,))
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    parts.append(("invariance", CheckReport(witness is None, checked, witness)))
+    return CheckReport.combine(parts)
+
+
+def closed_form_check_dense(a: Algebra3, form: BilForm) -> CheckReport:
+    """B(a[x,y,z],w) - B(a[x,y,w],z) + B(a[x,z,w],y) - B(a[y,z,w],x) = 0."""
+    n, c, A = a.dim, a.bracket, a.twist
+    if form.dim != n:
+        raise InputError(f"form dim {form.dim} vs algebra dim {n}")
+
+    def bw(x, y, z, w):
+        row = c.row(x, y, z)
+        if not row:
+            return ZERO
+        tw = [ZERO] * n
+        for l, v in row.items():
+            col = A.col(l)
+            for m in range(n):
+                tw[m] += v * col[m]
+        return sum((form.matrix.entries[m][w] * tm for m, tm in enumerate(tw) if tm),
+                   ZERO)
+
+    checked = 0
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                for w in range(n):
+                    checked += 1
+                    val = (bw(x, y, z, w) - bw(x, y, w, z)
+                           + bw(x, z, w, y) - bw(y, z, w, x))
+                    if val:
+                        return CheckReport(False, checked, Witness(
+                            "closed_form", (x, y, z, w), (val,), (ZERO,)))
+    return CheckReport(True, checked)

@@ -110,6 +110,45 @@ def test_unreadable_input_exits_two(tmp_path, capsys, name, content, message):
     assert message in err
 
 
+def _inlined(name):
+    """A fixture's JSON with its algebra file references inlined, so that a
+    modified copy can be written elsewhere."""
+    with open(fx(name)) as fh:
+        doc = json.load(fh)
+    for key in ("algebra", "left", "right"):
+        if isinstance(doc.get(key), str):
+            with open(fx(doc[key])) as fh:
+                doc[key] = json.load(fh)
+    return doc
+
+
+@pytest.mark.parametrize("target, name, field, value", [
+    ("rep", "coadjoint.rep", "rho", 42),
+    ("double", "zero.cob", "delta", None),
+    ("prelie", "n4prelie.plg", "bracket", 7),
+    ("matched-pair", "trivial.mpair", "mu", True),
+], ids=["rep-rho", "cobracket-delta", "prelie-bracket", "matched-pair-mu"])
+def test_non_list_rows_exit_two(tmp_path, capsys, target, name, field, value):
+    doc = _inlined(name)
+    doc[field] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["check", target, str(path)], capsys)
+    assert code == 2
+    assert f"{field}: expected a list of rows" in err
+
+
+def test_matched_pair_duplicate_pair_exits_two(tmp_path, capsys):
+    doc = _inlined("trivial.mpair")
+    zero = [["0"] * 4 for _ in range(4)]
+    doc["rho"] = [[1, 2, zero], [1, 2, zero]]
+    path = tmp_path / "dup.mpair"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["check", "matched-pair", str(path)], capsys)
+    assert code == 2
+    assert "rho[2]: duplicate pair (1,2)" in err
+
+
 def test_dimension_cap_exits_two(capsys):
     code, _, err = run(["check", "algebra", fx("toobig.alg")], capsys)
     assert code == 2

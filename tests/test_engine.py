@@ -1,0 +1,269 @@
+"""The sparse residual engine against the hand-written checkers it replaced.
+
+Every checker ported to the engine must produce the same structured report,
+byte for byte, as its verbatim original in ``oracles.py``. The corpus has
+dim <= 4: N4, N4diag, N4 in reversed basis, A4, the Cayley-twisted A4 and
+seeded single-entry mutants. It passes and fails every ported part, and
+some failures come late in lex order, so a wrong index order or an
+off-by-one in the lex count shows.
+"""
+import itertools
+import random
+from fractions import Fraction
+
+from homlie3 import (Algebra3, BilForm, MatchedPairData, Mat, OOperator,
+                     PreLie3, Tensor4, adjoint_rep, check_invariance,
+                     check_matched_pair, check_metric, check_o_operator,
+                     check_prelie, check_representation, coadjoint_rep,
+                     derivation_space, fileio, is_derivation, mat_inverse,
+                     rep_from_upper)
+from homlie3.cli import report_doc
+from homlie3.homlie import CheckReport, _hom_jacobi_check, _morphism_check
+from homlie3.prelie import _prelie_identities
+from homlie3.symplectic import _fourterm_check
+from homlie3.yangbaxter import closed_form_check
+
+import oracles
+from conftest import (N4_DIAG, a4, a4_cayley, n4, n4_omega, n4_prelie,
+                      random_prelie, rank1_rep, skew_tensor, symp_prelie,
+                      symplectic_o_operator)
+
+F = Fraction
+DELTAS = (F(1), F(-1), F(2), F(1, 2))
+
+
+def dump(report) -> str:
+    return fileio.dumps(report_doc(report))
+
+
+class Tally:
+    """Compares new and old reports of one part and records its coverage."""
+
+    def __init__(self):
+        self.passed = self.failed = 0
+        self.latest = 0.0  # largest witness lex position / tuples per part
+
+    def compare(self, key, new, old, total=None):
+        assert dump(new) == dump(old), key
+        if old.passed:
+            self.passed += 1
+        else:
+            self.failed += 1
+            if total:
+                self.latest = max(self.latest, old.checked / total)
+
+    def assert_covered(self, late=None):
+        assert self.passed and self.failed
+        assert late is None or self.latest > late
+
+
+def n4_reversed():
+    """[e2,e3,e4] = e1: every term at a tuple starting with e1 vanishes."""
+    return Algebra3(4, skew_tensor(4, {(1, 2, 3): {0: 1}}), Mat.identity(4),
+                    "n4-reversed")
+
+
+def mutant(a, rng):
+    """a with d added to one structure constant [e_i,e_j,e_k]_l (skew)."""
+    i, j, k = sorted(rng.sample(range(4), 3))
+    extra = skew_tensor(4, {(i, j, k): {rng.randrange(4): rng.choice(DELTAS)}})
+    bracket = Tensor4.from_entries((4,) * 4, itertools.chain(
+        a.bracket.items(), extra.items()))
+    return Algebra3(4, bracket, a.twist, f"{a.label}~{(i, j, k)}")
+
+
+def algebras():
+    bases = [n4(), n4(N4_DIAG, "n4diag"), n4_reversed(), a4(), a4_cayley()]
+    rng = random.Random(20190312)
+    return bases + [mutant(a, rng) for a in bases for _ in range(3)]
+
+
+def mat_mutant(m, rng):
+    """m with d added to one entry."""
+    rows = [list(r) for r in m.entries]
+    p, q = rng.randrange(m.rows), rng.randrange(m.cols)
+    rows[p][q] += rng.choice(DELTAS)
+    return Mat(rows)
+
+
+def test_hom_jacobi_and_multiplicative_match_loops():
+    hj, mult = Tally(), Tally()
+    for a in algebras():
+        hj.compare(a.label, _hom_jacobi_check(a), oracles.hom_jacobi_check_loop(a))
+        mult.compare(a.label, _morphism_check(a, a.twist, "multiplicative"),
+                     oracles.multiplicative_check_loop(a), 4 ** 3)
+    # hom_jacobi reports a nominal n**5, so no lex position to cover
+    hj.assert_covered()
+    mult.assert_covered(late=0.1)
+
+
+def test_is_derivation_matches_loop():
+    tally = Tally()
+    rng = random.Random(20190313)
+    for a in algebras():
+        cands = list(derivation_space(a))
+        cands += [mat_mutant(d, rng) for d in cands[:3]]
+        # the projection onto e4: on reversed N4 it first fails at (e2,e3,e4)
+        cands.append(Mat([[F(int(p == q == 3)) for q in range(4)]
+                          for p in range(4)]))
+        for d in cands:
+            new, old = is_derivation(a, d), oracles.is_derivation_loop(a, d)
+            tally.compare(a.label, CheckReport(new is None, 1, new),
+                          CheckReport(old is None, 1, old))
+            if old is not None and old.check == "derivation":
+                tally.latest = max(tally.latest, old.at[0] / 4)
+    tally.assert_covered(late=0.2)
+
+
+def reversed_basis(p):
+    """p with e_i renamed e_{5-i}; its identities first fail later in lex
+    order, as index 1 (0-based 0) plays the role of 4."""
+    flip = [(3 - i, 3 - j, 3 - k, 3 - l, v) for i, j, k, l, v in p.product.items()]
+    twist = Mat([[p.twist.entries[3 - r][3 - c] for c in range(4)]
+                 for r in range(4)])
+    return PreLie3(4, Tensor4.from_entries((4,) * 4, flip), twist,
+                   f"{p.label}-reversed")
+
+
+def prelie_products():
+    rng = random.Random(20190314)
+    bases = [n4_prelie(), symp_prelie(), random_prelie(rng),
+             random_prelie(rng, lam=-1)]
+    bases += [reversed_basis(p) for p in bases]
+    out = list(bases)
+    for p in bases:
+        for _ in range(4):
+            i, j = sorted(rng.sample(range(4), 2))
+            k, l, d = rng.randrange(4), rng.randrange(4), rng.choice(DELTAS)
+            product = Tensor4.from_entries((4,) * 4, itertools.chain(
+                p.product.items(), [(i, j, k, l, d), (j, i, k, l, -d)]))
+            out.append(PreLie3(4, product, p.twist, f"{p.label}~{(i, j, k, l)}"))
+    return out
+
+
+def test_check_prelie_matches_dense():
+    first, second = Tally(), Tally()
+    for p in prelie_products():
+        first.compare(p.label, check_prelie(p), oracles.check_prelie_dense(p),
+                      4 ** 5)
+        # check_prelie stops after a failing identity 1, so compare the
+        # second identity on its own
+        second.compare(p.label, dict(_prelie_identities(p))["identity_2"],
+                       oracles.prelie_identity_2_dense(p), 4 ** 5)
+    first.assert_covered(late=0.2)
+    second.assert_covered(late=0.2)
+
+
+def square_zero_rep(base, m):
+    """rho(e1, e2) = E_{0,m-1}: squares to zero, so it represents an
+    abelian base."""
+    rows = [[F(int(p == 0 and q == m - 1)) for q in range(m)] for p in range(m)]
+    return rep_from_upper(base, m, {(0, 1): Mat(rows)}, Mat.identity(m))
+
+
+def matched_pairs():
+    rng = random.Random(20190315)
+    n4r, ab3 = n4_reversed(), Algebra3.abelian(3)
+    zero = lambda base, m: rep_from_upper(base, m, {}, Mat.identity(m))
+    ad = lambda base, m: adjoint_rep(base)
+    coad = lambda base, m: coadjoint_rep(base)
+    rank1 = lambda base, m: rank1_rep(rng, base, 3, m)
+    cases = [
+        (n4(), n4(), zero, zero),
+        (n4(), n4(), coad, coad),
+        (n4r, n4(), coad, rank1),
+        (n4(), n4r, rank1, coad),
+        (n4(), a4(), ad, coad),
+        (a4(), a4_cayley(), ad, ad),
+        (n4(), ab3, rank1, square_zero_rep),
+        (ab3, n4(), square_zero_rep, rank1),
+    ]
+    for left, right, rho, mu in cases:
+        yield MatchedPairData(left, right, rho(left, right.dim),
+                              mu(right, left.dim))
+
+
+def test_check_matched_pair_matches_dense():
+    tallies = {f"eq_2_{k}": Tally() for k in range(1, 7)}
+    for m in matched_pairs():
+        assert check_representation(m.rho).passed
+        assert check_representation(m.mu).passed
+        new, old = check_matched_pair(m), oracles.check_matched_pair_dense(m)
+        assert dump(new) == dump(old), (m.left.label, m.right.label)
+        n, p = m.left.dim, m.right.dim
+        for k, (name, part) in enumerate(old.parts[:6], 1):
+            total = n ** 3 * p ** 2 if k <= 3 else p ** 3 * n ** 2
+            tallies[name].compare(name, new.part(name), part, total)
+    for name, tally in tallies.items():
+        assert tally.passed and tally.failed, name
+    assert max(t.latest for t in tallies.values()) > 0.8
+
+
+def o_operators():
+    rng = random.Random(20190316)
+    o = symplectic_o_operator()
+    small = rank1_rep(rng, n4(), 3, 3)
+    central = Mat([[F(0)] * 3] * 3 + [[F(1), F(2), F(0)]])
+    out = [o, OOperator(o.rep, Mat.zeros(4, 4)), OOperator(small, central),
+           OOperator(adjoint_rep(n4()), Mat.identity(4))]
+    for base in (o, OOperator(small, central),
+                 OOperator(adjoint_rep(a4()), Mat.identity(4))):
+        out += [OOperator(base.rep, mat_mutant(base.T, rng)) for _ in range(4)]
+    return out
+
+
+def test_check_o_operator_matches_dense():
+    tally = Tally()
+    for o in o_operators():
+        new, old = check_o_operator(o), oracles.check_o_operator_dense(o)
+        tally.compare(o.T, new, old)
+        tally.compare(o.T, new.part("transport"), old.part("transport"),
+                      o.rep.vdim ** 3)
+    tally.assert_covered(late=0.2)
+
+
+def random_form(rng, kind):
+    rows = [[F(0)] * 4 for _ in range(4)]
+    for p, q in itertools.combinations_with_replacement(range(4), 2):
+        if rng.random() < 0.4:
+            v = F(rng.randint(-2, 2))
+            rows[p][q] = v
+            rows[q][p] = v if kind == "symmetric" else -v
+    if kind == "skew":
+        for p in range(4):
+            rows[p][p] = F(0)
+    return Mat(rows)
+
+
+def forms(kind):
+    rng = random.Random(20190317 if kind == "symmetric" else 20190318)
+    fixed = ([Mat.identity(4), Mat.diag([1, 1, 1, 0])] if kind == "symmetric"
+             else [n4_omega(), mat_inverse(n4_omega())])
+    return fixed + [Mat.zeros(4, 4)] + [random_form(rng, kind) for _ in range(8)]
+
+
+def test_form_checks_match_dense():
+    metric, invariance, closed, cocycle = Tally(), Tally(), Tally(), Tally()
+    algs = algebras()
+    # the metric and invariance checkers also take skew forms
+    for kind in ("symmetric", "skew"):
+        for a, m in itertools.product(algs, forms(kind)):
+            form = BilForm(4, m, kind)
+            new, old = check_metric(a, form), oracles.check_metric_dense(a, form)
+            assert dump(new) == dump(old), a.label
+            metric.compare(a.label, new.part("invariance"),
+                           old.part("invariance"), 4 ** 4)
+            invariance.compare(a.label, check_invariance(a, form),
+                               oracles.check_invariance_dense(a, form), 4 ** 4)
+            if kind == "skew":
+                closed.compare(a.label, closed_form_check(a, form),
+                               oracles.closed_form_check_dense(a, form), 4 ** 4)
+                cocycle.compare(a.label, _fourterm_check(a, m),
+                                oracles.fourterm_check_loop(a, m))
+    metric.assert_covered(late=0.2)
+    invariance.assert_covered(late=0.2)
+    # over a skew bracket the closed-form residual is alternating, so in dim
+    # 4 it first fails at (e1, e2, e3, e4), position 28 of 256
+    closed.assert_covered(late=0.1)
+    # the cocycle part reports a nominal n**4
+    cocycle.assert_covered()
