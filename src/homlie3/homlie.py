@@ -9,20 +9,24 @@ bracket and a linear twist map alpha satisfying the twisted Jacobi identity
 for all x, y, u, v, w.  Every check is exhaustive and exact, and reports
 the lexicographically first violation.
 
-Most axioms in the package (Hom-Jacobi, derivations, the pre-Lie and
-matched-pair identities, O-operator transport, invariance of forms, the
-closed-form and cocycle identities) are signed sums of terms, each
-composing one bracket-like tensor into one slot of another, with twists in
-the other slots. They are all checked by one sparse residual engine,
-``_residual``: a term is (sign, inner, outer, order), where ``inner`` maps
-an input tuple to a sparse vector {m: f} (the rows of a bracket or of a
-representation's action, or the columns of a matrix) and ``outer`` maps m
-to [(others, vec)] (built by ``_slot_outer`` from twist_slots, or from a
+Every multilinear identity in the package (Hom-Jacobi, derivations, the
+pre-Lie and matched-pair identities, O-operator transport, invariance of
+forms, the closed-form and cocycle identities, the double-construction
+equations (2.10)-(2.12), the ternary classical Yang-Baxter tensor [[r,r,r]],
+the dual-bracket formula of a coboundary cobracket and the residual
+identity) is a signed sum of terms, each composing one bracket-like tensor
+into one slot of another, with twists in the other slots. They are all
+evaluated by one sparse residual engine, ``_residual``: a term is (sign,
+inner, outer, order), where ``inner`` maps an input tuple to a sparse vector
+{m: f} (the rows of a bracket, a cobracket or a representation's action, or
+the columns of a matrix) and ``outer`` maps m to [(others, vec)] (built by
+``_slot_outer`` from twist_slots, by ``_by_output`` from a tensor, or from a
 matrix). Only nonzero structure constants are visited, and a key absent
 from the residual has residual zero, so the verdict is exhaustive without
 enumerating basis tuples. ``_identity`` turns the residual into a report
 whose witness is its lex-first key, with ``checked`` the witness's lex
-position, as for a loop that stops at its first failure.
+position, as for a loop that stops at its first failure. The coboundary
+cobracket and [[r,r,r]] themselves are residuals of such sums.
 """
 from __future__ import annotations
 
@@ -194,9 +198,11 @@ def _identity(name: str, terms, dims: tuple, width: int,
     The witness is the lex-first nonzero key. Its left side is the sum of
     the first ``lhs`` terms there (the residual itself when lhs is None),
     its right side the left side minus the residual, both as dense vectors
-    of length ``width``. ``checked`` is the witness's 1-based lex position,
-    as if the tuples had been enumerated up to it, and prod(dims) when the
-    identity holds or the count is ``nominal``.
+    of length ``width``. ``checked`` is the 1-based lex position of the
+    witness's first len(dims) indices, as if those tuples had been
+    enumerated up to it, and prod(dims) when the identity holds or the count
+    is ``nominal``. Keys may be longer than ``dims``: the indices past them
+    locate the witness within the value at that tuple.
     """
     res = _residual(terms)
     if not res:
@@ -219,6 +225,23 @@ def _slot_outer(c: Tensor4, slot: int, mats: Mapping[int, Mat]) -> dict:
     for key, vec in twist_slots(c, mats).items():
         out.setdefault(key[slot], []).append((key[:slot] + key[slot + 1:], vec))
     return out
+
+
+def _by_output(t: Tensor4) -> dict:
+    """{l: [((i, j, k), {0: t[i,j,k,l]})]}: an outer part that contracts the
+    vector with the output index of t, moving t's input indices into the
+    key (for the scalar identities)."""
+    out: dict = {}
+    for i, j, k, l, v in t.items():
+        out.setdefault(l, []).append(((i, j, k), {0: v}))
+    return out
+
+
+def _permuted(t: Tensor4, order: tuple) -> Tensor4:
+    """t with its four indices rearranged: entry e goes to (e[s] for s in
+    order)."""
+    return Tensor4.from_entries(tuple(t.dims[s] for s in order),
+                                map(itemgetter(*order, 4), t.items()))
 
 
 def _columns(m: Mat) -> dict:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from .exactlin import InputError, Mat, Tensor4, ZERO, mat_inverse
 from .homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, _columns, _identity,
-    _image, _slot_outer, twist_slots,
+    _image, _permuted, _slot_outer, twist_slots,
 )
-from .reps import Rep3, _action_tensor, check_representation
+from .reps import Rep3, _action_tensor, _rep_family, check_representation
 
 
 @dataclass(frozen=True)
@@ -226,34 +226,12 @@ def compatible_prelie(a: Algebra3, o: OOperator) -> PreLie3:
 
 def left_multiplication(p: PreLie3) -> tuple:
     """L(x,y): z -> {x,y,z} as an n x n family of matrices."""
-    n = p.dim
-    fam = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            m = [[ZERO] * n for _ in range(n)]
-            for k in range(n):
-                for l, v in p.product.row(i, j, k).items():
-                    m[l][k] = v
-            row.append(Mat(m))
-        fam.append(tuple(row))
-    return tuple(fam)
+    return _rep_family(p.product)
 
 
 def right_multiplication(p: PreLie3) -> tuple:
     """R(x,y): z -> {z,x,y}."""
-    n = p.dim
-    fam = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            m = [[ZERO] * n for _ in range(n)]
-            for k in range(n):
-                for l, v in p.product.row(k, i, j).items():
-                    m[l][k] = v
-            row.append(Mat(m))
-        fam.append(tuple(row))
-    return tuple(fam)
+    return _rep_family(_permuted(p.product, (1, 2, 0, 3)))
 
 
 def regular_prelie_rep(p: PreLie3) -> PreLieRep:

@@ -15,7 +15,8 @@ from .exactlin import (
     spmat_to_mat,
 )
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, check_algebra,
+    Algebra3, CheckReport, PreconditionError, Witness, _permuted,
+    check_algebra,
 )
 
 
@@ -61,6 +62,27 @@ def _action_tensor(r: Rep3) -> Tensor4:
         (i, j, q, p, v) for i in range(n) for j in range(n)
         for p, row in enumerate(r.rho[i][j].entries)
         for q, v in enumerate(row) if v))
+
+
+def _rep_family(t: Tensor4) -> tuple:
+    """The n x n family of m x m matrices rho(x, y) of an action tensor with
+    rows (x, y, v) -> rho(x, y) v (the inverse of _action_tensor)."""
+    n, _, m, _ = t.dims
+    fam = [[[[ZERO] * m for _ in range(m)] for _ in range(n)]
+           for _ in range(n)]
+    for i, j, k, l, v in t.items():
+        fam[i][j][l][k] = v
+    return tuple(tuple(Mat(rows) for rows in row) for row in fam)
+
+
+def _coadjoint_tensor(a: Algebra3) -> Tensor4:
+    """ad* as rows, (x, y, k) -> ad*(x, y) e_k* = -sum_l [x, y, e_l]_k e_l*."""
+    return _permuted(a.bracket, (0, 1, 3, 2)).scale(-1)
+
+
+def coadjoint_family(a: Algebra3) -> tuple:
+    """Matrices of ad*_{e_i, e_j} on dual coordinates: M[l][k] = -c[i,j,l,k]."""
+    return _rep_family(_coadjoint_tensor(a))
 
 
 def _combine(terms) -> dict:
@@ -152,18 +174,7 @@ def adjoint_rep(a: Algebra3) -> Rep3:
     if not rep.passed:
         raise PreconditionError("adjoint_rep needs a valid algebra",
                                 witness=rep.witness)
-    n, c = a.dim, a.bracket
-    fam = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            m = [[ZERO] * n for _ in range(n)]
-            for k in range(n):
-                for l, v in c.row(i, j, k).items():
-                    m[l][k] = v
-            row.append(Mat(m))
-        fam.append(tuple(row))
-    return Rep3(a, n, tuple(fam), a.twist)
+    return Rep3(a, a.dim, _rep_family(a.bracket), a.twist)
 
 
 def dual_representation(r: Rep3) -> tuple:
@@ -180,12 +191,18 @@ def dual_representation(r: Rep3) -> tuple:
 
 
 def coadjoint_rep(a: Algebra3) -> Rep3:
-    """The coadjoint action: <ad*_{x,y} xi, z> = -<xi, [x,y,z]>."""
-    ad = adjoint_rep(a)
-    n = a.dim
-    fam = tuple(tuple(-ad.rho[i][j].transpose() for j in range(n))
-                for i in range(n))
-    return Rep3(a, n, fam, a.twist.transpose())
+    """The coadjoint action: <ad*_{x,y} xi, z> = -<xi, [x,y,z]>, carrier
+    twist transpose(alpha).
+
+    This is not a representation for every twist. For an orthogonal twist
+    that is not diagonal it fails the representation identities: on the
+    Cayley-twisted A4, check_representation reports intertwine at (e1, e2).
+    """
+    rep = check_algebra(a)
+    if not rep.passed:
+        raise PreconditionError("coadjoint_rep needs a valid algebra",
+                                witness=rep.witness)
+    return Rep3(a, a.dim, coadjoint_family(a), a.twist.transpose())
 
 
 def semidirect_sum(a: Algebra3, r: Rep3, check: bool = True) -> Algebra3:

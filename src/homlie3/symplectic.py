@@ -11,7 +11,7 @@ from .homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, _identity, _pairing,
     check_algebra, is_derivation,
 )
-from .reps import Rep3, coadjoint_rep, dual_representation, semidirect_sum
+from .reps import Rep3, coadjoint_family, dual_representation, semidirect_sum
 from .bialgebra import BilForm, standard_form
 from .prelie import PreLie3, check_prelie, left_multiplication, subadjacent_tensor
 
@@ -190,7 +190,7 @@ def check_phase_space(base: Algebra3, total: Algebra3) -> CheckReport:
     sub_w = None
     proj_w = None
     checked = 0
-    for i, j, k, l, v in total.bracket.items():
+    for i, j, k, l, v in sorted(total.bracket.items()):
         checked += 1
         if i < n and j < n and k < n:
             if l >= n and sub_w is None:
@@ -201,7 +201,7 @@ def check_phase_space(base: Algebra3, total: Algebra3) -> CheckReport:
         if i >= n and j >= n and k >= n and l < n and sub_w is None:
             sub_w = Witness("subalgebra_dual", (i, j, k, l), (v,), (ZERO,))
     if proj_w is None:
-        for i, j, k, l, v in base.bracket.items():
+        for i, j, k, l, v in sorted(base.bracket.items()):
             if total.bracket.get(i, j, k, l) != v:
                 proj_w = Witness("base_bracket", (i, j, k, l),
                                  (total.bracket.get(i, j, k, l),), (v,))
@@ -250,7 +250,7 @@ def prelie_from_phase_space(base: Algebra3, total: Algebra3) -> tuple:
     parts.append(("total_prelie", big_rep))
     entries = []
     closure_w = None
-    for i, j, k, l, v in big.product.items():
+    for i, j, k, l, v in sorted(big.product.items()):
         if i < n and j < n and k < n:
             if l < n:
                 entries.append((i, j, k, l, v))
@@ -312,7 +312,8 @@ def nilpotent_extension(a: Algebra3, steps: int) -> tuple:
     ext = Algebra3(N, bracket, twist, label=f"{a.label or 'L'}[t]/t^{steps}")
     D = Mat.diag([p for p in range(1, deg + 1) for _ in range(n)])
 
-    double = semidirect_sum(ext, coadjoint_rep(ext), check=False)
+    coad = Rep3(ext, N, coadjoint_family(ext), ext.twist.transpose())
+    double = semidirect_sum(ext, coad, check=False)
     double = Algebra3(double.dim, double.bracket, double.twist,
                       label="nilpotent-double")
     metric = standard_form(N)

@@ -8,14 +8,15 @@ coordinate pair (<r(xi), eta> = <r, xi (x) eta>).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .exactlin import InputError, Mat, Tensor4, ZERO, mat_inverse
+from .exactlin import InputError, Mat, Tensor4, mat_inverse
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, _identity, _pairing,
-    check_algebra,
+    Algebra3, CheckReport, PreconditionError, Witness, _identity, _image,
+    _pairing, _residual, check_algebra, twist_slots,
 )
-from .bialgebra import BilForm, Cobracket, coadjoint_family
+from .reps import _coadjoint_tensor
+from .bialgebra import BilForm, Cobracket
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,9 @@ def alpha_invariance(r: RTensor) -> CheckReport:
     return CheckReport(True, n * n)
 
 
-def triple_bracket(r: RTensor) -> dict:
-    """[[r,r,r]] as a sparse 4-tensor {(p,q,s,t): coeff} on L^(x)4.
+def _chybe_terms(r: RTensor) -> list:
+    """[[r,r,r]] as terms keyed (p, q, s, t), one per leg that carries the
+    bracket.
 
     With N = A.R (twist applied to first legs) and M = A.R^T (twist applied
     to second legs), the four summands contract the bracket tensor against
@@ -63,42 +65,26 @@ def triple_bracket(r: RTensor) -> dict:
     """
     a = r.base
     c, A, R = a.bracket, a.twist, r.entries
-    n = a.dim
-    ncols = (A @ R).col_support()          # N[:, a'] pairs x_i-leg with y-index a'
-    mcols = (A @ R.transpose()).col_support()  # M[:, a] pairs y_i-leg with x-index a
-    out: dict = {}
+    # twist_slots maps slot index x to sum_a m[a][x] e_a: N, M enter transposed
+    Nt, Mt = (A @ R).transpose(), (A @ R.transpose()).transpose()
+    leg = _pairing(Mat.identity(a.dim))  # moves the bracket's output to the key
+    return [(1, twist_slots(c, {0: Mt, 1: Mt, 2: Mt}), leg, (3, 0, 1, 2)),
+            (1, twist_slots(c, {0: Nt, 1: Mt, 2: Mt}), leg, (0, 3, 1, 2)),
+            (1, twist_slots(c, {0: Nt, 1: Nt, 2: Mt}), leg, (0, 1, 3, 2)),
+            (1, twist_slots(c, {0: Nt, 1: Nt, 2: Nt}), leg, (0, 1, 2, 3))]
 
-    def add(key, v):
-        nv = out.get(key, ZERO) + v
-        if nv:
-            out[key] = nv
-        else:
-            out.pop(key, None)
 
-    # slot patterns: which legs carry the bracket's three inputs, and whether
-    # each remaining leg contracts through M (input was an x-index) or N.
-    for i, j, k, l, v in c.items():
-        for q, fq in mcols[i]:
-            for s, fs in mcols[j]:
-                f2 = v * fq * fs
-                for t, ft in mcols[k]:
-                    add((l, q, s, t), f2 * ft)          # bracket in slot 1
-        for p, fp in ncols[i]:
-            for s, fs in mcols[j]:
-                f2 = v * fp * fs
-                for t, ft in mcols[k]:
-                    add((p, l, s, t), f2 * ft)          # bracket in slot 2
-        for p, fp in ncols[i]:
-            for q, fq in ncols[j]:
-                f2 = v * fp * fq
-                for t, ft in mcols[k]:
-                    add((p, q, l, t), f2 * ft)          # bracket in slot 3
-        for p, fp in ncols[i]:
-            for q, fq in ncols[j]:
-                f2 = v * fp * fq
-                for t, ft in ncols[k]:
-                    add((p, q, t, l), f2 * ft)          # bracket in slot 4
-    return out
+def triple_bracket(r: RTensor) -> dict:
+    """[[r,r,r]] as a sparse 4-tensor {(p,q,s,t): coeff} on L^(x)4."""
+    return {key: vec[0] for key, vec in _residual(_chybe_terms(r)).items()}
+
+
+def _r_parts(r: RTensor) -> list:
+    """The skew and alpha_invariance parts of a report on r."""
+    skew, n = r.is_skew(), r.base.dim
+    return [("skew", CheckReport(skew, n * n, None if skew else
+                                 Witness("r_skew", (), (), ()))),
+            ("alpha_invariance", alpha_invariance(r))]
 
 
 def check_chybe(r: RTensor) -> CheckReport:
@@ -108,34 +94,29 @@ def check_chybe(r: RTensor) -> CheckReport:
     rather than raised, so a failing input still yields a verdict.
     """
     n = r.base.dim
-    parts = [("skew", CheckReport(r.is_skew(), n * n,
-                                  None if r.is_skew() else Witness("r_skew", (), (), ()))),
-             ("alpha_invariance", alpha_invariance(r))]
-    t = triple_bracket(r)
-    if t:
-        key = min(t)
-        w = Witness("chybe", key, (t[key],), (ZERO,))
-    else:
-        w = None
-    parts.append(("triple_bracket", CheckReport(w is None, n ** 4, w)))
-    return CheckReport.combine(parts)
+    return CheckReport.combine(_r_parts(r) + [
+        ("triple_bracket", _identity("chybe", _chybe_terms(r), (n,) * 4, 1,
+                                     nominal=True))])
 
 
-def _adstar_matrix(fam, u, v, n: int) -> Mat:
-    """ad*_{u,v} for sparse primal vectors u, v (fam = coadjoint family)."""
-    m = [[ZERO] * n for _ in range(n)]
-    for i, ui in u.items():
-        for j, vj in v.items():
-            f = ui * vj
-            if not f:
-                continue
-            ent = fam[i][j].entries
-            for l in range(n):
-                row = ent[l]
-                for k in range(n):
-                    if row[k]:
-                        m[l][k] += f * row[k]
-    return Mat(m)
+def _induced_map(r: RTensor) -> Mat:
+    """The map of the closed form and the residual identity, r o a*, from
+    dual to primal coordinates: column j is r(a*(e_j*))."""
+    return (r.base.twist @ r.entries).transpose()
+
+
+def _dual_bracket_formula(r: RTensor, dual_c: Tensor4) -> CheckReport:
+    """[xi,eta,gamma]* = ad*_{r(xi),r(eta)} gamma + ad*_{r(eta),r(gamma)} xi
+    + ad*_{r(gamma),r(xi)} eta on all dual basis triples (i, j, k)."""
+    n, rs = r.base.dim, _induced_map(r)
+    # (i, j, k) -> ad*_{r(e_i*), r(e_j*)} e_k*
+    coad = twist_slots(_coadjoint_tensor(r.base), {0: rs, 1: rs})
+    same = _image(Mat.identity(n))
+    terms = [(1, dict(dual_c.rows()), same, (0, 1, 2)),
+             (-1, coad, same, (0, 1, 2)), (-1, coad, same, (2, 0, 1)),
+             (-1, coad, same, (1, 2, 0))]
+    return _identity("dual_bracket_formula", terms, (n,) * 3, n, lhs=1,
+                     nominal=True)
 
 
 def coboundary_cobracket(r: RTensor) -> tuple:
@@ -148,68 +129,21 @@ def coboundary_cobracket(r: RTensor) -> tuple:
     recomputed independently from the coadjoint action.
     """
     a = r.base
-    n, c, A, R = a.dim, a.bracket, a.twist, r.entries
-    rcols = R.col_support()  # column b: pairs (a, R[a][b])
-    acols = A.col_support()
-    # Delta(e_x): bracket leg [e_x, e_a, e_c] with partners a(e_b), a(e_d)
-    # placed per the three summands' slot orders.
-    entries = []
-    for x in range(n):
-        for b in range(n):
-            pairs_ab = [(ai, v) for ai, v in ((i, R.entries[i][b]) for i in range(n)) if v]
-            if not pairs_ab:
-                continue
-            for d in range(n):
-                pairs_cd = [(ci, v) for ci, v in ((i, R.entries[i][d]) for i in range(n)) if v]
-                if not pairs_cd:
-                    continue
-                for ai, ra in pairs_ab:
-                    for ci, rc in pairs_cd:
-                        f = ra * rc
-                        row = c.row(x, ai, ci)
-                        if not row:
-                            continue
-                        for l, cv in row.items():
-                            v = f * cv
-                            for p, fb in acols[b]:
-                                for q, fd in acols[d]:
-                                    # Delta_1: bracket (x) a(y_j) (x) a(y_i)
-                                    entries.append((l, q, p, x, v * fb * fd))
-                                    # Delta_2: a(y_i) (x) bracket (x) a(y_j)
-                                    entries.append((p, l, q, x, v * fb * fd))
-                                    # Delta_3: a(y_j) (x) a(y_i) (x) bracket
-                                    entries.append((q, p, l, x, v * fb * fd))
-    dual_c = Tensor4.from_entries((n,) * 4, entries)
-    cob = Cobracket(a, dual_c)
-
-    parts = [("skew", CheckReport(r.is_skew(), n * n,
-                                  None if r.is_skew() else Witness("r_skew", (), (), ()))),
-             ("alpha_invariance", alpha_invariance(r))]
-    fam = coadjoint_family(a)
-    # every r in the closed form acts through the dual twist: r o a*
-    reff = (A @ R).transpose()
-    rsharp_cols = [dict((i, v) for i, v in enumerate(reff.col(j)) if v)
-                   for j in range(n)]
-    witness = None
-    checked = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                checked += 1
-                m = _adstar_matrix(fam, rsharp_cols[i], rsharp_cols[j], n)
-                expect = list(m.col(k))
-                m = _adstar_matrix(fam, rsharp_cols[j], rsharp_cols[k], n)
-                ci = m.col(i)
-                m = _adstar_matrix(fam, rsharp_cols[k], rsharp_cols[i], n)
-                cj = m.col(j)
-                for l in range(n):
-                    expect[l] += ci[l] + cj[l]
-                got = [dual_c.get(i, j, k, l) for l in range(n)]
-                if got != expect and witness is None:
-                    witness = Witness("dual_bracket_formula", (i, j, k),
-                                      tuple(got), tuple(expect))
-    parts.append(("dual_bracket_formula", CheckReport(witness is None, checked, witness)))
-    return cob, CheckReport.combine(parts)
+    n, A, R = a.dim, a.twist, r.entries
+    # Delta(e_x) pairs the bracket leg [e_x, e_a, e_c] with the partners
+    # a(e_b), a(e_d) for r = sum R[a][b] e_a (x) e_b taken twice: rows
+    # (x, p, q) -> {l: coeff}, p and q the partners; each summand puts
+    # l, p, q on its own legs of the keys (i, j, k, x) of dual_c
+    RA = R @ A.transpose()
+    legs = twist_slots(a.bracket, {1: RA, 2: RA})
+    out = _pairing(Mat.identity(n))  # moves the bracket's output to the key
+    terms = [(1, legs, out, (3, 2, 1, 0)),  # Delta_1: bracket (x) a(y_j) (x) a(y_i)
+             (1, legs, out, (1, 3, 2, 0)),  # Delta_2: a(y_i) (x) bracket (x) a(y_j)
+             (1, legs, out, (2, 1, 3, 0))]  # Delta_3: a(y_j) (x) a(y_i) (x) bracket
+    dual_c = Tensor4.from_entries((n,) * 4, (
+        (*key, vec[0]) for key, vec in _residual(terms).items()))
+    return Cobracket(a, dual_c), CheckReport.combine(_r_parts(r) + [
+        ("dual_bracket_formula", _dual_bracket_formula(r, dual_c))])
 
 
 def verify_residual(r: RTensor) -> CheckReport:
@@ -219,39 +153,22 @@ def verify_residual(r: RTensor) -> CheckReport:
     cob, rep = coboundary_cobracket(r)
     if not rep.passed:
         return rep
-    a = r.base
-    n, c = a.dim, a.bracket
-    # as in the closed form, the induced map is r o a*
-    rs = (a.twist @ r.entries).transpose()
-    t = triple_bracket(r)
-    by_pqs: dict = {}
-    for (p, q, s, l), v in t.items():
-        by_pqs.setdefault((p, q, s), {})[l] = v
-    witness = None
-    checked = 0
-    rcols = [dict((i, v) for i, v in enumerate(rs.col(j)) if v) for j in range(n)]
-    from .homlie import bracket_vec
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                checked += 1
-                lhs = bracket_vec(c, rcols[i], rcols[j], rcols[k])
-                for l in range(n):
-                    dv = cob.dual_c.get(i, j, k, l)
-                    if dv:
-                        for m, rv in rcols[l].items():
-                            nv = lhs.get(m, ZERO) - dv * rv
-                            if nv:
-                                lhs[m] = nv
-                            else:
-                                lhs.pop(m, None)
-                rhs = by_pqs.get((i, j, k), {})
-                if lhs != rhs and witness is None:
-                    witness = Witness("residual", (i, j, k),
-                                      tuple(sorted(lhs.items())),
-                                      tuple(sorted(rhs.items())))
-    return CheckReport(witness is None, checked, witness,
-                       rep.parts + (("residual", CheckReport(witness is None, checked, witness)),))
+    n, rs = r.base.dim, _induced_map(r)
+    rrr = Tensor4.from_entries((n,) * 4, (
+        (*key, v) for key, v in triple_bracket(r).items()))
+    same = _image(Mat.identity(n))
+    terms = [(1, twist_slots(r.base.bracket, {0: rs, 1: rs, 2: rs}), same,
+              (0, 1, 2)),
+             (-1, dict(cob.dual_c.rows()), _image(rs), (0, 1, 2)),
+             (-1, dict(rrr.rows()), same, (0, 1, 2))]
+    res = _identity("residual", terms, (n,) * 3, n, lhs=2, nominal=True)
+    if not res.passed:
+        # both sides as their nonzero (l, value) pairs
+        w = res.witness
+        pairs = lambda vec: tuple((l, v) for l, v in enumerate(vec) if v)
+        res = replace(res, witness=replace(w, left=pairs(w.left),
+                                           right=pairs(w.right)))
+    return replace(res, parts=rep.parts + (("residual", res),))
 
 
 def form_from_r(r: RTensor) -> BilForm:

@@ -65,6 +65,14 @@ def a4_cayley():
     return yau_twist(a4(), (eye - CAYLEY_S) @ mat_inverse(eye + CAYLEY_S))
 
 
+def nilp5():
+    """dim 5, [e_i, e_j, e_k] = e5 for i < j < k <= 4: every skew r on N4
+    solves the Yang-Baxter equation, so the non-solutions live here."""
+    triples = {(0, 1, 2): {4: 1}, (0, 1, 3): {4: 1},
+               (0, 2, 3): {4: 1}, (1, 2, 3): {4: 1}}
+    return Algebra3(5, skew_tensor(5, triples), Mat.identity(5), "nilp5")
+
+
 def corrupted_n4():
     """N4 with one flipped structure constant: breaks total skewness."""
     entries = [(i, j, k, l, v) for (i, j, k, l, v) in n4().bracket.items()]

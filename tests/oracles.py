@@ -7,26 +7,32 @@ The sparse kernel must reproduce its reports byte for byte.
 
 The ``*_dense`` and ``*_loop`` checkers below are the hand-written loops
 that the sparse residual engine in ``homlie3.homlie`` replaced, kept
-verbatim apart from their names (and identity 2 of ``check_prelie_dense``
-split out so that it can be compared on its own). The ``_dense`` ones walk
-every basis tuple in lex order; the ``_loop`` ones accumulate their own
-sparse residual. The engine must reproduce their reports byte for byte.
+verbatim apart from their names (identity 2 of ``check_prelie_dense`` and
+the dual-bracket formula of ``coboundary_cobracket_loop`` are split out so
+that they can be compared on their own). The ``_dense`` ones walk every
+basis tuple in lex order; the ``_loop`` ones accumulate their own sparse
+residual or walk the basis triples with sparse tensors. The engine must
+reproduce their reports byte for byte, and ``triple_bracket_loop`` and
+``coboundary_cobracket_loop`` the tensors it builds.
 """
 from typing import Mapping, Optional
 
 from homlie3.exactlin import (
-    InputError, Mat, ONE, ZERO, dense, mat_inverse, sparse_of, unit_vec,
-    vec_add_into,
+    InputError, Mat, ONE, Tensor4, ZERO, dense, mat_inverse, sparse_of,
+    unit_vec, vec_add_into,
 )
 from homlie3.homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, bracket_vec,
     check_algebra, twist_slots,
 )
 from homlie3.reps import Rep3, check_representation
-from homlie3.bialgebra import BilForm, MatchedPairData, assemble_matched_pair
+from homlie3.bialgebra import (
+    BilForm, Cobracket, MatchedPairData, assemble_matched_pair, dual_algebra,
+)
 from homlie3.prelie import (
     OOperator, PreLie3, _pair_skew_check, subadjacent_tensor,
 )
+from homlie3.yangbaxter import RTensor, alpha_invariance
 
 
 def _twisted_family(rep: Rep3, left: bool, right: bool) -> list:
@@ -731,3 +737,381 @@ def closed_form_check_dense(a: Algebra3, form: BilForm) -> CheckReport:
                         return CheckReport(False, checked, Witness(
                             "closed_form", (x, y, z, w), (val,), (ZERO,)))
     return CheckReport(True, checked)
+
+
+def _delta_tensors(c: Cobracket) -> list:
+    """Delta(e_k) as sparse 3-tensors {(i,j,l): coeff}, one per k."""
+    n = c.base.dim
+    out = [dict() for _ in range(n)]
+    for i, j, l, k, v in c.dual_c.items():
+        out[k][(i, j, l)] = v
+    return out
+
+
+def _apply_triple(p_cols, q_cols, r_cols, t: Mapping) -> dict:
+    """(P (x) Q (x) R) applied to a sparse 3-tensor; args are col supports."""
+    out: dict = {}
+    for (i, j, l), v in t.items():
+        for a, fa in p_cols[i]:
+            for b, fb in q_cols[j]:
+                f = v * fa * fb
+                for d, fd in r_cols[l]:
+                    key = (a, b, d)
+                    nv = out.get(key, ZERO) + f * fd
+                    if nv:
+                        out[key] = nv
+                    else:
+                        out.pop(key, None)
+    return out
+
+
+def check_double_construction_loop(c: Cobracket) -> CheckReport:
+    """The three compatibility equations between the bracket and cobracket.
+
+    The third equation is reported separately in the parts (the definition
+    of the bialgebra names only the first two; the matched-pair theorem
+    lists all three); the overall verdict requires all three.
+    """
+    Lstar = dual_algebra(c)
+    pre = check_algebra(Lstar)
+    if not pre.passed:
+        raise PreconditionError("dual bracket is not a valid algebra",
+                                witness=pre.witness)
+    a = c.base
+    n, cb, A = a.dim, a.bracket, a.twist
+    deltas = _delta_tensors(c)
+    alpha_cols = A.col_support()
+    ad_cols = {}
+    for i in range(n):
+        for j in range(n):
+            cols = [[] for _ in range(n)]
+            for k in range(n):
+                for l, v in cb.row(i, j, k).items():
+                    cols[k].append((l, v))
+            ad_cols[(i, j)] = cols
+
+    def delta_of_bracket(x, y, z) -> dict:
+        acc: dict = {}
+        for m, f in cb.row(x, y, z).items():
+            for key, v in deltas[m].items():
+                nv = acc.get(key, ZERO) + f * v
+                if nv:
+                    acc[key] = nv
+                else:
+                    acc.pop(key, None)
+        return acc
+
+    def tensor_sub(x: dict, y: Mapping) -> dict:
+        out = dict(x)
+        for key, v in y.items():
+            nv = out.get(key, ZERO) - v
+            if nv:
+                out[key] = nv
+            else:
+                out.pop(key, None)
+        return out
+
+    parts = []
+
+    def run(name, evaluate):
+        checked = 0
+        witness = None
+        for x in range(n):
+            if witness:
+                break
+            for y in range(n):
+                if witness:
+                    break
+                for z in range(n):
+                    checked += 1
+                    lhs, rhs = evaluate(x, y, z)
+                    if tensor_sub(lhs, rhs):
+                        key = min(tensor_sub(lhs, rhs))
+                        witness = Witness(name, (x, y, z) + key,
+                                          (lhs.get(key, ZERO),),
+                                          (rhs.get(key, ZERO),))
+                        break
+        parts.append((name, CheckReport(witness is None, checked, witness)))
+
+    def eq_one(x, y, z):
+        lhs = delta_of_bracket(x, y, z)
+        rhs: dict = {}
+        for (u, v), w in (((y, z), x), ((z, x), y), ((x, y), z)):
+            t = _apply_triple(alpha_cols, alpha_cols, ad_cols[(u, v)], deltas[w])
+            for key, val in t.items():
+                nv = rhs.get(key, ZERO) + val
+                if nv:
+                    rhs[key] = nv
+                else:
+                    rhs.pop(key, None)
+        return lhs, rhs
+
+    def eq_two(x, y, z):
+        lhs = delta_of_bracket(x, y, z)
+        ad = ad_cols[(y, z)]
+        rhs: dict = {}
+        for combo in ((alpha_cols, alpha_cols, ad),
+                      (alpha_cols, ad, alpha_cols),
+                      (ad, alpha_cols, alpha_cols)):
+            t = _apply_triple(*combo, deltas[x])
+            for key, val in t.items():
+                nv = rhs.get(key, ZERO) + val
+                if nv:
+                    rhs[key] = nv
+                else:
+                    rhs.pop(key, None)
+        return lhs, rhs
+
+    def eq_three(x, y, z):
+        adxy = ad_cols[(x, y)]
+        lhs: dict = {}
+        for combo in ((adxy, alpha_cols, alpha_cols),
+                      (alpha_cols, alpha_cols, adxy)):
+            t = _apply_triple(*combo, deltas[z])
+            for key, val in t.items():
+                nv = lhs.get(key, ZERO) + val
+                if nv:
+                    lhs[key] = nv
+                else:
+                    lhs.pop(key, None)
+        rhs: dict = {}
+        for fam, w in ((ad_cols[(z, x)], y), (ad_cols[(y, z)], x)):
+            t = _apply_triple(alpha_cols, fam, alpha_cols, deltas[w])
+            for key, val in t.items():
+                nv = rhs.get(key, ZERO) + val
+                if nv:
+                    rhs[key] = nv
+                else:
+                    rhs.pop(key, None)
+        return lhs, rhs
+
+    run("eq_2_10", eq_one)
+    run("eq_2_11", eq_two)
+    run("eq_2_12", eq_three)
+    return CheckReport.combine(parts)
+
+
+def coadjoint_family_loop(a: Algebra3) -> tuple:
+    """Matrices of ad*_{e_i, e_j} on dual coordinates: M[l][k] = -c[i,j,l,k]."""
+    n, c = a.dim, a.bracket
+    fam = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            m = [[ZERO] * n for _ in range(n)]
+            for l in range(n):
+                for k, v in c.row(i, j, l).items():
+                    m[l][k] = -v
+            row.append(Mat(m))
+        fam.append(tuple(row))
+    return tuple(fam)
+
+
+def triple_bracket_loop(r: RTensor) -> dict:
+    """[[r,r,r]] as a sparse 4-tensor {(p,q,s,t): coeff} on L^(x)4.
+
+    With N = A.R (twist applied to first legs) and M = A.R^T (twist applied
+    to second legs), the four summands contract the bracket tensor against
+    columns of N and M:
+      sum [x_i,x_j,x_k] (x) a(y_i) (x) a(y_j) (x) a(y_k)
+      + a(x_i) (x) [y_i,x_j,x_k] (x) a(y_j) (x) a(y_k)
+      + a(x_i) (x) a(x_j) (x) [y_i,y_j,x_k] (x) a(y_k)
+      + a(x_i) (x) a(x_j) (x) a(x_k) (x) [y_i,y_j,y_k].
+    """
+    a = r.base
+    c, A, R = a.bracket, a.twist, r.entries
+    n = a.dim
+    ncols = (A @ R).col_support()          # N[:, a'] pairs x_i-leg with y-index a'
+    mcols = (A @ R.transpose()).col_support()  # M[:, a] pairs y_i-leg with x-index a
+    out: dict = {}
+
+    def add(key, v):
+        nv = out.get(key, ZERO) + v
+        if nv:
+            out[key] = nv
+        else:
+            out.pop(key, None)
+
+    # slot patterns: which legs carry the bracket's three inputs, and whether
+    # each remaining leg contracts through M (input was an x-index) or N.
+    for i, j, k, l, v in c.items():
+        for q, fq in mcols[i]:
+            for s, fs in mcols[j]:
+                f2 = v * fq * fs
+                for t, ft in mcols[k]:
+                    add((l, q, s, t), f2 * ft)          # bracket in slot 1
+        for p, fp in ncols[i]:
+            for s, fs in mcols[j]:
+                f2 = v * fp * fs
+                for t, ft in mcols[k]:
+                    add((p, l, s, t), f2 * ft)          # bracket in slot 2
+        for p, fp in ncols[i]:
+            for q, fq in ncols[j]:
+                f2 = v * fp * fq
+                for t, ft in mcols[k]:
+                    add((p, q, l, t), f2 * ft)          # bracket in slot 3
+        for p, fp in ncols[i]:
+            for q, fq in ncols[j]:
+                f2 = v * fp * fq
+                for t, ft in ncols[k]:
+                    add((p, q, t, l), f2 * ft)          # bracket in slot 4
+    return out
+
+
+def check_chybe_loop(r: RTensor) -> CheckReport:
+    """r solves the ternary classical Yang-Baxter equation: [[r,r,r]] = 0.
+
+    Preconditions (skewness and twist invariance) are reported as parts
+    rather than raised, so a failing input still yields a verdict.
+    """
+    n = r.base.dim
+    parts = [("skew", CheckReport(r.is_skew(), n * n,
+                                  None if r.is_skew() else Witness("r_skew", (), (), ()))),
+             ("alpha_invariance", alpha_invariance(r))]
+    t = triple_bracket_loop(r)
+    if t:
+        key = min(t)
+        w = Witness("chybe", key, (t[key],), (ZERO,))
+    else:
+        w = None
+    parts.append(("triple_bracket", CheckReport(w is None, n ** 4, w)))
+    return CheckReport.combine(parts)
+
+
+def _adstar_matrix(fam, u, v, n: int) -> Mat:
+    """ad*_{u,v} for sparse primal vectors u, v (fam = coadjoint family)."""
+    m = [[ZERO] * n for _ in range(n)]
+    for i, ui in u.items():
+        for j, vj in v.items():
+            f = ui * vj
+            if not f:
+                continue
+            ent = fam[i][j].entries
+            for l in range(n):
+                row = ent[l]
+                for k in range(n):
+                    if row[k]:
+                        m[l][k] += f * row[k]
+    return Mat(m)
+
+
+def dual_bracket_formula_loop(r: RTensor, dual_c: Tensor4) -> CheckReport:
+    """The dual-bracket formula part of coboundary_cobracket_loop."""
+    a = r.base
+    n, A, R = a.dim, a.twist, r.entries
+    fam = coadjoint_family_loop(a)
+    # every r in the closed form acts through the dual twist: r o a*
+    reff = (A @ R).transpose()
+    rsharp_cols = [dict((i, v) for i, v in enumerate(reff.col(j)) if v)
+                   for j in range(n)]
+    witness = None
+    checked = 0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                checked += 1
+                m = _adstar_matrix(fam, rsharp_cols[i], rsharp_cols[j], n)
+                expect = list(m.col(k))
+                m = _adstar_matrix(fam, rsharp_cols[j], rsharp_cols[k], n)
+                ci = m.col(i)
+                m = _adstar_matrix(fam, rsharp_cols[k], rsharp_cols[i], n)
+                cj = m.col(j)
+                for l in range(n):
+                    expect[l] += ci[l] + cj[l]
+                got = [dual_c.get(i, j, k, l) for l in range(n)]
+                if got != expect and witness is None:
+                    witness = Witness("dual_bracket_formula", (i, j, k),
+                                      tuple(got), tuple(expect))
+    return CheckReport(witness is None, checked, witness)
+
+
+def coboundary_cobracket_loop(r: RTensor) -> tuple:
+    """The cobracket Delta = Delta_1 + Delta_2 + Delta_3 induced by r.
+
+    Returns (Cobracket, CheckReport); the report's parts record skewness of
+    r, twist invariance, and the closed-form identity
+      [xi,eta,gamma]* = ad*_{r(xi),r(eta)} gamma + ad*_{r(eta),r(gamma)} xi
+                        + ad*_{r(gamma),r(xi)} eta
+    recomputed independently from the coadjoint action.
+    """
+    a = r.base
+    n, c, A, R = a.dim, a.bracket, a.twist, r.entries
+    rcols = R.col_support()  # column b: pairs (a, R[a][b])
+    acols = A.col_support()
+    # Delta(e_x): bracket leg [e_x, e_a, e_c] with partners a(e_b), a(e_d)
+    # placed per the three summands' slot orders.
+    entries = []
+    for x in range(n):
+        for b in range(n):
+            pairs_ab = [(ai, v) for ai, v in ((i, R.entries[i][b]) for i in range(n)) if v]
+            if not pairs_ab:
+                continue
+            for d in range(n):
+                pairs_cd = [(ci, v) for ci, v in ((i, R.entries[i][d]) for i in range(n)) if v]
+                if not pairs_cd:
+                    continue
+                for ai, ra in pairs_ab:
+                    for ci, rc in pairs_cd:
+                        f = ra * rc
+                        row = c.row(x, ai, ci)
+                        if not row:
+                            continue
+                        for l, cv in row.items():
+                            v = f * cv
+                            for p, fb in acols[b]:
+                                for q, fd in acols[d]:
+                                    # Delta_1: bracket (x) a(y_j) (x) a(y_i)
+                                    entries.append((l, q, p, x, v * fb * fd))
+                                    # Delta_2: a(y_i) (x) bracket (x) a(y_j)
+                                    entries.append((p, l, q, x, v * fb * fd))
+                                    # Delta_3: a(y_j) (x) a(y_i) (x) bracket
+                                    entries.append((q, p, l, x, v * fb * fd))
+    dual_c = Tensor4.from_entries((n,) * 4, entries)
+    cob = Cobracket(a, dual_c)
+
+    parts = [("skew", CheckReport(r.is_skew(), n * n,
+                                  None if r.is_skew() else Witness("r_skew", (), (), ()))),
+             ("alpha_invariance", alpha_invariance(r))]
+    parts.append(("dual_bracket_formula", dual_bracket_formula_loop(r, dual_c)))
+    return cob, CheckReport.combine(parts)
+
+
+def verify_residual_loop(r: RTensor) -> CheckReport:
+    """[r(xi),r(eta),r(gamma)] - r([xi,eta,gamma]*) = [[r,r,r]](xi,eta,gamma)
+    on all dual basis triples, with the two sides computed by independent
+    routes (cobracket + induced map vs the 4-tensor contraction)."""
+    cob, rep = coboundary_cobracket_loop(r)
+    if not rep.passed:
+        return rep
+    a = r.base
+    n, c = a.dim, a.bracket
+    # as in the closed form, the induced map is r o a*
+    rs = (a.twist @ r.entries).transpose()
+    t = triple_bracket_loop(r)
+    by_pqs: dict = {}
+    for (p, q, s, l), v in t.items():
+        by_pqs.setdefault((p, q, s), {})[l] = v
+    witness = None
+    checked = 0
+    rcols = [dict((i, v) for i, v in enumerate(rs.col(j)) if v) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                checked += 1
+                lhs = bracket_vec(c, rcols[i], rcols[j], rcols[k])
+                for l in range(n):
+                    dv = cob.dual_c.get(i, j, k, l)
+                    if dv:
+                        for m, rv in rcols[l].items():
+                            nv = lhs.get(m, ZERO) - dv * rv
+                            if nv:
+                                lhs[m] = nv
+                            else:
+                                lhs.pop(m, None)
+                rhs = by_pqs.get((i, j, k), {})
+                if lhs != rhs and witness is None:
+                    witness = Witness("residual", (i, j, k),
+                                      tuple(sorted(lhs.items())),
+                                      tuple(sorted(rhs.items())))
+    return CheckReport(witness is None, checked, witness,
+                       rep.parts + (("residual", CheckReport(witness is None, checked, witness)),))

@@ -1,5 +1,6 @@
-"""Every top-level import in the package modules is used (no linter is
-installed, so this is the lint)."""
+"""Every top-level import in the package modules is used, and every
+private top-level function is referenced somewhere in the package (no
+linter is installed, so this is the lint)."""
 import ast
 import glob
 import os
@@ -56,3 +57,50 @@ def test_detector_flags_an_unused_import():
 def test_no_unused_top_level_imports(path):
     with open(path) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def referenced_names(source: str) -> set:
+    """Names a module reads, looks up as attributes or imports by name; a
+    top-level function naming itself does not count."""
+    out = set()
+    for top in ast.parse(source).body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.discard(top.name)
+        out |= names
+    return out
+
+
+def unreferenced_private_functions(sources: dict) -> list:
+    """(module, name) for each private top-level function of the modules in
+    ``sources`` ({module: source}) that no module references."""
+    used = set().union(*map(referenced_names, sources.values()))
+    return sorted((mod, node.name) for mod, src in sources.items()
+                  for node in ast.parse(src).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name.startswith("_")
+                  and not node.name.startswith("__")
+                  and node.name not in used)
+
+
+def test_detector_flags_an_unreferenced_private_function():
+    sources = {"a": "def _used():\n    pass\n\ndef _dead():\n    return _dead\n",
+               "b": "from .a import _used\n\ndef _called(x):\n    return x.y\n\n"
+                    "def f():\n    return _used, _called\n"}
+    # a function that only names itself is as dead as one nothing names
+    assert unreferenced_private_functions(sources) == [("a", "_dead")]
+
+
+def test_no_unreferenced_private_functions():
+    sources = {}
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path) as fh:
+            sources[os.path.basename(path)] = fh.read()
+    assert unreferenced_private_functions(sources) == []

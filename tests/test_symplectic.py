@@ -4,17 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from homlie3 import (Algebra3, BilForm, Mat, PreconditionError,
+from homlie3 import (Algebra3, BilForm, Mat, PreconditionError, fileio,
                      canonical_phase_form, check_algebra, check_metric,
                      check_phase_space, check_prelie, check_symplectic,
                      compatible_prelie_from_symplectic,
                      derivation_from_symplectic, nilpotent_extension,
                      phase_space_from_prelie, prelie_from_phase_space,
                      subadjacent, symplectic_from_derivation)
+from homlie3.cli import report_doc
 from homlie3.symplectic import is_metric_derivation
 from homlie3.prelie import subadjacent_tensor
 
-from conftest import N4_NEG, n4, n4_omega, n4_prelie, random_prelie
+from conftest import (N4_NEG, n4, n4_omega, n4_prelie, random_prelie,
+                      skew_tensor)
 
 F = Fraction
 
@@ -186,3 +188,30 @@ def test_phase_space_rejects_mismatched_total():
     base = n4()
     with pytest.raises(Exception):
         check_phase_space(base, n4())
+
+
+def test_phase_space_witnesses_do_not_depend_on_row_order():
+    # one dim-8 total over the abelian L = span(e1..e4), its rows inserted
+    # in two orders: [e2,e3,e4] has an e7 component (base not a subalgebra),
+    # [e6,e7,e8] an e3 component (dual not a subalgebra), and [e1,e2,e4],
+    # [e1,e3,e4] have components in L that the abelian base lacks
+    seeds = [((1, 2, 3), {6: 1}), ((5, 6, 7), {2: 1}),
+             ((0, 1, 3), {2: 1}), ((0, 2, 3), {1: 1})]
+    base = Algebra3.abelian(4)
+    docs = set()
+    for rows in (seeds, seeds[::-1]):
+        total = Algebra3(8, skew_tensor(8, dict(rows)), Mat.identity(8))
+        rep = check_phase_space(base, total)
+        w = rep.part("subalgebras").witness
+        assert (w.check, w.at) == ("subalgebra_base", (1, 2, 3, 6))
+        w = rep.part("base_bracket").witness
+        assert (w.check, w.at) == ("base_bracket", (0, 1, 3, 2))
+        docs.add(fileio.dumps(report_doc(rep)))
+    assert len(docs) == 1
+    # a base whose bracket the total lacks, its rows in two orders
+    seeds = [((0, 1, 2), {3: 1}), ((1, 2, 3), {0: 1})]
+    for rows in (seeds, seeds[::-1]):
+        base = Algebra3(4, skew_tensor(4, dict(rows)), Mat.identity(4))
+        w = check_phase_space(base, Algebra3.abelian(8)).part(
+            "base_bracket").witness
+        assert (w.check, w.at) == ("base_bracket", (0, 1, 2, 3))

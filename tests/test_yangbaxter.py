@@ -11,7 +11,7 @@ from homlie3 import (Algebra3, BilForm, Mat, PreconditionError, RTensor,
 from homlie3.yangbaxter import alpha_invariance, closed_form_check, form_from_r
 
 from conftest import (N4_DIAG, N4_NEG, chybe_solution_on_n4, n4, n4_omega,
-                      random_nilpotent, random_skew_mat)
+                      nilp5, random_nilpotent, random_skew_mat)
 
 F = Fraction
 
@@ -37,19 +37,12 @@ def test_null_support_solutions(rng):
             assert rep.part(name).passed, name
 
 
-def dim5_algebra():
-    from conftest import skew_tensor
-    triples = {(0, 1, 2): {4: 1}, (0, 1, 3): {4: 1},
-               (0, 2, 3): {4: 1}, (1, 2, 3): {4: 1}}
-    return Algebra3(5, skew_tensor(5, triples), Mat.identity(5), "nilp5")
-
-
 def test_non_solution_fails_with_lex_min_witness():
     # every skew r on N4 happens to solve the equation (the single bracket
     # value is central), so the genuine non-solution lives in dim 5
     ones = Mat([[F(0) if i == j else (F(1) if i < j else F(-1))
                  for j in range(5)] for i in range(5)])
-    r = RTensor(dim5_algebra(), ones)
+    r = RTensor(nilp5(), ones)
     rep = check_chybe(r)
     assert not rep.passed
     w = rep.part("triple_bracket").witness
