@@ -20,11 +20,13 @@ from . import bialgebra, fileio, prelie, symplectic, yangbaxter
 MAX_DIM = 12
 
 
-def _fmt_val(v):
-    try:
-        return rat_str(v)
-    except Exception:
-        return str(v)
+def _fmt_val(v) -> str:
+    """A witness value: "p/q" for a scalar, "(i, p/q)" with i 1-based (like
+    the indices of ``at``) for an (index, value) pair of a residual witness,
+    and str() for a row of a matrix side."""
+    if isinstance(v, tuple) and isinstance(v[0], int):
+        return f"({v[0] + 1}, {rat_str(v[1])})"
+    return rat_str(v)
 
 
 def _witness_doc(w: Witness):

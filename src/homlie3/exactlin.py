@@ -4,6 +4,19 @@ Everything downstream works over the rationals with no rounding: structure
 constants, twist maps and bilinear forms are matrices/tensors of
 ``fractions.Fraction``.  All containers are immutable after construction and
 all functions are pure.
+
+All linear algebra runs on one sparse Gauss-Jordan routine,
+``_gauss_jordan``: rows are {col: value} dicts and a pivot map takes each
+pivot column to its normalised row, so a sparse system costs what its
+nonzero entries cost. ``rref``, ``kernel_basis``, ``sparse_kernel``,
+``solve_linear``, ``linear_solver``, ``mat_inverse`` and ``mat_rank`` use
+it. Two contracts are fixed:
+
+- A kernel basis is canonical: the reduced row echelon form of the kernel,
+  one vector per free column f with a leading 1 at f. It depends only on
+  the kernel, not on the rows that define it or their order.
+- A particular solution is the one read off the reduced row echelon form
+  of [system | rhs]: every free variable is zero.
 """
 from __future__ import annotations
 
@@ -150,30 +163,74 @@ class Mat:
         return f"Mat[{body}]"
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple:
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
+def _gauss_jordan(rows: Iterable[Mapping], last: bool = False,
+                  width: Optional[int] = None) -> tuple:
+    """Sparse Gauss-Jordan elimination of rows {col: value}.
+
+    Each row in turn is reduced by the pivot rows found so far. Its first
+    nonzero column (its last when ``last``) becomes a new pivot if it lies
+    below ``width``: the row is scaled to 1 there and the column is cleared
+    from every other pivot row. Returns (pivots, rest): pivots maps each
+    pivot column to its row, and rest lists the nonzero rows left with no
+    column below ``width`` (``width`` is for the first-column order).
+
+    Every pivot row keeps its pivot as its first (last) nonzero column and
+    is zero at every other pivot, so the pivot rows in column order are the
+    reduced row echelon form of the input, whatever the row order (with the
+    columns read from the highest down when ``last``).
+    """
+    pick = max if last else min
+    piv: dict = {}
+    rest = []
+    for row in rows:
+        row = dict(row)
+        for p in [c for c in row if c in piv]:
+            vec_add_into(row, piv[p], -row[p])
+        if not row:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+        p = pick(row)
+        if width is not None and p >= width:
+            rest.append(row)
+            continue
+        inv = ONE / row[p]
+        row = {c: v * inv for c, v in row.items()}
+        for other in piv.values():
+            f = other.get(p)
+            if f:
+                vec_add_into(other, row, -f)
+        piv[p] = row
+    return piv, rest
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple:
+    """Reduced row echelon form.  Returns (rows, pivot_columns); the rows
+    keep their number, zero rows last."""
+    rows = list(rows)
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    piv, _ = _gauss_jordan(map(sparse_of, rows))
+    pivots = sorted(piv)
+    out = [list(dense(piv[p], ncols)) for p in pivots]
+    return out + [[ZERO] * ncols for _ in range(len(rows) - len(out))], pivots
+
+
+def sparse_kernel(rows: Iterable[Mapping], ncols: int) -> list:
+    """Canonical basis of {x : row . x = 0 for every row} as sparse vectors.
+
+    The basis is the reduced row echelon form of the kernel: one vector per
+    free column f, with a leading 1 at f and its other entries at pivot
+    columns after f. Eliminating with pivots from the highest column down
+    gives exactly these vectors: for each free f, e_f minus the column f of
+    the pivot rows.
+    """
+    piv, _ = _gauss_jordan(rows, last=True)
+    basis = {f: {f: ONE} for f in range(ncols) if f not in piv}
+    for p, row in piv.items():
+        for f, v in row.items():
+            if f != p:
+                basis[f][p] = -v
+    return list(basis.values())
 
 
 class LinearSolution:
@@ -189,41 +246,59 @@ class LinearSolution:
 
 def kernel_basis(system: Mat) -> tuple:
     """Canonical basis (reduced echelon rows) of the nullspace of ``system``."""
-    reduced, pivots = rref(system.entries)
     n = system.cols
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [ZERO] * n
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(v)
-    if not basis:
-        return ()
-    canon, _ = rref(basis)
-    return tuple(tuple(row) for row in canon if any(v != 0 for v in row))
+    return tuple(dense(v, n)
+                 for v in sparse_kernel(map(sparse_of, system.entries), n))
+
+
+def _factor(m: Mat) -> tuple:
+    """Eliminate [m | I] with pivots among m's columns, first column first.
+
+    Returns (pivots, null) with the identity part of each row as {i: value}:
+    pivot p's row T_p gives x_p = T_p . b in the reduced echelon form of
+    [m | b], and the rows of null span the vectors y with y m = 0.
+    """
+    n = m.cols
+    piv, rest = _gauss_jordan(({**sparse_of(row), n + i: ONE}
+                               for i, row in enumerate(m.entries)), width=n)
+    tag = lambda row: {c - n: v for c, v in row.items() if c >= n}
+    return {p: tag(row) for p, row in piv.items()}, [tag(row) for row in rest]
+
+
+def linear_solver(system: Mat):
+    """Factor ``system`` once, for many right-hand sides.
+
+    Returns a function rhs -> the particular solution of system @ x = rhs
+    read off the reduced echelon form of [system | rhs] (free variables
+    zero), or None when rhs is inconsistent.
+    """
+    piv, null = _factor(system)
+    n = system.cols
+
+    def solve(rhs: Sequence) -> Optional[tuple]:
+        b = [rat(v) for v in rhs]
+        if len(b) != system.rows:
+            raise InputError(f"rhs length {len(b)} vs {system.rows} rows")
+        dot = lambda t: sum((v * b[i] for i, v in t.items()), ZERO)
+        if any(dot(y) for y in null):
+            return None
+        x = [ZERO] * n
+        for p, t in piv.items():
+            x[p] = dot(t)
+        return tuple(x)
+
+    return solve
 
 
 def solve_linear(system: Mat, rhs: Sequence) -> LinearSolution:
     """Solve ``system @ x = rhs`` exactly.
 
     Returns one particular solution (or None if inconsistent) together with a
-    canonical basis of the kernel of ``system``.
+    canonical basis of the kernel of ``system``.  The particular solution
+    has every free variable zero.
     """
-    b = [rat(v) for v in rhs]
-    if len(b) != system.rows:
-        raise InputError(f"rhs length {len(b)} vs {system.rows} rows")
-    aug = [list(row) + [b[i]] for i, row in enumerate(system.entries)]
-    reduced, pivots = rref(aug)
-    n = system.cols
-    if n in pivots:
-        return LinearSolution(False, None, kernel_basis(system))
-    x = [ZERO] * n
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][n]
-    return LinearSolution(True, tuple(x), kernel_basis(system))
+    x = linear_solver(system)(rhs)
+    return LinearSolution(x is not None, x, kernel_basis(system))
 
 
 def mat_inverse(m: Mat) -> Optional[Mat]:
@@ -231,17 +306,14 @@ def mat_inverse(m: Mat) -> Optional[Mat]:
     if m.rows != m.cols:
         raise InputError(f"inverse of non-square {m.shape}")
     n = m.rows
-    aug = [list(m.entries[i]) + [ONE if i == j else ZERO for j in range(n)]
-           for i in range(n)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
+    piv, _ = _factor(m)
+    if len(piv) != n:
         return None
-    return Mat([row[n:] for row in reduced])
+    return Mat([dense(piv[p], n) for p in range(n)])
 
 
 def mat_rank(m: Mat) -> int:
-    _, pivots = rref(m.entries)
-    return len(pivots)
+    return len(_gauss_jordan(map(sparse_of, m.entries))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .exactlin import (
-    InputError, Mat, ONE, Tensor4, ZERO, dense, kernel_basis, mat_inverse,
+    InputError, Mat, ONE, Tensor4, ZERO, dense, mat_inverse, sparse_kernel,
     vec_add_into,
 )
 
@@ -342,56 +342,71 @@ def composition_twist(a: Algebra3, beta: Mat) -> Algebra3:
                     label=f"{a.label}~comp" if a.label else "comp")
 
 
+def _derivation_rows(a: Algebra3, form: Optional[Mat]) -> list:
+    """The nonzero rows of ``derivation_system`` as sparse {col: value}
+    dicts, in its order, built from the nonzero entries of the twist, the
+    bracket and the form: c[u,v,w,x] enters O(n) Leibniz rows."""
+    n, A = a.dim, a.twist
+    if form is not None and form.shape != (n, n):
+        raise InputError(f"form shape {form.shape} for dim {n}")
+    rows: dict = {}
+
+    def add(key, col, v):
+        row = rows.setdefault(key, {})
+        row[col] = row.get(col, ZERO) + v
+
+    # D o alpha = alpha o D at (0, p, q):
+    #   sum_m D[p][m] A[m][q] - A[p][m] D[m][q]
+    for r, cols in enumerate(A.entries):
+        for s, v in enumerate(cols):
+            if v:
+                for p in range(n):
+                    add((0, p, s), p * n + r, v)
+                    add((0, r, p), s * n + p, -v)
+    # Leibniz over basis triples i<j<k (skewness makes the rest redundant)
+    # at (1, i, j, k, l): sum_m D[l][m] c[i,j,k,m] - D[m][i] c[m,j,k,l]
+    #   - D[m][j] c[i,m,k,l] - D[m][k] c[i,j,m,l]
+    for u, v, w, x, val in a.bracket.items():
+        if u < v < w:
+            for l in range(n):
+                add((1, u, v, w, l), l * n + x, val)
+        if v < w:
+            for i in range(v):
+                add((1, i, v, w, x), u * n + i, -val)
+        for j in range(u + 1, w):
+            add((1, u, j, w, x), v * n + j, -val)
+        if u < v:
+            for k in range(v + 1, n):
+                add((1, u, v, k, x), w * n + k, -val)
+    # B-skewness at (2, p, q): sum_m D[m][p] B[m][q] + B[p][m] D[m][q]
+    if form is not None:
+        for r, cols in enumerate(form.entries):
+            for s, v in enumerate(cols):
+                if v:
+                    for p in range(n):
+                        add((2, p, s), r * n + p, v)
+                        add((2, r, p), s * n + p, v)
+    out = ({col: v for col, v in rows[key].items() if v} for key in sorted(rows))
+    return [row for row in out if row]
+
+
 def derivation_system(a: Algebra3, form: Optional[Mat] = None) -> Mat:
     """Linear system over vec(D) (row-major, D[p][q] -> p*n+q) whose kernel
     is the space of derivations commuting with the twist (and B-skew when a
     symmetric form B is supplied)."""
-    n, c, A = a.dim, a.bracket, a.twist
-    idx = lambda p, q: p * n + q
-    rows = []
-    # D o alpha = alpha o D
-    for p in range(n):
-        for q in range(n):
-            row = [ZERO] * (n * n)
-            for m in range(n):
-                row[idx(p, m)] += A.entries[m][q]
-                row[idx(m, q)] -= A.entries[p][m]
-            if any(row):
-                rows.append(row)
-    # Leibniz over basis triples i<j<k (skewness makes the rest redundant)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(n):
-                    row = [ZERO] * (n * n)
-                    for m in range(n):
-                        row[idx(l, m)] += c.get(i, j, k, m)
-                        row[idx(m, i)] -= c.get(m, j, k, l)
-                        row[idx(m, j)] -= c.get(i, m, k, l)
-                        row[idx(m, k)] -= c.get(i, j, m, l)
-                    if any(row):
-                        rows.append(row)
-    if form is not None:
-        if form.shape != (n, n):
-            raise InputError(f"form shape {form.shape} for dim {n}")
-        for p in range(n):
-            for q in range(n):
-                row = [ZERO] * (n * n)
-                for m in range(n):
-                    row[idx(m, p)] += form.entries[m][q]
-                    row[idx(m, q)] += form.entries[p][m]
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        rows = [[ZERO] * (n * n)]
-    return Mat(rows)
+    m = a.dim * a.dim
+    return Mat([dense(row, m) for row in _derivation_rows(a, form)]
+               or [[ZERO] * m])
 
 
 def derivation_space(a: Algebra3, form: Optional[Mat] = None) -> tuple:
-    """Canonical basis of Der(L) (or Der_B(L) when B is given) as matrices."""
+    """Canonical basis of Der(L) (or Der_B(L) when B is given) as matrices:
+    the reduced echelon basis of the kernel of ``derivation_system``, from
+    its sparse rows."""
     n = a.dim
-    basis = kernel_basis(derivation_system(a, form))
-    return tuple(Mat([list(v[p * n:(p + 1) * n]) for p in range(n)]) for v in basis)
+    basis = sparse_kernel(_derivation_rows(a, form), n * n)
+    return tuple(Mat([[v.get(p * n + q, ZERO) for q in range(n)]
+                      for p in range(n)]) for v in basis)
 
 
 def is_derivation(a: Algebra3, d: Mat) -> Optional[Witness]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import InputError, Mat, ONE, Tensor4, ZERO, mat_inverse, solve_linear
+from .exactlin import InputError, Mat, ONE, Tensor4, ZERO, linear_solver, mat_inverse
 from .homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, _identity, _pairing,
     check_algebra, is_derivation,
@@ -93,6 +93,12 @@ def symplectic_from_derivation(a: Algebra3, form: BilForm, D: Mat) -> tuple:
     Returns (BilForm, CheckReport) where the report re-verifies all
     symplectic axioms on the constructed form.
     """
+    return _symplectic_from_derivation(a, form, D)[:2]
+
+
+def _symplectic_from_derivation(a: Algebra3, form: BilForm, D: Mat) -> tuple:
+    """``symplectic_from_derivation`` plus the reports of its preconditions:
+    (omega, report, is_metric_derivation report, check_metric report)."""
     pre = is_metric_derivation(a, form, D)
     if not pre.passed:
         raise PreconditionError("need an invertible metric-skew derivation",
@@ -108,7 +114,7 @@ def symplectic_from_derivation(a: Algebra3, form: BilForm, D: Mat) -> tuple:
         raise PreconditionError("constructed form is not skew; the metric, "
                                 "twist and derivation are incompatible")
     omega = BilForm(a.dim, W, "skew")
-    return omega, check_symplectic(a, omega)
+    return omega, check_symplectic(a, omega), pre, met
 
 
 def derivation_from_symplectic(a: Algebra3, metric: BilForm,
@@ -128,8 +134,9 @@ def derivation_from_symplectic(a: Algebra3, metric: BilForm,
 def compatible_prelie_from_symplectic(a: Algebra3, omega: BilForm) -> tuple:
     """The product with w({x,y,z}, a(w)) = -w(a(z), [x,y,w]).
 
-    Solved per basis triple from nondegeneracy; the result is re-verified as
-    a pre-Lie structure whose cyclic sum returns the original bracket.
+    Solved per basis triple from nondegeneracy, against one factorisation
+    of the system; the result is re-verified as a pre-Lie structure whose
+    cyclic sum returns the original bracket.
     Returns (PreLie3, CheckReport).
     """
     rep = check_symplectic(a, omega)
@@ -137,7 +144,7 @@ def compatible_prelie_from_symplectic(a: Algebra3, omega: BilForm) -> tuple:
         raise PreconditionError("not a symplectic structure", witness=rep.witness)
     n, c, A, W = a.dim, a.bracket, a.twist, omega.matrix
     # {x,y,z} = u where (W.A)^T u = g, g_w = -w(a(z), [x,y,w])
-    system = (W @ A).transpose()
+    solve = linear_solver((W @ A).transpose())
     acols = [A.col(i) for i in range(n)]
     entries = []
     for i in range(n):
@@ -151,10 +158,12 @@ def compatible_prelie_from_symplectic(a: Algebra3, omega: BilForm) -> tuple:
                                    for m, v in row.items()
                                    for l in range(n) if az[l] and W.entries[l][m]),
                                   ZERO))
-                sol = solve_linear(system, g)
-                if not sol.consistent:
+                if not any(g):
+                    continue  # {x,y,z} = 0
+                x = solve(g)
+                if x is None:
                     raise PreconditionError("defining system inconsistent")
-                for l, v in enumerate(sol.particular):
+                for l, v in enumerate(x):
                     if v:
                         entries.append((i, j, k, l, v))
     product = Tensor4.from_entries((n,) * 4, entries)
@@ -281,16 +290,10 @@ class NilpotentExtension:
     omega: BilForm        # w(twist(u), v) = B(D^ u, v)
 
 
-def nilpotent_extension(a: Algebra3, steps: int) -> tuple:
-    """Build the truncated-polynomial extension bundle; steps is the power n
-    of the truncation (degrees 1..n-1 survive). Returns the bundle plus a
-    report re-verifying every claimed structure from scratch.
-    """
-    if steps < 2:
-        raise InputError("steps must be at least 2 (degree range is 1..steps-1)")
-    pre = check_algebra(a)
-    if not pre.passed:
-        raise PreconditionError("base is not a 3-Hom-Lie algebra", witness=pre.witness)
+def _truncated_extension(a: Algebra3, steps: int) -> Algebra3:
+    """L (x) (t F[t] / t^steps F[t]), basis e_i (x) t^p at (p - 1) * dim + i
+    for p = 1..steps-1, with the bracket [x t^p, y t^q, z t^r] =
+    [x,y,z] t^(p+q+r) and the twist a (x) id."""
     n, deg = a.dim, steps - 1
     N = n * deg
 
@@ -309,7 +312,22 @@ def nilpotent_extension(a: Algebra3, steps: int) -> tuple:
     twist = a.twist
     for _ in range(deg - 1):
         twist = Mat.block_diag(twist, a.twist)
-    ext = Algebra3(N, bracket, twist, label=f"{a.label or 'L'}[t]/t^{steps}")
+    return Algebra3(N, bracket, twist, label=f"{a.label or 'L'}[t]/t^{steps}")
+
+
+def nilpotent_extension(a: Algebra3, steps: int) -> tuple:
+    """Build the truncated-polynomial extension bundle; steps is the power n
+    of the truncation (degrees 1..n-1 survive). Returns the bundle plus a
+    report re-verifying every claimed structure from scratch.
+    """
+    if steps < 2:
+        raise InputError("steps must be at least 2 (degree range is 1..steps-1)")
+    pre = check_algebra(a)
+    if not pre.passed:
+        raise PreconditionError("base is not a 3-Hom-Lie algebra", witness=pre.witness)
+    n, deg = a.dim, steps - 1
+    N = n * deg
+    ext = _truncated_extension(a, steps)
     D = Mat.diag([p for p in range(1, deg + 1) for _ in range(n)])
 
     coad = Rep3(ext, N, coadjoint_family(ext), ext.twist.transpose())
@@ -318,15 +336,16 @@ def nilpotent_extension(a: Algebra3, steps: int) -> tuple:
                       label="nilpotent-double")
     metric = standard_form(N)
     Dhat = Mat.block_diag(D, -D.transpose())
-    omega, om_rep = symplectic_from_derivation(double, metric, Dhat)
+    omega, om_rep, der_rep, met_rep = _symplectic_from_derivation(
+        double, metric, Dhat)
 
     ext_der = is_derivation(ext, D)
     parts = [
         ("extension_algebra", check_algebra(ext)),
         ("derivation", CheckReport(ext_der is None, 1, ext_der)),
         ("double_algebra", check_algebra(double)),
-        ("metric", check_metric(double, metric)),
-        ("double_derivation", is_metric_derivation(double, metric, Dhat)),
+        ("metric", met_rep),
+        ("double_derivation", der_rep),
         ("symplectic", om_rep),
     ]
     bundle = NilpotentExtension(a, steps, ext, D, double, metric, Dhat, omega)

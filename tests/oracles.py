@@ -14,12 +14,18 @@ basis tuple in lex order; the ``_loop`` ones accumulate their own sparse
 residual or walk the basis triples with sparse tensors. The engine must
 reproduce their reports byte for byte, and ``triple_bracket_loop`` and
 ``coboundary_cobracket_loop`` the tensors it builds.
+
+``rref_dense`` is the dense row reduction that the sparse Gauss-Jordan
+routine of ``homlie3.exactlin`` replaced, with the kernel, solve, inverse
+and rank routines built on it, and ``derivation_system_dense`` the dense
+derivation system. The sparse routines must return the same canonical
+kernel bases, particular solutions and inverses.
 """
 from typing import Mapping, Optional
 
 from homlie3.exactlin import (
-    InputError, Mat, ONE, Tensor4, ZERO, dense, mat_inverse, sparse_of,
-    unit_vec, vec_add_into,
+    InputError, LinearSolution, Mat, ONE, Tensor4, ZERO, dense, mat_inverse,
+    rat, sparse_of, unit_vec, vec_add_into,
 )
 from homlie3.homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, bracket_vec,
@@ -1115,3 +1121,144 @@ def verify_residual_loop(r: RTensor) -> CheckReport:
                                       tuple(sorted(rhs.items())))
     return CheckReport(witness is None, checked, witness,
                        rep.parts + (("residual", CheckReport(witness is None, checked, witness)),))
+
+
+# ---------------------------------------------------------------------------
+# Dense exact linear algebra, replaced by the sparse Gauss-Jordan routine of
+# homlie3.exactlin: the dense rref loop, the routines that ran on it (the
+# kernel canonicalised by a second rref), and the dense derivation system
+# filled by c.get over every (i<j<k, l, m).
+
+def rref_dense(rows) -> tuple:
+    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def kernel_basis_dense(system: Mat) -> tuple:
+    """Canonical basis (reduced echelon rows) of the nullspace of ``system``."""
+    reduced, pivots = rref_dense(system.entries)
+    n = system.cols
+    pivset = set(pivots)
+    free = [c for c in range(n) if c not in pivset]
+    basis = []
+    for f in free:
+        v = [ZERO] * n
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        basis.append(v)
+    if not basis:
+        return ()
+    canon, _ = rref_dense(basis)
+    return tuple(tuple(row) for row in canon if any(v != 0 for v in row))
+
+
+def solve_linear_dense(system: Mat, rhs) -> LinearSolution:
+    """Solve ``system @ x = rhs`` exactly.
+
+    Returns one particular solution (or None if inconsistent) together with a
+    canonical basis of the kernel of ``system``.
+    """
+    b = [rat(v) for v in rhs]
+    if len(b) != system.rows:
+        raise InputError(f"rhs length {len(b)} vs {system.rows} rows")
+    aug = [list(row) + [b[i]] for i, row in enumerate(system.entries)]
+    reduced, pivots = rref_dense(aug)
+    n = system.cols
+    if n in pivots:
+        return LinearSolution(False, None, kernel_basis_dense(system))
+    x = [ZERO] * n
+    for r, p in enumerate(pivots):
+        x[p] = reduced[r][n]
+    return LinearSolution(True, tuple(x), kernel_basis_dense(system))
+
+
+def mat_inverse_dense(m: Mat) -> Optional[Mat]:
+    """Exact inverse, or None when singular."""
+    if m.rows != m.cols:
+        raise InputError(f"inverse of non-square {m.shape}")
+    n = m.rows
+    aug = [list(m.entries[i]) + [ONE if i == j else ZERO for j in range(n)]
+           for i in range(n)]
+    reduced, pivots = rref_dense(aug)
+    if pivots != list(range(n)):
+        return None
+    return Mat([row[n:] for row in reduced])
+
+
+def mat_rank_dense(m: Mat) -> int:
+    _, pivots = rref_dense(m.entries)
+    return len(pivots)
+
+
+def derivation_system_dense(a: Algebra3, form: Optional[Mat] = None) -> Mat:
+    """Linear system over vec(D) (row-major, D[p][q] -> p*n+q) whose kernel
+    is the space of derivations commuting with the twist (and B-skew when a
+    symmetric form B is supplied)."""
+    n, c, A = a.dim, a.bracket, a.twist
+    idx = lambda p, q: p * n + q
+    rows = []
+    # D o alpha = alpha o D
+    for p in range(n):
+        for q in range(n):
+            row = [ZERO] * (n * n)
+            for m in range(n):
+                row[idx(p, m)] += A.entries[m][q]
+                row[idx(m, q)] -= A.entries[p][m]
+            if any(row):
+                rows.append(row)
+    # Leibniz over basis triples i<j<k (skewness makes the rest redundant)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(n):
+                    row = [ZERO] * (n * n)
+                    for m in range(n):
+                        row[idx(l, m)] += c.get(i, j, k, m)
+                        row[idx(m, i)] -= c.get(m, j, k, l)
+                        row[idx(m, j)] -= c.get(i, m, k, l)
+                        row[idx(m, k)] -= c.get(i, j, m, l)
+                    if any(row):
+                        rows.append(row)
+    if form is not None:
+        if form.shape != (n, n):
+            raise InputError(f"form shape {form.shape} for dim {n}")
+        for p in range(n):
+            for q in range(n):
+                row = [ZERO] * (n * n)
+                for m in range(n):
+                    row[idx(m, p)] += form.entries[m][q]
+                    row[idx(m, q)] += form.entries[p][m]
+                if any(row):
+                    rows.append(row)
+    if not rows:
+        rows = [[ZERO] * (n * n)]
+    return Mat(rows)
+
+
+def derivation_space_dense(a: Algebra3, form: Optional[Mat] = None) -> tuple:
+    """Canonical basis of Der(L) (or Der_B(L) when B is given) as matrices."""
+    n = a.dim
+    basis = kernel_basis_dense(derivation_system_dense(a, form))
+    return tuple(Mat([list(v[p * n:(p + 1) * n]) for p in range(n)]) for v in basis)

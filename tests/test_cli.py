@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from homlie3 import check_algebra, check_symplectic, fileio
+from homlie3 import RTensor, check_algebra, check_symplectic, fileio
 from homlie3.cli import MAX_DIM, main
+
+from conftest import CAYLEY_S, a4_cayley
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -78,6 +80,23 @@ def test_corrupted_structured_witness(capsys):
     assert doc["passed"] is False
     parts = dict(doc["parts"])
     assert parts["hom_jacobi"]["witness"]["at"] == [1, 2, 1, 3, 4]
+
+
+def test_residual_witness_pairs_are_one_based_rationals(tmp_path, capsys):
+    """The residual identity fails on the Cayley-twisted A4 with CAYLEY_S;
+    its witness sides are (index, value) pairs, shown like every other
+    witness: 1-based index, "p/q" value."""
+    path = str(tmp_path / "cayley.rmat")
+    fileio.dump(fileio.rtensor_to_doc(RTensor(a4_cayley(), CAYLEY_S)), path)
+    left = ["(1, -792/289)", "(2, 36/289)", "(3, -1368/289)", "(4, 1116/289)"]
+    code, out, _ = run(["check", "residual", path], capsys)
+    assert code == 1
+    assert f"witness residual at (1,2,3): left={left} right=[]" in out
+    code, out, _ = run(["check", "residual", path, "--format", "structured"],
+                       capsys)
+    assert code == 1
+    w = dict(json.loads(out)["parts"])["residual"]["witness"]
+    assert (w["at"], w["left"], w["right"]) == ([1, 2, 3], left, [])
 
 
 # --------------------------------------- exit code 2: input / precondition

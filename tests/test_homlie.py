@@ -9,6 +9,7 @@ from homlie3 import (Algebra3, InputError, Mat, check_algebra,
                      composition_twist, derivation_space, is_derivation,
                      yau_twist)
 from homlie3.homlie import derivation_system, is_bracket_morphism
+from homlie3.symplectic import _truncated_extension
 
 from conftest import (N4_DIAG, N4_NEG, corrupted_n4, graded_twist, n4,
                       random_nilpotent)
@@ -99,6 +100,23 @@ def test_derivation_space_respects_twist_commutation():
     basis = derivation_space(n4(N4_DIAG))
     for d in basis:
         assert d @ N4_DIAG == N4_DIAG @ d
+
+
+def test_derivation_space_at_the_size_limit():
+    """N4[t]/t^7, the dim-24 extension (576 unknowns) that the dense route
+    took about 20 s on: the canonical basis has the right size, is in
+    reduced echelon form, and a seeded sample of it are derivations."""
+    ext = _truncated_extension(n4(), 7)
+    basis = derivation_space(ext)
+    assert len(basis) == 279
+    flat = [[v for row in d.entries for v in row] for d in basis]
+    leads = [next(i for i, v in enumerate(x) if v) for x in flat]
+    assert all(p < q for p, q in zip(leads, leads[1:]))
+    for x, lead in zip(flat, leads):
+        assert x[lead] == 1
+        assert sum(1 for y in flat if y[lead]) == 1
+    for d in random.Random(24).sample(basis, 10):
+        assert is_derivation(ext, d) is None
 
 
 def test_is_derivation_witnesses_failure():

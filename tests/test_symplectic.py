@@ -15,8 +15,8 @@ from homlie3.cli import report_doc
 from homlie3.symplectic import is_metric_derivation
 from homlie3.prelie import subadjacent_tensor
 
-from conftest import (N4_NEG, n4, n4_omega, n4_prelie, random_prelie,
-                      skew_tensor)
+from conftest import (N4_DIAG, N4_NEG, n4, n4_omega, n4_prelie,
+                      random_prelie, skew_tensor)
 
 F = Fraction
 
@@ -109,6 +109,18 @@ def test_nilpotent_extension_bundles():
             assert rep.part(name).passed, (steps, name)
         assert bundle.extension.dim == 4 * (steps - 1)
         assert bundle.double.dim == 8 * (steps - 1)
+
+
+def test_nilpotent_bundle_reports_its_precondition_checks():
+    """The bundle's metric and double_derivation parts are the reports that
+    the construction of omega ran as its preconditions: the same as fresh
+    runs on the double (N4diag's bundle fails its symplectic part)."""
+    for base, steps in ((n4(), 4), (n4(N4_DIAG), 3)):
+        bundle, rep = nilpotent_extension(base, steps)
+        double, metric = bundle.double, bundle.metric
+        assert rep.part("metric") == check_metric(double, metric)
+        assert rep.part("double_derivation") == is_metric_derivation(
+            double, metric, bundle.double_derivation)
 
 
 @pytest.mark.parametrize("steps", [2, 3, 4])
