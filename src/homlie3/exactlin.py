@@ -122,9 +122,18 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise InputError(f"matmul shape mismatch {self.shape} @ {other.shape}")
-        ot = other.transpose().entries
-        return Mat([[sum((a * b for a, b in zip(row, col) if a and b), ZERO)
-                     for col in ot] for row in self.entries])
+        # row k of other as its nonzero (j, b); row i of the product is the
+        # sum of a * other[k] over the nonzero a = self[i][k]
+        nz = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [ZERO] * other.cols
+            for a, brow in zip(row, nz):
+                if a:
+                    for j, b in brow:
+                        acc[j] += a * b
+            out.append(acc)
+        return Mat(out)
 
     def apply(self, vec: Sequence[Fraction]) -> tuple:
         if len(vec) != self.cols:

@@ -36,10 +36,18 @@ class Rep3:
             for j in range(n):
                 if self.rho[i][j].shape != (m, m):
                     raise InputError(f"rho({i},{j}) shape {self.rho[i][j].shape}")
-                if self.rho[i][j] != -self.rho[j][i]:
+                # the pair (i, j) with j >= i is met first in row-major order
+                if j >= i and not _negates(self.rho[i][j], self.rho[j][i]):
                     raise InputError(f"rho not skew at ({i},{j})")
         if self.A.shape != (m, m):
             raise InputError(f"carrier twist shape {self.A.shape} for vdim {m}")
+
+
+def _negates(a: Mat, b: Mat) -> bool:
+    """a == -b, entry by entry, without building -b."""
+    return a.shape == b.shape and all(
+        x == -y for ra, rb in zip(a.entries, b.entries)
+        for x, y in zip(ra, rb))
 
 
 def rep_from_upper(base: Algebra3, vdim: int, upper: Mapping, A: Mat) -> Rep3:
@@ -218,26 +226,21 @@ def semidirect_sum(a: Algebra3, r: Rep3, check: bool = True) -> Algebra3:
         if not rep.passed:
             raise PreconditionError("representation fails its axioms",
                                     witness=rep.witness)
-    n, m = a.dim, r.vdim
-    N = n + m
-    entries = []
-    for i, j, k, l, v in a.bracket.items():
-        entries.append((i, j, k, l, v))
-    for i in range(n):
-        for j in range(n):
-            mat = r.rho[i][j]
-            for p in range(m):
-                for q in range(m):
-                    v = mat.entries[p][q]
-                    if not v:
-                        continue
-                    # rho(e_i, e_j) f_q = sum_p v f_p, placed per slot of f_q
-                    entries.append((i, j, n + q, n + p, v))
-                    entries.append((n + q, i, j, n + p, v))
-                    entries.append((j, n + q, i, n + p, v))
-    bracket = Tensor4.from_entries((N,) * 4, entries)
-    twist = Mat.block_diag(a.twist, r.A)
-    return Algebra3(N, bracket, twist,
+    return _semidirect(a, _action_tensor(r), r.A)
+
+
+def _semidirect(a: Algebra3, act: Tensor4, A: Mat) -> Algebra3:
+    """The semidirect bracket on L + V of an action tensor with rows
+    (x, y, v) -> rho(x, y) v and carrier twist A (see semidirect_sum)."""
+    n, m = a.dim, act.dims[2]
+    entries = list(a.bracket.items())
+    for i, j, q, p, v in act.items():
+        # rho(e_i, e_j) f_q = sum_p v f_p, placed per slot of f_q
+        entries += [(i, j, n + q, n + p, v), (n + q, i, j, n + p, v),
+                    (j, n + q, i, n + p, v)]
+    bracket = Tensor4.from_entries((n + m,) * 4, entries)
+    twist = Mat.block_diag(a.twist, A)
+    return Algebra3(n + m, bracket, twist,
                     label=f"{a.label}|x|V" if a.label else "semidirect")
 
 

@@ -11,7 +11,9 @@ from .homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, _identity, _pairing,
     check_algebra, is_derivation,
 )
-from .reps import Rep3, coadjoint_family, dual_representation, semidirect_sum
+from .reps import (
+    Rep3, _coadjoint_tensor, _semidirect, dual_representation, semidirect_sum,
+)
 from .bialgebra import BilForm, standard_form
 from .prelie import PreLie3, check_prelie, left_multiplication, subadjacent_tensor
 
@@ -330,8 +332,7 @@ def nilpotent_extension(a: Algebra3, steps: int) -> tuple:
     ext = _truncated_extension(a, steps)
     D = Mat.diag([p for p in range(1, deg + 1) for _ in range(n)])
 
-    coad = Rep3(ext, N, coadjoint_family(ext), ext.twist.transpose())
-    double = semidirect_sum(ext, coad, check=False)
+    double = _semidirect(ext, _coadjoint_tensor(ext), ext.twist.transpose())
     double = Algebra3(double.dim, double.bracket, double.twist,
                       label="nilpotent-double")
     metric = standard_form(N)

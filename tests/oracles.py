@@ -20,6 +20,12 @@ routine of ``homlie3.exactlin`` replaced, with the kernel, solve, inverse
 and rank routines built on it, and ``derivation_system_dense`` the dense
 derivation system. The sparse routines must return the same canonical
 kernel bases, particular solutions and inverses.
+
+``skew_check_dense`` is the skewness scan over every basis triple that the
+sweep over nonzero rows in ``homlie3.homlie`` replaced (same reports byte
+for byte), and ``semidirect_sum_dense`` the semidirect sum read from a
+representation's dense operator family, which ``homlie3.reps`` now builds
+from its action tensor (same bracket and twist).
 """
 from typing import Mapping, Optional
 
@@ -1262,3 +1268,59 @@ def derivation_space_dense(a: Algebra3, form: Optional[Mat] = None) -> tuple:
     n = a.dim
     basis = kernel_basis_dense(derivation_system_dense(a, form))
     return tuple(Mat([list(v[p * n:(p + 1) * n]) for p in range(n)]) for v in basis)
+
+
+def skew_check_dense(a: Algebra3) -> CheckReport:
+    """Total skewness, scanning every basis triple in lex order."""
+    n, c = a.dim, a.bracket
+    checked = 0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                checked += 1
+                row = c.row(i, j, k)
+                if len({i, j, k}) < 3:
+                    if row:
+                        l = min(row)
+                        return CheckReport(False, checked, Witness(
+                            "skew", (i, j, k, l), (row[l],), (ZERO,)))
+                    continue
+                srt = tuple(sorted((i, j, k)))
+                t = (i, j, k)
+                inversions = sum(1 for p in range(3) for q in range(p + 1, 3)
+                                 if t[p] > t[q])
+                sign = -1 if inversions % 2 else 1
+                canon = c.row(*srt)
+                for l in sorted(set(row) | set(canon)):
+                    lhs = row.get(l, ZERO)
+                    rhs = sign * canon.get(l, ZERO)
+                    if lhs != rhs:
+                        return CheckReport(False, checked, Witness(
+                            "skew", (i, j, k, l), (lhs,), (rhs,)))
+    return CheckReport(True, checked)
+
+
+def semidirect_sum_dense(a: Algebra3, r: Rep3) -> Algebra3:
+    """The semidirect sum L + V of a representation, read from its dense
+    family of operators (no representation check)."""
+    n, m = a.dim, r.vdim
+    N = n + m
+    entries = []
+    for i, j, k, l, v in a.bracket.items():
+        entries.append((i, j, k, l, v))
+    for i in range(n):
+        for j in range(n):
+            mat = r.rho[i][j]
+            for p in range(m):
+                for q in range(m):
+                    v = mat.entries[p][q]
+                    if not v:
+                        continue
+                    # rho(e_i, e_j) f_q = sum_p v f_p, placed per slot of f_q
+                    entries.append((i, j, n + q, n + p, v))
+                    entries.append((n + q, i, j, n + p, v))
+                    entries.append((j, n + q, i, n + p, v))
+    bracket = Tensor4.from_entries((N,) * 4, entries)
+    twist = Mat.block_diag(a.twist, r.A)
+    return Algebra3(N, bracket, twist,
+                    label=f"{a.label}|x|V" if a.label else "semidirect")

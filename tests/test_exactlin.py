@@ -305,6 +305,54 @@ def test_add_sub_neg(pair):
     assert a - a == Mat.zeros(*a.shape)
 
 
+def matmul_cases(rng) -> list:
+    """Seeded (a, b) pairs of rectangular shapes up to 12x12, dense and
+    sparse, with zero rows of a and zero columns of b, and one product
+    entry made to cancel to zero from nonzero terms."""
+    cases = []
+    for _ in range(60):
+        r, k, c = (rng.randint(1, 12) for _ in range(3))
+        density = rng.choice((0.1, 0.3, 1.0))
+        draw = lambda: (F(rng.randint(-4, 4), rng.randint(1, 3))
+                        if rng.random() < density else F(0))
+        a = [[draw() for _ in range(k)] for _ in range(r)]
+        b = [[draw() for _ in range(c)] for _ in range(k)]
+        a[rng.randrange(r)] = [F(0)] * k
+        zero_col = rng.randrange(c)
+        for row in b:
+            row[zero_col] = F(0)
+        i, j = rng.randrange(r), rng.randrange(c)
+        site = None
+        if k >= 2 and j != zero_col:
+            # a[i] . b[:, j] = 0 with two or more nonzero terms
+            p, q = rng.sample(range(k), 2)
+            a[i] = [F(0)] * k
+            a[i][p], a[i][q] = F(rng.randint(1, 4)), F(rng.randint(1, 4), 3)
+            b[p][j] = F(rng.randint(1, 4), 2)
+            b[q][j] = -a[i][p] * b[p][j] / a[i][q]
+            site = (i, j)
+        cases.append((Mat(a), Mat(b), site))
+    return cases
+
+
+def test_matmul_matches_sympy():
+    cancelled = 0
+    for a, b, site in matmul_cases(random.Random(1212)):
+        prod = a @ b
+        expect = to_sympy(a) * to_sympy(b)
+        assert prod.shape == expect.shape
+        assert prod.entries == tuple(
+            tuple(F(int(v.p), int(v.q)) for v in expect.row(i))
+            for i in range(expect.rows))
+        assert all(type(v) is F for row in prod.entries for v in row)
+        if site is not None:
+            assert prod[site[0]][site[1]] == 0
+            cancelled += 1
+    assert cancelled >= 20
+    with pytest.raises(InputError, match="matmul shape mismatch"):
+        Mat.identity(3) @ Mat.zeros(2, 3)
+
+
 def test_block_diag_shapes_and_content():
     a = Mat([[F(1), F(2)], [F(3), F(4)]])
     b = Mat([[F(5)]])

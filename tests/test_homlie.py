@@ -1,18 +1,23 @@
 """Algebra checker, twist constructions, and derivation spaces."""
+import glob
+import os
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 import sympy
 
-from homlie3 import (Algebra3, InputError, Mat, check_algebra,
-                     composition_twist, derivation_space, is_derivation,
-                     yau_twist)
-from homlie3.homlie import derivation_system, is_bracket_morphism
+from homlie3 import (Algebra3, InputError, Mat, Tensor4, check_algebra,
+                     composition_twist, derivation_space, fileio,
+                     is_derivation, nilpotent_extension, yau_twist)
+from homlie3.cli import report_doc
+from homlie3.homlie import _skew_check, derivation_system, is_bracket_morphism
 from homlie3.symplectic import _truncated_extension
 
-from conftest import (N4_DIAG, N4_NEG, corrupted_n4, graded_twist, n4,
-                      random_nilpotent)
+from conftest import (N4_DIAG, N4_NEG, a4, a4_cayley, corrupted_n4,
+                      graded_twist, n4, nilp5, random_nilpotent)
+from oracles import skew_check_dense
 
 F = Fraction
 
@@ -33,6 +38,71 @@ def test_corrupted_n4_fails_with_lex_first_witness():
     # first basis triple in lexicographic order whose row disagrees with
     # the sign-completed canonical row
     assert w.at == (0, 2, 1, 3)
+
+
+def _plus(a, extra, label):
+    """a with the entries (i, j, k, l, d) added to its bracket."""
+    t = Tensor4.from_entries(a.bracket.dims, [*a.bracket.items(), *extra])
+    return Algebra3(a.dim, t, a.twist, label)
+
+
+def skew_mutants(a, rng):
+    """Seeded single-site mutants of a skew algebra, one of each kind."""
+    n, c, deltas = a.dim, a.bracket, (F(1), F(-1), F(2), F(1, 2))
+    rows = sorted(t for t, _ in c.rows())
+    i, j = rng.sample(range(n), 2)
+    site = rng.choice([(i, i, j), (i, j, i), (j, i, i), (i, i, i)])
+    out = [("repeated", [(*site, rng.randrange(n), rng.choice(deltas))])]
+    # one entry of one permutation of a nonzero row, changed or erased
+    t = rng.choice(rows)
+    l = rng.choice(sorted(c.row(*t)))
+    p = rng.choice(list(permutations(t)))
+    out.append(("permuted", [(*p, l, rng.choice(deltas + (-c.get(*p, l),)))]))
+    # a row at an unsorted permutation of a triple whose rows are all zero
+    free = [t for t in combinations(range(n), 3)
+            if not any(c.row(*q) for q in permutations(t))]
+    if free:
+        p = rng.choice(list(permutations(rng.choice(free)))[1:])
+        out.append(("unsorted", [(*p, rng.randrange(n), rng.choice(deltas))]))
+    # a mismatch past the first output index of a nonzero row
+    early = [t for t in rows if min(c.row(*t)) < n - 1]
+    if early:
+        t = rng.choice(early)
+        l = rng.randrange(min(c.row(*t)) + 1, n)
+        p = rng.choice(list(permutations(t)))
+        out.append(("later_l", [(*p, l, rng.choice(deltas))]))
+    return [(kind, _plus(a, extra, f"{a.label}~{kind}{extra}"))
+            for kind, extra in out]
+
+
+def test_skew_sweep_matches_dense_oracle():
+    """The sweep over nonzero rows gives the dense scan's report byte for
+    byte: on every fixture algebra, on seeded mutants of each kind that
+    breaks skewness, and on the dim-24 extension and dim-48 double."""
+    corpus = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__),
+                                              "fixtures", "*.alg"))):
+        try:
+            corpus.append(fileio.load_algebra(path))
+        except InputError:
+            continue  # the deliberately broken fixtures
+    corpus += [n4(), n4(N4_DIAG), a4(), a4_cayley(), nilp5(), corrupted_n4()]
+    rng = random.Random(909)
+    kinds, late = set(), False
+    for base in (n4(), a4(), a4_cayley(), nilp5(), _truncated_extension(n4(), 5)):
+        for _ in range(4):
+            for kind, mutant in skew_mutants(base, rng):
+                old = skew_check_dense(mutant)
+                assert not old.passed, mutant.label
+                kinds.add(kind)
+                late = late or old.checked > mutant.dim ** 3 // 2
+                corpus.append(mutant)
+    assert kinds == {"repeated", "permuted", "unsorted", "later_l"} and late
+    corpus += [_truncated_extension(n4(), 7), nilpotent_extension(n4(), 7)[0].double]
+    dump = lambda r: fileio.dumps(report_doc(r))
+    for a in corpus:
+        assert dump(_skew_check(a)) == dump(skew_check_dense(a)), a.label
+    assert all(_skew_check(a).passed for a in corpus[-2:])
 
 
 def test_abelian_passes():

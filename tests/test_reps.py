@@ -1,19 +1,20 @@
 """Representations, duals, coadjoint actions, and semidirect sums."""
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from homlie3 import (Algebra3, Mat, PreconditionError, Rep3, adjoint_rep,
-                     check_algebra, check_representation, coadjoint_rep,
-                     dual_representation, fileio, rep_from_upper,
-                     semidirect_sum)
+from homlie3 import (Algebra3, InputError, Mat, PreconditionError, Rep3,
+                     adjoint_rep, check_algebra, check_representation,
+                     coadjoint_rep, dual_representation, fileio,
+                     rep_from_upper, semidirect_sum)
 from homlie3.cli import report_doc
 from homlie3.reps import base_projection
 
 from conftest import (N4_DIAG, N4_NEG, a4, a4_cayley, n4, random_nilpotent,
                       rank1_rep, skew_tensor)
-from oracles import check_representation_dense
+from oracles import check_representation_dense, semidirect_sum_dense
 
 F = Fraction
 
@@ -107,6 +108,50 @@ def test_semidirect_rejects_invalid_rep(rng):
 def test_rep_shape_validation():
     with pytest.raises(Exception):
         Rep3(n4(), 3, ((Mat.identity(2),) * 4,) * 4, Mat.identity(3))
+
+
+def test_rep_skew_validation_names_the_first_pair():
+    """The first pair (i, j) in row-major order at which rho(i, j) is not
+    -rho(j, i) or has the wrong shape is named."""
+    rho = adjoint_rep(a4()).rho
+    unit = Mat([[F(int(p == 1 and q == 2)) for q in range(4)] for p in range(4)])
+
+    def family(changes):
+        fam = [list(row) for row in rho]
+        for (i, j), m in changes.items():
+            fam[i][j] = m
+        return tuple(map(tuple, fam))
+
+    def message(changes):
+        with pytest.raises(InputError) as err:
+            Rep3(a4(), 4, family(changes), Mat.identity(4))
+        return str(err.value)
+
+    # only rho(3, 1) changes: (1, 3) is the first pair that sees it
+    assert message({(3, 1): rho[3][1] + unit}) == "rho not skew at (1,3)"
+    assert message({(3, 1): rho[3][1] + unit, (2, 2): unit}) == \
+        "rho not skew at (1,3)"
+    assert message({(2, 2): unit}) == "rho not skew at (2,2)"
+    # a wrong shape below the diagonal makes the pair above it not skew
+    assert message({(2, 0): Mat.identity(3)}) == "rho not skew at (0,2)"
+    assert message({(0, 2): Mat.identity(3)}) == "rho(0,2) shape (3, 3)"
+    Rep3(a4(), 4, family({(1, 3): rho[1][3] + unit, (3, 1): rho[3][1] - unit}),
+         Mat.identity(4))
+
+
+def test_semidirect_sum_matches_dense_oracle():
+    """semidirect_sum, built from the action tensor, equals the sum read
+    from the dense operator family, in bracket, twist and label."""
+    reps = [build(base) for base in (n4(), a4(), a4_cayley())
+            for build in (adjoint_rep, coadjoint_rep)]
+    reps.append(fileio.load_rep(os.path.join(os.path.dirname(__file__),
+                                             "fixtures", "coadjoint.rep")))
+    for r in reps:
+        new = semidirect_sum(r.base, r, check=False)
+        old = semidirect_sum_dense(r.base, r)
+        assert (new.bracket, new.twist, new.label) == \
+            (old.bracket, old.twist, old.label)
+        assert not new.bracket.is_zero()
 
 
 def _mutant(rep, i, j, p, q, d):

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from homlie3 import (Algebra3, BilForm, Mat, PreconditionError, fileio,
+from homlie3 import (Algebra3, BilForm, Mat, PreconditionError, Rep3, fileio,
                      canonical_phase_form, check_algebra, check_metric,
                      check_phase_space, check_prelie, check_symplectic,
                      compatible_prelie_from_symplectic,
                      derivation_from_symplectic, nilpotent_extension,
                      phase_space_from_prelie, prelie_from_phase_space,
-                     subadjacent, symplectic_from_derivation)
+                     semidirect_sum, subadjacent, symplectic_from_derivation)
 from homlie3.cli import report_doc
+from homlie3.reps import coadjoint_family
 from homlie3.symplectic import is_metric_derivation
 from homlie3.prelie import subadjacent_tensor
 
@@ -109,6 +110,20 @@ def test_nilpotent_extension_bundles():
             assert rep.part(name).passed, (steps, name)
         assert bundle.extension.dim == 4 * (steps - 1)
         assert bundle.double.dim == 8 * (steps - 1)
+
+
+def test_nilpotent_double_equals_coadjoint_semidirect_sum():
+    """The double built from the coadjoint action tensor is the semidirect
+    sum of the extension with its coadjoint Rep3, in bracket and twist."""
+    for base in (n4(), n4(N4_DIAG)):
+        for steps in (2, 3, 4):
+            bundle, _ = nilpotent_extension(base, steps)
+            ext = bundle.extension
+            coad = Rep3(ext, ext.dim, coadjoint_family(ext),
+                        ext.twist.transpose())
+            old = semidirect_sum(ext, coad, check=False)
+            assert bundle.double.bracket == old.bracket, (base.label, steps)
+            assert bundle.double.twist == old.twist, (base.label, steps)
 
 
 def test_nilpotent_bundle_reports_its_precondition_checks():
