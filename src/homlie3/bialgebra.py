@@ -9,6 +9,7 @@ dual space has matrix transpose(alpha); coadjoint actions are defined by
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Sequence
 
 from .exactlin import InputError, Mat, ONE, Tensor4, ZERO
@@ -16,7 +17,10 @@ from .homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, _by_output, _identity,
     _pairing, _permuted, _skew_check, _slot_outer, check_algebra, twist_slots,
 )
-from .reps import Rep3, _action_tensor, check_representation, coadjoint_family
+from .reps import (
+    Rep3, _action_tensor, _coadjoint_tensor, _placed, check_representation,
+    coadjoint_family,
+)
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ def check_matched_pair(m: MatchedPairData) -> CheckReport:
             raise PreconditionError(f"{name} fails the representation axioms",
                                     witness=r.witness)
     n, p = m.left.dim, m.right.dim
-    rho, mu = _action_tensor(m.rho), _action_tensor(m.mu)
+    rho, mu = _action_tensor(m.rho.rho), _action_tensor(m.mu.rho)
     eqs = (_matched_side(m.left.bracket, m.left.twist, mu, m.right.twist, rho)
            + _matched_side(m.right.bracket, m.right.twist, rho, m.left.twist,
                            mu))
@@ -157,7 +161,7 @@ def check_matched_pair(m: MatchedPairData) -> CheckReport:
     eq_witness = next((r.witness for _, r in parts if not r.passed), None)
     total_checked = sum(r.checked for _, r in parts)
 
-    assembled = assemble_matched_pair(m, checked=False)
+    assembled = _matched_sum(m.left, m.right, rho, mu)
     alg_report = check_algebra(assembled)
     parts.append(("assembled_algebra", alg_report))
     agree = eqs_passed == alg_report.passed
@@ -174,35 +178,21 @@ def assemble_matched_pair(m: MatchedPairData, checked: bool = True) -> Algebra3:
         rep = check_matched_pair(m)
         if not rep.passed:
             raise PreconditionError("not a matched pair", witness=rep.witness)
-    n, p = m.left.dim, m.right.dim
-    N = n + p
-    rho, mu = m.rho.rho, m.mu.rho
-    entries = list(m.left.bracket.items())
-    for i, j, k, l, v in m.right.bracket.items():
-        entries.append((n + i, n + j, n + k, n + l, v))
-    for i in range(n):
-        for j in range(n):
-            mat = rho[i][j]
-            for a in range(p):
-                for b in range(p):
-                    v = mat.entries[a][b]
-                    if v:
-                        entries.append((i, j, n + b, n + a, v))
-                        entries.append((n + b, i, j, n + a, v))
-                        entries.append((j, n + b, i, n + a, v))
-    for i in range(p):
-        for j in range(p):
-            mat = mu[i][j]
-            for a in range(n):
-                for b in range(n):
-                    v = mat.entries[a][b]
-                    if v:
-                        entries.append((n + i, n + j, b, a, v))
-                        entries.append((b, n + i, n + j, a, v))
-                        entries.append((n + j, b, n + i, a, v))
-    bracket = Tensor4.from_entries((N,) * 4, entries)
-    twist = Mat.block_diag(m.left.twist, m.right.twist)
-    return Algebra3(N, bracket, twist, label="matched-pair-sum")
+    return _matched_sum(m.left, m.right, _action_tensor(m.rho.rho),
+                        _action_tensor(m.mu.rho))
+
+
+def _matched_sum(left: Algebra3, right: Algebra3, rho: Tensor4,
+                 mu: Tensor4) -> Algebra3:
+    """The bracket on L + L' of two brackets and the action tensors of L on
+    L' (rho) and of L' on L (mu), twist alpha (+) alpha'."""
+    n, N = left.dim, left.dim + right.dim
+    shifted = ((n + i, n + j, n + k, n + l, v)
+               for i, j, k, l, v in right.bracket.items())
+    bracket = Tensor4.from_entries((N,) * 4, chain(
+        left.bracket.items(), shifted, _placed(rho, 0, n), _placed(mu, n, 0)))
+    return Algebra3(N, bracket, Mat.block_diag(left.twist, right.twist),
+                    label="matched-pair-sum")
 
 
 def check_invariance(a: Algebra3, form: BilForm) -> CheckReport:
@@ -231,12 +221,13 @@ def manin_bracket(c: Cobracket) -> tuple:
     The report carries the algebra verdict, invariance of the natural
     symmetric form, isotropy of both factors, and the projection conditions.
     """
-    skew = _skew_check(dual_algebra(c))
+    dual = dual_algebra(c)
+    skew = _skew_check(dual)
     if not skew.passed:
         raise PreconditionError("induced dual bracket is not skew",
                                 witness=skew.witness)
-    m = standard_manin_reps(c)
-    total = assemble_matched_pair(m, checked=False)
+    total = _matched_sum(c.base, dual, _coadjoint_tensor(c.base),
+                         _coadjoint_tensor(dual))
     n = c.base.dim
     parts = [("algebra", check_algebra(total)),
              ("invariance", check_invariance(total, standard_form(n)))]

@@ -98,6 +98,7 @@ def _index(v, where: str, n: int) -> int:
 
 def _skew_rows_to_tensor(rows, where: str, n: int) -> Tensor4:
     entries = []
+    seen = set()
     for rnum, row in enumerate(rows, 1):
         loc = f"{where}[{rnum}]"
         if not isinstance(row, list) or len(row) != 5:
@@ -108,6 +109,9 @@ def _skew_rows_to_tensor(rows, where: str, n: int) -> Tensor4:
             raise InputError(f"{loc}: repeated index among ({row[0]},{row[1]},{row[2]})")
         if not i < j < k:
             raise InputError(f"{loc}: indices must be strictly increasing")
+        if (i, j, k, l) in seen:
+            raise InputError(f"{loc}: duplicate row {tuple(row[:4])}")
+        seen.add((i, j, k, l))
         v = _parse_rat(row[4], loc)
         src = (i, j, k)
         for perm, sign in _PERMS3:
@@ -123,15 +127,8 @@ def algebra_from_doc(doc: dict, path: Optional[str] = None,
                      max_dim: Optional[int] = None) -> Algebra3:
     n = _parse_dim(doc, path, max_dim)
     _parse_basis(doc, path, n)
-    rows = _need_rows(doc, "bracket", path)
-    seen = set()
-    for rnum, row in enumerate(rows, 1):
-        if isinstance(row, list) and len(row) == 5:
-            key = tuple(row[:4])
-            if key in seen:
-                raise InputError(f"{_ctx(path, 'bracket')}[{rnum}]: duplicate row {key}")
-            seen.add(key)
-    bracket = _skew_rows_to_tensor(rows, _ctx(path, "bracket"), n)
+    bracket = _skew_rows_to_tensor(_need_rows(doc, "bracket", path),
+                                   _ctx(path, "bracket"), n)
     twist = _parse_matrix(_need(doc, "twist", path), _ctx(path, "twist"), n, n)
     return Algebra3(n, bracket, twist, label=doc.get("label", ""))
 

@@ -10,23 +10,24 @@ for all x, y, u, v, w.  Every check is exhaustive and exact, and reports
 the lexicographically first violation.
 
 Every multilinear identity in the package (Hom-Jacobi, derivations, the
-pre-Lie and matched-pair identities, O-operator transport, invariance of
-forms, the closed-form and cocycle identities, the double-construction
-equations (2.10)-(2.12), the ternary classical Yang-Baxter tensor [[r,r,r]],
-the dual-bracket formula of a coboundary cobracket and the residual
-identity) is a signed sum of terms, each composing one bracket-like tensor
-into one slot of another, with twists in the other slots. They are all
-evaluated by one sparse residual engine, ``_residual``: a term is (sign,
-inner, outer, order), where ``inner`` maps an input tuple to a sparse vector
-{m: f} (the rows of a bracket, a cobracket or a representation's action, or
-the columns of a matrix) and ``outer`` maps m to [(others, vec)] (built by
-``_slot_outer`` from twist_slots, by ``_by_output`` from a tensor, or from a
-matrix). Only nonzero structure constants are visited, and a key absent
-from the residual has residual zero, so the verdict is exhaustive without
-enumerating basis tuples. ``_identity`` turns the residual into a report
-whose witness is its lex-first key, with ``checked`` the witness's lex
-position, as for a loop that stops at its first failure. The coboundary
-cobracket and [[r,r,r]] themselves are residuals of such sums.
+pre-Lie, pre-Lie representation and matched-pair identities, O-operator
+transport, invariance of forms, the closed-form and cocycle identities, the
+double-construction equations (2.10)-(2.12), the ternary classical
+Yang-Baxter tensor [[r,r,r]], the dual-bracket formula of a coboundary
+cobracket and the residual identity) is a signed sum of terms, each
+composing one bracket-like tensor into one slot of another, with twists in
+the other slots. They are all evaluated by one sparse residual engine,
+``_residual``: a term is (sign, inner, outer, order), where ``inner`` maps
+an input tuple to a sparse vector {m: f} (the rows of a bracket, a cobracket
+or a representation's action, or the columns of a matrix) and ``outer`` maps
+m to [(others, vec)] (built by ``_slot_outer`` from twist_slots, by
+``_by_output`` from a tensor, or from a matrix). Only nonzero structure
+constants are visited, and a key absent from the residual has residual zero,
+so the verdict is exhaustive without enumerating basis tuples. ``_identity``
+turns the residual into a report whose witness is its lex-first key, with
+``checked`` the witness's lex position, as for a loop that stops at its
+first failure. The coboundary cobracket and [[r,r,r]] themselves are
+residuals of such sums.
 """
 from __future__ import annotations
 
@@ -264,9 +265,9 @@ def _pairing(m: Mat) -> dict:
             for l, row in enumerate(m.entries)}
 
 
-def _hom_jacobi_check(a: Algebra3) -> CheckReport:
+def _hom_jacobi_check(a: Algebra3, t12: dict) -> CheckReport:
+    """t12 is _slot_outer(bracket, 2, {0: twist, 1: twist})."""
     c, A = dict(a.bracket.rows()), a.twist
-    t12 = _slot_outer(a.bracket, 2, {0: A, 1: A})
     # [a(x),a(y),[u,v,w]] - [[x,y,u],a(v),a(w)] - [a(u),[x,y,v],a(w)]
     #   - [a(u),a(v),[x,y,w]] at key (x, y, u, v, w)
     terms = [(1, c, t12, (3, 4, 0, 1, 2)),
@@ -277,11 +278,12 @@ def _hom_jacobi_check(a: Algebra3) -> CheckReport:
                      nominal=True)
 
 
-def _morphism_check(a: Algebra3, phi: Mat, name: str) -> CheckReport:
-    """phi([x,y,z]) = [phi x, phi y, phi z] on all basis triples."""
+def _morphism_check(a: Algebra3, phi: Mat, name: str,
+                    t12: dict) -> CheckReport:
+    """phi([x,y,z]) = [phi x, phi y, phi z] on all basis triples; t12 is
+    _slot_outer(bracket, 2, {0: phi, 1: phi})."""
     terms = [(1, dict(a.bracket.rows()), _image(phi), (0, 1, 2)),
-             (-1, _columns(phi), _slot_outer(a.bracket, 2, {0: phi, 1: phi}),
-              (1, 2, 0))]
+             (-1, _columns(phi), t12, (1, 2, 0))]
     return _identity(name, terms, (a.dim,) * 3, a.dim, lhs=1)
 
 
@@ -300,11 +302,14 @@ def check_algebra(a: Algebra3, skew: bool = True, hom_jacobi: bool = True,
         parts.append(("skew", r))
         if not r.passed:
             return CheckReport.combine(parts)
+    # [a(x), a(y), z] grouped by z, shared by both checks
+    A = a.twist
+    t12 = _slot_outer(a.bracket, 2, {0: A, 1: A})
     if hom_jacobi:
-        parts.append(("hom_jacobi", _hom_jacobi_check(a)))
+        parts.append(("hom_jacobi", _hom_jacobi_check(a, t12)))
     if multiplicative:
         parts.append(("multiplicative",
-                      _morphism_check(a, a.twist, "multiplicative")))
+                      _morphism_check(a, A, "multiplicative", t12)))
     if regular:
         parts.append(("regular", _regular_check(a)))
     return CheckReport.combine(parts)
@@ -314,7 +319,8 @@ def is_bracket_morphism(a: Algebra3, phi: Mat) -> Optional[Witness]:
     """None when phi([x,y,z]) = [phi x, phi y, phi z] on all basis triples."""
     if phi.shape != (a.dim, a.dim):
         raise InputError(f"morphism shape {phi.shape} for dim {a.dim}")
-    return _morphism_check(a, phi, "morphism").witness
+    return _morphism_check(a, phi, "morphism", _slot_outer(
+        a.bracket, 2, {0: phi, 1: phi})).witness
 
 
 def yau_twist(a: Algebra3, morph: Mat) -> Algebra3:

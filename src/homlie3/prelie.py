@@ -12,9 +12,11 @@ from dataclasses import dataclass
 from .exactlin import InputError, Mat, Tensor4, ZERO, mat_inverse
 from .homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, _columns, _identity,
-    _image, _permuted, _slot_outer, twist_slots,
+    _image, _permuted, _residual, _slot_outer, twist_slots,
 )
-from .reps import Rep3, _action_tensor, _rep_family, check_representation
+from .reps import (
+    Rep3, _action_tensor, _check_family, _rep_family, check_representation,
+)
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,8 @@ class PreLieRep:
 
     def __post_init__(self):
         n, m = self.base.dim, self.vdim
-        for fam, skew in ((self.rho, True), (self.mu, False)):
-            if len(fam) != n or any(len(r) != n for r in fam):
-                raise InputError("operator family must be dim x dim")
-            for i in range(n):
-                for j in range(n):
-                    if fam[i][j].shape != (m, m):
-                        raise InputError("operator shape mismatch")
-                    if skew and fam[i][j] != -fam[j][i]:
-                        raise InputError(f"rho not skew at ({i},{j})")
+        _check_family(self.rho, n, m, "rho")
+        _check_family(self.mu, n, m, "mu", skew=False)
         if self.B.shape != (m, m):
             raise InputError(f"carrier twist shape {self.B.shape}")
 
@@ -180,7 +175,7 @@ def check_o_operator(o: OOperator) -> CheckReport:
 
 def _acted(o: OOperator) -> dict:
     """{(u, v, w): rho(Tu, Tv)w} on the carrier basis."""
-    return twist_slots(_action_tensor(o.rep), {0: o.T, 1: o.T})
+    return twist_slots(_action_tensor(o.rep.rho), {0: o.T, 1: o.T})
 
 
 def induced_prelie_on_module(o: OOperator) -> PreLie3:
@@ -209,15 +204,10 @@ def compatible_prelie(a: Algebra3, o: OOperator) -> PreLie3:
     if not rep.passed:
         raise PreconditionError("not an O-operator", witness=rep.witness)
     n = a.dim
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            m = o.T @ o.rep.rho[i][j] @ tinv
-            for k in range(n):
-                for l in range(n):
-                    if m.entries[l][k]:
-                        entries.append((i, j, k, l, m.entries[l][k]))
-    p = PreLie3(n, Tensor4.from_entries((n,) * 4, entries), a.twist,
+    # T rho(x, y) T^{-1} z at key (x, y, z)
+    rows = _residual([(1, twist_slots(_action_tensor(o.rep.rho), {2: tinv}),
+                       _image(o.T), (0, 1, 2))])
+    p = PreLie3(n, Tensor4((n,) * 4, rows), a.twist,
                 label=f"{a.label}~prelie" if a.label else "compatible")
     if subadjacent_tensor(p.product) != a.bracket:
         raise PreconditionError("sub-adjacent bracket does not recover the input")
@@ -244,113 +234,95 @@ def semidirect_prelie(r: PreLieRep) -> PreLie3:
     """{x1+v1, x2+v2, x3+v3} = {x1,x2,x3} + rho(x1,x2)v3 + mu(x2,x3)v1
     - mu(x1,x3)v2, twist = alpha (+) B."""
     p = r.base
-    n, m = p.dim, r.vdim
-    N = n + m
+    n, N = p.dim, p.dim + r.vdim
     entries = list(p.product.items())
-    for i in range(n):
-        for j in range(n):
-            rm = r.rho[i][j]
-            mm = r.mu[i][j]
-            for a in range(m):
-                for b in range(m):
-                    v = rm.entries[a][b]
-                    if v:
-                        entries.append((i, j, n + b, n + a, v))
-                    v = mm.entries[a][b]
-                    if v:
-                        # mu(x2,x3)v1 with (x2,x3) = (e_i,e_j)
-                        entries.append((n + b, i, j, n + a, v))
-                        # -mu(x1,x3)v2 with (x1,x3) = (e_i,e_j)
-                        entries.append((i, n + b, j, n + a, -v))
+    for i, j, b, a, v in _action_tensor(r.rho).items():
+        entries.append((i, j, n + b, n + a, v))
+    for i, j, b, a, v in _action_tensor(r.mu).items():
+        # mu(x2,x3)v1 and -mu(x1,x3)v2 with (e_i, e_j) in the named slots
+        entries += [(n + b, i, j, n + a, v), (i, n + b, j, n + a, -v)]
     return PreLie3(N, Tensor4.from_entries((N,) * 4, entries),
                    Mat.block_diag(p.twist, r.B), label="semidirect-prelie")
 
 
-def _literal_prelie_rep_check(r: PreLieRep) -> CheckReport:
-    """Literal reading of the four printed representation identities.
+def _prelie_rep_equations(r: PreLieRep) -> tuple:
+    """Term lists of the four printed representation identities, keyed
+    (x1, x2, x3, x4, v): each is the operator identity applied to the
+    carrier basis vector v, its left side first.
 
-    The printed equations carry typesetting damage; this applies the minimal
+    The printed equations carry typesetting damage; these apply the minimal
     repair (a '+' joining the broken terms in the first equation, and the
     left side of the third read with x2 in its first argument).  They also
     carry no twist maps, so this literal route is only meaningful for
     identity twists; the operational route is authoritative.
     """
-    p = r.base
-    n = p.dim
-    t = p.product
-    cc = subadjacent_tensor(t)
-    rho, mu = r.rho, r.mu
+    t = r.base.product
+    rho, mu = _action_tensor(r.rho), _action_tensor(r.mu)
+    R, M = dict(rho.rows()), dict(mu.rows())
+    prod, cyc = dict(t.rows()), dict(subadjacent_tensor(t).rows())
+    # rho(a, b) or mu(a, b) after the inner operator: keyed by its input v
+    rho_after, mu_after = _slot_outer(rho, 2, {}), _slot_outer(mu, 2, {})
+    # mu(bracket, x) and mu(x, bracket): keyed by the bracket's output
+    mu_0, mu_1 = _slot_outer(mu, 0, {}), _slot_outer(mu, 1, {})
+    return (
+        # rho(1,2)mu(3,4) = mu(3,4)rho(1,2) - mu(3,4)mu(2,1)
+        #   + mu(3,4)mu(1,2) + mu([1,2,3]_C,4) + mu(3,{1,2,4})
+        [(1, M, rho_after, (3, 4, 0, 1, 2)),
+         (-1, R, mu_after, (0, 1, 3, 4, 2)),
+         (1, M, mu_after, (1, 0, 3, 4, 2)),
+         (-1, M, mu_after, (0, 1, 3, 4, 2)),
+         (-1, cyc, mu_0, (0, 1, 2, 3, 4)),
+         (-1, prod, mu_1, (0, 1, 3, 2, 4))],
+        # mu([1,2,3]_C,4) = rho(1,2)mu(3,4) + rho(2,3)mu(1,4)
+        #   + rho(3,1)mu(2,4)
+        [(1, cyc, mu_0, (0, 1, 2, 3, 4)),
+         (-1, M, rho_after, (3, 4, 0, 1, 2)),
+         (-1, M, rho_after, (0, 3, 4, 1, 2)),
+         (-1, M, rho_after, (4, 0, 3, 1, 2))],
+        # mu(2,{1,3,4}) = mu(3,4)mu(1,2) + mu(3,4)rho(1,2) - mu(3,4)mu(2,1)
+        #   - mu(2,4)mu(1,3) - mu(2,4)rho(1,3) + mu(2,4)mu(3,1)
+        #   + rho(2,3)mu(1,4)
+        [(1, prod, mu_1, (0, 3, 1, 2, 4)),
+         (-1, M, mu_after, (0, 1, 3, 4, 2)),
+         (-1, R, mu_after, (0, 1, 3, 4, 2)),
+         (1, M, mu_after, (1, 0, 3, 4, 2)),
+         (1, M, mu_after, (0, 3, 1, 4, 2)),
+         (1, R, mu_after, (0, 3, 1, 4, 2)),
+         (-1, M, mu_after, (1, 3, 0, 4, 2)),
+         (-1, M, rho_after, (0, 3, 4, 1, 2))],
+        # mu(3,4)rho(1,2) = mu(3,4)mu(2,1) - mu(3,4)mu(1,2)
+        #   + rho(1,2)rho(3,4) - mu(2,{1,3,4}) + mu(1,{2,3,4})
+        [(1, R, mu_after, (0, 1, 3, 4, 2)),
+         (-1, M, mu_after, (1, 0, 3, 4, 2)),
+         (1, M, mu_after, (0, 1, 3, 4, 2)),
+         (-1, R, rho_after, (3, 4, 0, 1, 2)),
+         (1, prod, mu_1, (0, 3, 1, 2, 4)),
+         (-1, prod, mu_1, (3, 0, 1, 2, 4))],
+    )
 
-    def mu_bracket(tensor, i, j, k, x4) -> Mat:
-        acc = Mat.zeros(r.vdim, r.vdim)
-        for m, f in tensor.row(i, j, k).items():
-            acc = acc + mu[m][x4].scale(f)
-        return acc
 
-    def mu_second(tensor, x, i, j, k) -> Mat:
-        acc = Mat.zeros(r.vdim, r.vdim)
-        for m, f in tensor.row(i, j, k).items():
-            acc = acc + mu[x][m].scale(f)
-        return acc
-
-    checked = 0
-    witness = None
-    for x1 in range(n):
-        if witness:
-            break
-        for x2 in range(n):
-            if witness:
-                break
-            for x3 in range(n):
-                if witness:
-                    break
-                for x4 in range(n):
-                    checked += 4
-                    # (i) rho(1,2)mu(3,4) = mu(3,4)rho(1,2) - mu(3,4)mu(2,1)
-                    #     + mu(3,4)mu(1,2) + mu([1,2,3]_C,4) + mu(3,{1,2,4})
-                    lhs = rho[x1][x2] @ mu[x3][x4]
-                    rhs = (mu[x3][x4] @ rho[x1][x2]
-                           - mu[x3][x4] @ mu[x2][x1]
-                           + mu[x3][x4] @ mu[x1][x2]
-                           + mu_bracket(cc, x1, x2, x3, x4)
-                           + mu_second(t, x3, x1, x2, x4))
-                    if lhs != rhs:
-                        witness = Witness("prelie_rep_eq1", (x1, x2, x3, x4),
-                                          tuple(lhs.entries), tuple(rhs.entries))
-                        break
-                    # (ii) mu([1,2,3]_C,4) = rho(1,2)mu(3,4) + rho(2,3)mu(1,4)
-                    #      + rho(3,1)mu(2,4)
-                    lhs = mu_bracket(cc, x1, x2, x3, x4)
-                    rhs = (rho[x1][x2] @ mu[x3][x4] + rho[x2][x3] @ mu[x1][x4]
-                           + rho[x3][x1] @ mu[x2][x4])
-                    if lhs != rhs:
-                        witness = Witness("prelie_rep_eq2", (x1, x2, x3, x4),
-                                          tuple(lhs.entries), tuple(rhs.entries))
-                        break
-                    # (iii) mu(2,{1,3,4}) = mu(3,4)mu(1,2) + mu(3,4)rho(1,2)
-                    #       - mu(3,4)mu(2,1) - mu(2,4)mu(1,3) - mu(2,4)rho(1,3)
-                    #       + mu(2,4)mu(3,1) + rho(2,3)mu(1,4)
-                    lhs = mu_second(t, x2, x1, x3, x4)
-                    rhs = (mu[x3][x4] @ mu[x1][x2] + mu[x3][x4] @ rho[x1][x2]
-                           - mu[x3][x4] @ mu[x2][x1] - mu[x2][x4] @ mu[x1][x3]
-                           - mu[x2][x4] @ rho[x1][x3] + mu[x2][x4] @ mu[x3][x1]
-                           + rho[x2][x3] @ mu[x1][x4])
-                    if lhs != rhs:
-                        witness = Witness("prelie_rep_eq3", (x1, x2, x3, x4),
-                                          tuple(lhs.entries), tuple(rhs.entries))
-                        break
-                    # (iv) mu(3,4)rho(1,2) = mu(3,4)mu(2,1) - mu(3,4)mu(1,2)
-                    #      + rho(1,2)rho(3,4) - mu(2,{1,3,4}) + mu(1,{2,3,4})
-                    lhs = mu[x3][x4] @ rho[x1][x2]
-                    rhs = (mu[x3][x4] @ mu[x2][x1] - mu[x3][x4] @ mu[x1][x2]
-                           + rho[x1][x2] @ rho[x3][x4]
-                           - mu_second(t, x2, x1, x3, x4)
-                           + mu_second(t, x1, x2, x3, x4))
-                    if lhs != rhs:
-                        witness = Witness("prelie_rep_eq4", (x1, x2, x3, x4),
-                                          tuple(lhs.entries), tuple(rhs.entries))
-                        break
-    return CheckReport(witness is None, checked, witness)
+def _literal_prelie_rep_check(r: PreLieRep) -> CheckReport:
+    """The four printed identities (see _prelie_rep_equations), as a loop
+    over (x1, x2, x3, x4) in lex order that tries them in turn would report
+    them: the witness is the lex-first tuple where one fails, the first of
+    those that fail there, with its dense m x m sides, and ``checked`` is 4
+    per tuple up to it (4 n**4 on a pass)."""
+    n, m = r.base.dim, r.vdim
+    eqs = _prelie_rep_equations(r)
+    res = [_residual(terms) for terms in eqs]
+    fails = [(min(rk)[:4], k) for k, rk in enumerate(res) if rk]
+    if not fails:
+        return CheckReport(True, 4 * n ** 4)
+    at, k = min(fails)
+    first = _residual(eqs[k][:1])
+    left = tuple(tuple(first.get((*at, v), {}).get(l, ZERO) for v in range(m))
+                 for l in range(m))
+    right = tuple(tuple(x - res[k].get((*at, v), {}).get(l, ZERO)
+                        for v, x in enumerate(row))
+                  for l, row in enumerate(left))
+    x1, x2, x3, x4 = at
+    return CheckReport(False, 4 * (((x1 * n + x2) * n + x3) * n + x4 + 1),
+                       Witness(f"prelie_rep_eq{k + 1}", at, left, right))
 
 
 def check_prelie_rep(r: PreLieRep) -> CheckReport:

@@ -29,18 +29,24 @@ class Rep3:
     A: Mat
 
     def __post_init__(self):
-        n, m = self.base.dim, self.vdim
-        if len(self.rho) != n or any(len(r) != n for r in self.rho):
-            raise InputError("rho family must be dim x dim")
-        for i in range(n):
-            for j in range(n):
-                if self.rho[i][j].shape != (m, m):
-                    raise InputError(f"rho({i},{j}) shape {self.rho[i][j].shape}")
-                # the pair (i, j) with j >= i is met first in row-major order
-                if j >= i and not _negates(self.rho[i][j], self.rho[j][i]):
-                    raise InputError(f"rho not skew at ({i},{j})")
+        m = self.vdim
+        _check_family(self.rho, self.base.dim, m, "rho")
         if self.A.shape != (m, m):
             raise InputError(f"carrier twist shape {self.A.shape} for vdim {m}")
+
+
+def _check_family(fam, n: int, m: int, name: str, skew: bool = True) -> None:
+    """An n x n family of m x m operators, skew in (i, j) when ``skew``; the
+    first offending pair in row-major order is named."""
+    if len(fam) != n or any(len(r) != n for r in fam):
+        raise InputError(f"{name} family must be dim x dim")
+    for i in range(n):
+        for j in range(n):
+            if fam[i][j].shape != (m, m):
+                raise InputError(f"{name}({i},{j}) shape {fam[i][j].shape}")
+            # the pair (i, j) with j >= i is met first in row-major order
+            if skew and j >= i and not _negates(fam[i][j], fam[j][i]):
+                raise InputError(f"{name} not skew at ({i},{j})")
 
 
 def _negates(a: Mat, b: Mat) -> bool:
@@ -63,12 +69,13 @@ def rep_from_upper(base: Algebra3, vdim: int, upper: Mapping, A: Mat) -> Rep3:
     return Rep3(base, vdim, tuple(tuple(r) for r in fam), A)
 
 
-def _action_tensor(r: Rep3) -> Tensor4:
-    """rho as rows, (x, y, v) -> rho(x, y) v: a Tensor4 of dims (n, n, m, m)."""
-    n, m = r.base.dim, r.vdim
+def _action_tensor(fam) -> Tensor4:
+    """An n x n family of m x m operators rho(x, y) as rows,
+    (x, y, v) -> rho(x, y) v: a Tensor4 of dims (n, n, m, m)."""
+    n, m = len(fam), fam[0][0].rows
     return Tensor4.from_entries((n, n, m, m), (
         (i, j, q, p, v) for i in range(n) for j in range(n)
-        for p, row in enumerate(r.rho[i][j].entries)
+        for p, row in enumerate(fam[i][j].entries)
         for q, v in enumerate(row) if v))
 
 
@@ -226,22 +233,27 @@ def semidirect_sum(a: Algebra3, r: Rep3, check: bool = True) -> Algebra3:
         if not rep.passed:
             raise PreconditionError("representation fails its axioms",
                                     witness=rep.witness)
-    return _semidirect(a, _action_tensor(r), r.A)
+    return _semidirect(a, _action_tensor(r.rho), r.A)
 
 
 def _semidirect(a: Algebra3, act: Tensor4, A: Mat) -> Algebra3:
     """The semidirect bracket on L + V of an action tensor with rows
     (x, y, v) -> rho(x, y) v and carrier twist A (see semidirect_sum)."""
     n, m = a.dim, act.dims[2]
-    entries = list(a.bracket.items())
-    for i, j, q, p, v in act.items():
-        # rho(e_i, e_j) f_q = sum_p v f_p, placed per slot of f_q
-        entries += [(i, j, n + q, n + p, v), (n + q, i, j, n + p, v),
-                    (j, n + q, i, n + p, v)]
+    entries = [*a.bracket.items(), *_placed(act, 0, n)]
     bracket = Tensor4.from_entries((n + m,) * 4, entries)
     twist = Mat.block_diag(a.twist, A)
     return Algebra3(n + m, bracket, twist,
                     label=f"{a.label}|x|V" if a.label else "semidirect")
+
+
+def _placed(act: Tensor4, x0: int, v0: int):
+    """The entries of an action in a direct-sum bracket: rho(e_i, e_j) f_q =
+    sum_p v f_p goes into its three slots [e_i, e_j, f_q], [f_q, e_i, e_j]
+    and [e_j, f_q, e_i], with e offset by x0 and f by v0."""
+    for i, j, q, p, v in act.items():
+        i, j, q, p = i + x0, j + x0, q + v0, p + v0
+        yield from ((i, j, q, p, v), (q, i, j, p, v), (j, q, i, p, v))
 
 
 def base_projection(total: Algebra3, n: int) -> Tensor4:

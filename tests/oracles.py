@@ -26,6 +26,13 @@ sweep over nonzero rows in ``homlie3.homlie`` replaced (same reports byte
 for byte), and ``semidirect_sum_dense`` the semidirect sum read from a
 representation's dense operator family, which ``homlie3.reps`` now builds
 from its action tensor (same bracket and twist).
+
+``assemble_matched_pair_dense``, ``semidirect_prelie_dense`` and
+``compatible_prelie_dense`` place the entries of the dense operator
+families one by one, where ``homlie3.bialgebra`` and ``homlie3.prelie`` now
+read action tensors (same tensors), and ``literal_prelie_rep_check_loop``
+is the hand-written loop over the four printed pre-Lie representation
+identities that the residual engine replaced (same reports byte for byte).
 """
 from typing import Mapping, Optional
 
@@ -39,10 +46,11 @@ from homlie3.homlie import (
 )
 from homlie3.reps import Rep3, check_representation
 from homlie3.bialgebra import (
-    BilForm, Cobracket, MatchedPairData, assemble_matched_pair, dual_algebra,
+    BilForm, Cobracket, MatchedPairData, dual_algebra,
 )
 from homlie3.prelie import (
-    OOperator, PreLie3, _pair_skew_check, subadjacent_tensor,
+    OOperator, PreLie3, PreLieRep, _pair_skew_check, check_o_operator,
+    subadjacent_tensor,
 )
 from homlie3.yangbaxter import RTensor, alpha_invariance
 
@@ -607,7 +615,7 @@ def check_matched_pair_dense(m: MatchedPairData) -> CheckReport:
     eq_witness = next((r.witness for _, r in parts if not r.passed), None)
     total_checked = sum(r.checked for _, r in parts)
 
-    assembled = assemble_matched_pair(m, checked=False)
+    assembled = assemble_matched_pair_dense(m)
     alg_report = check_algebra(assembled)
     parts.append(("assembled_algebra", alg_report))
     agree = eqs_passed == alg_report.passed
@@ -1263,10 +1271,14 @@ def derivation_system_dense(a: Algebra3, form: Optional[Mat] = None) -> Mat:
     return Mat(rows)
 
 
-def derivation_space_dense(a: Algebra3, form: Optional[Mat] = None) -> tuple:
-    """Canonical basis of Der(L) (or Der_B(L) when B is given) as matrices."""
+def derivation_space_dense(a: Algebra3, form: Optional[Mat] = None,
+                           system: Optional[Mat] = None) -> tuple:
+    """Canonical basis of Der(L) (or Der_B(L) when B is given) as matrices,
+    from ``system`` when the derivation system is given."""
     n = a.dim
-    basis = kernel_basis_dense(derivation_system_dense(a, form))
+    if system is None:
+        system = derivation_system_dense(a, form)
+    basis = kernel_basis_dense(system)
     return tuple(Mat([list(v[p * n:(p + 1) * n]) for p in range(n)]) for v in basis)
 
 
@@ -1324,3 +1336,174 @@ def semidirect_sum_dense(a: Algebra3, r: Rep3) -> Algebra3:
     twist = Mat.block_diag(a.twist, r.A)
     return Algebra3(N, bracket, twist,
                     label=f"{a.label}|x|V" if a.label else "semidirect")
+
+
+def assemble_matched_pair_dense(m: MatchedPairData) -> Algebra3:
+    """The bracket on L + L' built from both brackets and both actions
+    (no matched-pair check)."""
+    n, p = m.left.dim, m.right.dim
+    N = n + p
+    rho, mu = m.rho.rho, m.mu.rho
+    entries = list(m.left.bracket.items())
+    for i, j, k, l, v in m.right.bracket.items():
+        entries.append((n + i, n + j, n + k, n + l, v))
+    for i in range(n):
+        for j in range(n):
+            mat = rho[i][j]
+            for a in range(p):
+                for b in range(p):
+                    v = mat.entries[a][b]
+                    if v:
+                        entries.append((i, j, n + b, n + a, v))
+                        entries.append((n + b, i, j, n + a, v))
+                        entries.append((j, n + b, i, n + a, v))
+    for i in range(p):
+        for j in range(p):
+            mat = mu[i][j]
+            for a in range(n):
+                for b in range(n):
+                    v = mat.entries[a][b]
+                    if v:
+                        entries.append((n + i, n + j, b, a, v))
+                        entries.append((b, n + i, n + j, a, v))
+                        entries.append((n + j, b, n + i, a, v))
+    bracket = Tensor4.from_entries((N,) * 4, entries)
+    twist = Mat.block_diag(m.left.twist, m.right.twist)
+    return Algebra3(N, bracket, twist, label="matched-pair-sum")
+
+
+def semidirect_prelie_dense(r: PreLieRep) -> PreLie3:
+    """{x1+v1, x2+v2, x3+v3} = {x1,x2,x3} + rho(x1,x2)v3 + mu(x2,x3)v1
+    - mu(x1,x3)v2, twist = alpha (+) B."""
+    p = r.base
+    n, m = p.dim, r.vdim
+    N = n + m
+    entries = list(p.product.items())
+    for i in range(n):
+        for j in range(n):
+            rm = r.rho[i][j]
+            mm = r.mu[i][j]
+            for a in range(m):
+                for b in range(m):
+                    v = rm.entries[a][b]
+                    if v:
+                        entries.append((i, j, n + b, n + a, v))
+                    v = mm.entries[a][b]
+                    if v:
+                        # mu(x2,x3)v1 with (x2,x3) = (e_i,e_j)
+                        entries.append((n + b, i, j, n + a, v))
+                        # -mu(x1,x3)v2 with (x1,x3) = (e_i,e_j)
+                        entries.append((i, n + b, j, n + a, -v))
+    return PreLie3(N, Tensor4.from_entries((N,) * 4, entries),
+                   Mat.block_diag(p.twist, r.B), label="semidirect-prelie")
+
+
+def literal_prelie_rep_check_loop(r: PreLieRep) -> CheckReport:
+    """Literal reading of the four printed representation identities.
+
+    The printed equations carry typesetting damage; this applies the minimal
+    repair (a '+' joining the broken terms in the first equation, and the
+    left side of the third read with x2 in its first argument).  They also
+    carry no twist maps, so this literal route is only meaningful for
+    identity twists; the operational route is authoritative.
+    """
+    p = r.base
+    n = p.dim
+    t = p.product
+    cc = subadjacent_tensor(t)
+    rho, mu = r.rho, r.mu
+
+    def mu_bracket(tensor, i, j, k, x4) -> Mat:
+        acc = Mat.zeros(r.vdim, r.vdim)
+        for m, f in tensor.row(i, j, k).items():
+            acc = acc + mu[m][x4].scale(f)
+        return acc
+
+    def mu_second(tensor, x, i, j, k) -> Mat:
+        acc = Mat.zeros(r.vdim, r.vdim)
+        for m, f in tensor.row(i, j, k).items():
+            acc = acc + mu[x][m].scale(f)
+        return acc
+
+    checked = 0
+    witness = None
+    for x1 in range(n):
+        if witness:
+            break
+        for x2 in range(n):
+            if witness:
+                break
+            for x3 in range(n):
+                if witness:
+                    break
+                for x4 in range(n):
+                    checked += 4
+                    # (i) rho(1,2)mu(3,4) = mu(3,4)rho(1,2) - mu(3,4)mu(2,1)
+                    #     + mu(3,4)mu(1,2) + mu([1,2,3]_C,4) + mu(3,{1,2,4})
+                    lhs = rho[x1][x2] @ mu[x3][x4]
+                    rhs = (mu[x3][x4] @ rho[x1][x2]
+                           - mu[x3][x4] @ mu[x2][x1]
+                           + mu[x3][x4] @ mu[x1][x2]
+                           + mu_bracket(cc, x1, x2, x3, x4)
+                           + mu_second(t, x3, x1, x2, x4))
+                    if lhs != rhs:
+                        witness = Witness("prelie_rep_eq1", (x1, x2, x3, x4),
+                                          tuple(lhs.entries), tuple(rhs.entries))
+                        break
+                    # (ii) mu([1,2,3]_C,4) = rho(1,2)mu(3,4) + rho(2,3)mu(1,4)
+                    #      + rho(3,1)mu(2,4)
+                    lhs = mu_bracket(cc, x1, x2, x3, x4)
+                    rhs = (rho[x1][x2] @ mu[x3][x4] + rho[x2][x3] @ mu[x1][x4]
+                           + rho[x3][x1] @ mu[x2][x4])
+                    if lhs != rhs:
+                        witness = Witness("prelie_rep_eq2", (x1, x2, x3, x4),
+                                          tuple(lhs.entries), tuple(rhs.entries))
+                        break
+                    # (iii) mu(2,{1,3,4}) = mu(3,4)mu(1,2) + mu(3,4)rho(1,2)
+                    #       - mu(3,4)mu(2,1) - mu(2,4)mu(1,3) - mu(2,4)rho(1,3)
+                    #       + mu(2,4)mu(3,1) + rho(2,3)mu(1,4)
+                    lhs = mu_second(t, x2, x1, x3, x4)
+                    rhs = (mu[x3][x4] @ mu[x1][x2] + mu[x3][x4] @ rho[x1][x2]
+                           - mu[x3][x4] @ mu[x2][x1] - mu[x2][x4] @ mu[x1][x3]
+                           - mu[x2][x4] @ rho[x1][x3] + mu[x2][x4] @ mu[x3][x1]
+                           + rho[x2][x3] @ mu[x1][x4])
+                    if lhs != rhs:
+                        witness = Witness("prelie_rep_eq3", (x1, x2, x3, x4),
+                                          tuple(lhs.entries), tuple(rhs.entries))
+                        break
+                    # (iv) mu(3,4)rho(1,2) = mu(3,4)mu(2,1) - mu(3,4)mu(1,2)
+                    #      + rho(1,2)rho(3,4) - mu(2,{1,3,4}) + mu(1,{2,3,4})
+                    lhs = mu[x3][x4] @ rho[x1][x2]
+                    rhs = (mu[x3][x4] @ mu[x2][x1] - mu[x3][x4] @ mu[x1][x2]
+                           + rho[x1][x2] @ rho[x3][x4]
+                           - mu_second(t, x2, x1, x3, x4)
+                           + mu_second(t, x1, x2, x3, x4))
+                    if lhs != rhs:
+                        witness = Witness("prelie_rep_eq4", (x1, x2, x3, x4),
+                                          tuple(lhs.entries), tuple(rhs.entries))
+                        break
+    return CheckReport(witness is None, checked, witness)
+
+
+def compatible_prelie_dense(a: Algebra3, o: OOperator) -> PreLie3:
+    """{x,y,z} = T rho(x,y) T^{-1} z for an invertible O-operator on a."""
+    tinv = mat_inverse(o.T)
+    if tinv is None:
+        raise PreconditionError("T is singular")
+    rep = check_o_operator(o)
+    if not rep.passed:
+        raise PreconditionError("not an O-operator", witness=rep.witness)
+    n = a.dim
+    entries = []
+    for i in range(n):
+        for j in range(n):
+            m = o.T @ o.rep.rho[i][j] @ tinv
+            for k in range(n):
+                for l in range(n):
+                    if m.entries[l][k]:
+                        entries.append((i, j, k, l, m.entries[l][k]))
+    p = PreLie3(n, Tensor4.from_entries((n,) * 4, entries), a.twist,
+                label=f"{a.label}~prelie" if a.label else "compatible")
+    if subadjacent_tensor(p.product) != a.bracket:
+        raise PreconditionError("sub-adjacent bracket does not recover the input")
+    return p

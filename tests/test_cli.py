@@ -168,6 +168,21 @@ def test_matched_pair_duplicate_pair_exits_two(tmp_path, capsys):
     assert "rho[2]: duplicate pair (1,2)" in err
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[[1], 2, 3, 4, "1"]], "bracket[1]: index [1] out of range 1..4"),
+    ([[1, 2, 3, 4, "1"], [2, 3, 4, 1, "1"], [1, 2, 3, 4, "2"]],
+     "bracket[3]: duplicate row (1, 2, 3, 4)"),
+], ids=["unhashable-index", "duplicate-row"])
+def test_bad_algebra_rows_exit_two(tmp_path, capsys, rows, message):
+    doc = _inlined("n4.alg")
+    doc["bracket"] = rows
+    path = tmp_path / "bad.alg"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["check", "algebra", str(path)], capsys)
+    assert code == 2
+    assert message in err
+
+
 def test_dimension_cap_exits_two(capsys):
     code, _, err = run(["check", "algebra", fx("toobig.alg")], capsys)
     assert code == 2

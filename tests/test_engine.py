@@ -1,7 +1,9 @@
 """The sparse residual engine against the hand-written checkers it replaced.
 
 Every checker ported to the engine must produce the same structured report,
-byte for byte, as its verbatim original in ``oracles.py``. The algebra
+byte for byte, as its verbatim original in ``oracles.py``, and every
+construction built from action tensors the same tensor as its original
+read from dense operator families. The algebra
 corpus has dim <= 4: N4, N4diag, N4 in reversed basis, A4, the
 Cayley-twisted A4 and seeded single-entry mutants; the Yang-Baxter and
 bialgebra corpus adds the dim-5 nilp5. It passes and fails every ported
@@ -15,26 +17,30 @@ from fractions import Fraction
 import pytest
 
 from homlie3 import (Algebra3, BilForm, Cobracket, MatchedPairData, Mat,
-                     OOperator, PreLie3, PreconditionError, RTensor, Rep3,
-                     Tensor4, adjoint_rep, check_chybe,
+                     OOperator, PreLie3, PreLieRep, PreconditionError,
+                     RTensor, Rep3, Tensor4, adjoint_rep,
+                     assemble_matched_pair, check_algebra, check_chybe,
                      check_double_construction, check_invariance,
                      check_matched_pair, check_metric, check_o_operator,
                      check_prelie, check_representation, coadjoint_rep,
-                     coboundary_cobracket, derivation_space, fileio,
-                     is_derivation, mat_inverse, rep_from_upper,
+                     coboundary_cobracket, compatible_prelie,
+                     derivation_space, fileio, is_derivation, manin_bracket,
+                     mat_inverse, rep_from_upper, semidirect_prelie,
                      triple_bracket, verify_residual)
+from homlie3.bialgebra import standard_manin_reps
 from homlie3.cli import report_doc
-from homlie3.homlie import CheckReport, _hom_jacobi_check, _morphism_check
-from homlie3.prelie import (_prelie_identities, left_multiplication,
-                            right_multiplication)
+from homlie3.homlie import CheckReport, _residual
+from homlie3.prelie import (_literal_prelie_rep_check, _prelie_identities,
+                            _prelie_rep_equations, left_multiplication,
+                            regular_prelie_rep, right_multiplication)
 from homlie3.reps import coadjoint_family
 from homlie3.symplectic import _fourterm_check
 from homlie3.yangbaxter import _dual_bracket_formula, closed_form_check
 
 import oracles
-from conftest import (CAYLEY_S, N4_DIAG, a4, a4_cayley, n4, n4_omega,
-                      n4_prelie, nilp5, random_prelie, random_skew_mat,
-                      rank1_rep, skew_tensor, symp_prelie,
+from conftest import (CAYLEY_S, N4_DIAG, N4_NEG, a4, a4_cayley, n4,
+                      n4_omega, n4_prelie, nilp5, random_prelie,
+                      random_skew_mat, rank1_rep, skew_tensor, symp_prelie,
                       symplectic_o_operator)
 
 F = Fraction
@@ -105,8 +111,10 @@ def mat_mutant(m, rng):
 def test_hom_jacobi_and_multiplicative_match_loops():
     hj, mult = Tally(), Tally()
     for a in algebras():
-        hj.compare(a.label, _hom_jacobi_check(a), oracles.hom_jacobi_check_loop(a))
-        mult.compare(a.label, _morphism_check(a, a.twist, "multiplicative"),
+        rep = check_algebra(a, skew=False)
+        hj.compare(a.label, rep.part("hom_jacobi"),
+                   oracles.hom_jacobi_check_loop(a))
+        mult.compare(a.label, rep.part("multiplicative"),
                      oracles.multiplicative_check_loop(a), 4 ** 3)
     # hom_jacobi reports a nominal n**5, so no lex position to cover
     hj.assert_covered()
@@ -413,3 +421,112 @@ def test_rep_families_match_definitions():
         # the coadjoint action is minus the transposed adjoint one
         fam = tuple(tuple(-m.transpose() for m in row) for row in ad.rho)
         assert coadjoint_rep(a) == Rep3(a, 4, fam, a.twist.transpose())
+
+
+def bumped_family(fam, rng, skew):
+    """fam with d added to one entry of one operator (i, j), i != j, and
+    the opposite change at (j, i) when the family is skew."""
+    i, j = rng.sample(range(len(fam)), 2)
+    m = fam[0][0].rows
+    rows = [list(r) for r in fam[i][j].entries]
+    rows[rng.randrange(m)][rng.randrange(m)] += rng.choice(DELTAS)
+    out = [list(r) for r in fam]
+    out[i][j] = Mat(rows)
+    if skew:
+        out[j][i] = -out[i][j]
+    return tuple(map(tuple, out))
+
+
+def prelie_reps():
+    """Regular representations of the mutants of the reversed-basis
+    products (dim 4: each of the four printed identities is the first to
+    fail somewhere, some at tuples where others fail too, some late in lex
+    order), and of four dim-3 random products, each also with one entry of
+    rho or of mu changed. Products of two regular operators of these
+    nilpotent products vanish, so two reps with random dense operators on
+    a 2-dim carrier make the composed terms count too."""
+    rng = random.Random(20190321)
+    out = [regular_prelie_rep(p) for p in prelie_products()
+           if "-reversed~" in p.label]
+    for _ in range(4):
+        reg = regular_prelie_rep(random_prelie(rng, 2, 1))
+        out += [reg,
+                PreLieRep(reg.base, 3, bumped_family(reg.rho, rng, True),
+                          reg.mu, reg.B),
+                PreLieRep(reg.base, 3, reg.rho,
+                          bumped_family(reg.mu, rng, False), reg.B)]
+    rand = lambda: Mat([[F(rng.randint(-2, 2)) for _ in range(2)]
+                        for _ in range(2)])
+    for _ in range(2):
+        upper = {pair: rand() for pair in itertools.combinations(range(3), 2)}
+        rho = rep_from_upper(Algebra3.abelian(3), 2, upper, Mat.identity(2)).rho
+        mu = tuple(tuple(rand() for _ in range(3)) for _ in range(3))
+        out.append(PreLieRep(random_prelie(rng, 2, 1), 2, rho, mu,
+                             Mat.identity(2)))
+    return out
+
+
+def test_literal_prelie_rep_check_matches_loop():
+    tally, reported, doubly = Tally(), set(), 0
+    for r in prelie_reps():
+        new, old = (_literal_prelie_rep_check(r),
+                    oracles.literal_prelie_rep_check_loop(r))
+        tally.compare(r.base.label, new, old, 4 * r.base.dim ** 4)
+        if old.witness is not None:
+            reported.add(old.witness.check)
+            at = old.witness.at
+            doubly += sum(any(key[:4] == at for key in _residual(terms))
+                          for terms in _prelie_rep_equations(r)) > 1
+    tally.assert_covered(late=0.4)
+    assert reported == {f"prelie_rep_eq{k}" for k in range(1, 5)}
+    assert doubly
+
+
+def same_algebra(new, old):
+    assert new.bracket == old.bracket
+    assert fileio.dumps(fileio.algebra_to_doc(new)) == \
+        fileio.dumps(fileio.algebra_to_doc(old))
+
+
+def same_prelie(new, old):
+    assert new.product == old.product
+    assert fileio.dumps(fileio.prelie_to_doc(new)) == \
+        fileio.dumps(fileio.prelie_to_doc(old))
+
+
+def test_action_constructions_match_dense():
+    """The semidirect pre-Lie product, the matched-pair sum, the Manin
+    triple's total algebra and the compatible pre-Lie product, built from
+    action tensors, equal the entries placed from dense operator families,
+    as tensors and as written files."""
+    for r in prelie_reps():
+        same_prelie(semidirect_prelie(r), oracles.semidirect_prelie_dense(r))
+    for m in matched_pairs():
+        same_algebra(assemble_matched_pair(m, checked=False),
+                     oracles.assemble_matched_pair_dense(m))
+    # a zero cobracket on N4diag: its twist shows only in the total's twist
+    manin = [coboundary_cobracket(r)[0] for r in r_matrices()
+             if r.base.label == "n4-reversed"]
+    manin.append(Cobracket(n4(N4_DIAG, "n4diag"), Tensor4.zero((4,) * 4)))
+    for cob in manin:
+        total, _ = manin_bracket(cob)
+        same_algebra(total,
+                     oracles.assemble_matched_pair_dense(standard_manin_reps(cob)))
+    o = symplectic_o_operator()
+    neg = n4(N4_NEG, "n4neg")
+    cases = [(n4(), OOperator(o.rep, o.T.scale(f))) for f in (1, -2, F(1, 3))]
+    cases += [(neg, OOperator(coadjoint_rep(neg), o.T)),
+              (Algebra3.abelian(4),
+               OOperator(adjoint_rep(Algebra3.abelian(4)), Mat.identity(4)))]
+    for a, op in cases:
+        same_prelie(compatible_prelie(a, op),
+                    oracles.compatible_prelie_dense(a, op))
+    # both refuse a singular T and a T that is not an O-operator
+    for op in (OOperator(o.rep, Mat.zeros(4, 4)),
+               OOperator(adjoint_rep(n4()), Mat.identity(4))):
+        with pytest.raises(PreconditionError) as new_e:
+            compatible_prelie(n4(), op)
+        with pytest.raises(PreconditionError) as old_e:
+            oracles.compatible_prelie_dense(n4(), op)
+        assert (str(new_e.value), new_e.value.witness) == \
+            (str(old_e.value), old_e.value.witness)

@@ -1,13 +1,15 @@
-"""Every top-level import in the package modules is used, and every
-private top-level function is referenced somewhere in the package (no
-linter is installed, so this is the lint)."""
+"""Every top-level import in the package modules is used, every private
+top-level function is referenced somewhere in the package, and every
+oracle in ``tests/oracles.py`` is referenced by the tests (no linter is
+installed, so this is the lint)."""
 import ast
 import glob
 import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "homlie3")
+TESTS = os.path.dirname(__file__)
+SRC = os.path.join(TESTS, os.pardir, "src", "homlie3")
 MODULES = sorted(p for p in glob.glob(os.path.join(SRC, "*.py"))
                  # the package's imports are its public names
                  if os.path.basename(p) != "__init__.py")
@@ -104,3 +106,29 @@ def test_no_unreferenced_private_functions():
         with open(path) as fh:
             sources[os.path.basename(path)] = fh.read()
     assert unreferenced_private_functions(sources) == []
+
+
+def unreferenced_functions(sources: dict, module: str) -> list:
+    """Top-level functions of ``module`` that no module in ``sources``
+    ({module: source}, ``module`` among them) references."""
+    used = set().union(*map(referenced_names, sources.values()))
+    return sorted(node.name for node in ast.parse(sources[module]).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name not in used)
+
+
+def test_detector_flags_an_unused_oracle():
+    sources = {"oracles.py": "def _helper():\n    pass\n\n"
+                             "def used():\n    return _helper()\n\n"
+                             "def dead():\n    return dead\n",
+               "test_a.py": "import oracles\n\n"
+                            "def test_a():\n    oracles.used()\n"}
+    assert unreferenced_functions(sources, "oracles.py") == ["dead"]
+
+
+def test_every_oracle_is_used():
+    sources = {}
+    for path in glob.glob(os.path.join(TESTS, "*.py")):
+        with open(path) as fh:
+            sources[os.path.basename(path)] = fh.read()
+    assert unreferenced_functions(sources, "oracles.py") == []

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from homlie3 import (Mat, OOperator, PreconditionError, PreLie3, Tensor4,
+from homlie3 import (InputError, Mat, OOperator, PreconditionError, PreLie3,
+                     PreLieRep, Tensor4,
                      adjoint_rep, check_algebra, check_o_operator,
                      check_prelie, check_prelie_rep, coadjoint_rep,
                      compatible_prelie, dual_prelie_rep,
@@ -166,6 +167,33 @@ def test_prelie_rep_corrupted_mu_fails():
     r = check_prelie_rep(bad)
     assert not r.part("operational").passed
     assert r.part("operational").witness is not None
+
+
+def test_prelie_rep_validation_names_the_first_pair():
+    """rho must be skew, mu need not be; the first pair in row-major order
+    at which rho(i, j) is not -rho(j, i), or an operator has the wrong
+    shape, is named."""
+    reg = regular_prelie_rep(symp_prelie())
+    unit = Mat([[F(int(p == 1 and q == 2)) for q in range(4)] for p in range(4)])
+
+    def changed(fam, changes):
+        out = [list(row) for row in fam]
+        for (i, j), m in changes.items():
+            out[i][j] = m
+        return tuple(map(tuple, out))
+
+    def message(rho, mu):
+        with pytest.raises(InputError) as err:
+            PreLieRep(reg.base, 4, changed(reg.rho, rho), changed(reg.mu, mu),
+                      reg.B)
+        return str(err.value)
+
+    assert message({(3, 1): reg.rho[3][1] + unit, (2, 2): unit}, {}) == \
+        "rho not skew at (1,3)"
+    assert message({(2, 2): unit}, {}) == "rho not skew at (2,2)"
+    assert message({(2, 0): Mat.identity(3)}, {}) == "rho not skew at (0,2)"
+    assert message({}, {(0, 2): Mat.identity(3)}) == "mu(0,2) shape (3, 3)"
+    PreLieRep(reg.base, 4, reg.rho, changed(reg.mu, {(3, 1): unit}), reg.B)
 
 
 def test_semidirect_prelie_passes(rng):
