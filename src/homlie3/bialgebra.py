@@ -14,8 +14,9 @@ from typing import Sequence
 
 from .exactlin import InputError, Mat, ONE, Tensor4, ZERO
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, _by_output, _identity,
-    _pairing, _permuted, _skew_check, _slot_outer, check_algebra, twist_slots,
+    Algebra3, CheckReport, PreconditionError, Witness, _by_output, _flag,
+    _identity, _pairing, _permuted, _require, _skew_check, _slot_outer,
+    check_algebra, twist_slots,
 )
 from .reps import (
     Rep3, _action_tensor, _coadjoint_tensor, _placed, check_representation,
@@ -139,10 +140,8 @@ def check_matched_pair(m: MatchedPairData) -> CheckReport:
     Each equation reports its residual at the lex-first failing tuple.
     """
     for name, rep in (("rho", m.rho), ("mu", m.mu)):
-        r = check_representation(rep)
-        if not r.passed:
-            raise PreconditionError(f"{name} fails the representation axioms",
-                                    witness=r.witness)
+        _require(check_representation(rep),
+                 f"{name} fails the representation axioms")
     n, p = m.left.dim, m.right.dim
     rho, mu = _action_tensor(m.rho.rho), _action_tensor(m.mu.rho)
     eqs = (_matched_side(m.left.bracket, m.left.twist, mu, m.right.twist, rho)
@@ -165,8 +164,7 @@ def check_matched_pair(m: MatchedPairData) -> CheckReport:
     alg_report = check_algebra(assembled)
     parts.append(("assembled_algebra", alg_report))
     agree = eqs_passed == alg_report.passed
-    parts.append(("verdicts_agree", CheckReport(
-        agree, 1, None if agree else Witness("internal_inconsistency", (), (), ()))))
+    parts.append(("verdicts_agree", _flag(agree, "internal_inconsistency")))
     return CheckReport(eqs_passed and agree, total_checked, eq_witness
                        if eq_witness else (None if agree else alg_report.witness),
                        tuple(parts))
@@ -175,9 +173,7 @@ def check_matched_pair(m: MatchedPairData) -> CheckReport:
 def assemble_matched_pair(m: MatchedPairData, checked: bool = True) -> Algebra3:
     """The bracket on L + L' built from both brackets and both actions."""
     if checked:
-        rep = check_matched_pair(m)
-        if not rep.passed:
-            raise PreconditionError("not a matched pair", witness=rep.witness)
+        _require(check_matched_pair(m), "not a matched pair")
     return _matched_sum(m.left, m.right, _action_tensor(m.rho.rho),
                         _action_tensor(m.mu.rho))
 
@@ -222,17 +218,13 @@ def manin_bracket(c: Cobracket) -> tuple:
     symmetric form, isotropy of both factors, and the projection conditions.
     """
     dual = dual_algebra(c)
-    skew = _skew_check(dual)
-    if not skew.passed:
-        raise PreconditionError("induced dual bracket is not skew",
-                                witness=skew.witness)
+    _require(_skew_check(dual), "induced dual bracket is not skew")
     total = _matched_sum(c.base, dual, _coadjoint_tensor(c.base),
                          _coadjoint_tensor(dual))
     n = c.base.dim
-    parts = [("algebra", check_algebra(total)),
-             ("invariance", check_invariance(total, standard_form(n)))]
-
     form = standard_form(n)
+    parts = [("algebra", check_algebra(total)),
+             ("invariance", check_invariance(total, form))]
     iso_w = None
     for i in range(n):
         for j in range(n):
@@ -276,10 +268,7 @@ def check_double_construction(c: Cobracket) -> CheckReport:
     and ``checked`` the lex position of (x, y, z).
     """
     Lstar = dual_algebra(c)
-    pre = check_algebra(Lstar)
-    if not pre.passed:
-        raise PreconditionError("dual bracket is not a valid algebra",
-                                witness=pre.witness)
+    _require(check_algebra(Lstar), "dual bracket is not a valid algebra")
     a = c.base
     d0, d1, d2 = _delta_legs(c)
     # ad(u, v) on one leg of a twisted Delta(e_w): a term contracts the rows

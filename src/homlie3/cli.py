@@ -11,8 +11,8 @@ import sys
 
 from .exactlin import InputError, rat_str
 from .homlie import (
-    CheckReport, PreconditionError, Witness, check_algebra, composition_twist,
-    derivation_space, yau_twist,
+    CheckReport, PreconditionError, Witness, _flag, check_algebra,
+    composition_twist, derivation_space, yau_twist,
 )
 from .reps import check_representation, semidirect_sum
 from . import bialgebra, fileio, prelie, symplectic, yangbaxter
@@ -114,11 +114,10 @@ def _check_double(args):
 def _check_equivalence(args):
     c = fileio.load_cobracket(args.inputs[0], MAX_DIM)
     res = bialgebra.equivalence_suite(c)
-    agree = CheckReport(res.agree, 1, None if res.agree else
-                        Witness("equivalence_agreement", (), (), ()))
+    agree = _flag(res.agree, "equivalence_agreement")
     combined = CheckReport(res.agree,
                            res.double.checked + res.manin.checked + res.matched.checked,
-                           None if res.agree else Witness("equivalence_agreement", (), (), ()),
+                           agree.witness,
                            (("double_construction", res.double),
                             ("manin_triple", res.manin),
                             ("matched_pair", res.matched),

@@ -68,6 +68,15 @@ class Mat:
         self.entries = rows
 
     @staticmethod
+    def _of(rows: Sequence[Sequence[Fraction]]) -> "Mat":
+        """A Mat of non-empty rows of Fractions of one length, as ``Mat``
+        methods build them: nothing is parsed or checked."""
+        m = object.__new__(Mat)
+        m.entries = tuple(map(tuple, rows))
+        m.rows, m.cols = len(m.entries), len(m.entries[0])
+        return m
+
+    @staticmethod
     def identity(n: int) -> "Mat":
         return Mat([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
@@ -91,7 +100,7 @@ class Mat:
         for i in range(m):
             for j in range(b.cols):
                 out[n + i][a.cols + j] = b.entries[i][j]
-        return Mat(out)
+        return Mat._of(out)
 
     def __getitem__(self, i: int) -> Sequence[Fraction]:
         return self.entries[i]
@@ -104,20 +113,20 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat([[a + b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.entries, other.entries)])
+        return Mat._of([[a + b for a, b in zip(ra, rb)]
+                        for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat([[a - b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.entries, other.entries)])
+        return Mat._of([[a - b for a, b in zip(ra, rb)]
+                        for ra, rb in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "Mat":
-        return Mat([[-a for a in row] for row in self.entries])
+        return Mat._of([[-a for a in row] for row in self.entries])
 
     def scale(self, s) -> "Mat":
         s = rat(s)
-        return Mat([[s * a for a in row] for row in self.entries])
+        return Mat._of([[s * a for a in row] for row in self.entries])
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -133,7 +142,7 @@ class Mat:
                     for j, b in brow:
                         acc[j] += a * b
             out.append(acc)
-        return Mat(out)
+        return Mat._of(out)
 
     def apply(self, vec: Sequence[Fraction]) -> tuple:
         if len(vec) != self.cols:
@@ -145,8 +154,7 @@ class Mat:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "Mat":
-        return Mat([[self.entries[i][j] for i in range(self.rows)]
-                    for j in range(self.cols)])
+        return Mat._of(zip(*self.entries))
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
@@ -438,7 +446,7 @@ def spmat_of(m: Mat) -> dict:
 
 
 def spmat_to_mat(s: Mapping, rows: int, cols: int) -> Mat:
-    return Mat([dense(s.get(p, {}), cols) for p in range(rows)])
+    return Mat._of([dense(s.get(p, {}), cols) for p in range(rows)])
 
 
 def spmat_add_into(acc: dict, s: Mapping, scale: Fraction = ONE) -> None:

@@ -28,6 +28,11 @@ turns the residual into a report whose witness is its lex-first key, with
 ``checked`` the witness's lex position, as for a loop that stops at its
 first failure. The coboundary cobracket and [[r,r,r]] themselves are
 residuals of such sums.
+
+A residual skew in a group of key indices is zero at a repeated index and
+elsewhere +-1 times its value at the key with the group sorted, which is
+lex before it. So once ``_skew_check`` passes, the Hom-Jacobi and
+multiplicativity terms are prefiltered to the sorted key of each orbit.
 """
 from __future__ import annotations
 
@@ -79,6 +84,19 @@ class CheckReport:
             if n == name:
                 return r
         raise KeyError(name)
+
+
+def _flag(ok: bool, check: str, checked: int = 1) -> CheckReport:
+    """A part that tests one condition; its witness names the check."""
+    return CheckReport(ok, checked, None if ok else Witness(check, (), (), ()))
+
+
+def _require(report: CheckReport, message: str) -> CheckReport:
+    """A precondition check's report if it passed; otherwise raise
+    PreconditionError(message) carrying its witness."""
+    if not report.passed:
+        raise PreconditionError(message, witness=report.witness)
+    return report
 
 
 @dataclass(frozen=True)
@@ -181,18 +199,39 @@ def _residual(terms) -> dict:
 
     A term (sign, inner, outer, order) composes two tensors: for each input
     tuple t with inner[t] = {m: f}, and each (others, vec) in outer[m], it
-    adds sign * f * vec at the key that ``order`` picks from t + others.
-    Keys whose sum vanishes are dropped.
+    adds sign * f * vec at the key that ``order`` (a permutation) picks
+    from t + others; a fifth element, when present, is a predicate that
+    limits the term to the keys it keeps. Keys whose sum vanishes are
+    dropped.
     """
     res: dict = {}
-    for sign, inner, outer, order in terms:
+    for sign, inner, outer, order, *keep in terms:
         pick = itemgetter(*order)
+        keep = keep[0] if keep else None
         for t, ivec in inner.items():
             for m, f in ivec.items():
                 sf = sign * f
                 for others, vec in outer.get(m, ()):
-                    vec_add_into(res.setdefault(pick(t + others), {}), vec, sf)
+                    key = pick(t + others)
+                    if keep is None or keep(key):
+                        vec_add_into(res.setdefault(key, {}), vec, sf)
     return {key: vec for key, vec in res.items() if vec}
+
+
+def _at(terms, key: tuple) -> dict:
+    """The sum of the terms at one key, from the one t + others of each
+    term that its order maps there."""
+    out: dict = {}
+    for sign, inner, outer, order, *keep in terms:
+        if keep and not keep[0](key):
+            continue
+        src = tuple(key[order.index(s)] for s in range(len(order)))
+        k = len(next(iter(inner), ()))
+        for m, f in inner.get(src[:k], {}).items():
+            for others, vec in outer.get(m, ()):
+                if others == src[k:]:
+                    vec_add_into(out, vec, sign * f)
+    return out
 
 
 def _identity(name: str, terms, dims: tuple, width: int,
@@ -212,8 +251,7 @@ def _identity(name: str, terms, dims: tuple, width: int,
     if not res:
         return CheckReport(True, prod(dims))
     key = min(res)
-    left = dense(res[key] if lhs is None
-                 else _residual(terms[:lhs]).get(key, {}), width)
+    left = dense(res[key] if lhs is None else _at(terms[:lhs], key), width)
     right = tuple(v - res[key].get(l, ZERO) for l, v in enumerate(left))
     checked = 0
     for k, d in zip(key, dims):
@@ -265,53 +303,75 @@ def _pairing(m: Mat) -> dict:
             for l, row in enumerate(m.entries)}
 
 
-def _hom_jacobi_check(a: Algebra3, t12: dict) -> CheckReport:
-    """t12 is _slot_outer(bracket, 2, {0: twist, 1: twist})."""
+def _increasing(outer: dict) -> dict:
+    """The outer part's (others, vec) with others[0] < others[1]."""
+    out = {m: [(o, vec) for o, vec in pairs if o[0] < o[1]]
+           for m, pairs in outer.items()}
+    return {m: pairs for m, pairs in out.items() if pairs}
+
+
+def _tail_increasing(key: tuple) -> bool:
+    """The last three indices of a residual key increase."""
+    return key[-3] < key[-2] < key[-1]
+
+
+def _hom_jacobi_terms(a: Algebra3, t12: dict, skew: bool) -> list:
+    """The Hom-Jacobi residual at key (x, y, u, v, w), t12 being [a(x),
+    a(y), m] by m; with ``skew`` only at x < y, u < v < w.
+
+    A skew bracket makes every term skew in (x, y); swapping two of u, v, w
+    negates the first term and takes each other one to minus another."""
     c, A = dict(a.bracket.rows()), a.twist
+    t23 = _slot_outer(a.bracket, 0, {1: A, 2: A})
+    t13 = _slot_outer(a.bracket, 1, {0: A, 2: A})
+    uvw = xy = c
+    keep = ()
+    if skew:
+        uvw = {t: v for t, v in c.items() if t[0] < t[1] < t[2]}
+        xy = {t: v for t, v in c.items() if t[0] < t[1]}
+        t12, t23, t13 = map(_increasing, (t12, t23, t13))
+        keep = (_tail_increasing,)
     # [a(x),a(y),[u,v,w]] - [[x,y,u],a(v),a(w)] - [a(u),[x,y,v],a(w)]
-    #   - [a(u),a(v),[x,y,w]] at key (x, y, u, v, w)
-    terms = [(1, c, t12, (3, 4, 0, 1, 2)),
-             (-1, c, _slot_outer(a.bracket, 0, {1: A, 2: A}), (0, 1, 2, 3, 4)),
-             (-1, c, _slot_outer(a.bracket, 1, {0: A, 2: A}), (0, 1, 3, 2, 4)),
-             (-1, c, t12, (0, 1, 3, 4, 2))]
-    return _identity("hom_jacobi", terms, (a.dim,) * 5, a.dim, lhs=1,
-                     nominal=True)
+    #   - [a(u),a(v),[x,y,w]]; the key test orders u, v, w across parts
+    return [(1, uvw, t12, (3, 4, 0, 1, 2)),
+            (-1, xy, t23, (0, 1, 2, 3, 4), *keep),
+            (-1, xy, t13, (0, 1, 3, 2, 4), *keep),
+            (-1, xy, t12, (0, 1, 3, 4, 2), *keep)]
 
 
-def _morphism_check(a: Algebra3, phi: Mat, name: str,
-                    t12: dict) -> CheckReport:
-    """phi([x,y,z]) = [phi x, phi y, phi z] on all basis triples; t12 is
-    _slot_outer(bracket, 2, {0: phi, 1: phi})."""
-    terms = [(1, dict(a.bracket.rows()), _image(phi), (0, 1, 2)),
-             (-1, _columns(phi), t12, (1, 2, 0))]
-    return _identity(name, terms, (a.dim,) * 3, a.dim, lhs=1)
-
-
-def _regular_check(a: Algebra3) -> CheckReport:
-    ok = mat_inverse(a.twist) is not None
-    w = None if ok else Witness("regular", (), (), ())
-    return CheckReport(ok, 1, w)
+def _morphism_terms(a: Algebra3, phi: Mat, t12: dict, skew: bool) -> list:
+    """phi([x,y,z]) - [phi x, phi y, phi z] at key (x, y, z), t12 being
+    [phi x, phi y, m] by m; with ``skew``, as a skew bracket makes both
+    sides skew in (x, y, z), only at x < y < z."""
+    c = dict(a.bracket.rows())
+    keep = ()
+    if skew:
+        c = {t: v for t, v in c.items() if t[0] < t[1] < t[2]}
+        t12, keep = _increasing(t12), (_tail_increasing,)
+    return [(1, c, _image(phi), (0, 1, 2)),
+            (-1, _columns(phi), t12, (1, 2, 0), *keep)]
 
 
 def check_algebra(a: Algebra3, skew: bool = True, hom_jacobi: bool = True,
                   multiplicative: bool = True, regular: bool = False) -> CheckReport:
     """Run the selected axiom checks; skew failure short-circuits the rest."""
-    parts = []
-    if skew:
-        r = _skew_check(a)
-        parts.append(("skew", r))
-        if not r.passed:
-            return CheckReport.combine(parts)
-    # [a(x), a(y), z] grouped by z, shared by both checks
-    A = a.twist
+    parts = [("skew", _skew_check(a))] if skew else []
+    if parts and not parts[0][1].passed:
+        return CheckReport.combine(parts)
+    # [a(x), a(y), z] grouped by z, shared by both checks, which a passed
+    # skew check lets decide each orbit of keys at its sorted key
+    A, n = a.twist, a.dim
     t12 = _slot_outer(a.bracket, 2, {0: A, 1: A})
     if hom_jacobi:
-        parts.append(("hom_jacobi", _hom_jacobi_check(a, t12)))
+        parts.append(("hom_jacobi", _identity(
+            "hom_jacobi", _hom_jacobi_terms(a, t12, skew), (n,) * 5, n,
+            lhs=1, nominal=True)))
     if multiplicative:
-        parts.append(("multiplicative",
-                      _morphism_check(a, A, "multiplicative", t12)))
+        parts.append(("multiplicative", _identity(
+            "multiplicative", _morphism_terms(a, A, t12, skew), (n,) * 3, n,
+            lhs=1)))
     if regular:
-        parts.append(("regular", _regular_check(a)))
+        parts.append(("regular", _flag(mat_inverse(A) is not None, "regular")))
     return CheckReport.combine(parts)
 
 
@@ -319,8 +379,10 @@ def is_bracket_morphism(a: Algebra3, phi: Mat) -> Optional[Witness]:
     """None when phi([x,y,z]) = [phi x, phi y, phi z] on all basis triples."""
     if phi.shape != (a.dim, a.dim):
         raise InputError(f"morphism shape {phi.shape} for dim {a.dim}")
-    return _morphism_check(a, phi, "morphism", _slot_outer(
-        a.bracket, 2, {0: phi, 1: phi})).witness
+    # the bracket has not been checked for skewness: every key is formed
+    terms = _morphism_terms(
+        a, phi, _slot_outer(a.bracket, 2, {0: phi, 1: phi}), False)
+    return _identity("morphism", terms, (a.dim,) * 3, a.dim, lhs=1).witness
 
 
 def yau_twist(a: Algebra3, morph: Mat) -> Algebra3:
@@ -352,9 +414,9 @@ def composition_twist(a: Algebra3, beta: Mat) -> Algebra3:
 
 
 def _derivation_rows(a: Algebra3, form: Optional[Mat]) -> list:
-    """The nonzero rows of ``derivation_system`` as sparse {col: value}
-    dicts, in its order, built from the nonzero entries of the twist, the
-    bracket and the form: c[u,v,w,x] enters O(n) Leibniz rows."""
+    """The nonzero rows {col: value} of the system over vec(D) (D[p][q] ->
+    p*n+q) whose kernel is Der(L) (Der_B(L) given B), built from the nonzero
+    twist, bracket and form entries: c[u,v,w,x] enters O(n) Leibniz rows."""
     n, A = a.dim, a.twist
     if form is not None and form.shape != (n, n):
         raise InputError(f"form shape {form.shape} for dim {n}")
@@ -399,19 +461,9 @@ def _derivation_rows(a: Algebra3, form: Optional[Mat]) -> list:
     return [row for row in out if row]
 
 
-def derivation_system(a: Algebra3, form: Optional[Mat] = None) -> Mat:
-    """Linear system over vec(D) (row-major, D[p][q] -> p*n+q) whose kernel
-    is the space of derivations commuting with the twist (and B-skew when a
-    symmetric form B is supplied)."""
-    m = a.dim * a.dim
-    return Mat([dense(row, m) for row in _derivation_rows(a, form)]
-               or [[ZERO] * m])
-
-
 def derivation_space(a: Algebra3, form: Optional[Mat] = None) -> tuple:
     """Canonical basis of Der(L) (or Der_B(L) when B is given) as matrices:
-    the reduced echelon basis of the kernel of ``derivation_system``, from
-    its sparse rows."""
+    the reduced echelon basis of the kernel of ``_derivation_rows``."""
     n = a.dim
     basis = sparse_kernel(_derivation_rows(a, form), n * n)
     return tuple(Mat([[v.get(p * n + q, ZERO) for q in range(n)]

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 from .exactlin import InputError, Mat, Tensor4, ZERO, mat_inverse
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, _columns, _identity,
-    _image, _permuted, _residual, _slot_outer, twist_slots,
+    Algebra3, CheckReport, PreconditionError, Witness, _at, _columns,
+    _identity, _image, _permuted, _require, _residual, _slot_outer,
+    twist_slots,
 )
 from .reps import (
     Rep3, _action_tensor, _check_family, _rep_family, check_representation,
@@ -139,19 +140,14 @@ def _prelie_identities(p: PreLie3):
 
 def subadjacent(p: PreLie3) -> Algebra3:
     """The induced 3-Hom-Lie algebra [x,y,z]_C = {x,y,z}+{y,z,x}+{z,x,y}."""
-    rep = check_prelie(p)
-    if not rep.passed:
-        raise PreconditionError("invalid pre-Lie product", witness=rep.witness)
+    _require(check_prelie(p), "invalid pre-Lie product")
     return Algebra3(p.dim, subadjacent_tensor(p.product), p.twist,
                     label=f"{p.label}^C" if p.label else "subadjacent")
 
 
 def check_o_operator(o: OOperator) -> CheckReport:
     """alpha o T = T o A, and T transports the cyclic action to the bracket."""
-    rep_ok = check_representation(o.rep)
-    if not rep_ok.passed:
-        raise PreconditionError("underlying representation fails",
-                                witness=rep_ok.witness)
+    _require(check_representation(o.rep), "underlying representation fails")
     base = o.rep.base
     n, m = base.dim, o.rep.vdim
     parts = []
@@ -180,18 +176,13 @@ def _acted(o: OOperator) -> dict:
 
 def induced_prelie_on_module(o: OOperator) -> PreLie3:
     """{u,v,w} = rho(Tu, Tv)w on the carrier, twist = A."""
-    rep = check_o_operator(o)
-    if not rep.passed:
-        raise PreconditionError("not an O-operator", witness=rep.witness)
+    _require(check_o_operator(o), "not an O-operator")
     m = o.rep.vdim
     entries = sorted((*key, l, v) for key, vec in _acted(o).items()
                      for l, v in vec.items())
     p = PreLie3(m, Tensor4.from_entries((m,) * 4, entries), o.rep.A,
                 label="induced")
-    rep2 = check_prelie(p)
-    if not rep2.passed:
-        raise PreconditionError("induced product fails the pre-Lie identities",
-                                witness=rep2.witness)
+    _require(check_prelie(p), "induced product fails the pre-Lie identities")
     return p
 
 
@@ -200,9 +191,7 @@ def compatible_prelie(a: Algebra3, o: OOperator) -> PreLie3:
     tinv = mat_inverse(o.T)
     if tinv is None:
         raise PreconditionError("T is singular")
-    rep = check_o_operator(o)
-    if not rep.passed:
-        raise PreconditionError("not an O-operator", witness=rep.witness)
+    _require(check_o_operator(o), "not an O-operator")
     n = a.dim
     # T rho(x, y) T^{-1} z at key (x, y, z)
     rows = _residual([(1, twist_slots(_action_tensor(o.rep.rho), {2: tinv}),
@@ -314,9 +303,8 @@ def _literal_prelie_rep_check(r: PreLieRep) -> CheckReport:
     if not fails:
         return CheckReport(True, 4 * n ** 4)
     at, k = min(fails)
-    first = _residual(eqs[k][:1])
-    left = tuple(tuple(first.get((*at, v), {}).get(l, ZERO) for v in range(m))
-                 for l in range(m))
+    cols = [_at(eqs[k][:1], (*at, v)) for v in range(m)]
+    left = tuple(tuple(col.get(l, ZERO) for col in cols) for l in range(m))
     right = tuple(tuple(x - res[k].get((*at, v), {}).get(l, ZERO)
                         for v, x in enumerate(row))
                   for l, row in enumerate(left))
@@ -349,19 +337,13 @@ def subadjacent_family(r: PreLieRep) -> tuple:
 
 def subadjacent_rep(r: PreLieRep) -> Rep3:
     """The induced representation of the sub-adjacent algebra."""
-    rep = check_prelie_rep(r)
-    if not rep.passed:
-        raise PreconditionError("invalid pre-Lie representation",
-                                witness=rep.witness)
+    _require(check_prelie_rep(r), "invalid pre-Lie representation")
     return Rep3(subadjacent(r.base), r.vdim, subadjacent_family(r), r.B)
 
 
 def dual_prelie_rep(r: PreLieRep) -> tuple:
     """((rho - mu tau + mu)*, -mu*) on the dual carrier, plus its verdict."""
-    rep = check_prelie_rep(r)
-    if not rep.passed:
-        raise PreconditionError("invalid pre-Lie representation",
-                                witness=rep.witness)
+    _require(check_prelie_rep(r), "invalid pre-Lie representation")
     n = r.base.dim
     sub = subadjacent_family(r)
     rho_new = tuple(tuple(-sub[i][j].transpose() for j in range(n))

@@ -7,6 +7,7 @@ identities (checked exhaustively on basis tuples, in lex order).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Mapping
 
@@ -15,7 +16,7 @@ from .exactlin import (
     spmat_to_mat,
 )
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, _permuted,
+    Algebra3, CheckReport, Witness, _permuted, _require, _skew_check,
     check_algebra,
 )
 
@@ -117,26 +118,36 @@ def check_representation(r: Rep3) -> CheckReport:
         exchange    rho(a(x), a(y)) rho(z, u) = rho(a(z), a(u)) rho(x, y)
                         + rho([x,y,z], a(u)) B + rho(a(z), [x,y,u]) B
 
-    where a is the algebra twist and B the carrier twist. Each part
-    enumerates its basis tuples (u, v) or (x, y, z, u) in lex order and
-    stops at the first failure, so its ``checked`` counts the tuples
-    enumerated up to and including the witness (n**2 or n**4 when it
-    passes). Operators are held as sparse matrices; the dense witness
-    matrices are built only at the failing tuple.
+    where a is the algebra twist and B the carrier twist. A part's witness
+    is its lex-first failing tuple (u, v) or (x, y, z, u), and ``checked``
+    its lex position (n**2 or n**4 on a pass). Only the sorted tuple of each
+    orbit on which both sides are skew is evaluated: (u, v) and (z, u), as
+    ``Rep3`` validates rho skew, and, if the base bracket is skew, (x, y, z)
+    of action and (x, y) of exchange. A repeated index there makes both
+    sides zero, and the sorted tuple, which comes first, has the same sides
+    up to sign. Twisted operators are sparse and built on first use.
     """
     n, m, c = r.base.dim, r.vdim, r.base.bracket
     B = spmat_of(r.A)
     rho = [[spmat_of(mat) for mat in row] for row in r.rho]
     cols = r.base.twist.col_support()  # cols[u]: (a, alpha[a][u]) nonzero
-    # half2[a][v] = rho(a, a(v)), half1[u][b] = rho(a(u), b),
-    # tw[u][v] = rho(a(u), a(v)); the halves are used only times B
-    half2 = [[_combine((rho[a][b], f) for b, f in cols[v]) for v in range(n)]
-             for a in range(n)]
-    tw = [[_combine((half2[a][v], f) for a, f in cols[u]) for v in range(n)]
-          for u in range(n)]
-    half2B = [[spmat_matmul(h, B) for h in row] for row in half2]
-    half1B = [[spmat_matmul(_combine((rho[a][b], f) for a, f in cols[u]), B)
-               for b in range(n)] for u in range(n)]
+    skew = _skew_check(r.base).passed
+
+    @cache
+    def half2(a, v):  # rho(a, a(v))
+        return _combine((rho[a][b], f) for b, f in cols[v])
+
+    @cache
+    def tw(u, v):  # rho(a(u), a(v)); with a skew base only u < v is read
+        return _combine((half2(a, v), f) for a, f in cols[u])
+
+    @cache
+    def half2B(k, u):  # rho(k, a(u)) B
+        return spmat_matmul(half2(k, u), B)
+
+    @cache
+    def half1B(u, b):  # rho(a(u), b) B
+        return spmat_matmul(_combine((rho[a][b], f) for a, f in cols[u]), B)
 
     def fail(check, at, checked, lhs, rhs):
         return CheckReport(False, checked, Witness(
@@ -147,12 +158,14 @@ def check_representation(r: Rep3) -> CheckReport:
         # rho([x,y,z], a(u)) B
         acc: dict = {}
         for k, f in c.row(x, y, z).items():
-            spmat_add_into(acc, half2B[k][u], f)
+            spmat_add_into(acc, half2B(k, u), f)
         return acc
 
     def intertwine():
         for checked, (u, v) in enumerate(product(range(n), repeat=2), 1):
-            lhs = spmat_matmul(tw[u][v], B)
+            if u >= v:
+                continue
+            lhs = spmat_matmul(tw(u, v), B)
             rhs = spmat_matmul(B, rho[u][v])
             if lhs != rhs:
                 return fail("rep_intertwine", (u, v), checked, lhs, rhs)
@@ -160,20 +173,25 @@ def check_representation(r: Rep3) -> CheckReport:
 
     def action():
         for checked, (x, y, z, u) in enumerate(product(range(n), repeat=4), 1):
+            if skew and not x < y < z:
+                continue
             lhs = bracket_half2B(x, y, z, u)
-            rhs = spmat_matmul(tw[y][z], rho[x][u])
-            spmat_matmul(tw[z][x], rho[y][u], rhs)
-            spmat_matmul(tw[x][y], rho[z][u], rhs)
+            rhs = spmat_matmul(tw(y, z), rho[x][u])
+            # rho(a(z), a(x)) rho(y, u), with both factors negated
+            spmat_matmul(tw(x, z), rho[u][y], rhs)
+            spmat_matmul(tw(x, y), rho[z][u], rhs)
             if lhs != rhs:
                 return fail("rep_action", (x, y, z, u), checked, lhs, rhs)
         return CheckReport(True, n ** 4)
 
     def exchange():
         for checked, (x, y, z, u) in enumerate(product(range(n), repeat=4), 1):
-            lhs = spmat_matmul(tw[x][y], rho[z][u])
-            rhs = spmat_matmul(tw[z][u], rho[x][y], bracket_half2B(x, y, z, u))
+            if z >= u or skew and x >= y:
+                continue
+            lhs = spmat_matmul(tw(x, y), rho[z][u])
+            rhs = spmat_matmul(tw(z, u), rho[x][y], bracket_half2B(x, y, z, u))
             for k, f in c.row(x, y, u).items():
-                spmat_add_into(rhs, half1B[z][k], f)
+                spmat_add_into(rhs, half1B(z, k), f)
             if lhs != rhs:
                 return fail("rep_exchange", (x, y, z, u), checked, lhs, rhs)
         return CheckReport(True, n ** 4)
@@ -185,10 +203,7 @@ def check_representation(r: Rep3) -> CheckReport:
 
 def adjoint_rep(a: Algebra3) -> Rep3:
     """ad(e_i, e_j): z -> [e_i, e_j, z], carrier twist = the algebra twist."""
-    rep = check_algebra(a)
-    if not rep.passed:
-        raise PreconditionError("adjoint_rep needs a valid algebra",
-                                witness=rep.witness)
+    _require(check_algebra(a), "adjoint_rep needs a valid algebra")
     return Rep3(a, a.dim, _rep_family(a.bracket), a.twist)
 
 
@@ -213,10 +228,7 @@ def coadjoint_rep(a: Algebra3) -> Rep3:
     that is not diagonal it fails the representation identities: on the
     Cayley-twisted A4, check_representation reports intertwine at (e1, e2).
     """
-    rep = check_algebra(a)
-    if not rep.passed:
-        raise PreconditionError("coadjoint_rep needs a valid algebra",
-                                witness=rep.witness)
+    _require(check_algebra(a), "coadjoint_rep needs a valid algebra")
     return Rep3(a, a.dim, coadjoint_family(a), a.twist.transpose())
 
 
@@ -229,10 +241,7 @@ def semidirect_sum(a: Algebra3, r: Rep3, check: bool = True) -> Algebra3:
     if r.base is not a and r.base != a:
         raise InputError("representation base differs from the given algebra")
     if check:
-        rep = check_representation(r)
-        if not rep.passed:
-            raise PreconditionError("representation fails its axioms",
-                                    witness=rep.witness)
+        _require(check_representation(r), "representation fails its axioms")
     return _semidirect(a, _action_tensor(r.rho), r.A)
 
 
@@ -255,9 +264,3 @@ def _placed(act: Tensor4, x0: int, v0: int):
         i, j, q, p = i + x0, j + x0, q + v0, p + v0
         yield from ((i, j, q, p, v), (q, i, j, p, v), (j, q, i, p, v))
 
-
-def base_projection(total: Algebra3, n: int) -> Tensor4:
-    """Structure constants of the first n basis vectors, projected to them."""
-    entries = [(i, j, k, l, v) for i, j, k, l, v in total.bracket.items()
-               if i < n and j < n and k < n and l < n]
-    return Tensor4.from_entries((n,) * 4, entries)

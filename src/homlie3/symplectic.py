@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .exactlin import InputError, Mat, ONE, Tensor4, ZERO, linear_solver, mat_inverse
 from .homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, _identity, _pairing,
-    check_algebra, is_derivation,
+    _flag, _require, check_algebra, is_derivation,
 )
 from .reps import (
     Rep3, _coadjoint_tensor, _semidirect, dual_representation, semidirect_sum,
@@ -37,15 +37,11 @@ def check_symplectic(a: Algebra3, form: BilForm) -> CheckReport:
         raise InputError(f"form dim {form.dim} vs algebra dim {n}")
     W, A = form.matrix, a.twist
     parts = []
-    skew = W.transpose() == -W
-    parts.append(("skew", CheckReport(skew, 1, None if skew else
-                                      Witness("form_skew", (), (), ()))))
-    nondeg = mat_inverse(W) is not None
-    parts.append(("nondegenerate", CheckReport(nondeg, 1, None if nondeg else
-                                               Witness("form_nondegenerate", (), (), ()))))
-    compat = A.transpose() @ W @ A == W
-    parts.append(("twist_compatible", CheckReport(compat, 1, None if compat else
-                                                  Witness("twist_compatible", (), (), ()))))
+    parts.append(("skew", _flag(W.transpose() == -W, "form_skew")))
+    parts.append(("nondegenerate", _flag(mat_inverse(W) is not None,
+                                         "form_nondegenerate")))
+    parts.append(("twist_compatible", _flag(A.transpose() @ W @ A == W,
+                                            "twist_compatible")))
     parts.append(("cocycle", _fourterm_check(a, W)))
     return CheckReport.combine(parts)
 
@@ -60,12 +56,9 @@ def check_metric(a: Algebra3, form: BilForm) -> CheckReport:
         raise InputError(f"form dim {form.dim} vs algebra dim {n}")
     B = form.matrix
     parts = []
-    sym = B.transpose() == B
-    parts.append(("symmetric", CheckReport(sym, 1, None if sym else
-                                           Witness("form_symmetric", (), (), ()))))
-    nondeg = mat_inverse(B) is not None
-    parts.append(("nondegenerate", CheckReport(nondeg, 1, None if nondeg else
-                                               Witness("form_nondegenerate", (), (), ()))))
+    parts.append(("symmetric", _flag(B.transpose() == B, "form_symmetric")))
+    parts.append(("nondegenerate", _flag(mat_inverse(B) is not None,
+                                         "form_nondegenerate")))
     c = dict(a.bracket.rows())
     terms = [(1, c, _pairing(B), (0, 1, 2, 3)),
              (1, c, _pairing(B.transpose()), (0, 1, 3, 2))]
@@ -80,11 +73,9 @@ def is_metric_derivation(a: Algebra3, form: BilForm, D: Mat) -> CheckReport:
     parts.append(("derivation", CheckReport(w is None, 1, w)))
     B = form.matrix
     bskew = D.transpose() @ B + B @ D == Mat.zeros(a.dim, a.dim)
-    parts.append(("B_skew", CheckReport(bskew, 1, None if bskew else
-                                        Witness("B_skew", (), (), ()))))
-    inv = mat_inverse(D) is not None
-    parts.append(("invertible", CheckReport(inv, 1, None if inv else
-                                            Witness("D_invertible", (), (), ()))))
+    parts.append(("B_skew", _flag(bskew, "B_skew")))
+    parts.append(("invertible", _flag(mat_inverse(D) is not None,
+                                      "D_invertible")))
     return CheckReport.combine(parts)
 
 
@@ -101,13 +92,9 @@ def symplectic_from_derivation(a: Algebra3, form: BilForm, D: Mat) -> tuple:
 def _symplectic_from_derivation(a: Algebra3, form: BilForm, D: Mat) -> tuple:
     """``symplectic_from_derivation`` plus the reports of its preconditions:
     (omega, report, is_metric_derivation report, check_metric report)."""
-    pre = is_metric_derivation(a, form, D)
-    if not pre.passed:
-        raise PreconditionError("need an invertible metric-skew derivation",
-                                witness=pre.witness)
-    met = check_metric(a, form)
-    if not met.passed:
-        raise PreconditionError("form is not a metric", witness=met.witness)
+    pre = _require(is_metric_derivation(a, form, D),
+                   "need an invertible metric-skew derivation")
+    met = _require(check_metric(a, form), "form is not a metric")
     At_inv = mat_inverse(a.twist.transpose())
     if At_inv is None:
         raise PreconditionError("twist must be invertible")
@@ -141,9 +128,7 @@ def compatible_prelie_from_symplectic(a: Algebra3, omega: BilForm) -> tuple:
     cyclic sum returns the original bracket.
     Returns (PreLie3, CheckReport).
     """
-    rep = check_symplectic(a, omega)
-    if not rep.passed:
-        raise PreconditionError("not a symplectic structure", witness=rep.witness)
+    _require(check_symplectic(a, omega), "not a symplectic structure")
     n, c, A, W = a.dim, a.bracket, a.twist, omega.matrix
     # {x,y,z} = u where (W.A)^T u = g, g_w = -w(a(z), [x,y,w])
     solve = linear_solver((W @ A).transpose())
@@ -171,9 +156,8 @@ def compatible_prelie_from_symplectic(a: Algebra3, omega: BilForm) -> tuple:
     product = Tensor4.from_entries((n,) * 4, entries)
     p = PreLie3(n, product, A, label="symplectic-compatible")
     parts = [("prelie", check_prelie(p))]
-    compat = subadjacent_tensor(p.product) == c
-    parts.append(("compatible", CheckReport(compat, 1, None if compat else
-                                            Witness("compatible", (), (), ()))))
+    parts.append(("compatible",
+                  _flag(subadjacent_tensor(p.product) == c, "compatible")))
     return p, CheckReport.combine(parts)
 
 
@@ -195,9 +179,7 @@ def check_phase_space(base: Algebra3, total: Algebra3) -> CheckReport:
         raise InputError(f"phase space dim {total.dim}, expected {2 * n}")
     parts = [("algebra", check_algebra(total))]
     tw = Mat.block_diag(base.twist, base.twist.transpose())
-    tw_ok = total.twist == tw
-    parts.append(("twist_split", CheckReport(tw_ok, 1, None if tw_ok else
-                                             Witness("twist_split", (), (), ()))))
+    parts.append(("twist_split", _flag(total.twist == tw, "twist_split")))
     sub_w = None
     proj_w = None
     checked = 0
@@ -227,17 +209,13 @@ def phase_space_from_prelie(p: PreLie3) -> tuple:
     """The semidirect sum of the sub-adjacent algebra with the dual of the
     left-multiplication representation, together with its phase-space
     verdict. Returns (Algebra3, CheckReport)."""
-    pre = check_prelie(p)
-    if not pre.passed:
-        raise PreconditionError("not a 3-Hom-pre-Lie algebra", witness=pre.witness)
+    _require(check_prelie(p), "not a 3-Hom-pre-Lie algebra")
     from .prelie import subadjacent
     base = subadjacent(p)
     lrep = Rep3(base, p.dim, left_multiplication(p), p.twist)
     dual, dual_rep_ok = dual_representation(lrep)
-    if not dual_rep_ok.passed:
-        raise PreconditionError("dual of left multiplication fails the "
-                                "representation axioms",
-                                witness=dual_rep_ok.witness)
+    _require(dual_rep_ok,
+             "dual of left multiplication fails the representation axioms")
     total = semidirect_sum(base, dual, check=False)
     total = Algebra3(total.dim, total.bracket, total.twist, label="phase-space")
     return total, check_phase_space(base, total)
@@ -273,8 +251,7 @@ def prelie_from_phase_space(base: Algebra3, total: Algebra3) -> tuple:
                 label="from-phase-space")
     parts.append(("prelie", check_prelie(p)))
     compat = subadjacent_tensor(p.product) == base.bracket
-    parts.append(("subadjacent", CheckReport(compat, 1, None if compat else
-                                             Witness("subadjacent", (), (), ()))))
+    parts.append(("subadjacent", _flag(compat, "subadjacent")))
     return p, CheckReport.combine(parts)
 
 
@@ -324,9 +301,7 @@ def nilpotent_extension(a: Algebra3, steps: int) -> tuple:
     """
     if steps < 2:
         raise InputError("steps must be at least 2 (degree range is 1..steps-1)")
-    pre = check_algebra(a)
-    if not pre.passed:
-        raise PreconditionError("base is not a 3-Hom-Lie algebra", witness=pre.witness)
+    _require(check_algebra(a), "base is not a 3-Hom-Lie algebra")
     n, deg = a.dim, steps - 1
     N = n * deg
     ext = _truncated_extension(a, steps)

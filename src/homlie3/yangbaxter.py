@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from .exactlin import InputError, Mat, Tensor4, mat_inverse
 from .homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, _identity, _image,
-    _pairing, _residual, check_algebra, twist_slots,
+    _flag, _pairing, _require, _residual, check_algebra, twist_slots,
 )
 from .reps import _coadjoint_tensor
 from .bialgebra import BilForm, Cobracket
@@ -81,9 +81,7 @@ def triple_bracket(r: RTensor) -> dict:
 
 def _r_parts(r: RTensor) -> list:
     """The skew and alpha_invariance parts of a report on r."""
-    skew, n = r.is_skew(), r.base.dim
-    return [("skew", CheckReport(skew, n * n, None if skew else
-                                 Witness("r_skew", (), (), ()))),
+    return [("skew", _flag(r.is_skew(), "r_skew", r.base.dim ** 2)),
             ("alpha_invariance", alpha_invariance(r))]
 
 
@@ -196,23 +194,16 @@ def cocycle_form_check(r: RTensor) -> CheckReport:
     """For a regular base and invertible twist-invariant skew r: r solves
     the Yang-Baxter equation iff the 2-form B(x,y) = <r^-1(x), y> is closed.
     Both verdicts are computed and the biconditional is asserted as a part."""
-    rep = check_algebra(r.base, regular=True)
-    if not rep.passed:
-        raise PreconditionError("not a regular 3-Hom-Lie algebra",
-                                witness=rep.witness)
+    _require(check_algebra(r.base, regular=True),
+             "not a regular 3-Hom-Lie algebra")
     if not r.is_skew():
         raise PreconditionError("r must be skew-symmetric")
-    inv = alpha_invariance(r)
-    if not inv.passed:
-        raise PreconditionError("r is not twist-invariant", witness=inv.witness)
+    _require(alpha_invariance(r), "r is not twist-invariant")
     form = form_from_r(r)
     chybe = check_chybe(r)
     closed = closed_form_check(r.base, form)
     agree = chybe.passed == closed.passed
-    parts = (("chybe", chybe), ("closed_form", closed),
-             ("biconditional", CheckReport(agree, 1, None if agree else
-                                           Witness("biconditional", (), (), ()))))
-    return CheckReport(agree,
-                       chybe.checked + closed.checked + 1,
-                       None if agree else Witness("biconditional", (), (), ()),
-                       parts)
+    both = _flag(agree, "biconditional")
+    parts = (("chybe", chybe), ("closed_form", closed), ("biconditional", both))
+    return CheckReport(agree, chybe.checked + closed.checked + 1,
+                       both.witness, parts)

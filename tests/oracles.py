@@ -19,7 +19,10 @@ reproduce their reports byte for byte, and ``triple_bracket_loop`` and
 routine of ``homlie3.exactlin`` replaced, with the kernel, solve, inverse
 and rank routines built on it, and ``derivation_system_dense`` the dense
 derivation system. The sparse routines must return the same canonical
-kernel bases, particular solutions and inverses.
+kernel bases, particular solutions and inverses. ``derivation_system``
+lays the program's sparse derivation rows out as a dense ``Mat`` for
+these comparisons, and ``base_projection`` reads the base bracket back out
+of a semidirect sum.
 
 ``skew_check_dense`` is the skewness scan over every basis triple that the
 sweep over nonzero rows in ``homlie3.homlie`` replaced (same reports byte
@@ -34,6 +37,7 @@ read action tensors (same tensors), and ``literal_prelie_rep_check_loop``
 is the hand-written loop over the four printed pre-Lie representation
 identities that the residual engine replaced (same reports byte for byte).
 """
+import itertools
 from typing import Mapping, Optional
 
 from homlie3.exactlin import (
@@ -41,8 +45,8 @@ from homlie3.exactlin import (
     rat, sparse_of, unit_vec, vec_add_into,
 )
 from homlie3.homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, bracket_vec,
-    check_algebra, twist_slots,
+    Algebra3, CheckReport, PreconditionError, Witness, _derivation_rows,
+    bracket_vec, check_algebra, twist_slots,
 )
 from homlie3.reps import Rep3, check_representation
 from homlie3.bialgebra import (
@@ -159,12 +163,11 @@ def check_representation_dense(r: Rep3) -> CheckReport:
     return CheckReport.combine(parts)
 
 
-def hom_jacobi_check_loop(a: Algebra3) -> CheckReport:
-    # Sparse strategy: instead of walking all n^5 basis tuples, accumulate
-    # the residual of the identity from pairs of composable bracket
-    # entries.  A tuple absent from the accumulator has residual zero, so
-    # the verdict is exhaustive; witnesses are reconstructed per tuple.
-    n, c, A = a.dim, a.bracket, a.twist
+def hom_jacobi_residual_loop(a: Algebra3) -> dict:
+    """The Hom-Jacobi residual {(x, y, u, v, w): {l: value}} at every key it
+    is nonzero, using no skewness (the accumulation of
+    hom_jacobi_check_loop)."""
+    c, A = a.bracket, a.twist
     t12 = twist_slots(c, {0: A, 1: A})
     t23 = twist_slots(c, {1: A, 2: A})
     t13 = twist_slots(c, {0: A, 2: A})
@@ -205,7 +208,20 @@ def hom_jacobi_check_loop(a: Algebra3) -> CheckReport:
             # -[a(u), a(v), [x,y,w]] with (x,y,w) = (i,j,k)
             for u, v, vec in t12_by_third.get(m, ()):
                 add((i, j, u, v, k), vec, -f)
+    return residual
 
+
+def hom_jacobi_check_loop(a: Algebra3,
+                          residual: Optional[dict] = None) -> CheckReport:
+    """``residual`` is hom_jacobi_residual_loop(a) when already computed."""
+    # Sparse strategy: instead of walking all n^5 basis tuples, accumulate
+    # the residual of the identity from pairs of composable bracket
+    # entries.  A tuple absent from the accumulator has residual zero, so
+    # the verdict is exhaustive; witnesses are reconstructed per tuple.
+    n, c, A = a.dim, a.bracket, a.twist
+    t12 = twist_slots(c, {0: A, 1: A})
+    if residual is None:
+        residual = hom_jacobi_residual_loop(a)
     checked = n ** 5
     bad = [key for key, slot in residual.items() if slot]
     if not bad:
@@ -246,6 +262,27 @@ def multiplicative_check_loop(a: Algebra3) -> CheckReport:
                     return CheckReport(False, checked, Witness(
                         "multiplicative", (i, j, k), dense(lhs, n), dense(rhs, n)))
     return CheckReport(True, checked)
+
+
+def multiplicative_residual_loop(a: Algebra3) -> dict:
+    """alpha([x,y,z]) - [alpha x, alpha y, alpha z] at every basis triple
+    where it is nonzero (multiplicative_check_loop without its early
+    exit)."""
+    n, c, A = a.dim, a.bracket, a.twist
+    full = twist_slots(c, {0: A, 1: A, 2: A})
+    colsup = A.col_support()
+    out = {}
+    for key in itertools.product(range(n), repeat=3):
+        diff: dict = {}
+        for m, f in c.row(*key).items():
+            for l, v in colsup[m]:
+                diff[l] = diff.get(l, ZERO) + f * v
+        for l, v in full.get(key, {}).items():
+            diff[l] = diff.get(l, ZERO) - v
+        diff = {l: v for l, v in diff.items() if v}
+        if diff:
+            out[key] = diff
+    return out
 
 
 def is_derivation_loop(a: Algebra3, d: Mat) -> Optional[Witness]:
@@ -1271,6 +1308,14 @@ def derivation_system_dense(a: Algebra3, form: Optional[Mat] = None) -> Mat:
     return Mat(rows)
 
 
+def derivation_system(a: Algebra3, form: Optional[Mat] = None) -> Mat:
+    """The rows of ``homlie3.homlie._derivation_rows`` as a dense system over
+    vec(D) (row-major, D[p][q] -> p*n+q)."""
+    m = a.dim * a.dim
+    return Mat([dense(row, m) for row in _derivation_rows(a, form)]
+               or [[ZERO] * m])
+
+
 def derivation_space_dense(a: Algebra3, form: Optional[Mat] = None,
                            system: Optional[Mat] = None) -> tuple:
     """Canonical basis of Der(L) (or Der_B(L) when B is given) as matrices,
@@ -1507,3 +1552,10 @@ def compatible_prelie_dense(a: Algebra3, o: OOperator) -> PreLie3:
     if subadjacent_tensor(p.product) != a.bracket:
         raise PreconditionError("sub-adjacent bracket does not recover the input")
     return p
+
+
+def base_projection(total: Algebra3, n: int) -> Tensor4:
+    """Structure constants of the first n basis vectors, projected to them."""
+    entries = [(i, j, k, l, v) for i, j, k, l, v in total.bracket.items()
+               if i < n and j < n and k < n and l < n]
+    return Tensor4.from_entries((n,) * 4, entries)

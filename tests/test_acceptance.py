@@ -28,9 +28,10 @@ from homlie3 import (Algebra3, BilForm, Mat, OOperator, RTensor, adjoint_rep,
 from homlie3.bialgebra import Cobracket
 from homlie3.cli import main
 from homlie3.prelie import subadjacent_tensor
-from homlie3.reps import base_projection
 from homlie3.symplectic import is_metric_derivation, symplectic_from_derivation
 from homlie3.yangbaxter import alpha_invariance
+
+from oracles import base_projection
 
 F = Fraction
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")

@@ -29,7 +29,8 @@ from homlie3 import (Algebra3, BilForm, Cobracket, MatchedPairData, Mat,
                      triple_bracket, verify_residual)
 from homlie3.bialgebra import standard_manin_reps
 from homlie3.cli import report_doc
-from homlie3.homlie import CheckReport, _residual
+from homlie3.homlie import (CheckReport, _hom_jacobi_terms, _morphism_terms,
+                            _residual, _skew_check, _slot_outer)
 from homlie3.prelie import (_literal_prelie_rep_check, _prelie_identities,
                             _prelie_rep_equations, left_multiplication,
                             regular_prelie_rep, right_multiplication)
@@ -108,17 +109,51 @@ def mat_mutant(m, rng):
     return Mat(rows)
 
 
+def nonskew_mutant():
+    """N4diag with [e2, e1, e4] = e2 added alone: not skew, and its
+    Hom-Jacobi and multiplicativity residuals vanish at every sorted key."""
+    bracket = Tensor4.from_entries((4,) * 4, itertools.chain(
+        n4(N4_DIAG).bracket.items(), [(1, 0, 3, 1, F(1))]))
+    return Algebra3(4, bracket, N4_DIAG, "n4diag~nonskew")
+
+
+def sorted_key(key):
+    """x < y and u < v < w for a Hom-Jacobi key, x < y < z for a triple."""
+    return key[0] < key[1] and key[-3] < key[-2] < key[-1]
+
+
 def test_hom_jacobi_and_multiplicative_match_loops():
+    """Both parts equal the loops, over every key with skew=False and over
+    the sorted keys once skew has passed, where the term lists form the
+    full residual restricted to sorted keys."""
     hj, mult = Tally(), Tally()
-    for a in algebras():
-        rep = check_algebra(a, skew=False)
-        hj.compare(a.label, rep.part("hom_jacobi"),
-                   oracles.hom_jacobi_check_loop(a))
-        mult.compare(a.label, rep.part("multiplicative"),
-                     oracles.multiplicative_check_loop(a), 4 ** 3)
+    restricted = False
+    for a in algebras() + [nonskew_mutant()]:
+        full = (oracles.hom_jacobi_residual_loop(a),
+                oracles.multiplicative_residual_loop(a))
+        old_hj = oracles.hom_jacobi_check_loop(a, full[0])
+        old_mult = oracles.multiplicative_check_loop(a)
+        skew = _skew_check(a).passed
+        for s in (False, True) if skew else (False,):
+            rep = check_algebra(a, skew=s)
+            hj.compare(a.label, rep.part("hom_jacobi"), old_hj)
+            mult.compare(a.label, rep.part("multiplicative"), old_mult, 4 ** 3)
+        if skew:
+            t12 = _slot_outer(a.bracket, 2, {0: a.twist, 1: a.twist})
+            got = (_residual(_hom_jacobi_terms(a, t12, True)),
+                   _residual(_morphism_terms(a, a.twist, t12, True)))
+            for res, want in zip(got, full):
+                assert res == {k: v for k, v in want.items()
+                               if sorted_key(k)}, a.label
+                restricted |= res != want
     # hom_jacobi reports a nominal n**5, so no lex position to cover
     hj.assert_covered()
     mult.assert_covered(late=0.1)
+    assert restricted
+    # with no skew check the mutant fails at keys a sorted scan never forms
+    rep = check_algebra(nonskew_mutant(), skew=False)
+    assert [rep.part(p).witness.at for p in ("hom_jacobi", "multiplicative")] \
+        == [(0, 1, 1, 0, 2), (1, 0, 3)]
 
 
 def test_is_derivation_matches_loop():

@@ -12,12 +12,12 @@ from homlie3 import (Algebra3, InputError, Mat, Tensor4, check_algebra,
                      composition_twist, derivation_space, fileio,
                      is_derivation, nilpotent_extension, yau_twist)
 from homlie3.cli import report_doc
-from homlie3.homlie import _skew_check, derivation_system, is_bracket_morphism
+from homlie3.homlie import _skew_check, is_bracket_morphism
 from homlie3.symplectic import _truncated_extension
 
 from conftest import (N4_DIAG, N4_NEG, a4, a4_cayley, corrupted_n4,
                       graded_twist, n4, nilp5, random_nilpotent)
-from oracles import skew_check_dense
+from oracles import derivation_system, skew_check_dense
 
 F = Fraction
 

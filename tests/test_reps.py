@@ -6,15 +6,16 @@ from fractions import Fraction
 import pytest
 
 from homlie3 import (Algebra3, InputError, Mat, PreconditionError, Rep3,
-                     adjoint_rep, check_algebra, check_representation,
-                     coadjoint_rep, dual_representation, fileio,
-                     rep_from_upper, semidirect_sum)
+                     Tensor4, adjoint_rep, check_algebra,
+                     check_representation, coadjoint_rep,
+                     dual_representation, fileio, rep_from_upper,
+                     semidirect_sum)
 from homlie3.cli import report_doc
-from homlie3.reps import base_projection
 
 from conftest import (N4_DIAG, N4_NEG, a4, a4_cayley, n4, random_nilpotent,
                       rank1_rep, skew_tensor)
-from oracles import check_representation_dense, semidirect_sum_dense
+from oracles import (base_projection, check_representation_dense,
+                     semidirect_sum_dense)
 
 F = Fraction
 
@@ -182,7 +183,19 @@ def _oracle_corpus():
             corpus.append((f"{key}~{site}+{d}", _mutant(rep, *site, d)))
     late = _mutant(adjoint_rep(n4_rev), 2, 3, 2, 3, F(1))
     corpus.append(("n4-reversed.ad~(2, 3, 2, 3)+1", late))
+    corpus.append(("nonskew", _nonskew_rep()))
     return corpus
+
+
+def _nonskew_rep():
+    """rho(e1, e2) = E12 on a 2-dim carrier over a base whose one bracket
+    row, [e2, e1, e3] = e1, is not skew. Every product of two operators
+    vanishes, so action and exchange fail only where the bracket enters,
+    at tuples with x > y."""
+    base = Algebra3(3, Tensor4.from_entries((3,) * 4, [(1, 0, 2, 0, 1)]),
+                    Mat.identity(3), "nonskew")
+    return rep_from_upper(base, 2, {(0, 1): Mat([[0, 1], [0, 0]])},
+                          Mat.identity(2))
 
 
 def test_sparse_checker_matches_dense_oracle():
@@ -199,3 +212,7 @@ def test_sparse_checker_matches_dense_oracle():
     # the corpus fails every part, and once past the first quarter of a part
     assert failed_parts == {"intertwine", "action", "exchange"}
     assert late_exit
+    # a scan that took the base bracket to be skew would pass both
+    r = check_representation(_nonskew_rep())
+    assert [r.part(p).witness.at for p in ("action", "exchange")] == \
+        [(1, 0, 2, 1), (1, 0, 1, 2)]
