@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 
 from .exactlin import InputError, rat_str
 from .homlie import (
@@ -20,13 +21,16 @@ from . import bialgebra, fileio, prelie, symplectic, yangbaxter
 MAX_DIM = 12
 
 
-def _fmt_val(v) -> str:
-    """A witness value: "p/q" for a scalar, "(i, p/q)" with i 1-based (like
-    the indices of ``at``) for an (index, value) pair of a residual witness,
-    and str() for a row of a matrix side."""
-    if isinstance(v, tuple) and isinstance(v[0], int):
-        return f"({v[0] + 1}, {rat_str(v[1])})"
-    return rat_str(v)
+def _fmt_side(w: Witness, side: tuple) -> list:
+    """A witness side as strings, one per item of its ``kind``: "p/q" for a
+    scalar, "(i, p/q)" with i 1-based (like the indices of ``at``) for an
+    (index, value) pair, and for a matrix row the str() of the tuple of its
+    entries as Fractions, the form reports have always printed."""
+    if w.kind == "pairs":
+        return [f"({i + 1}, {rat_str(v)})" for i, v in side]
+    if w.kind == "rows":
+        return [str(tuple(map(Fraction, row))) for row in side]
+    return [rat_str(v) for v in side]
 
 
 def _witness_doc(w: Witness):
@@ -34,8 +38,8 @@ def _witness_doc(w: Witness):
         return None
     return {"check": w.check,
             "at": [i + 1 if isinstance(i, int) else i for i in w.at],
-            "left": [_fmt_val(v) for v in w.left],
-            "right": [_fmt_val(v) for v in w.right]}
+            "left": _fmt_side(w, w.left),
+            "right": _fmt_side(w, w.right)}
 
 
 def report_doc(r: CheckReport) -> dict:
@@ -52,8 +56,8 @@ def report_text(r: CheckReport, name: str = "overall", depth: int = 0) -> str:
         w = r.witness
         at = ",".join(str(i + 1 if isinstance(i, int) else i) for i in w.at)
         lines.append(f"{pad}  witness {w.check} at ({at}): "
-                     f"left={[_fmt_val(v) for v in w.left]} "
-                     f"right={[_fmt_val(v) for v in w.right]}")
+                     f"left={_fmt_side(w, w.left)} "
+                     f"right={_fmt_side(w, w.right)}")
     for sub_name, sub in r.parts:
         lines.append(report_text(sub, sub_name, depth + 1))
     return "\n".join(lines)

@@ -1,9 +1,16 @@
 """Exact rational matrices, sparse rank-4 tensors, and linear solving.
 
 Everything downstream works over the rationals with no rounding: structure
-constants, twist maps and bilinear forms are matrices/tensors of
-``fractions.Fraction``.  All containers are immutable after construction and
-all functions are pure.
+constants, twist maps and bilinear forms are matrices/tensors of exact
+rationals. An element is an ``int`` when it is integral and a
+``fractions.Fraction`` otherwise: ``rat`` parses every input to that form,
+``Mat`` and ``Tensor4`` store what it returns, and sums and products of
+ints stay ints, so integral data is never promoted to ``Fraction``.
+Arithmetic that mixes in a ``Fraction`` may leave an integral ``Fraction``
+in a result; it compares, hashes and prints as the int it equals. The one
+division, in ``_gauss_jordan``, has a ``Fraction`` numerator so that it
+stays exact. All containers are immutable after construction and all
+functions are pure.
 
 All linear algebra runs on one sparse Gauss-Jordan routine,
 ``_gauss_jordan``: rows are {col: value} dicts and a pivot map takes each
@@ -24,39 +31,51 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 Rat = Fraction
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 class InputError(ValueError):
     """Malformed or dimensionally inconsistent input."""
 
 
-def rat(x) -> Fraction:
-    """Parse a rational from an int, Fraction, or a "p/q" string."""
-    if isinstance(x, Fraction):
+def rat(x):
+    """Parse a rational from an int, a Fraction, or a "p/q" string: an int
+    when the value is integral, a Fraction otherwise.
+
+    A string of ASCII digits with an optional leading "-" is read by
+    ``int``; any other string by ``Fraction``, so the strings accepted are
+    exactly those ``Fraction`` accepts.
+    """
+    # ints first: isinstance(int, Fraction) is a slow ABC check
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
+        digits = x[1:] if x[:1] == "-" else x
         try:
-            return Fraction(x)
+            if digits.isascii() and digits.isdigit():
+                return int(x)
+            return rat(Fraction(x))
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad rational {x!r}: {e}") from None
     raise InputError(f"bad rational {x!r} (type {type(x).__name__})")
 
 
-def rat_str(x: Fraction) -> str:
+def rat_str(x) -> str:
     """Canonical "p/q" form, "p" when the denominator is 1."""
     return str(x)
 
 
 class Mat:
-    """Immutable dense matrix of Fractions.  ``M[i][j]``, row-major."""
+    """Immutable dense matrix of rationals.  ``M[i][j]``, row-major."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Sequence[Sequence[Fraction]]):
+    def __init__(self, entries: Sequence[Sequence]):
         rows = tuple(tuple(rat(v) for v in row) for row in entries)
         if not rows or not rows[0]:
             raise InputError("matrix must have positive dimensions")
@@ -68,8 +87,8 @@ class Mat:
         self.entries = rows
 
     @staticmethod
-    def _of(rows: Sequence[Sequence[Fraction]]) -> "Mat":
-        """A Mat of non-empty rows of Fractions of one length, as ``Mat``
+    def _of(rows: Sequence[Sequence]) -> "Mat":
+        """A Mat of non-empty rows of rationals of one length, as ``Mat``
         methods build them: nothing is parsed or checked."""
         m = object.__new__(Mat)
         m.entries = tuple(map(tuple, rows))
@@ -102,7 +121,7 @@ class Mat:
                 out[n + i][a.cols + j] = b.entries[i][j]
         return Mat._of(out)
 
-    def __getitem__(self, i: int) -> Sequence[Fraction]:
+    def __getitem__(self, i: int) -> Sequence:
         return self.entries[i]
 
     def __eq__(self, other) -> bool:
@@ -144,7 +163,7 @@ class Mat:
             out.append(acc)
         return Mat._of(out)
 
-    def apply(self, vec: Sequence[Fraction]) -> tuple:
+    def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.cols:
             raise InputError(f"apply shape mismatch {self.shape} to len {len(vec)}")
         return tuple(sum((a * v for a, v in zip(row, vec) if a and v), ZERO)
@@ -209,8 +228,9 @@ def _gauss_jordan(rows: Iterable[Mapping], last: bool = False,
         if width is not None and p >= width:
             rest.append(row)
             continue
-        inv = ONE / row[p]
-        row = {c: v * inv for c, v in row.items()}
+        inv = rat(Fraction(1) / row[p])  # a Fraction numerator: exact
+        if inv != 1:
+            row = {c: v * inv for c, v in row.items()}
         for other in piv.values():
             f = other.get(p)
             if f:
@@ -219,7 +239,7 @@ def _gauss_jordan(rows: Iterable[Mapping], last: bool = False,
     return piv, rest
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple:
+def rref(rows: Sequence[Sequence]) -> tuple:
     """Reduced row echelon form.  Returns (rows, pivot_columns); the rows
     keep their number, zero rows last."""
     rows = list(rows)
@@ -337,7 +357,7 @@ def mat_rank(m: Mat) -> int:
 # Sparse rank-4 tensors (structure constants c_{ijk}^l and friends).
 # Stored as {(i, j, k): {l: value}} with no explicit zeros.
 
-SparseVec = dict  # {int: Fraction}
+SparseVec = dict  # {int: rational}
 
 
 class Tensor4:
@@ -379,7 +399,7 @@ class Tensor4:
                 vec.pop(l, None)
         return Tensor4(dims, rows)
 
-    def get(self, i: int, j: int, k: int, l: int) -> Fraction:
+    def get(self, i: int, j: int, k: int, l: int):
         return self._rows.get((i, j, k), {}).get(l, ZERO)
 
     def row(self, i: int, j: int, k: int) -> Mapping:
@@ -415,11 +435,15 @@ class Tensor4:
 
 # Sparse vector helpers used by the identity checkers.
 
-def vec_add_into(acc: dict, vec: Mapping, scale: Fraction = ONE) -> None:
+def vec_add_into(acc: dict, vec: Mapping, scale=ONE) -> None:
+    """acc += scale * vec, dropping entries that cancel; a new entry is
+    stored as it is, not added to a zero."""
     if not scale:
         return
     for l, v in vec.items():
-        nv = acc.get(l, ZERO) + scale * v
+        nv = scale * v
+        if l in acc:
+            nv += acc[l]
         if nv:
             acc[l] = nv
         else:
@@ -434,7 +458,7 @@ def dense(vec: Mapping, n: int) -> tuple:
     return tuple(vec.get(i, ZERO) for i in range(n))
 
 
-def sparse_of(vec: Sequence[Fraction]) -> dict:
+def sparse_of(vec: Sequence) -> dict:
     return {i: v for i, v in enumerate(vec) if v}
 
 
@@ -449,7 +473,7 @@ def spmat_to_mat(s: Mapping, rows: int, cols: int) -> Mat:
     return Mat._of([dense(s.get(p, {}), cols) for p in range(rows)])
 
 
-def spmat_add_into(acc: dict, s: Mapping, scale: Fraction = ONE) -> None:
+def spmat_add_into(acc: dict, s: Mapping, scale=ONE) -> None:
     """acc += scale * s."""
     for p, row in s.items():
         r = acc.setdefault(p, {})

@@ -32,7 +32,9 @@ residuals of such sums.
 A residual skew in a group of key indices is zero at a repeated index and
 elsewhere +-1 times its value at the key with the group sorted, which is
 lex before it. So once ``_skew_check`` passes, the Hom-Jacobi and
-multiplicativity terms are prefiltered to the sorted key of each orbit.
+multiplicativity terms are prefiltered to the sorted key of each orbit,
+and their twisted outer parts are built only at increasing index pairs,
+from 2x2 minors of the twist (``_twisted_outer``).
 """
 from __future__ import annotations
 
@@ -57,11 +59,20 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class Witness:
-    """First violated instance of a check: where, at which basis tuple."""
+    """First violated instance of a check: where, at which basis tuple.
+
+    ``left`` and ``right`` are the two sides there; ``kind`` states what
+    their items are: "scalars" (values), "pairs" ((index, value) entries of
+    a sparse vector) or "rows" (the rows of a matrix)."""
     check: str
     at: tuple
     left: tuple
     right: tuple
+    kind: str = "scalars"
+
+    def __post_init__(self):
+        if self.kind not in ("scalars", "pairs", "rows"):
+            raise ValueError(f"witness kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -303,33 +314,57 @@ def _pairing(m: Mat) -> dict:
             for l, row in enumerate(m.entries)}
 
 
-def _increasing(outer: dict) -> dict:
-    """The outer part's (others, vec) with others[0] < others[1]."""
-    out = {m: [(o, vec) for o, vec in pairs if o[0] < o[1]]
-           for m, pairs in outer.items()}
-    return {m: pairs for m, pairs in out.items() if pairs}
-
-
 def _tail_increasing(key: tuple) -> bool:
     """The last three indices of a residual key increase."""
     return key[-3] < key[-2] < key[-1]
 
 
+def _twisted_outer(a: Algebra3, slot: int, skew: bool) -> dict:
+    """_slot_outer of the bracket with the twist in the two slots other
+    than ``slot``. With ``skew`` (the bracket is known to be skew) it holds
+    only the (others, vec) with others[0] < others[1], built from the rows
+    of the bracket with increasing indices a < b in the twisted slots: as
+    sum_{a,b} A[a][x] A[b][y] c[..a..b..] = sum_{a<b} (A[a][x] A[b][y]
+    - A[b][x] A[a][y]) c[..a..b..], each such row is read once, with the
+    nonzero 2x2 minors of the twist's rows a, b at columns x < y."""
+    A = a.twist
+    if not skew:
+        return _slot_outer(a.bracket, slot,
+                           {s: A for s in range(3) if s != slot})
+    minors: dict = {}
+    out: dict = {}
+    for key, lvec in a.bracket.rows():
+        ab = key[:slot] + key[slot + 1:]
+        if ab[0] >= ab[1]:
+            continue
+        if ab not in minors:
+            ra, rb = A.entries[ab[0]], A.entries[ab[1]]
+            cols = [x for x in range(A.cols) if ra[x] or rb[x]]
+            minors[ab] = [((x, y), d) for i, x in enumerate(cols)
+                          for y in cols[i + 1:]
+                          if (d := ra[x] * rb[y] - rb[x] * ra[y])]
+        acc = out.setdefault(key[slot], {})
+        for xy, d in minors[ab]:
+            vec_add_into(acc.setdefault(xy, {}), lvec, d)
+    out = {m: [(xy, vec) for xy, vec in acc.items() if vec]
+           for m, acc in out.items()}
+    return {m: pairs for m, pairs in out.items() if pairs}
+
+
 def _hom_jacobi_terms(a: Algebra3, t12: dict, skew: bool) -> list:
-    """The Hom-Jacobi residual at key (x, y, u, v, w), t12 being [a(x),
-    a(y), m] by m; with ``skew`` only at x < y, u < v < w.
+    """The Hom-Jacobi residual at key (x, y, u, v, w), t12 being
+    _twisted_outer(a, 2, skew), [a(x), a(y), m] by m; with ``skew`` only at
+    x < y, u < v < w.
 
     A skew bracket makes every term skew in (x, y); swapping two of u, v, w
     negates the first term and takes each other one to minus another."""
-    c, A = dict(a.bracket.rows()), a.twist
-    t23 = _slot_outer(a.bracket, 0, {1: A, 2: A})
-    t13 = _slot_outer(a.bracket, 1, {0: A, 2: A})
+    c = dict(a.bracket.rows())
+    t23, t13 = _twisted_outer(a, 0, skew), _twisted_outer(a, 1, skew)
     uvw = xy = c
     keep = ()
     if skew:
         uvw = {t: v for t, v in c.items() if t[0] < t[1] < t[2]}
         xy = {t: v for t, v in c.items() if t[0] < t[1]}
-        t12, t23, t13 = map(_increasing, (t12, t23, t13))
         keep = (_tail_increasing,)
     # [a(x),a(y),[u,v,w]] - [[x,y,u],a(v),a(w)] - [a(u),[x,y,v],a(w)]
     #   - [a(u),a(v),[x,y,w]]; the key test orders u, v, w across parts
@@ -342,12 +377,13 @@ def _hom_jacobi_terms(a: Algebra3, t12: dict, skew: bool) -> list:
 def _morphism_terms(a: Algebra3, phi: Mat, t12: dict, skew: bool) -> list:
     """phi([x,y,z]) - [phi x, phi y, phi z] at key (x, y, z), t12 being
     [phi x, phi y, m] by m; with ``skew``, as a skew bracket makes both
-    sides skew in (x, y, z), only at x < y < z."""
+    sides skew in (x, y, z), only at x < y < z, t12 then holding only
+    x < y."""
     c = dict(a.bracket.rows())
     keep = ()
     if skew:
         c = {t: v for t, v in c.items() if t[0] < t[1] < t[2]}
-        t12, keep = _increasing(t12), (_tail_increasing,)
+        keep = (_tail_increasing,)
     return [(1, c, _image(phi), (0, 1, 2)),
             (-1, _columns(phi), t12, (1, 2, 0), *keep)]
 
@@ -361,7 +397,7 @@ def check_algebra(a: Algebra3, skew: bool = True, hom_jacobi: bool = True,
     # [a(x), a(y), z] grouped by z, shared by both checks, which a passed
     # skew check lets decide each orbit of keys at its sorted key
     A, n = a.twist, a.dim
-    t12 = _slot_outer(a.bracket, 2, {0: A, 1: A})
+    t12 = _twisted_outer(a, 2, skew)
     if hom_jacobi:
         parts.append(("hom_jacobi", _identity(
             "hom_jacobi", _hom_jacobi_terms(a, t12, skew), (n,) * 5, n,

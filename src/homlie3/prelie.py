@@ -156,7 +156,7 @@ def check_o_operator(o: OOperator) -> CheckReport:
     parts.append(("intertwine", CheckReport(
         inter, 1, None if inter else Witness(
             "o_intertwine", (), tuple((base.twist @ T).entries),
-            tuple((T @ o.rep.A).entries)))))
+            tuple((T @ o.rep.A).entries), "rows"))))
     act = _acted(o)
     # [Tu,Tv,Tw] - T(rho(Tu,Tv)w + rho(Tv,Tw)u + rho(Tw,Tu)v) at key (u, v, w)
     terms = [(1, _columns(T), _slot_outer(base.bracket, 2, {0: T, 1: T}),
@@ -310,7 +310,8 @@ def _literal_prelie_rep_check(r: PreLieRep) -> CheckReport:
                   for l, row in enumerate(left))
     x1, x2, x3, x4 = at
     return CheckReport(False, 4 * (((x1 * n + x2) * n + x3) * n + x4 + 1),
-                       Witness(f"prelie_rep_eq{k + 1}", at, left, right))
+                       Witness(f"prelie_rep_eq{k + 1}", at, left, right,
+                               "rows"))
 
 
 def check_prelie_rep(r: PreLieRep) -> CheckReport:

@@ -152,7 +152,7 @@ def check_representation(r: Rep3) -> CheckReport:
     def fail(check, at, checked, lhs, rhs):
         return CheckReport(False, checked, Witness(
             check, at, tuple(spmat_to_mat(lhs, m, m).entries),
-            tuple(spmat_to_mat(rhs, m, m).entries)))
+            tuple(spmat_to_mat(rhs, m, m).entries), "rows"))
 
     def bracket_half2B(x, y, z, u):
         # rho([x,y,z], a(u)) B

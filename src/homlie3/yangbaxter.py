@@ -165,7 +165,7 @@ def verify_residual(r: RTensor) -> CheckReport:
         w = res.witness
         pairs = lambda vec: tuple((l, v) for l, v in enumerate(vec) if v)
         res = replace(res, witness=replace(w, left=pairs(w.left),
-                                           right=pairs(w.right)))
+                                           right=pairs(w.right), kind="pairs"))
     return replace(res, parts=rep.parts + (("residual", res),))
 
 

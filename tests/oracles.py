@@ -38,10 +38,11 @@ is the hand-written loop over the four printed pre-Lie representation
 identities that the residual engine replaced (same reports byte for byte).
 """
 import itertools
+from fractions import Fraction
 from typing import Mapping, Optional
 
 from homlie3.exactlin import (
-    InputError, LinearSolution, Mat, ONE, Tensor4, ZERO, dense, mat_inverse,
+    InputError, LinearSolution, Mat, Tensor4, dense, mat_inverse,
     rat, sparse_of, unit_vec, vec_add_into,
 )
 from homlie3.homlie import (
@@ -57,6 +58,11 @@ from homlie3.prelie import (
     subadjacent_tensor,
 )
 from homlie3.yangbaxter import RTensor, alpha_invariance
+
+# the oracles' own constants: exact under division whatever the element
+# type the package uses
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def _twisted_family(rep: Rep3, left: bool, right: bool) -> list:
@@ -98,7 +104,7 @@ def check_representation_dense(r: Rep3) -> CheckReport:
             rhs = B @ r.rho[u][v]
             if lhs != rhs:
                 witness = Witness("rep_intertwine", (u, v),
-                                  tuple(lhs.entries), tuple(rhs.entries))
+                                  tuple(lhs.entries), tuple(rhs.entries), "rows")
                 break
     parts.append(("intertwine", CheckReport(witness is None, checked, witness)))
 
@@ -127,7 +133,7 @@ def check_representation_dense(r: Rep3) -> CheckReport:
                            + tw[x][y] @ r.rho[z][u])
                     if lhs != rhs:
                         witness = Witness("rep_action", (x, y, z, u),
-                                          tuple(lhs.entries), tuple(rhs.entries))
+                                          tuple(lhs.entries), tuple(rhs.entries), "rows")
                         break
     parts.append(("action", CheckReport(witness is None, checked, witness)))
 
@@ -157,7 +163,7 @@ def check_representation_dense(r: Rep3) -> CheckReport:
                            + rho_half1_bracket(z, x, y, u))
                     if lhs != rhs:
                         witness = Witness("rep_exchange", (x, y, z, u),
-                                          tuple(lhs.entries), tuple(rhs.entries))
+                                          tuple(lhs.entries), tuple(rhs.entries), "rows")
                         break
     parts.append(("exchange", CheckReport(witness is None, checked, witness)))
     return CheckReport.combine(parts)
@@ -465,7 +471,7 @@ def check_o_operator_dense(o: OOperator) -> CheckReport:
     parts.append(("intertwine", CheckReport(
         inter, 1, None if inter else Witness(
             "o_intertwine", (), tuple((base.twist @ o.T).entries),
-            tuple((o.T @ o.rep.A).entries)))))
+            tuple((o.T @ o.rep.A).entries), "rows"))))
     tcols = [sparse_of(o.T.col(p)) for p in range(m)]
     checked = 0
     witness = None
@@ -1169,7 +1175,7 @@ def verify_residual_loop(r: RTensor) -> CheckReport:
                 if lhs != rhs and witness is None:
                     witness = Witness("residual", (i, j, k),
                                       tuple(sorted(lhs.items())),
-                                      tuple(sorted(rhs.items())))
+                                      tuple(sorted(rhs.items())), "pairs")
     return CheckReport(witness is None, checked, witness,
                        rep.parts + (("residual", CheckReport(witness is None, checked, witness)),))
 
@@ -1493,7 +1499,7 @@ def literal_prelie_rep_check_loop(r: PreLieRep) -> CheckReport:
                            + mu_second(t, x3, x1, x2, x4))
                     if lhs != rhs:
                         witness = Witness("prelie_rep_eq1", (x1, x2, x3, x4),
-                                          tuple(lhs.entries), tuple(rhs.entries))
+                                          tuple(lhs.entries), tuple(rhs.entries), "rows")
                         break
                     # (ii) mu([1,2,3]_C,4) = rho(1,2)mu(3,4) + rho(2,3)mu(1,4)
                     #      + rho(3,1)mu(2,4)
@@ -1502,7 +1508,7 @@ def literal_prelie_rep_check_loop(r: PreLieRep) -> CheckReport:
                            + rho[x3][x1] @ mu[x2][x4])
                     if lhs != rhs:
                         witness = Witness("prelie_rep_eq2", (x1, x2, x3, x4),
-                                          tuple(lhs.entries), tuple(rhs.entries))
+                                          tuple(lhs.entries), tuple(rhs.entries), "rows")
                         break
                     # (iii) mu(2,{1,3,4}) = mu(3,4)mu(1,2) + mu(3,4)rho(1,2)
                     #       - mu(3,4)mu(2,1) - mu(2,4)mu(1,3) - mu(2,4)rho(1,3)
@@ -1514,7 +1520,7 @@ def literal_prelie_rep_check_loop(r: PreLieRep) -> CheckReport:
                            + rho[x2][x3] @ mu[x1][x4])
                     if lhs != rhs:
                         witness = Witness("prelie_rep_eq3", (x1, x2, x3, x4),
-                                          tuple(lhs.entries), tuple(rhs.entries))
+                                          tuple(lhs.entries), tuple(rhs.entries), "rows")
                         break
                     # (iv) mu(3,4)rho(1,2) = mu(3,4)mu(2,1) - mu(3,4)mu(1,2)
                     #      + rho(1,2)rho(3,4) - mu(2,{1,3,4}) + mu(1,{2,3,4})
@@ -1525,7 +1531,7 @@ def literal_prelie_rep_check_loop(r: PreLieRep) -> CheckReport:
                            + mu_second(t, x1, x2, x3, x4))
                     if lhs != rhs:
                         witness = Witness("prelie_rep_eq4", (x1, x2, x3, x4),
-                                          tuple(lhs.entries), tuple(rhs.entries))
+                                          tuple(lhs.entries), tuple(rhs.entries), "rows")
                         break
     return CheckReport(witness is None, checked, witness)
 

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
-from homlie3 import RTensor, check_algebra, check_symplectic, fileio
-from homlie3.cli import MAX_DIM, main
+from homlie3 import RTensor, Witness, check_algebra, check_symplectic, fileio
+from homlie3.cli import MAX_DIM, _witness_doc, main
 
 from conftest import CAYLEY_S, a4_cayley
 
@@ -97,6 +98,23 @@ def test_residual_witness_pairs_are_one_based_rationals(tmp_path, capsys):
     assert code == 1
     w = dict(json.loads(out)["parts"])["residual"]["witness"]
     assert (w["at"], w["left"], w["right"]) == ([1, 2, 3], left, [])
+
+
+def test_witness_sides_render_by_their_kind():
+    """A side renders from the witness's kind, not from its values' types:
+    a matrix row of ints is a row (printed as Fractions, as always), and a
+    pair of ints a 1-based (index, value) pair."""
+    row = ["(Fraction(1, 1), Fraction(0, 1))", "(Fraction(1, 2), Fraction(-3, 1))"]
+    doc = _witness_doc(Witness("rep_action", (0, 1), ((1, 0), (F(1, 2), -3)),
+                               (), "rows"))
+    assert (doc["at"], doc["left"], doc["right"]) == ([1, 2], row, [])
+    doc = _witness_doc(Witness("residual", (0,), ((1, 0), (2, F(1, 2))),
+                               ((0, 5),), "pairs"))
+    assert (doc["left"], doc["right"]) == (["(2, 0)", "(3, 1/2)"], ["(1, 5)"])
+    doc = _witness_doc(Witness("skew", (0, 1, 2, 3), (F(4, 2),), (0,)))
+    assert (doc["left"], doc["right"]) == (["2"], ["0"])
+    with pytest.raises(ValueError, match="witness kind"):
+        Witness("skew", (), (), (), "matrix")
 
 
 # --------------------------------------- exit code 2: input / precondition

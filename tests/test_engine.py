@@ -30,7 +30,7 @@ from homlie3 import (Algebra3, BilForm, Cobracket, MatchedPairData, Mat,
 from homlie3.bialgebra import standard_manin_reps
 from homlie3.cli import report_doc
 from homlie3.homlie import (CheckReport, _hom_jacobi_terms, _morphism_terms,
-                            _residual, _skew_check, _slot_outer)
+                            _residual, _skew_check, _twisted_outer)
 from homlie3.prelie import (_literal_prelie_rep_check, _prelie_identities,
                             _prelie_rep_equations, left_multiplication,
                             regular_prelie_rep, right_multiplication)
@@ -122,6 +122,33 @@ def sorted_key(key):
     return key[0] < key[1] and key[-3] < key[-2] < key[-1]
 
 
+def increasing(outer: dict) -> dict:
+    """An outer part's (others, vec) with others[0] < others[1], as
+    {m: {others: vec}}."""
+    out = {m: {o: vec for o, vec in pairs if o[0] < o[1]}
+           for m, pairs in outer.items()}
+    return {m: pairs for m, pairs in out.items() if pairs}
+
+
+def test_skew_twisted_outer_parts_are_the_increasing_full_ones():
+    """Once skew has passed, each twisted outer part of Hom-Jacobi, built
+    from 2x2 minors of the twist, is the full part kept at others[0] <
+    others[1]: no pair lost, none added, no repeated others."""
+    skewed = 0
+    for a in algebras():
+        if not _skew_check(a).passed:
+            continue
+        skewed += 1
+        for slot in range(3):
+            reduced = _twisted_outer(a, slot, True)
+            got = {m: dict(pairs) for m, pairs in reduced.items()}
+            assert [len(p) for p in got.values()] == \
+                [len(p) for p in reduced.values()], (a.label, slot)
+            assert got == increasing(_twisted_outer(a, slot, False)), \
+                (a.label, slot)
+    assert skewed >= 10
+
+
 def test_hom_jacobi_and_multiplicative_match_loops():
     """Both parts equal the loops, over every key with skew=False and over
     the sorted keys once skew has passed, where the term lists form the
@@ -139,7 +166,7 @@ def test_hom_jacobi_and_multiplicative_match_loops():
             hj.compare(a.label, rep.part("hom_jacobi"), old_hj)
             mult.compare(a.label, rep.part("multiplicative"), old_mult, 4 ** 3)
         if skew:
-            t12 = _slot_outer(a.bracket, 2, {0: a.twist, 1: a.twist})
+            t12 = _twisted_outer(a, 2, True)
             got = (_residual(_hom_jacobi_terms(a, t12, True)),
                    _residual(_morphism_terms(a, a.twist, t12, True)))
             for res, want in zip(got, full):

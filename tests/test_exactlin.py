@@ -2,6 +2,7 @@
 the dense routines it replaced (``oracles.py``), plus algebraic property
 tests for Mat and Tensor4."""
 import glob
+import math
 import os
 import random
 from fractions import Fraction
@@ -43,6 +44,53 @@ def test_rat_parsing():
         rat("1.5e3x")
     with pytest.raises(InputError):
         rat(0.5)
+
+
+# "-" then ASCII digits is read by int(); the rest by Fraction, which
+# accepts signs, spaces, leading zeros, decimals, exponents, underscores and
+# non-ASCII digits, and refuses "1/0", "", "--3" and "1/-2"
+RAT_STRINGS = ("3", "-0", "+3", " 3 ", "03", "6/2", "1.5", "1e2", "1/0", "",
+               "--3", "\u0663", "-", "1/-2", "1_0", "\u00b2", "0x1", "-7/14",
+               "3\n", "-12/3", "9" * 5000)
+
+
+def assert_rat_is_fraction(s):
+    """rat(s) equals Fraction(s), an int when integral, and raises
+    InputError exactly when Fraction(s) raises."""
+    try:
+        want = F(s)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError):
+            rat(s)
+        return
+    got = rat(s)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else F)
+
+
+@pytest.mark.parametrize("s", RAT_STRINGS,
+                         ids=lambda s: repr(s) if len(s) < 9 else f"{len(s)} chars")
+def test_rat_strings_match_fraction(s):
+    assert_rat_is_fraction(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789-+/ ._e\u0663\n", max_size=8))
+def test_rat_random_strings_match_fraction(s):
+    assert_rat_is_fraction(s)
+
+
+def test_rat_values_are_int_when_integral():
+    assert [type(rat(v)) for v in (3, True, F(6, 2), F(1, 2), "4", "4/3")] \
+        == [int, int, int, F, int, F]
+    bundle, _ = nilpotent_extension(n4(), 5)
+    values = [v for a in (bundle.extension, bundle.double)
+              for *_, v in a.bracket.items()]
+    for m in (bundle.extension.twist, bundle.double.twist, bundle.derivation,
+              bundle.double_derivation, bundle.metric.matrix,
+              bundle.omega.matrix):
+        values += [v for row in m.entries for v in row]
+    assert values and {type(v) for v in values} == {int}
 
 
 def sparse_low_rank(rng, r, c, rank, density=0.4):
@@ -332,16 +380,30 @@ def matmul_cases(rng) -> list:
     return cases
 
 
+def integral(m: Mat) -> Mat:
+    """m times the lcm of its denominators: a matrix of ints."""
+    d = math.lcm(*(v.denominator for row in m.entries for v in row))
+    return Mat([[v * d for v in row] for row in m.entries])
+
+
 def test_matmul_matches_sympy():
+    """Products equal sympy's, every entry is an int or a Fraction, and a
+    product of matrices of ints is a matrix of ints, so integral data never
+    falls back to Fraction."""
     cancelled = 0
     for a, b, site in matmul_cases(random.Random(1212)):
-        prod = a @ b
-        expect = to_sympy(a) * to_sympy(b)
-        assert prod.shape == expect.shape
-        assert prod.entries == tuple(
-            tuple(F(int(v.p), int(v.q)) for v in expect.row(i))
-            for i in range(expect.rows))
-        assert all(type(v) is F for row in prod.entries for v in row)
+        for x, y in ((a, b), (integral(a), integral(b))):
+            prod = x @ y
+            expect = to_sympy(x) * to_sympy(y)
+            assert prod.shape == expect.shape
+            assert prod.entries == tuple(
+                tuple(F(int(v.p), int(v.q)) for v in expect.row(i))
+                for i in range(expect.rows))
+            types = {type(v) for m in (x, y, prod) for row in m.entries
+                     for v in row}
+            assert types <= {int, F}
+            if x is not a:
+                assert types == {int}
         if site is not None:
             assert prod[site[0]][site[1]] == 0
             cancelled += 1

@@ -1,7 +1,7 @@
 """Every top-level import in the package modules is used, every private
-top-level function is referenced somewhere in the package, and every
-oracle in ``tests/oracles.py`` is referenced by the tests (no linter is
-installed, so this is the lint)."""
+top-level function is referenced somewhere in the package, every oracle in
+``tests/oracles.py`` is referenced by the tests, and values are divided
+only in ``exactlin`` (no linter is installed, so this is the lint)."""
 import ast
 import glob
 import os
@@ -132,3 +132,27 @@ def test_every_oracle_is_used():
         with open(path) as fh:
             sources[os.path.basename(path)] = fh.read()
     assert unreferenced_functions(sources, "oracles.py") == []
+
+
+def divisions(source: str) -> list:
+    """Lines of the true divisions (``/`` and ``/=``) in a module."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div))
+
+
+def test_detector_flags_a_division():
+    src = ("def f(a, b):\n    c = a // b\n    c /= 2\n"
+           "    return f'{a}/{b}', '1/2', a / b\n")
+    assert divisions(src) == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in glob.glob(os.path.join(SRC, "*.py"))
+                   if os.path.basename(p) != "exactlin.py"),
+    ids=os.path.basename)
+def test_values_are_divided_only_in_exactlin(path):
+    """Elements are ints when integral: int / int would give a float, so
+    the one division, which keeps a Fraction numerator, is in exactlin."""
+    with open(path) as fh:
+        assert divisions(fh.read()) == []
