@@ -7,10 +7,18 @@ rationals. An element is an ``int`` when it is integral and a
 ``Mat`` and ``Tensor4`` store what it returns, and sums and products of
 ints stay ints, so integral data is never promoted to ``Fraction``.
 Arithmetic that mixes in a ``Fraction`` may leave an integral ``Fraction``
-in a result; it compares, hashes and prints as the int it equals. The one
-division, in ``_gauss_jordan``, has a ``Fraction`` numerator so that it
-stays exact. All containers are immutable after construction and all
-functions are pure.
+in a result; it compares, hashes and prints as the int it equals. Values
+are divided only in this module, always with a ``Fraction`` numerator so
+that the result stays exact: in ``_gauss_jordan`` and in ``unlift``.
+All containers are immutable after construction and all functions are
+pure.
+
+Fraction-free checks lift rational data to ints: ``common_denominator``
+gives the lcm D of the denominators, ``lift`` maps p/q to p * (D // q),
+an ``int``, and an identity that is homogeneous in the lifted factors is
+compared on ints. ``unlift`` divides a lifted side back by its scale only
+where a value is shown (Bareiss's integer-preserving arithmetic, *Math.
+Comp.* 22, 1968).
 
 All linear algebra runs on one sparse Gauss-Jordan routine,
 ``_gauss_jordan``: rows are {col: value} dicts and a pivot map takes each
@@ -28,6 +36,7 @@ it. Two contracts are fixed:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 Rat = Fraction
@@ -41,7 +50,7 @@ class InputError(ValueError):
 
 def rat(x):
     """Parse a rational from an int, a Fraction, or a "p/q" string: an int
-    when the value is integral, a Fraction otherwise.
+    when the value is integral, a Fraction otherwise. A bool is refused.
 
     A string of ASCII digits with an optional leading "-" is read by
     ``int``; any other string by ``Fraction``, so the strings accepted are
@@ -53,6 +62,8 @@ def rat(x):
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
+        if isinstance(x, bool):  # an int subclass, but not a number in a file
+            raise InputError(f"bad rational {x!r} (type bool)")
         return int(x)
     if isinstance(x, str):
         digits = x[1:] if x[:1] == "-" else x
@@ -471,6 +482,33 @@ def spmat_of(m: Mat) -> dict:
 
 def spmat_to_mat(s: Mapping, rows: int, cols: int) -> Mat:
     return Mat._of([dense(s.get(p, {}), cols) for p in range(rows)])
+
+
+def common_denominator(values: Iterable) -> int:
+    """The lcm of the denominators of the nonzero values (1 for none)."""
+    return lcm(*{v.denominator for v in values if v})
+
+
+def lift(v, d: int) -> int:
+    """d * v as an int, for a rational v whose denominator divides d."""
+    return v.numerator * (d // v.denominator)
+
+
+def spmat_lift(s: Mapping, d: int) -> Mapping:
+    """d * s with int entries, for a sparse matrix s whose denominators all
+    divide d; s itself, not a copy, when d is 1."""
+    if d == 1:
+        return s
+    return {p: {q: lift(v, d) for q, v in row.items()} for p, row in s.items()}
+
+
+def unlift(s: Mapping, d: int) -> Mapping:
+    """The rational sparse matrix s / d of a lifted s, with entries through
+    rat; s itself when d is 1."""
+    if d == 1:
+        return s
+    return {p: {q: rat(Fraction(v, d)) for q, v in row.items()}
+            for p, row in s.items()}
 
 
 def spmat_add_into(acc: dict, s: Mapping, scale=ONE) -> None:

@@ -75,7 +75,7 @@ def _matrix_doc(m: Mat) -> list:
 
 def _parse_dim(doc: dict, path: Optional[str], max_dim: Optional[int]) -> int:
     n = _need(doc, "dim", path)
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # type(), so that a JSON boolean is refused
         raise InputError(f"{_ctx(path, 'dim')}: expected a positive integer")
     if max_dim is not None and n > max_dim:
         raise InputError(f"{_ctx(path, 'dim')}: dimension {n} exceeds the "
@@ -91,7 +91,7 @@ def _parse_basis(doc: dict, path: Optional[str], n: int) -> tuple:
 
 
 def _index(v, where: str, n: int) -> int:
-    if not isinstance(v, int) or not 1 <= v <= n:
+    if type(v) is not int or not 1 <= v <= n:  # a JSON boolean is refused too
         raise InputError(f"{where}: index {v!r} out of range 1..{n}")
     return v - 1
 
@@ -163,7 +163,7 @@ def load_rep(path: str, max_dim: Optional[int] = None) -> Rep3:
     doc = _load_json(path)
     base = _resolve(_need(doc, "algebra", path), path, algebra_from_doc, max_dim)
     m = _need(doc, "vdim", path)
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise InputError(f"{_ctx(path, 'vdim')}: expected a positive integer")
     if max_dim is not None and m > max_dim:
         raise InputError(f"{_ctx(path, 'vdim')}: dimension {m} exceeds the "

@@ -192,13 +192,14 @@ def _skew_check(a: Algebra3) -> CheckReport:
             l = min(row)
             return CheckReport(False, checked, Witness(
                 "skew", (i, j, k, l), (row[l],), (ZERO,)))
-        inversions = sum(1 for p in range(3) for q in range(p + 1, 3)
-                         if t[p] > t[q])
-        sign = -1 if inversions % 2 else 1
         canon = c.row(*sorted(t))
+        if ((i > j) + (i > k) + (j > k)) % 2:  # an odd permutation
+            canon = {l: -v for l, v in canon.items()}
+        if row == canon:
+            continue
         for l in sorted(set(row) | set(canon)):
             lhs = row.get(l, ZERO)
-            rhs = sign * canon.get(l, ZERO)
+            rhs = canon.get(l, ZERO)
             if lhs != rhs:
                 return CheckReport(False, checked, Witness(
                     "skew", (i, j, k, l), (lhs,), (rhs,)))

@@ -12,8 +12,8 @@ from itertools import product
 from typing import Mapping
 
 from .exactlin import (
-    InputError, Mat, Tensor4, ZERO, spmat_add_into, spmat_matmul, spmat_of,
-    spmat_to_mat,
+    InputError, Mat, Tensor4, ZERO, common_denominator, lift, spmat_add_into,
+    spmat_lift, spmat_matmul, spmat_of, spmat_to_mat, unlift,
 )
 from .homlie import (
     Algebra3, CheckReport, Witness, _permuted, _require, _skew_check,
@@ -126,11 +126,36 @@ def check_representation(r: Rep3) -> CheckReport:
     of action and (x, y) of exchange. A repeated index there makes both
     sides zero, and the sorted tuple, which comes first, has the same sides
     up to sign. Twisted operators are sparse and built on first use.
+
+    The identities are compared on ints: rho, B, the twist and the bracket
+    are lifted by the common denominators Dr, DB, Da and Dc of their
+    entries, and each term's missing factors are folded into an operator,
+    so that both sides of a part carry one scale. intertwine multiplies
+    B rho by Da**2 and has scale Dr*Da**2*DB; action and exchange multiply
+    the rho rho terms by Dc*DB and the bracket rows by Dc*Dr*Da, and have
+    scale Dc*Dr**2*Da**2*DB. The sides of a witness are divided back by
+    their part's scale. With integral data every scale is 1 and nothing is
+    lifted.
     """
-    n, m, c = r.base.dim, r.vdim, r.base.bracket
-    B = spmat_of(r.A)
+    n, m = r.base.dim, r.vdim
     rho = [[spmat_of(mat) for mat in row] for row in r.rho]
+    B = spmat_of(r.A)
     cols = r.base.twist.col_support()  # cols[u]: (a, alpha[a][u]) nonzero
+    rows = dict(r.base.bracket.rows())  # (x, y, z): [x, y, z] nonzero
+    # rho is skew: its operators above the diagonal hold every denominator
+    Dr = common_denominator(v for i, fam in enumerate(rho) for s in fam[i + 1:]
+                            for row in s.values() for v in row.values())
+    DB = common_denominator(v for row in B.values() for v in row.values())
+    Da = common_denominator(f for col in cols for _, f in col)
+    Dc = common_denominator(v for vec in rows.values() for v in vec.values())
+    if Dr != 1:
+        rho = [[spmat_lift(s, Dr) for s in fam] for fam in rho]
+    if Da != 1:
+        cols = [[(a, lift(f, Da)) for a, f in col] for col in cols]
+    rows = spmat_lift(rows, Dc * Dr * Da)
+    B, BA = spmat_lift(B, DB), spmat_lift(B, DB * Da * Da)
+    S = Dc * DB  # the factor of the rho rho terms of action and exchange
+    D2, D4 = Dr * Da * Da * DB, S * Dr * Dr * Da * Da  # the parts' scales
     skew = _skew_check(r.base).passed
 
     @cache
@@ -141,6 +166,9 @@ def check_representation(r: Rep3) -> CheckReport:
     def tw(u, v):  # rho(a(u), a(v)); with a skew base only u < v is read
         return _combine((half2(a, v), f) for a, f in cols[u])
 
+    # S * rho(a(u), a(v)), for action and exchange
+    twS = tw if S == 1 else cache(lambda u, v: _combine([(tw(u, v), S)]))
+
     @cache
     def half2B(k, u):  # rho(k, a(u)) B
         return spmat_matmul(half2(k, u), B)
@@ -149,7 +177,8 @@ def check_representation(r: Rep3) -> CheckReport:
     def half1B(u, b):  # rho(a(u), b) B
         return spmat_matmul(_combine((rho[a][b], f) for a, f in cols[u]), B)
 
-    def fail(check, at, checked, lhs, rhs):
+    def fail(check, at, checked, lhs, rhs, scale):
+        lhs, rhs = unlift(lhs, scale), unlift(rhs, scale)
         return CheckReport(False, checked, Witness(
             check, at, tuple(spmat_to_mat(lhs, m, m).entries),
             tuple(spmat_to_mat(rhs, m, m).entries), "rows"))
@@ -157,7 +186,7 @@ def check_representation(r: Rep3) -> CheckReport:
     def bracket_half2B(x, y, z, u):
         # rho([x,y,z], a(u)) B
         acc: dict = {}
-        for k, f in c.row(x, y, z).items():
+        for k, f in rows.get((x, y, z), {}).items():
             spmat_add_into(acc, half2B(k, u), f)
         return acc
 
@@ -166,9 +195,9 @@ def check_representation(r: Rep3) -> CheckReport:
             if u >= v:
                 continue
             lhs = spmat_matmul(tw(u, v), B)
-            rhs = spmat_matmul(B, rho[u][v])
+            rhs = spmat_matmul(BA, rho[u][v])
             if lhs != rhs:
-                return fail("rep_intertwine", (u, v), checked, lhs, rhs)
+                return fail("rep_intertwine", (u, v), checked, lhs, rhs, D2)
         return CheckReport(True, n ** 2)
 
     def action():
@@ -176,24 +205,25 @@ def check_representation(r: Rep3) -> CheckReport:
             if skew and not x < y < z:
                 continue
             lhs = bracket_half2B(x, y, z, u)
-            rhs = spmat_matmul(tw(y, z), rho[x][u])
+            rhs = spmat_matmul(twS(y, z), rho[x][u])
             # rho(a(z), a(x)) rho(y, u), with both factors negated
-            spmat_matmul(tw(x, z), rho[u][y], rhs)
-            spmat_matmul(tw(x, y), rho[z][u], rhs)
+            spmat_matmul(twS(x, z), rho[u][y], rhs)
+            spmat_matmul(twS(x, y), rho[z][u], rhs)
             if lhs != rhs:
-                return fail("rep_action", (x, y, z, u), checked, lhs, rhs)
+                return fail("rep_action", (x, y, z, u), checked, lhs, rhs, D4)
         return CheckReport(True, n ** 4)
 
     def exchange():
         for checked, (x, y, z, u) in enumerate(product(range(n), repeat=4), 1):
             if z >= u or skew and x >= y:
                 continue
-            lhs = spmat_matmul(tw(x, y), rho[z][u])
-            rhs = spmat_matmul(tw(z, u), rho[x][y], bracket_half2B(x, y, z, u))
-            for k, f in c.row(x, y, u).items():
+            lhs = spmat_matmul(twS(x, y), rho[z][u])
+            rhs = spmat_matmul(twS(z, u), rho[x][y], bracket_half2B(x, y, z, u))
+            for k, f in rows.get((x, y, u), {}).items():
                 spmat_add_into(rhs, half1B(z, k), f)
             if lhs != rhs:
-                return fail("rep_exchange", (x, y, z, u), checked, lhs, rhs)
+                return fail("rep_exchange", (x, y, z, u), checked, lhs, rhs,
+                            D4)
         return CheckReport(True, n ** 4)
 
     return CheckReport.combine([("intertwine", intertwine()),

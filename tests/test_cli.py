@@ -201,6 +201,28 @@ def test_bad_algebra_rows_exit_two(tmp_path, capsys, rows, message):
     assert message in err
 
 
+@pytest.mark.parametrize("target, name, path, message", [
+    ("algebra", "n4.alg", ["twist", 0, 1], "twist: bad rational True"),
+    ("algebra", "n4.alg", ["dim"], "dim: expected a positive integer"),
+    ("algebra", "n4.alg", ["bracket", 0, 0],
+     "bracket[1]: index True out of range 1..4"),
+    ("rep", "coadjoint.rep", ["vdim"], "vdim: expected a positive integer"),
+], ids=["entry", "dim", "index", "vdim"])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, target, name, path,
+                                       message):
+    """bool is an int subclass, but true in a file is no 1: exit 2."""
+    doc = _inlined(name)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = True
+    out = tmp_path / name
+    out.write_text(json.dumps(doc))
+    code, _, err = run(["check", target, str(out)], capsys)
+    assert code == 2
+    assert message in err
+
+
 def test_dimension_cap_exits_two(capsys):
     code, _, err = run(["check", "algebra", fx("toobig.alg")], capsys)
     assert code == 2

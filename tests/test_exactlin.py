@@ -81,8 +81,12 @@ def test_rat_random_strings_match_fraction(s):
 
 
 def test_rat_values_are_int_when_integral():
-    assert [type(rat(v)) for v in (3, True, F(6, 2), F(1, 2), "4", "4/3")] \
-        == [int, int, int, F, int, F]
+    assert [type(rat(v)) for v in (3, F(6, 2), F(1, 2), "4", "4/3")] \
+        == [int, int, F, int, F]
+    # a JSON boolean is not a number, although bool subclasses int
+    for v in (True, False):
+        with pytest.raises(InputError, match="type bool"):
+            rat(v)
     bundle, _ = nilpotent_extension(n4(), 5)
     values = [v for a in (bundle.extension, bundle.double)
               for *_, v in a.bracket.items()]

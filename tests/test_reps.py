@@ -1,6 +1,8 @@
 """Representations, duals, coadjoint actions, and semidirect sums."""
+import fractions
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from homlie3 import (Algebra3, InputError, Mat, PreconditionError, Rep3,
                      Tensor4, adjoint_rep, check_algebra,
                      check_representation, coadjoint_rep,
                      dual_representation, fileio, rep_from_upper,
-                     semidirect_sum)
+                     semidirect_sum, yau_twist)
 from homlie3.cli import report_doc
 
 from conftest import (N4_DIAG, N4_NEG, a4, a4_cayley, n4, random_nilpotent,
@@ -184,6 +186,22 @@ def _oracle_corpus():
     late = _mutant(adjoint_rep(n4_rev), 2, 3, 2, 3, F(1))
     corpus.append(("n4-reversed.ad~(2, 3, 2, 3)+1", late))
     corpus.append(("nonskew", _nonskew_rep()))
+    # The lifted check scales rho, B, the twist and the bracket by their
+    # common denominators Dr, DB, Da and Dc. Over the Cayley A4 with its
+    # bracket scaled by 1/5, rho + 1/2 and B + 1/3 make them pairwise
+    # distinct: 34, 51, 17 and 85, so a factor dropped, swapped or divided
+    # back wrongly shows in a side.
+    cayley = a4_cayley()
+    fifth = Algebra3(4, cayley.bracket.scale(F(1, 5)), cayley.twist, "a4t/5")
+    for kind, build in (("ad", adjoint_rep), ("coad", coadjoint_rep)):
+        rep = _mutant(build(cayley), 0, 2, 1, 3, F(1, 2))
+        A = [list(row) for row in rep.A.entries]
+        A[2][1] += F(1, 3)
+        corpus.append((f"a4t/5.{kind}~rho+1/2~A+1/3",
+                       Rep3(fifth, 4, rep.rho, Mat(A))))
+    # a passing rep with denominators 2, 3 and 6 in each of the four
+    y = yau_twist(n4(), Mat.diag([F(1, 2), F(1, 3), 1, F(1, 6)]))
+    corpus.append(("n4~yau.ad", adjoint_rep(y)))
     return corpus
 
 
@@ -216,3 +234,28 @@ def test_sparse_checker_matches_dense_oracle():
     r = check_representation(_nonskew_rep())
     assert [r.part(p).witness.at for p in ("action", "exchange")] == \
         [(1, 0, 2, 1), (1, 0, 1, 2)]
+
+
+def test_lifted_check_does_no_fraction_arithmetic():
+    """The Cayley-twisted A4 has denominators 17 and 4913 in its twist and
+    bracket, yet its passing adjoint check adds, subtracts, multiplies and
+    divides no Fraction: every identity is compared on ints. A lift written
+    as ``v * D`` keeps Fractions and fails this."""
+    rep = adjoint_rep(a4_cayley())
+    ops = {"_add", "_sub", "_mul", "_div"}
+    calls = []
+
+    def count(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name in ops
+                and code.co_filename == fractions.__file__):
+            calls.append(code.co_name)
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        r = check_representation(rep)
+    finally:
+        sys.setprofile(outer)
+    assert r.passed
+    assert calls == []
