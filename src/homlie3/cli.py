@@ -6,6 +6,7 @@ pair to one library operation, emit a deterministic report, and exit with
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -327,7 +328,10 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The one parser of every ``main`` call: ``parse_args`` keeps no
+    state in it, so building it once saves its set-up per call."""
     p = argparse.ArgumentParser(
         prog="homlie3",
         description="Exact checkers and constructors for 3-Hom-Lie algebras")

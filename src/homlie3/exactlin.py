@@ -99,8 +99,10 @@ class Mat:
 
     @staticmethod
     def _of(rows: Sequence[Sequence]) -> "Mat":
-        """A Mat of non-empty rows of rationals of one length, as ``Mat``
-        methods build them: nothing is parsed or checked."""
+        """A Mat of non-empty rows of one length whose entries are already
+        ``rat`` values (an int when integral, else a Fraction), as ``Mat``
+        methods and the file parser build them: nothing is parsed or
+        checked."""
         m = object.__new__(Mat)
         m.entries = tuple(map(tuple, rows))
         m.rows, m.cols = len(m.entries), len(m.entries[0])

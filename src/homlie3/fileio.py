@@ -3,6 +3,14 @@ or emits. Indices in files are 1-based; algebra bracket rows are given only
 for i<j<k and skew-completed on load; rationals travel as "p/q" strings
 (denominator omitted when 1). Serializers are canonical: loading then
 saving a saved file reproduces it byte for byte.
+
+Every byte the toolkit writes goes through ``dumps``. Its contract is byte
+equality with ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` for
+documents of str-keyed dicts, lists, tuples, strings, ints, bools, None
+and floats; it encodes a list of strings, such as a matrix row, in one
+C-level join instead of ``json``'s per-item Python loop. A matrix whose
+entries are all strings is parsed once per distinct string, not once per
+entry.
 """
 from __future__ import annotations
 
@@ -63,14 +71,28 @@ def _parse_rat(v, where: str):
 
 
 def _parse_matrix(v, where: str, rows: int, cols: int) -> Mat:
+    """A matrix parsed once per distinct entry when every entry is a
+    string, so a file's many "0" cost one ``rat`` call. Any other entry
+    sends the whole matrix through the row-major loop, which names the
+    first bad entry. Only ``str`` may take the fast path: a str equals only
+    a str, so a type test on the distinct entries covers every entry. For
+    any other type it would not, as a set merges values equal across
+    types: {1, True} is {1}."""
     if (not isinstance(v, list) or len(v) != rows
             or any(not isinstance(r, list) or len(r) != cols for r in v)):
         raise InputError(f"{where}: expected a {rows}x{cols} row-major matrix")
+    try:
+        distinct = set().union(*v)
+        if all(type(x) is str for x in distinct):
+            memo = {x: rat(x) for x in distinct}
+            return Mat._of([tuple(map(memo.__getitem__, row)) for row in v])
+    except (TypeError, InputError):  # an unhashable or a bad entry
+        pass
     return Mat([[_parse_rat(x, where) for x in row] for row in v])
 
 
 def _matrix_doc(m: Mat) -> list:
-    return [[rat_str(v) for v in row] for row in m.entries]
+    return [list(map(str, row)) for row in m.entries]
 
 
 def _parse_dim(doc: dict, path: Optional[str], max_dim: Optional[int]) -> int:
@@ -85,9 +107,17 @@ def _parse_dim(doc: dict, path: Optional[str], max_dim: Optional[int]) -> int:
 
 def _parse_basis(doc: dict, path: Optional[str], n: int) -> tuple:
     basis = doc.get("basis", [f"e{i + 1}" for i in range(n)])
-    if not isinstance(basis, list) or len(basis) != n:
+    if (not isinstance(basis, list) or len(basis) != n
+            or not all(isinstance(b, str) for b in basis)):
         raise InputError(f"{_ctx(path, 'basis')}: expected {n} names")
     return tuple(basis)
+
+
+def _parse_label(doc: dict, path: Optional[str]) -> str:
+    label = doc.get("label", "")
+    if not isinstance(label, str):
+        raise InputError(f"{_ctx(path, 'label')}: expected a string")
+    return label
 
 
 def _index(v, where: str, n: int) -> int:
@@ -127,10 +157,11 @@ def algebra_from_doc(doc: dict, path: Optional[str] = None,
                      max_dim: Optional[int] = None) -> Algebra3:
     n = _parse_dim(doc, path, max_dim)
     _parse_basis(doc, path, n)
+    label = _parse_label(doc, path)
     bracket = _skew_rows_to_tensor(_need_rows(doc, "bracket", path),
                                    _ctx(path, "bracket"), n)
     twist = _parse_matrix(_need(doc, "twist", path), _ctx(path, "twist"), n, n)
-    return Algebra3(n, bracket, twist, label=doc.get("label", ""))
+    return Algebra3(n, bracket, twist, label=label)
 
 
 def algebra_to_doc(a: Algebra3) -> dict:
@@ -232,6 +263,7 @@ def load_prelie(path: str, max_dim: Optional[int] = None) -> PreLie3:
     doc = _load_json(path)
     n = _parse_dim(doc, path, max_dim)
     _parse_basis(doc, path, n)
+    label = _parse_label(doc, path)
     rows = _need_rows(doc, "bracket", path)
     entries = []
     seen = set()
@@ -252,7 +284,7 @@ def load_prelie(path: str, max_dim: Optional[int] = None) -> PreLie3:
         entries.append((j, i, k, l, -v))
     twist = _parse_matrix(_need(doc, "twist", path), _ctx(path, "twist"), n, n)
     return PreLie3(n, Tensor4.from_entries((n,) * 4, entries), twist,
-                   label=doc.get("label", ""))
+                   label=label)
 
 
 def prelie_to_doc(p: PreLie3) -> dict:
@@ -329,9 +361,49 @@ def load_o_operator(path: str, max_dim: Optional[int] = None) -> OOperator:
     return OOperator(rep, T)
 
 
+_esc = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(o, indent: str) -> str:
+    """``o`` as ``json.dumps(o, indent=2, sort_keys=True)`` spells it at
+    the nesting whose line prefix is ``indent``; a list of strings, such as
+    a matrix row, is escaped and joined in one C-level pass."""
+    if isinstance(o, str):
+        return _esc(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        r = float.__repr__(o)
+        return _NONFINITE.get(r, r)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        try:
+            body = sep.join(map(_esc, o))
+        except TypeError:  # an item that is not a string
+            body = sep.join([_encode(x, inner) for x in o])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        body = sep.join([f"{_esc(k)}: {_encode(x, inner)}"
+                         for k, x in sorted(o.items())])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def dump(doc: dict, path: str) -> None:
-    """Atomic, canonical write: sorted keys, two-space indent, newline."""
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Atomic, canonical write of the text of ``dumps(doc)``."""
+    text = _encode(doc, "") + "\n"
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
@@ -339,4 +411,5 @@ def dump(doc: dict, path: str) -> None:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical text: sorted keys, two-space indent, ASCII, newline."""
+    return _encode(doc, "") + "\n"

@@ -7,11 +7,14 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from homlie3 import RTensor, Witness, check_algebra, check_symplectic, fileio
+from homlie3 import (RTensor, Witness, check_algebra, check_symplectic, fileio,
+                     nilpotent_extension)
 from homlie3.cli import MAX_DIM, _witness_doc, main
 
-from conftest import CAYLEY_S, a4_cayley
+from conftest import CAYLEY_S, a4_cayley, n4
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -223,6 +226,48 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, target, name, path,
     assert message in err
 
 
+@pytest.mark.parametrize("target, name, field, value, message", [
+    ("algebra", "n4.alg", "label", True, "label: expected a string"),
+    ("algebra", "n4.alg", "label", [1], "label: expected a string"),
+    ("algebra", "n4.alg", "basis", [1, 2, 3, 4], "basis: expected 4 names"),
+    ("algebra", "n4.alg", "basis", [None] * 4, "basis: expected 4 names"),
+    ("prelie", "n4prelie.plg", "label", True, "label: expected a string"),
+    ("prelie", "n4prelie.plg", "basis", [1, 2, 3, 4], "basis: expected 4 names"),
+], ids=["algebra-label-bool", "algebra-label-list", "algebra-basis-ints",
+        "algebra-basis-nulls", "prelie-label-bool", "prelie-basis-ints"])
+def test_label_and_basis_must_be_strings(tmp_path, capsys, target, name,
+                                         field, value, message):
+    doc = _inlined(name)
+    doc[field] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["check", target, str(path)], capsys)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("cells, message", [
+    ({(0, 0): 1, (0, 1): True}, "twist: bad rational True"),
+    ({(0, 1): True}, "twist: bad rational True"),
+    ({(0, 0): 1, (1, 1): 1.0}, "twist: bad rational 1.0"),
+    ({(0, 1): [1]}, "twist: bad rational [1]"),
+    ({(0, 3): "abc", (1, 0): "1/0"}, "twist: bad rational 'abc'"),
+], ids=["int-beside-true", "str-beside-true", "int-beside-float",
+        "unhashable", "first-of-two-bad-strings"])
+def test_bad_matrix_entries_exit_two(tmp_path, capsys, cells, message):
+    """A matrix is parsed per distinct string only when every entry is a
+    string; a set merges 1 with true and 1.0, so any other entry must go
+    through the row-major loop, which names the first bad entry."""
+    doc = _inlined("n4.alg")
+    for (i, j), v in cells.items():
+        doc["twist"][i][j] = v
+    path = tmp_path / "bad.alg"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["check", "algebra", str(path)], capsys)
+    assert code == 2
+    assert err == f"input error: {path}: {message}\n"
+
+
 def test_dimension_cap_exits_two(capsys):
     code, _, err = run(["check", "algebra", fx("toobig.alg")], capsys)
     assert code == 2
@@ -403,9 +448,31 @@ def _roundtrip(path, loader, to_doc):
     ("coadjoint.rep", fileio.load_rep, fileio.rep_to_doc),
     ("r12.rmat", fileio.load_rtensor, fileio.rtensor_to_doc),
     ("zero.cob", fileio.load_cobracket, fileio.cobracket_to_doc),
+    ("morph.mat", fileio.load_matrix, fileio.matrix_to_doc),
 ])
 def test_serialize_parse_identity(name, loader, to_doc):
     assert _roundtrip(fx(name), loader, to_doc)
+
+
+@pytest.fixture(scope="module")
+def size_limit_bundle():
+    """The nilpotent bundle of N4 at steps 7: double dim 48, the limit."""
+    bundle, _ = nilpotent_extension(n4(), 7)
+    return bundle
+
+
+@pytest.mark.parametrize("field, loader, to_doc", [
+    ("extension", fileio.load_algebra, fileio.algebra_to_doc),
+    ("derivation", fileio.load_matrix, fileio.matrix_to_doc),
+    ("double", fileio.load_algebra, fileio.algebra_to_doc),
+    ("metric", fileio.load_bilform, fileio.bilform_to_doc),
+    ("omega", fileio.load_bilform, fileio.bilform_to_doc),
+])
+def test_size_limit_artifacts_serialize_parse_identity(
+        tmp_path, size_limit_bundle, field, loader, to_doc):
+    path = str(tmp_path / field)
+    fileio.dump(to_doc(getattr(size_limit_bundle, field)), path)
+    assert _roundtrip(path, loader, to_doc)
 
 
 def test_emitted_artifacts_serialize_parse_identity(tmp_path, capsys):
@@ -416,6 +483,36 @@ def test_emitted_artifacts_serialize_parse_identity(tmp_path, capsys):
                       fileio.load_algebra, fileio.algebra_to_doc)
     assert _roundtrip(str(tmp_path / "omega.frm"),
                       fileio.load_bilform, fileio.bilform_to_doc)
+
+
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.lists(st.text()),
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(st.text(), kids)),
+    max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_TREES)
+@example({"f": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300],
+          "e": [[], {}, (), ""], "s": ["\u00e9\u2603\ud83d\ude00", "\"\\\n\x00"]})
+def test_dumps_is_json_dumps(doc):
+    assert fileio.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
+    _, out, _ = run(["check", "algebra", fx("n4.alg"), "--regular"], capsys)
+    assert "regular" in out
+    _, out, _ = run(["check", "algebra", fx("n4.alg")], capsys)
+    assert "regular" not in out
+    dims = []
+    for name, steps in (("s3", ["--steps", "3"]), ("default", [])):
+        code, _, _ = run(["build", "nilpotent", fx("n4.alg"), *steps,
+                          "-o", str(tmp_path / name)], capsys)
+        assert code == 0
+        dims.append(fileio.load_algebra(str(tmp_path / name / "double.alg")).dim)
+    assert dims == [16, 8]
 
 
 # --------------------------------------------------------- console entry

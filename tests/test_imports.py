@@ -1,7 +1,8 @@
 """Every top-level import in the package modules is used, every private
 top-level function is referenced somewhere in the package, every oracle in
-``tests/oracles.py`` is referenced by the tests, and values are divided
-only in ``exactlin`` (no linter is installed, so this is the lint)."""
+``tests/oracles.py`` is referenced by the tests, values are divided only
+in ``exactlin``, and JSON is written only by ``fileio`` (no linter is
+installed, so this is the lint)."""
 import ast
 import glob
 import os
@@ -156,3 +157,37 @@ def test_values_are_divided_only_in_exactlin(path):
     the one division, which keeps a Fraction numerator, is in exactlin."""
     with open(path) as fh:
         assert divisions(fh.read()) == []
+
+
+def json_writes(source: str) -> list:
+    """Lines that call ``json.dump``/``json.dumps`` or import either name
+    from ``json``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+                and node.func.attr in ("dump", "dumps")):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "json"
+              and any(a.name in ("dump", "dumps") for a in node.names)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_detector_flags_a_json_write():
+    src = ("import json\nfrom json import dumps as d\n\n"
+           "def f(x, fh):\n    json.dump(x, fh)\n    json.loads(x)\n"
+           "    return json.dumps(x, indent=2)\n")
+    assert json_writes(src) == [2, 5, 7]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in glob.glob(os.path.join(SRC, "*.py"))
+                   if os.path.basename(p) != "fileio.py"),
+    ids=os.path.basename)
+def test_json_is_written_only_by_fileio(path):
+    """Every byte the package writes goes through the one canonical
+    encoder, ``fileio.dumps``."""
+    with open(path) as fh:
+        assert json_writes(fh.read()) == []
