@@ -208,7 +208,7 @@ def standard_form(n: int) -> BilForm:
     for i in range(n):
         m[i][n + i] = ONE
         m[n + i][i] = ONE
-    return BilForm(2 * n, Mat(m), "symmetric")
+    return BilForm(2 * n, Mat._of(m), "symmetric")
 
 
 def manin_bracket(c: Cobracket) -> tuple:

@@ -7,11 +7,18 @@ rationals. An element is an ``int`` when it is integral and a
 ``Mat`` and ``Tensor4`` store what it returns, and sums and products of
 ints stay ints, so integral data is never promoted to ``Fraction``.
 Arithmetic that mixes in a ``Fraction`` may leave an integral ``Fraction``
-in a result; it compares, hashes and prints as the int it equals. Values
-are divided only in this module, always with a ``Fraction`` numerator so
-that the result stays exact: in ``_gauss_jordan`` and in ``unlift``.
-All containers are immutable after construction and all functions are
-pure.
+in a result; it compares, hashes and prints as the int it equals.
+``mat_inverse``, ``sparse_kernel`` and the reciprocals of elimination
+turn one into its int (``_normal``). Values are divided only in this
+module, always with a ``Fraction`` numerator so that the result stays
+exact: in ``_gauss_jordan``, ``mat_rank`` and ``unlift``. All containers
+are immutable after construction and all functions are pure.
+
+Values pass ``rat`` once, at the boundary: the public constructors
+``Mat(...)``, ``Mat.diag``, ``Tensor4(...)`` and ``Tensor4.from_entries``
+parse their arguments, while ``Mat._of`` and ``Tensor4._of`` trust rows
+that are already parsed and checked, and are what every result built
+here from such values goes through.
 
 Fraction-free checks lift rational data to ints: ``common_denominator``
 gives the lcm D of the denominators, ``lift`` maps p/q to p * (D // q),
@@ -24,8 +31,10 @@ All linear algebra runs on one sparse Gauss-Jordan routine,
 ``_gauss_jordan``: rows are {col: value} dicts and a pivot map takes each
 pivot column to its normalised row, so a sparse system costs what its
 nonzero entries cost. ``rref``, ``kernel_basis``, ``sparse_kernel``,
-``solve_linear``, ``linear_solver``, ``mat_inverse`` and ``mat_rank`` use
-it. Two contracts are fixed:
+``solve_linear``, ``linear_solver`` and ``mat_inverse`` use it.
+``mat_rank`` needs no reduced form: it eliminates forward only, so a
+square matrix is tested for invertibility by its rank without building
+an inverse. Two contracts are fixed:
 
 - A kernel basis is canonical: the reduced row echelon form of the kernel,
   one vector per free column f with a leading 1 at f. It depends only on
@@ -36,6 +45,7 @@ it. Two contracts are fixed:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -70,10 +80,16 @@ def rat(x):
         try:
             if digits.isascii() and digits.isdigit():
                 return int(x)
-            return rat(Fraction(x))
+            return _normal(Fraction(x))
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad rational {x!r}: {e}") from None
     raise InputError(f"bad rational {x!r} (type {type(x).__name__})")
+
+
+def _normal(v):
+    """A value of exact arithmetic in ``rat``'s form: an integral Fraction
+    becomes its int numerator."""
+    return v if type(v) is int or v.denominator != 1 else v.numerator
 
 
 def rat_str(x) -> str:
@@ -99,28 +115,33 @@ class Mat:
 
     @staticmethod
     def _of(rows: Sequence[Sequence]) -> "Mat":
-        """A Mat of non-empty rows of one length whose entries are already
-        ``rat`` values (an int when integral, else a Fraction), as ``Mat``
-        methods and the file parser build them: nothing is parsed or
-        checked."""
+        """A Mat of rows of one length whose entries are already ``rat``
+        values (an int when integral, else a Fraction), as ``Mat`` methods,
+        the constructors and the file parser build them: nothing is parsed,
+        and only an empty shape is refused."""
         m = object.__new__(Mat)
         m.entries = tuple(map(tuple, rows))
+        if not m.entries or not m.entries[0]:
+            raise InputError("matrix must have positive dimensions")
         m.rows, m.cols = len(m.entries), len(m.entries[0])
         return m
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Mat.diag([ONE] * n)
 
     @staticmethod
     def zeros(r: int, c: int) -> "Mat":
-        return Mat([[ZERO] * c for _ in range(r)])
+        return Mat._of([[ZERO] * c for _ in range(r)])
 
     @staticmethod
     def diag(values: Sequence) -> "Mat":
         vals = [rat(v) for v in values]
         n = len(vals)
-        return Mat([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        rows = [[ZERO] * n for _ in range(n)]
+        for i, v in enumerate(vals):
+            rows[i][i] = v
+        return Mat._of(rows)
 
     @staticmethod
     def block_diag(a: "Mat", b: "Mat") -> "Mat":
@@ -165,14 +186,13 @@ class Mat:
             raise InputError(f"matmul shape mismatch {self.shape} @ {other.shape}")
         # row k of other as its nonzero (j, b); row i of the product is the
         # sum of a * other[k] over the nonzero a = self[i][k]
-        nz = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        nz = [list(compress(enumerate(row), row)) for row in other.entries]
         out = []
         for row in self.entries:
             acc = [ZERO] * other.cols
-            for a, brow in zip(row, nz):
-                if a:
-                    for j, b in brow:
-                        acc[j] += a * b
+            for a, brow in compress(zip(row, nz), row):
+                for j, b in brow:
+                    acc[j] += a * b
             out.append(acc)
         return Mat._of(out)
 
@@ -200,8 +220,8 @@ class Mat:
 
     def col_support(self) -> list:
         """For each column j, the list of (i, M[i][j]) with nonzero entries."""
-        return [[(i, self.entries[i][j]) for i in range(self.rows)
-                 if self.entries[i][j]] for j in range(self.cols)]
+        return [list(compress(enumerate(col), col))
+                for col in zip(*self.entries)]
 
     def _same_shape(self, other: "Mat") -> None:
         if self.shape != other.shape:
@@ -241,9 +261,10 @@ def _gauss_jordan(rows: Iterable[Mapping], last: bool = False,
         if width is not None and p >= width:
             rest.append(row)
             continue
-        inv = rat(Fraction(1) / row[p])  # a Fraction numerator: exact
-        if inv != 1:
-            row = {c: v * inv for c, v in row.items()}
+        v = row[p]
+        if v != 1:
+            inv = -1 if v == -1 else _normal(Fraction(1) / v)  # exact
+            row = {c: x * inv for c, x in row.items()}
         for other in piv.values():
             f = other.get(p)
             if f:
@@ -279,7 +300,7 @@ def sparse_kernel(rows: Iterable[Mapping], ncols: int) -> list:
     for p, row in piv.items():
         for f, v in row.items():
             if f != p:
-                basis[f][p] = -v
+                basis[f][p] = _normal(-v)
     return list(basis.values())
 
 
@@ -359,11 +380,30 @@ def mat_inverse(m: Mat) -> Optional[Mat]:
     piv, _ = _factor(m)
     if len(piv) != n:
         return None
-    return Mat([dense(piv[p], n) for p in range(n)])
+    rows = [[ZERO] * n for _ in range(n)]
+    for p, row in piv.items():
+        for q, v in row.items():
+            rows[p][q] = _normal(v)
+    return Mat._of(rows)
 
 
 def mat_rank(m: Mat) -> int:
-    return len(_gauss_jordan(map(sparse_of, m.entries))[0])
+    """The rank of m, by forward elimination alone: each row is reduced by
+    the pivot row at its first column until that column is new. Pivot rows
+    are neither scaled nor cleared, so a row that meets no pivot costs no
+    arithmetic. A square m is invertible exactly when its rank is its
+    size, so this decides nondegeneracy without an inverse."""
+    piv: dict = {}
+    for row in map(sparse_of, m.entries):
+        while row:
+            p = min(row)
+            prow = piv.get(p)
+            if prow is None:
+                piv[p] = row
+                break
+            # a Fraction numerator: exact
+            vec_add_into(row, prow, -_normal(Fraction(row[p]) / prow[p]))
+    return len(piv)
 
 
 # ---------------------------------------------------------------------------
@@ -374,43 +414,61 @@ SparseVec = dict  # {int: rational}
 
 
 class Tensor4:
-    """Immutable sparse tensor indexed (i, j, k, l), grouped by (i, j, k)."""
+    """Immutable sparse tensor indexed (i, j, k, l), grouped by (i, j, k).
 
-    __slots__ = ("dims", "_rows")
+    ``Tensor4(dims, rows)`` parses every value with ``rat``;
+    ``from_entries`` parses each entry once as it adds it up, and ``_of``
+    trusts rows that are already clean. The skew verdict of a bracket is
+    cached on its tensor by ``homlie._skew_check``."""
+
+    __slots__ = ("dims", "_rows", "_skew")
 
     def __init__(self, dims: Sequence[int], rows: Mapping):
-        self.dims = tuple(dims)
-        if len(self.dims) != 4 or any(d <= 0 for d in self.dims):
-            raise InputError(f"bad tensor dims {dims}")
+        self.dims = _tensor_dims(dims)
         clean = {}
         for (i, j, k), vec in rows.items():
-            if not (0 <= i < self.dims[0] and 0 <= j < self.dims[1]
-                    and 0 <= k < self.dims[2]):
-                raise InputError(f"tensor index {(i, j, k)} out of range {self.dims}")
+            _check_key(self.dims, i, j, k)
             v = {l: rat(x) for l, x in vec.items() if x}
-            for l in v:
-                if not 0 <= l < self.dims[3]:
-                    raise InputError(f"tensor index l={l} out of range {self.dims}")
+            _check_outputs(self.dims, v)
             if v:
                 clean[(i, j, k)] = v
         self._rows = clean
+        self._skew = None
+
+    @staticmethod
+    def _of(dims: tuple, rows: dict) -> "Tensor4":
+        """A Tensor4 of rows {(i, j, k): {l: value}} that are already clean
+        (in range, no zero entries or empty rows, ``rat`` values), as this
+        module and the file parser build them: nothing is parsed, checked
+        or copied."""
+        t = object.__new__(Tensor4)
+        t.dims, t._rows, t._skew = dims, rows, None
+        return t
 
     @staticmethod
     def zero(dims: Sequence[int]) -> "Tensor4":
-        return Tensor4(dims, {})
+        return Tensor4._of(_tensor_dims(dims), {})
 
     @staticmethod
     def from_entries(dims: Sequence[int], entries: Iterable) -> "Tensor4":
-        """Build from an iterable of (i, j, k, l, value); duplicates add up."""
+        """Build from an iterable of (i, j, k, l, value); duplicates add up.
+        The indices of the sum are checked as ``Tensor4(dims, rows)`` checks
+        them."""
         rows: dict = {}
         for (i, j, k, l, v) in entries:
             vec = rows.setdefault((i, j, k), {})
-            nv = vec.get(l, ZERO) + rat(v)
-            if nv:
-                vec[l] = nv
+            v = rat(v)
+            if l in vec:
+                v = _normal(v + vec[l])
+            if v:
+                vec[l] = v
             else:
                 vec.pop(l, None)
-        return Tensor4(dims, rows)
+        dims = _tensor_dims(dims)
+        for (i, j, k), vec in rows.items():
+            _check_key(dims, i, j, k)
+            _check_outputs(dims, vec)
+        return Tensor4._of(dims, {key: vec for key, vec in rows.items() if vec})
 
     def get(self, i: int, j: int, k: int, l: int):
         return self._rows.get((i, j, k), {}).get(l, ZERO)
@@ -442,8 +500,26 @@ class Tensor4:
         s = rat(s)
         if s == 0:
             return Tensor4.zero(self.dims)
-        return Tensor4(self.dims, {k: {l: s * v for l, v in vec.items()}
-                                   for k, vec in self._rows.items()})
+        return Tensor4._of(self.dims, {k: {l: _normal(s * v) for l, v in vec.items()}
+                                       for k, vec in self._rows.items()})
+
+
+def _tensor_dims(dims: Sequence[int]) -> tuple:
+    out = tuple(dims)
+    if len(out) != 4 or any(d <= 0 for d in out):
+        raise InputError(f"bad tensor dims {dims}")
+    return out
+
+
+def _check_key(dims: tuple, i: int, j: int, k: int) -> None:
+    if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
+        raise InputError(f"tensor index {(i, j, k)} out of range {dims}")
+
+
+def _check_outputs(dims: tuple, vec: Mapping) -> None:
+    for l in vec:
+        if not 0 <= l < dims[3]:
+            raise InputError(f"tensor index l={l} out of range {dims}")
 
 
 # Sparse vector helpers used by the identity checkers.
@@ -472,7 +548,7 @@ def dense(vec: Mapping, n: int) -> tuple:
 
 
 def sparse_of(vec: Sequence) -> dict:
-    return {i: v for i, v in enumerate(vec) if v}
+    return dict(compress(enumerate(vec), vec))
 
 
 # Sparse matrices {p: {q: value}} with no zero entries and no empty rows, so

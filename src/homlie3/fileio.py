@@ -92,7 +92,10 @@ def _parse_matrix(v, where: str, rows: int, cols: int) -> Mat:
 
 
 def _matrix_doc(m: Mat) -> list:
-    return [list(map(str, row)) for row in m.entries]
+    """The rows of m as "p/q" strings, each distinct value converted once
+    (equal values spell alike: an integral Fraction as its int)."""
+    spell = {v: rat_str(v) for v in set().union(*m.entries)}.__getitem__
+    return [list(map(spell, row)) for row in m.entries]
 
 
 def _parse_dim(doc: dict, path: Optional[str], max_dim: Optional[int]) -> int:
@@ -127,7 +130,10 @@ def _index(v, where: str, n: int) -> int:
 
 
 def _skew_rows_to_tensor(rows, where: str, n: int) -> Tensor4:
-    entries = []
+    """The skew-completed bracket of rows [i, j, k, l, value], i < j < k,
+    built as the rows of a ``Tensor4`` directly: each value is parsed once,
+    and the (i, j, k, l) are distinct, so no entry is added to another."""
+    out: dict = {}
     seen = set()
     for rnum, row in enumerate(rows, 1):
         loc = f"{where}[{rnum}]"
@@ -143,10 +149,11 @@ def _skew_rows_to_tensor(rows, where: str, n: int) -> Tensor4:
             raise InputError(f"{loc}: duplicate row {tuple(row[:4])}")
         seen.add((i, j, k, l))
         v = _parse_rat(row[4], loc)
-        src = (i, j, k)
-        for perm, sign in _PERMS3:
-            entries.append((src[perm[0]], src[perm[1]], src[perm[2]], l, sign * v))
-    return Tensor4.from_entries((n,) * 4, entries)
+        if v:
+            src = (i, j, k)
+            for (p, q, r), sign in _PERMS3:
+                out.setdefault((src[p], src[q], src[r]), {})[l] = sign * v
+    return Tensor4._of((n,) * 4, out)
 
 
 def load_algebra(path: str, max_dim: Optional[int] = None) -> Algebra3:
@@ -164,12 +171,18 @@ def algebra_from_doc(doc: dict, path: Optional[str] = None,
     return Algebra3(n, bracket, twist, label=label)
 
 
+def _rows_doc(t: Tensor4, keep) -> list:
+    """The rows [i, j, k, l, value] (1-based) of the entries of t whose
+    (i, j, k) ``keep`` admits, sorted; the other rows are dropped before
+    the sort."""
+    c = dict(t.rows())
+    return [[i + 1, j + 1, k + 1, l + 1, rat_str(v)]
+            for i, j, k in sorted(filter(keep, c))
+            for l, v in sorted(c[(i, j, k)].items())]
+
+
 def algebra_to_doc(a: Algebra3) -> dict:
-    rows = []
-    for (i, j, k), row in sorted(a.bracket.rows()):
-        if i < j < k:
-            for l in sorted(row):
-                rows.append([i + 1, j + 1, k + 1, l + 1, rat_str(row[l])])
+    rows = _rows_doc(a.bracket, lambda t: t[0] < t[1] < t[2])
     doc = {"dim": a.dim,
            "basis": [f"e{i + 1}" for i in range(a.dim)],
            "bracket": rows,
@@ -288,11 +301,7 @@ def load_prelie(path: str, max_dim: Optional[int] = None) -> PreLie3:
 
 
 def prelie_to_doc(p: PreLie3) -> dict:
-    rows = []
-    for (i, j, k), row in sorted(p.product.rows()):
-        if i < j:
-            for l in sorted(row):
-                rows.append([i + 1, j + 1, k + 1, l + 1, rat_str(row[l])])
+    rows = _rows_doc(p.product, lambda t: t[0] < t[1])
     doc = {"dim": p.dim,
            "basis": [f"e{i + 1}" for i in range(p.dim)],
            "bracket": rows,
@@ -365,10 +374,16 @@ _esc = json.encoder.encode_basestring_ascii
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+_SPELL = {str: _esc, int: int.__repr__}  # the scalars of every artifact
+
+
 def _encode(o, indent: str) -> str:
     """``o`` as ``json.dumps(o, indent=2, sort_keys=True)`` spells it at
     the nesting whose line prefix is ``indent``; a list of strings, such as
     a matrix row, is escaped and joined in one C-level pass."""
+    spell = _SPELL.get(type(o))
+    if spell is not None:
+        return spell(o)
     if isinstance(o, str):
         return _esc(o)
     if o is None:

@@ -31,21 +31,23 @@ residuals of such sums.
 
 A residual skew in a group of key indices is zero at a repeated index and
 elsewhere +-1 times its value at the key with the group sorted, which is
-lex before it. So once ``_skew_check`` passes, the Hom-Jacobi and
-multiplicativity terms are prefiltered to the sorted key of each orbit,
-and their twisted outer parts are built only at increasing index pairs,
-from 2x2 minors of the twist (``_twisted_outer``).
+lex before it. So once ``_skew_check`` passes, the Hom-Jacobi,
+multiplicativity and Leibniz terms are prefiltered to the sorted key of
+each orbit, and the twisted outer parts of the first two are built only
+at increasing index pairs, from 2x2 minors of the twist
+(``_twisted_outer``). The skew verdict is formed once per bracket tensor
+and cached on it, so every check that rests on it shares one scan.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import compress, permutations
 from math import prod
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .exactlin import (
-    InputError, Mat, ONE, Tensor4, ZERO, dense, mat_inverse, sparse_kernel,
+    InputError, Mat, ONE, Tensor4, ZERO, dense, mat_rank, sparse_kernel,
     vec_add_into,
 )
 
@@ -158,8 +160,7 @@ def twist_slots(c: Tensor4, mats: Mapping[int, Mat]) -> dict:
     # for each original index a, the columns x with M[a][x] != 0
     row_sup = {}
     for s, m in mats.items():
-        row_sup[s] = [[(x, m.entries[a][x]) for x in range(m.cols)
-                       if m.entries[a][x]] for a in range(m.rows)]
+        row_sup[s] = [list(compress(enumerate(row), row)) for row in m.entries]
     out: dict = {}
     for (a, b, k), lvec in c.rows():
         ch0 = row_sup[0][a] if 0 in row_sup else ((a, ONE),)
@@ -179,8 +180,16 @@ def _skew_check(a: Algebra3) -> CheckReport:
     fail: nonzero rows with a repeated index, and every permutation of a
     nonzero row with distinct indices. The witness and ``checked`` (its
     1-based lex position, n**3 on a pass) are those of a scan of every
-    triple."""
-    n, c = a.dim, a.bracket
+    triple. The report is formed once per bracket and cached on its
+    immutable tensor, so every check that rests on skewness shares it."""
+    c = a.bracket
+    if c._skew is None:
+        c._skew = _skew_scan(c)
+    return c._skew
+
+
+def _skew_scan(c: Tensor4) -> CheckReport:
+    n = c.dims[0]
     visit = set()
     for t, _ in c.rows():
         visit.update([t] if len(set(t)) < 3 else permutations(t))
@@ -272,13 +281,22 @@ def _identity(name: str, terms, dims: tuple, width: int,
                        Witness(name, key, left, right))
 
 
+def _by_slot(c: Mapping, slot: int, skew: bool) -> dict:
+    """{m: [(others, vec)]}: the rows of a bracket grouped by their index in
+    one slot, the other two indices kept in order; with ``skew`` only the
+    rows with others[0] < others[1]."""
+    out: dict = {}
+    for key, vec in c.items():
+        others = key[:slot] + key[slot + 1:]
+        if not skew or others[0] < others[1]:
+            out.setdefault(key[slot], []).append((others, vec))
+    return out
+
+
 def _slot_outer(c: Tensor4, slot: int, mats: Mapping[int, Mat]) -> dict:
     """{m: [(others, vec)]}: the tensor of twist_slots(c, mats) grouped by
     its index in one argument slot, the other two indices kept in order."""
-    out: dict = {}
-    for key, vec in twist_slots(c, mats).items():
-        out.setdefault(key[slot], []).append((key[:slot] + key[slot + 1:], vec))
-    return out
+    return _by_slot(twist_slots(c, mats), slot, False)
 
 
 def _by_output(t: Tensor4) -> dict:
@@ -311,7 +329,7 @@ def _image(m: Mat) -> dict:
 def _pairing(m: Mat) -> dict:
     """{l: [((w,), {0: m[l][w]})]}: an outer part that pairs the vector with
     each basis vector w through the form m (for the scalar identities)."""
-    return {l: [((w,), {0: v}) for w, v in enumerate(row) if v]
+    return {l: [((w,), {0: v}) for w, v in compress(enumerate(row), row)]
             for l, row in enumerate(m.entries)}
 
 
@@ -334,13 +352,14 @@ def _twisted_outer(a: Algebra3, slot: int, skew: bool) -> dict:
                            {s: A for s in range(3) if s != slot})
     minors: dict = {}
     out: dict = {}
+    support = [set(compress(range(A.cols), row)) for row in A.entries]
     for key, lvec in a.bracket.rows():
         ab = key[:slot] + key[slot + 1:]
         if ab[0] >= ab[1]:
             continue
         if ab not in minors:
             ra, rb = A.entries[ab[0]], A.entries[ab[1]]
-            cols = [x for x in range(A.cols) if ra[x] or rb[x]]
+            cols = sorted(support[ab[0]] | support[ab[1]])
             minors[ab] = [((x, y), d) for i, x in enumerate(cols)
                           for y in cols[i + 1:]
                           if (d := ra[x] * rb[y] - rb[x] * ra[y])]
@@ -408,7 +427,7 @@ def check_algebra(a: Algebra3, skew: bool = True, hom_jacobi: bool = True,
             "multiplicative", _morphism_terms(a, A, t12, skew), (n,) * 3, n,
             lhs=1)))
     if regular:
-        parts.append(("regular", _flag(mat_inverse(A) is not None, "regular")))
+        parts.append(("regular", _flag(mat_rank(A) == n, "regular")))
     return CheckReport.combine(parts)
 
 
@@ -502,21 +521,37 @@ def derivation_space(a: Algebra3, form: Optional[Mat] = None) -> tuple:
     """Canonical basis of Der(L) (or Der_B(L) when B is given) as matrices:
     the reduced echelon basis of the kernel of ``_derivation_rows``."""
     n = a.dim
-    basis = sparse_kernel(_derivation_rows(a, form), n * n)
-    return tuple(Mat([[v.get(p * n + q, ZERO) for q in range(n)]
-                      for p in range(n)]) for v in basis)
+    out = []
+    for v in sparse_kernel(_derivation_rows(a, form), n * n):
+        rows = [[ZERO] * n for _ in range(n)]
+        for col, x in v.items():
+            rows[col // n][col % n] = x
+        out.append(Mat._of(rows))
+    return tuple(out)
+
+
+def _leibniz_terms(a: Algebra3, d: Mat, skew: bool) -> list:
+    """D[x,y,z] - [Dx,y,z] - [x,Dy,z] - [x,y,Dz] at key (x, y, z); with
+    ``skew`` (the bracket is known to be skew, which makes every term skew
+    in (x, y, z)) only at x < y < z."""
+    c = dict(a.bracket.rows())
+    keep = (_tail_increasing,) if skew else ()
+    xyz = {t: v for t, v in c.items() if t[0] < t[1] < t[2]} if skew else c
+    cols = _columns(d)
+    return [(1, xyz, _image(d), (0, 1, 2)),
+            (-1, cols, _by_slot(c, 0, skew), (0, 1, 2), *keep),
+            (-1, cols, _by_slot(c, 1, skew), (1, 0, 2), *keep),
+            (-1, cols, _by_slot(c, 2, skew), (1, 2, 0), *keep)]
 
 
 def is_derivation(a: Algebra3, d: Mat) -> Optional[Witness]:
-    """None when d commutes with the twist and satisfies the Leibniz rule."""
-    n, c, A = a.dim, a.bracket, a.twist
+    """None when d commutes with the twist and satisfies the Leibniz rule.
+    Once ``_skew_check`` passes, the Leibniz residual is formed only at
+    x < y < z; otherwise at every key."""
+    n, A = a.dim, a.twist
     if d.shape != (n, n):
         raise InputError(f"derivation shape {d.shape} for dim {n}")
     if d @ A != A @ d:
         return Witness("derivation_commutes", (), (), ())
-    # D[x,y,z] - [Dx,y,z] - [x,Dy,z] - [x,y,Dz] at key (x, y, z)
-    terms = [(1, dict(c.rows()), _image(d), (0, 1, 2)),
-             (-1, _columns(d), _slot_outer(c, 0, {}), (0, 1, 2)),
-             (-1, _columns(d), _slot_outer(c, 1, {}), (1, 0, 2)),
-             (-1, _columns(d), _slot_outer(c, 2, {}), (1, 2, 0))]
+    terms = _leibniz_terms(a, d, _skew_check(a).passed)
     return _identity("derivation", terms, (n,) * 3, n, lhs=1).witness

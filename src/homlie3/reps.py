@@ -88,7 +88,7 @@ def _rep_family(t: Tensor4) -> tuple:
            for _ in range(n)]
     for i, j, k, l, v in t.items():
         fam[i][j][l][k] = v
-    return tuple(tuple(Mat(rows) for rows in row) for row in fam)
+    return tuple(tuple(Mat._of(rows) for rows in row) for row in fam)
 
 
 def _coadjoint_tensor(a: Algebra3) -> Tensor4:

@@ -6,10 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import InputError, Mat, ONE, Tensor4, ZERO, linear_solver, mat_inverse
+from .exactlin import (
+    InputError, Mat, ONE, Tensor4, ZERO, linear_solver, mat_inverse, mat_rank,
+)
 from .homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, _identity, _pairing,
-    _flag, _require, check_algebra, is_derivation,
+    _flag, _require, _skew_check, check_algebra, is_derivation,
 )
 from .reps import (
     Rep3, _coadjoint_tensor, _semidirect, dual_representation, semidirect_sum,
@@ -18,15 +20,48 @@ from .bialgebra import BilForm, standard_form
 from .prelie import PreLie3, check_prelie, left_multiplication, subadjacent_tensor
 
 
-def _fourterm_check(a: Algebra3, W: Mat) -> CheckReport:
+def _increasing4(key: tuple) -> bool:
+    """The four indices of a key increase."""
+    return key[0] < key[1] < key[2] < key[3]
+
+
+def _fourterm_terms(a: Algebra3, W: Mat, skew: bool) -> list:
     """w([x,y,z], a(w)) - w([y,z,w], a(x)) + w([z,w,x], a(y))
-    - w([w,x,y], a(z)) = 0 on all basis 4-tuples."""
-    # with term(x,y,z,w) = w([x,y,z], a(w)), at key (x, y, z, w)
+    - w([w,x,y], a(z)) at key (x, y, z, w).
+
+    Over a skew bracket the sum is totally skew in (x, y, z, w), whatever
+    the twist and the form: the cyclic shift of the four indices negates
+    it, and so does swapping x and y. So with ``skew`` it is formed only at
+    x < y < z < w, each term reading its bracket at the sorted triple (an
+    even permutation of the one written)."""
+    # with term(x,y,z,w) = w([x,y,z], a(w))
     WA, c = _pairing(W @ a.twist), dict(a.bracket.rows())
-    terms = [(1, c, WA, (0, 1, 2, 3)), (-1, c, WA, (3, 0, 1, 2)),
-             (1, c, WA, (2, 3, 0, 1)), (-1, c, WA, (1, 2, 3, 0))]
+    if not skew:
+        return [(1, c, WA, (0, 1, 2, 3)), (-1, c, WA, (3, 0, 1, 2)),
+                (1, c, WA, (2, 3, 0, 1)), (-1, c, WA, (1, 2, 3, 0))]
+    c = {t: v for t, v in c.items() if t[0] < t[1] < t[2]}
+    # w([x,y,z],a(w)) - w([y,z,w],a(x)) + w([x,z,w],a(y)) - w([x,y,w],a(z))
+    return [(sign, c, WA, order, _increasing4) for sign, order in (
+        (1, (0, 1, 2, 3)), (-1, (3, 0, 1, 2)),
+        (1, (0, 3, 1, 2)), (-1, (0, 1, 3, 2)))]
+
+
+def _fourterm_check(a: Algebra3, W: Mat) -> CheckReport:
+    """The four-term cocycle identity on all basis 4-tuples, formed at the
+    sorted ones once ``_skew_check`` passes."""
+    terms = _fourterm_terms(a, W, _skew_check(a).passed)
     return _identity("symplectic_cocycle", terms, (a.dim,) * 4, 1,
                      nominal=True)
+
+
+def _invariance_terms(a: Algebra3, B: Mat, skew: bool) -> list:
+    """B([x,y,z],w) + B(z,[x,y,w]) at key (x, y, z, w); with ``skew`` (both
+    terms are then skew in (x, y)) only at x < y."""
+    c = dict(a.bracket.rows())
+    if skew:
+        c = {t: v for t, v in c.items() if t[0] < t[1]}
+    return [(1, c, _pairing(B), (0, 1, 2, 3)),
+            (1, c, _pairing(B.transpose()), (0, 1, 3, 2))]
 
 
 def check_symplectic(a: Algebra3, form: BilForm) -> CheckReport:
@@ -38,7 +73,7 @@ def check_symplectic(a: Algebra3, form: BilForm) -> CheckReport:
     W, A = form.matrix, a.twist
     parts = []
     parts.append(("skew", _flag(W.transpose() == -W, "form_skew")))
-    parts.append(("nondegenerate", _flag(mat_inverse(W) is not None,
+    parts.append(("nondegenerate", _flag(mat_rank(W) == n,
                                          "form_nondegenerate")))
     parts.append(("twist_compatible", _flag(A.transpose() @ W @ A == W,
                                             "twist_compatible")))
@@ -57,11 +92,9 @@ def check_metric(a: Algebra3, form: BilForm) -> CheckReport:
     B = form.matrix
     parts = []
     parts.append(("symmetric", _flag(B.transpose() == B, "form_symmetric")))
-    parts.append(("nondegenerate", _flag(mat_inverse(B) is not None,
+    parts.append(("nondegenerate", _flag(mat_rank(B) == n,
                                          "form_nondegenerate")))
-    c = dict(a.bracket.rows())
-    terms = [(1, c, _pairing(B), (0, 1, 2, 3)),
-             (1, c, _pairing(B.transpose()), (0, 1, 3, 2))]
+    terms = _invariance_terms(a, B, _skew_check(a).passed)
     parts.append(("invariance", _identity("metric", terms, (n,) * 4, 1)))
     return CheckReport.combine(parts)
 
@@ -74,7 +107,7 @@ def is_metric_derivation(a: Algebra3, form: BilForm, D: Mat) -> CheckReport:
     B = form.matrix
     bskew = D.transpose() @ B + B @ D == Mat.zeros(a.dim, a.dim)
     parts.append(("B_skew", _flag(bskew, "B_skew")))
-    parts.append(("invertible", _flag(mat_inverse(D) is not None,
+    parts.append(("invertible", _flag(mat_rank(D) == a.dim,
                                       "D_invertible")))
     return CheckReport.combine(parts)
 
@@ -131,20 +164,24 @@ def compatible_prelie_from_symplectic(a: Algebra3, omega: BilForm) -> tuple:
     _require(check_symplectic(a, omega), "not a symplectic structure")
     n, c, A, W = a.dim, a.bracket, a.twist, omega.matrix
     # {x,y,z} = u where (W.A)^T u = g, g_w = -w(a(z), [x,y,w])
+    #   = -sum_m (A^T W)[z][m] [x,y,w]_m
     solve = linear_solver((W @ A).transpose())
-    acols = [A.col(i) for i in range(n)]
+    atw = (A.transpose() @ W).entries
+    by_pair: dict = {}  # (x, y): [(w, [x,y,w])] over the nonzero rows
+    for (i, j, w), row in c.rows():
+        by_pair.setdefault((i, j), []).append((w, row))
     entries = []
     for i in range(n):
         for j in range(n):
+            rows = by_pair.get((i, j))
+            if not rows:
+                continue  # {x,y,z} = 0 for every z
             for k in range(n):
-                g = []
-                az = acols[k]
-                for w in range(n):
-                    row = c.row(i, j, w)
-                    g.append(-sum((az[l] * W.entries[l][m] * v
-                                   for m, v in row.items()
-                                   for l in range(n) if az[l] and W.entries[l][m]),
-                                  ZERO))
+                g = [ZERO] * n
+                tk = atw[k]
+                for w, row in rows:
+                    g[w] = -sum((tk[m] * v for m, v in row.items() if tk[m]),
+                                ZERO)
                 if not any(g):
                     continue  # {x,y,z} = 0
                 x = solve(g)
@@ -167,7 +204,7 @@ def canonical_phase_form(n: int) -> BilForm:
     for i in range(n):
         m[i][n + i] = -ONE
         m[n + i][i] = ONE
-    return BilForm(2 * n, Mat(m), "skew")
+    return BilForm(2 * n, Mat._of(m), "skew")
 
 
 def check_phase_space(base: Algebra3, total: Algebra3) -> CheckReport:

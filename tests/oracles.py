@@ -298,6 +298,20 @@ def is_derivation_loop(a: Algebra3, d: Mat) -> Optional[Witness]:
         raise InputError(f"derivation shape {d.shape} for dim {n}")
     if d @ A != A @ d:
         return Witness("derivation_commutes", (), (), ())
+    residual = leibniz_residual_loop(a, d)
+    if not residual:
+        return None
+    i, j, k = min(residual)
+    lhs = [sum((c.get(i, j, k, m) * d.entries[l][m]
+                for m in range(n)), ZERO) for l in range(n)]
+    rhs = [lhs[l] - residual[(i, j, k)].get(l, ZERO) for l in range(n)]
+    return Witness("derivation", (i, j, k), tuple(lhs), tuple(rhs))
+
+
+def leibniz_residual_loop(a: Algebra3, d: Mat) -> dict:
+    """D[x,y,z] - [Dx,y,z] - [x,Dy,z] - [x,y,Dz] at every key (x, y, z)
+    where it is nonzero, using no skewness."""
+    n, c = a.dim, a.bracket
     # Sparse residual accumulation: each bracket entry contributes to
     # D[x,y,z] at (i,j,k) and to the three Leibniz terms at the triples
     # reachable by replacing one slot through a row of D.
@@ -326,13 +340,7 @@ def is_derivation_loop(a: Algebra3, d: Mat) -> Optional[Witness]:
             add((i, x, k), m, -v * dv)
         for x, dv in drow[k]:
             add((i, j, x), m, -v * dv)
-    if not residual:
-        return None
-    i, j, k = min(residual)
-    lhs = [sum((c.get(i, j, k, m) * d.entries[l][m]
-                for m in range(n)), ZERO) for l in range(n)]
-    rhs = [lhs[l] - residual[(i, j, k)].get(l, ZERO) for l in range(n)]
-    return Witness("derivation", (i, j, k), tuple(lhs), tuple(rhs))
+    return residual
 
 
 def check_prelie_dense(p: PreLie3) -> CheckReport:
@@ -696,6 +704,18 @@ def check_invariance_dense(a: Algebra3, form: BilForm) -> CheckReport:
 def fourterm_check_loop(a: Algebra3, W: Mat) -> CheckReport:
     """w([x,y,z], a(w)) - w([y,z,w], a(x)) + w([z,w,x], a(y))
     - w([w,x,y], a(z)) = 0 on all basis 4-tuples."""
+    residual = fourterm_residual_loop(a, W)
+    checked = a.dim ** 4
+    if not residual:
+        return CheckReport(True, checked)
+    key = min(residual)
+    return CheckReport(False, checked, Witness(
+        "symplectic_cocycle", key, (residual[key],), (ZERO,)))
+
+
+def fourterm_residual_loop(a: Algebra3, W: Mat) -> dict:
+    """The four-term sum {(x, y, z, w): value} at every key where it is
+    nonzero, using no skewness."""
     n, c, A = a.dim, a.bracket, a.twist
     # term(x, y, z, w) = sum_l c(x, y, z, l) * (W @ A)[l][w]; accumulate the
     # alternating sum sparsely: each bracket entry lands in one of the four
@@ -720,12 +740,7 @@ def fourterm_check_loop(a: Algebra3, W: Mat) -> CheckReport:
             add((t, i, j, k), -vw)
             add((k, t, i, j), vw)
             add((j, k, t, i), -vw)
-    checked = n ** 4
-    if not residual:
-        return CheckReport(True, checked)
-    key = min(residual)
-    return CheckReport(False, checked, Witness(
-        "symplectic_cocycle", key, (residual[key],), (ZERO,)))
+    return residual
 
 
 def check_metric_dense(a: Algebra3, form: BilForm) -> CheckReport:
@@ -768,6 +783,29 @@ def check_metric_dense(a: Algebra3, form: BilForm) -> CheckReport:
             break
     parts.append(("invariance", CheckReport(witness is None, checked, witness)))
     return CheckReport.combine(parts)
+
+
+def metric_residual_loop(a: Algebra3, B: Mat) -> dict:
+    """B([x,y,z],w) + B(z,[x,y,w]) {(x, y, z, w): value} at every key where
+    it is nonzero, using no skewness: each entry c[x,y,u,l] adds
+    c * B[l][w] at (x, y, u, w) and c * B[z][l] at (x, y, z, u)."""
+    n = a.dim
+    residual: dict = {}
+
+    def add(key, v):
+        val = residual.get(key, ZERO) + v
+        if val:
+            residual[key] = val
+        else:
+            residual.pop(key, None)
+
+    for x, y, u, l, v in a.bracket.items():
+        for t in range(n):
+            if B.entries[l][t]:
+                add((x, y, u, t), v * B.entries[l][t])
+            if B.entries[t][l]:
+                add((x, y, t, u), v * B.entries[t][l])
+    return residual
 
 
 def closed_form_check_dense(a: Algebra3, form: BilForm) -> CheckReport:

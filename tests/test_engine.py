@@ -29,18 +29,20 @@ from homlie3 import (Algebra3, BilForm, Cobracket, MatchedPairData, Mat,
                      triple_bracket, verify_residual)
 from homlie3.bialgebra import standard_manin_reps
 from homlie3.cli import report_doc
-from homlie3.homlie import (CheckReport, _hom_jacobi_terms, _morphism_terms,
-                            _residual, _skew_check, _twisted_outer)
+from homlie3.homlie import (CheckReport, Witness, _hom_jacobi_terms,
+                            _leibniz_terms, _morphism_terms, _residual,
+                            _skew_check, _twisted_outer)
 from homlie3.prelie import (_literal_prelie_rep_check, _prelie_identities,
                             _prelie_rep_equations, left_multiplication,
                             regular_prelie_rep, right_multiplication)
 from homlie3.reps import coadjoint_family
-from homlie3.symplectic import _fourterm_check
+from homlie3.symplectic import (_fourterm_check, _fourterm_terms,
+                                _invariance_terms, nilpotent_extension)
 from homlie3.yangbaxter import _dual_bracket_formula, closed_form_check
 
 import oracles
 from conftest import (CAYLEY_S, N4_DIAG, N4_NEG, a4, a4_cayley, n4,
-                      n4_omega, n4_prelie, nilp5, random_prelie,
+                      n4_omega, n4_prelie, nilp5, rand_rat, random_prelie,
                       random_skew_mat, rank1_rep, skew_tensor, symp_prelie,
                       symplectic_o_operator)
 
@@ -117,6 +119,23 @@ def nonskew_mutant():
     return Algebra3(4, bracket, N4_DIAG, "n4diag~nonskew")
 
 
+def nonskew_algebras():
+    """Brackets that fail ``skew``, on which every key is formed: the
+    mutant above, and N4, A4 and the Cayley-twisted A4 each with one entry
+    [e_i, e_j, e_k]_l added alone at an unsorted triple."""
+    rng = random.Random(20190319)
+    out = [nonskew_mutant()]
+    for a in (n4(), a4(), a4_cayley()):
+        i, j, k = rng.sample(range(4), 3)
+        if i < j < k:
+            i, j = j, i
+        extra = (i, j, k, rng.randrange(4), rng.choice(DELTAS))
+        out.append(Algebra3(4, Tensor4.from_entries((4,) * 4, itertools.chain(
+            a.bracket.items(), [extra])), a.twist, f"{a.label}~{extra[:3]}"))
+    assert not any(_skew_check(a).passed for a in out)
+    return out
+
+
 def sorted_key(key):
     """x < y and u < v < w for a Hom-Jacobi key, x < y < z for a triple."""
     return key[0] < key[1] and key[-3] < key[-2] < key[-1]
@@ -186,7 +205,7 @@ def test_hom_jacobi_and_multiplicative_match_loops():
 def test_is_derivation_matches_loop():
     tally = Tally()
     rng = random.Random(20190313)
-    for a in algebras():
+    for a in algebras() + nonskew_algebras():
         cands = list(derivation_space(a))
         cands += [mat_mutant(d, rng) for d in cands[:3]]
         # the projection onto e4: on reversed N4 it first fails at (e2,e3,e4)
@@ -330,7 +349,7 @@ def forms(kind):
 
 def test_form_checks_match_dense():
     metric, invariance, closed, cocycle = Tally(), Tally(), Tally(), Tally()
-    algs = algebras()
+    algs = algebras() + nonskew_algebras()
     # the metric and invariance checkers also take skew forms
     for kind in ("symmetric", "skew"):
         for a, m in itertools.product(algs, forms(kind)):
@@ -353,6 +372,128 @@ def test_form_checks_match_dense():
     closed.assert_covered(late=0.1)
     # the cocycle part reports a nominal n**4
     cocycle.assert_covered()
+
+
+def scalar(residual: dict) -> dict:
+    """A scalar oracle residual {key: value} as the engine's {key: {0: value}}."""
+    return {key: {0: v} for key, v in residual.items()}
+
+
+def restricted(residual: dict, keep) -> dict:
+    return {key: vec for key, vec in residual.items() if keep(key)}
+
+
+def increasing_key(key):
+    return all(p < q for p, q in zip(key, key[1:]))
+
+
+def reduced_residuals(a, d, W, B):
+    """(engine, oracle) pairs of the Leibniz residual of d, the four-term
+    residual of W and the metric-invariance residual of B. Once skew has
+    passed, the oracle's full residual is restricted to the sorted keys of
+    its orbits: x < y < z, x < y < z < w and x < y; otherwise it is kept
+    whole, and the engine forms every key."""
+    skew = _skew_check(a).passed
+    full = (oracles.leibniz_residual_loop(a, d),
+            scalar(oracles.fourterm_residual_loop(a, W)),
+            scalar(oracles.metric_residual_loop(a, B)))
+    keeps = (increasing_key, increasing_key, lambda key: key[0] < key[1])
+    got = (_residual(_leibniz_terms(a, d, skew)),
+           _residual(_fourterm_terms(a, W, skew)),
+           _residual(_invariance_terms(a, B, skew)))
+    if skew:
+        full = tuple(restricted(res, keep) for res, keep in zip(full, keeps))
+    return list(zip(got, full))
+
+
+def test_leibniz_cocycle_and_invariance_are_orbit_reduced():
+    """Over a skew bracket the three residuals are the full ones restricted
+    to sorted keys, for derivations, skew forms and
+    symmetric forms that pass and fail; over a non-skew bracket they are
+    the full ones, which have nonzero keys a sorted scan never forms."""
+    rng = random.Random(20190320)
+    reduced = unsorted = 0
+    for a in algebras() + nonskew_algebras():
+        ds = list(derivation_space(a))[:2] + [
+            mat_mutant(Mat.identity(4), rng) for _ in range(2)]
+        ws, bs = forms("skew"), forms("symmetric")
+        for d, W, B in zip(ds, (ws[0], ws[3], ws[5], ws[8]),
+                           (bs[0], bs[3], bs[5], bs[8])):
+            for got, want in reduced_residuals(a, d, W, B):
+                assert got == want, a.label
+                if _skew_check(a).passed:
+                    reduced += bool(want)
+                else:
+                    unsorted += any(not increasing_key(k[:2]) for k in want)
+    assert reduced >= 20 and unsorted >= 5
+
+
+def test_orbit_reduction_on_random_dim_6_brackets():
+    """The same on random skew brackets of dim 6, with a random twist,
+    derivation candidate and forms, where the nonzero sorted keys of each
+    residual start at 0, 1 and 2; and with one unsorted entry added, on
+    every key."""
+    rng = random.Random(20190323)
+    n = 6
+    firsts = [set(), set(), set()]  # first key indices met, per residual
+    cell = lambda: rand_rat(rng) if rng.random() < 0.5 else F(0)
+    square = lambda: Mat([[cell() for _ in range(n)] for _ in range(n)])
+    for case in range(4):
+        triples = {t: {rng.randrange(n): rand_rat(rng)}
+                   for t in itertools.combinations(range(n), 3)
+                   if rng.random() < 0.5}
+        bracket = skew_tensor(n, triples)
+        if case % 2:
+            bracket = Tensor4.from_entries((n,) * 4, itertools.chain(
+                bracket.items(), [(4, 1, 3, 0, F(1))]))
+        a = Algebra3(n, bracket, square(), f"random-{case}")
+        assert _skew_check(a).passed == (case % 2 == 0)
+        W, S = random_skew_mat(rng, n), square()
+        pairs = reduced_residuals(a, square(), W, S + S.transpose())
+        for (got, want), first in zip(pairs, firsts):
+            assert got == want and want, a.label
+            first |= {key[0] for key in want}
+    assert all(first >= {0, 1, 2} for first in firsts)
+
+
+def test_orbit_reduction_on_the_dim_48_nilpotent_double():
+    """The derivation, cocycle and invariance checks of the dim-48 N4 double
+    equal their oracles, for the bundle's own D, omega and metric (which
+    pass) and for single-entry mutants of each (which fail)."""
+    bundle, _ = nilpotent_extension(n4(), 7)
+    a, n = bundle.double, 48
+    rng = random.Random(20190321)
+    D, W, B = bundle.double_derivation, bundle.omega.matrix, bundle.metric.matrix
+
+    def bumped(m, *entries):
+        rows = [list(r) for r in m.entries]
+        for p, q, v in entries:
+            rows[p][q] += v
+        return Mat(rows)
+
+    # bumps at an index p that some bracket value reaches: the form's row p
+    # and D's column p, so that every residual changes
+    p = rng.choice(sorted({l for *_, l, _ in a.bracket.items()}))
+    q = rng.choice([q for q in range(n) if q != p])
+    cases = [(D, W, B), (bumped(D, (q, p, 1)), bumped(W, (p, q, 1), (q, p, -1)),
+                         bumped(B, (p, q, 1), (q, p, 1)))]
+    for i, (d, w, b) in enumerate(cases):
+        for got, want in reduced_residuals(a, d, w, b):
+            assert got == want
+            assert bool(want) == bool(i)
+        new, old = is_derivation(a, d), oracles.is_derivation_loop(a, d)
+        assert dump(CheckReport(new is None, 1, new)) == \
+            dump(CheckReport(old is None, 1, old))
+        assert dump(_fourterm_check(a, w)) == \
+            dump(oracles.fourterm_check_loop(a, w))
+        full = oracles.metric_residual_loop(a, b)
+        want = CheckReport(True, n ** 4)
+        if full:
+            key = min(full)
+            want = CheckReport(False, lex_position(key, n), Witness(
+                "metric", key, (full[key],), (F(0),)))
+        assert dump(check_metric(a, BilForm(n, b, "symmetric"))
+                    .part("invariance")) == dump(want)
 
 
 def lex_position(at, n):

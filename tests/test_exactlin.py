@@ -2,9 +2,12 @@
 the dense routines it replaced (``oracles.py``), plus algebraic property
 tests for Mat and Tensor4."""
 import glob
+import itertools
+import json
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,11 +15,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlie3 import (InputError, Mat, Tensor4, derivation_space, fileio,
-                     mat_inverse, mat_rank, nilpotent_extension, rat, rat_str,
-                     solve_linear)
+from homlie3 import (InputError, Mat, Tensor4, check_algebra, check_metric,
+                     check_symplectic, derivation_space, exactlin, fileio,
+                     mat_inverse, mat_rank, nilpotent_extension, rat,
+                     rat_str, solve_linear)
 from homlie3.exactlin import kernel_basis, linear_solver, rref
-from homlie3.symplectic import _truncated_extension
+from homlie3.symplectic import _truncated_extension, is_metric_derivation
 
 import oracles
 from conftest import (N4_DIAG, N4_NEG, a4, a4_cayley, corrupted_n4, n4,
@@ -442,3 +446,154 @@ def test_col_support():
     sup = m.col_support()
     assert list(sup[0]) == []
     assert [(i, v) for i, v in sup[1]] == [(0, F(1)), (1, F(2))]
+
+
+def count_calls(func, action):
+    """(action(), the number of calls of the Python function func it made),
+    counted by code object, so that a name imported into another module
+    is counted too."""
+    code, calls = func.__code__, []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(1)
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        out = action()
+    finally:
+        sys.setprofile(outer)
+    return out, len(calls)
+
+
+def test_values_are_parsed_once_and_nondegeneracy_needs_no_inverse(tmp_path):
+    """Loading the dim-48 N4 double calls ``rat`` at most once per value in
+    its file (each bracket row's value and each distinct twist string),
+    ``derivation_space`` of the dim-16 extension never (its rows come from
+    values already parsed), and the symplectic, metric, metric-derivation
+    and regular-twist checks decide nondegeneracy by rank, with no
+    ``mat_inverse``. Building a result through ``Mat(...)``, or a tensor
+    through ``Tensor4(...)`` after ``from_entries``, fails this."""
+    bundle, _ = nilpotent_extension(n4(), 7)
+    path = str(tmp_path / "double.alg")
+    fileio.dump(fileio.algebra_to_doc(bundle.double), path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    values = len(doc["bracket"]) + len(set().union(*doc["twist"]))
+    double, calls = count_calls(exactlin.rat, lambda: fileio.load_algebra(path))
+    assert double == bundle.double and 0 < calls <= values
+    ext = nilpotent_extension(n4(), 5)[0].extension
+    basis, calls = count_calls(exactlin.rat, lambda: derivation_space(ext))
+    assert ext.dim == 16 and basis and calls == 0
+    metric = bundle.metric
+    for check in (lambda: check_symplectic(double, bundle.omega),
+                  lambda: check_metric(double, metric),
+                  lambda: is_metric_derivation(double, metric,
+                                               bundle.double_derivation),
+                  lambda: check_algebra(double, regular=True)):
+        report, calls = count_calls(exactlin.mat_inverse, check)
+        assert report.passed and calls == 0
+
+
+_VALUES = st.one_of(st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                    st.sampled_from(["0", "2", "-1", "1/2", "-3/4", "6/3"]))
+_ENTRIES = st.lists(st.tuples(*[st.integers(0, 2)] * 4, _VALUES), max_size=30)
+
+
+def int_when_integral(values) -> bool:
+    return all(type(v) is int or v.denominator != 1 for v in values)
+
+
+def tensor_values(t: Tensor4) -> list:
+    return [v for *_, v in t.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ENTRIES, st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4),
+                                    st.integers(1, 4), st.integers(1, 4),
+                                    st.sampled_from(["0", "3", "-1/2", "4/2"])),
+                          max_size=8))
+def test_trusted_tensors_equal_validated_ones(entries, rows):
+    """A tensor from ``from_entries`` or the algebra loader equals the one
+    ``Tensor4(...)`` builds by parsing every value of the same rows, and
+    holds ints when integral."""
+    acc: dict = {}
+    for i, j, k, l, v in entries:
+        vec = acc.setdefault((i, j, k), {})
+        vec[l] = vec.get(l, 0) + F(v)
+    t = Tensor4.from_entries((3,) * 4, entries)
+    want = Tensor4((3,) * 4, acc)
+    assert t == want and dict(t.rows()) == dict(want.rows())
+    assert int_when_integral(tensor_values(t))
+    # the loader skew-completes rows [i, j, k, l, value] with i < j < k
+    upper = {}
+    for i, j, k, l, v in rows:
+        if len({i, j, k}) == 3:
+            upper[(*sorted((i, j, k)), l)] = v
+    doc = {"dim": 4, "twist": [["1" if p == q else "0" for q in range(4)]
+                               for p in range(4)],
+           "bracket": [[*key, v] for key, v in upper.items()]}
+    acc = {}
+    for (i, j, k, l), v in upper.items():
+        src = (i - 1, j - 1, k - 1)
+        for perm in itertools.permutations(range(3)):
+            sign = -1 if sum(perm[a] > perm[b] for a in range(3)
+                             for b in range(a + 1, 3)) % 2 else 1
+            key = tuple(src[p] for p in perm)
+            acc.setdefault(key, {})[l - 1] = sign * F(v)
+    loaded = fileio.algebra_from_doc(doc).bracket
+    assert loaded == Tensor4((4,) * 4, acc)
+    assert int_when_integral(tensor_values(loaded))
+
+
+def test_trusted_constructors_keep_their_errors():
+    """Out-of-range indices, a JSON ``true`` value and an empty matrix shape
+    raise InputError with the messages of the validating constructors."""
+    dims = (2, 2, 2, 2)
+    for entry, message in (((0, 0, 2, 0, 1), "tensor index (0, 0, 2) out of range (2, 2, 2, 2)"),
+                           ((0, 0, 1, 5, 1), "tensor index l=5 out of range (2, 2, 2, 2)"),
+                           ((0, -1, 0, 0, 0), "tensor index (0, -1, 0) out of range (2, 2, 2, 2)")):
+        for build in (lambda: Tensor4.from_entries(dims, [entry]),
+                      lambda: Tensor4(dims, {entry[:3]: {entry[3]: entry[4]}})):
+            with pytest.raises(InputError) as e:
+                build()
+            assert str(e.value) == message
+    with pytest.raises(InputError, match=r"^bad tensor dims \[2, 2\]$"):
+        Tensor4.from_entries([2, 2], [])
+    ident = [["1" if p == q else "0" for q in range(3)] for p in range(3)]
+    for doc, message in (
+            ({"bracket": [[1, 2, 3, 1, True]], "twist": ident},
+             "<inline>: bracket[1]: bad rational True"),
+            ({"bracket": [], "twist": [["1", "0", "0"], ["0", True, "0"],
+                                       ["0", "0", "1"]]},
+             "<inline>: twist: bad rational True")):
+        with pytest.raises(InputError) as e:
+            fileio.algebra_from_doc({"dim": 3, **doc})
+        assert str(e.value) == message
+    for build in (lambda: Mat.identity(0), lambda: Mat.zeros(0, 2),
+                  lambda: Mat.zeros(2, 0), lambda: Mat.diag([]),
+                  lambda: Mat([])):
+        with pytest.raises(InputError,
+                           match="^matrix must have positive dimensions$"):
+            build()
+
+
+def test_inverses_and_derivations_hold_ints_when_integral():
+    """``mat_inverse`` and ``derivation_space`` build their results without
+    ``rat``; every integral value in them is still an int, including those
+    that elimination reaches as a Fraction (1/2 * 2)."""
+    rng = random.Random(20190322)
+    mats = [random_mat(rng, 4, 4) for _ in range(20)]
+    mats += [Mat([[2, 1], [1, 1]]), Mat([[F(1, 2), 0], [0, 2]]),
+             Mat.diag([2, F(1, 3), -1])]
+    inverses = [inv for inv in map(mat_inverse, mats) if inv is not None]
+    assert len(inverses) > 15
+    assert any(type(v) is int and v not in (0, 1, -1)
+               for inv in inverses for row in inv.entries for v in row)
+    for inv in inverses:
+        assert int_when_integral(v for row in inv.entries for v in row)
+    for a in (n4(), n4(N4_DIAG), a4(), a4_cayley(), nilp5()):
+        for d in derivation_space(a):
+            assert int_when_integral(v for row in d.entries for v in row)
