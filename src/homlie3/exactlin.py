@@ -11,8 +11,8 @@ in a result; it compares, hashes and prints as the int it equals.
 ``mat_inverse``, ``sparse_kernel`` and the reciprocals of elimination
 turn one into its int (``_normal``). Values are divided only in this
 module, always with a ``Fraction`` numerator so that the result stays
-exact: in ``_gauss_jordan``, ``mat_rank`` and ``unlift``. All containers
-are immutable after construction and all functions are pure.
+exact: in ``_gauss_jordan`` and ``unlift``. All containers are immutable
+after construction and all functions are pure.
 
 Values pass ``rat`` once, at the boundary: the public constructors
 ``Mat(...)``, ``Mat.diag``, ``Tensor4(...)`` and ``Tensor4.from_entries``
@@ -31,10 +31,9 @@ All linear algebra runs on one sparse Gauss-Jordan routine,
 ``_gauss_jordan``: rows are {col: value} dicts and a pivot map takes each
 pivot column to its normalised row, so a sparse system costs what its
 nonzero entries cost. ``rref``, ``kernel_basis``, ``sparse_kernel``,
-``solve_linear``, ``linear_solver`` and ``mat_inverse`` use it.
-``mat_rank`` needs no reduced form: it eliminates forward only, so a
-square matrix is tested for invertibility by its rank without building
-an inverse. Two contracts are fixed:
+``solve_linear``, ``linear_solver``, ``mat_inverse`` and ``mat_rank``
+use it; a square matrix is tested for invertibility by ``mat_rank``,
+which builds no inverse. Two contracts are fixed:
 
 - A kernel basis is canonical: the reduced row echelon form of the kernel,
   one vector per free column f with a leading 1 at f. It depends only on
@@ -388,22 +387,9 @@ def mat_inverse(m: Mat) -> Optional[Mat]:
 
 
 def mat_rank(m: Mat) -> int:
-    """The rank of m, by forward elimination alone: each row is reduced by
-    the pivot row at its first column until that column is new. Pivot rows
-    are neither scaled nor cleared, so a row that meets no pivot costs no
-    arithmetic. A square m is invertible exactly when its rank is its
-    size, so this decides nondegeneracy without an inverse."""
-    piv: dict = {}
-    for row in map(sparse_of, m.entries):
-        while row:
-            p = min(row)
-            prow = piv.get(p)
-            if prow is None:
-                piv[p] = row
-                break
-            # a Fraction numerator: exact
-            vec_add_into(row, prow, -_normal(Fraction(row[p]) / prow[p]))
-    return len(piv)
+    """The rank of m. A square m is invertible exactly when its rank is
+    its size, so this decides nondegeneracy without building an inverse."""
+    return len(_gauss_jordan(map(sparse_of, m.entries))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +404,9 @@ class Tensor4:
 
     ``Tensor4(dims, rows)`` parses every value with ``rat``;
     ``from_entries`` parses each entry once as it adds it up, and ``_of``
-    trusts rows that are already clean. The skew verdict of a bracket is
-    cached on its tensor by ``homlie._skew_check``."""
+    trusts rows that are already clean."""
 
-    __slots__ = ("dims", "_rows", "_skew")
+    __slots__ = ("dims", "_rows")
 
     def __init__(self, dims: Sequence[int], rows: Mapping):
         self.dims = _tensor_dims(dims)
@@ -433,7 +418,6 @@ class Tensor4:
             if v:
                 clean[(i, j, k)] = v
         self._rows = clean
-        self._skew = None
 
     @staticmethod
     def _of(dims: tuple, rows: dict) -> "Tensor4":
@@ -442,7 +426,7 @@ class Tensor4:
         module and the file parser build them: nothing is parsed, checked
         or copied."""
         t = object.__new__(Tensor4)
-        t.dims, t._rows, t._skew = dims, rows, None
+        t.dims, t._rows = dims, rows
         return t
 
     @staticmethod

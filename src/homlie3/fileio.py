@@ -374,16 +374,10 @@ _esc = json.encoder.encode_basestring_ascii
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-_SPELL = {str: _esc, int: int.__repr__}  # the scalars of every artifact
-
-
 def _encode(o, indent: str) -> str:
     """``o`` as ``json.dumps(o, indent=2, sort_keys=True)`` spells it at
     the nesting whose line prefix is ``indent``; a list of strings, such as
     a matrix row, is escaped and joined in one C-level pass."""
-    spell = _SPELL.get(type(o))
-    if spell is not None:
-        return spell(o)
     if isinstance(o, str):
         return _esc(o)
     if o is None:

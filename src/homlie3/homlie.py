@@ -35,12 +35,13 @@ lex before it. So once ``_skew_check`` passes, the Hom-Jacobi,
 multiplicativity and Leibniz terms are prefiltered to the sorted key of
 each orbit, and the twisted outer parts of the first two are built only
 at increasing index pairs, from 2x2 minors of the twist
-(``_twisted_outer``). The skew verdict is formed once per bracket tensor
-and cached on it, so every check that rests on it shares one scan.
+(``_twisted_outer``). The skew verdict is formed once per algebra and
+cached on it, so every check that rests on it shares one scan.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, permutations
 from math import prod
 from operator import itemgetter
@@ -132,6 +133,11 @@ class Algebra3:
         if self.twist.shape != (n, n):
             raise InputError(f"twist shape {self.twist.shape} for dim {n}")
 
+    @cached_property
+    def _skew(self) -> CheckReport:
+        """The report of ``_skew_check``, formed once per algebra."""
+        return _skew_scan(self.bracket)
+
     @staticmethod
     def abelian(n: int, twist: Optional[Mat] = None, label: str = "abelian") -> "Algebra3":
         return Algebra3(n, Tensor4.zero((n,) * 4),
@@ -180,12 +186,9 @@ def _skew_check(a: Algebra3) -> CheckReport:
     fail: nonzero rows with a repeated index, and every permutation of a
     nonzero row with distinct indices. The witness and ``checked`` (its
     1-based lex position, n**3 on a pass) are those of a scan of every
-    triple. The report is formed once per bracket and cached on its
-    immutable tensor, so every check that rests on skewness shares it."""
-    c = a.bracket
-    if c._skew is None:
-        c._skew = _skew_scan(c)
-    return c._skew
+    triple. The report is formed once per algebra and cached on it, so
+    every check that rests on skewness shares it."""
+    return a._skew
 
 
 def _skew_scan(c: Tensor4) -> CheckReport:
@@ -532,8 +535,9 @@ def derivation_space(a: Algebra3, form: Optional[Mat] = None) -> tuple:
 
 def _leibniz_terms(a: Algebra3, d: Mat, skew: bool) -> list:
     """D[x,y,z] - [Dx,y,z] - [x,Dy,z] - [x,y,Dz] at key (x, y, z); with
-    ``skew`` (the bracket is known to be skew, which makes every term skew
-    in (x, y, z)) only at x < y < z."""
+    ``skew`` only at x < y < z. The bracket is then known to be skew, so
+    the residual, the sum of the four terms, is skew in (x, y, z), although
+    a single slot term such as [Dx,y,z] is not."""
     c = dict(a.bracket.rows())
     keep = (_tail_increasing,) if skew else ()
     xyz = {t: v for t, v in c.items() if t[0] < t[1] < t[2]} if skew else c
