@@ -1,7 +1,8 @@
-"""Command-line front end: parse artifact files, dispatch one verb/target
-pair to one library operation, emit a deterministic report, and exit with
-0 (all checks passed), 1 (a check failed; witness in the report), or
-2 (unparseable input or a violated precondition).
+"""Command-line front end: load the artifact files of one verb/target
+pair with the loaders that ``HANDLERS`` names, run its operation, emit a
+deterministic report, and exit with 0 (all checks passed), 1 (a check
+failed; witness in the report), or 2 (unparseable input, a violated
+precondition or an output that cannot be written).
 """
 from __future__ import annotations
 
@@ -10,14 +11,11 @@ import functools
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .exactlin import InputError, rat_str
-from .homlie import (
-    CheckReport, PreconditionError, Witness, _flag, check_algebra,
-    composition_twist, derivation_space, yau_twist,
-)
-from .reps import check_representation, semidirect_sum
-from . import bialgebra, fileio, prelie, symplectic, yangbaxter
+from .homlie import CheckReport, PreconditionError, Witness, _flag
+from . import bialgebra, fileio, homlie, prelie, reps, symplectic
 
 MAX_DIM = 12
 
@@ -64,60 +62,79 @@ def report_text(r: CheckReport, name: str = "overall", depth: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _emit_report(r: CheckReport, args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def _emit_report(r: CheckReport, args) -> int:
     if args.format == "structured":
-        out.write(fileio.dumps(report_doc(r)))
+        sys.stdout.write(fileio.dumps(report_doc(r)))
     else:
-        out.write(report_text(r) + "\n")
+        sys.stdout.write(report_text(r) + "\n")
     return 0 if r.passed else 1
 
 
-def _outdir(args) -> str:
-    d = args.output or "."
-    os.makedirs(d, exist_ok=True)
-    return d
+def _lookup(name: str):
+    """The function ``module.attr`` of this package, looked up at each call,
+    so that a wrapper patched onto the module (a tracer's, a test's) runs."""
+    module, _, attr = name.partition(".")
+    return getattr(sys.modules[f"{__package__}.{module}"], attr)
 
 
 def _write(args, name: str, doc: dict) -> None:
-    fileio.dump(doc, os.path.join(_outdir(args), name))
+    """Write doc as -o DIR/name (DIR defaults to "."); a directory that
+    cannot be made or a file that cannot be written is an input error."""
+    d = args.output or "."
+    try:
+        os.makedirs(d, exist_ok=True)
+        fileio.dump(doc, os.path.join(d, name))
+    except OSError as e:
+        raise InputError(f"{d}: cannot write {name} ({e.strerror})")
 
 
-# ---------------------------------------------------------------- handlers
-
-def _check_algebra(args):
-    a = fileio.load_algebra(args.inputs[0], MAX_DIM)
-    return _emit_report(check_algebra(a, regular=args.regular), args)
+_TO_DOC = {"alg": "algebra_to_doc", "plg": "prelie_to_doc", "cob": "cobracket_to_doc",
+           "mat": "matrix_to_doc", "frm": "bilform_to_doc"}
 
 
-def _check_rep(args):
-    return _emit_report(check_representation(fileio.load_rep(args.inputs[0], MAX_DIM)), args)
+def _save(args, name: str, obj) -> None:
+    """Write obj as artifact ``name`` by the fileio writer of its suffix;
+    not for no name or a None obj, nor for a [bracketed] name without -o."""
+    if not name or obj is None or (name[0] == "[" and not args.output):
+        return
+    name = name.strip("[]")
+    _write(args, name, getattr(fileio, _TO_DOC[name.rpartition(".")[2]])(obj))
 
 
-def _check_prelie(args):
-    return _emit_report(prelie.check_prelie(fileio.load_prelie(args.inputs[0], MAX_DIM)), args)
+class Verb(NamedTuple):
+    """``inputs`` names the fileio loader of each input file ("algebra" is
+    ``fileio.load_algebra``; a [bracketed] one is optional). ``op`` is a
+    glue function of this module, called with the parsed args and the
+    inputs and returning the exit code, or a library ``module.function``
+    called with the inputs and returning the report to emit; with an
+    ``artifact``, (artifact, report); with a ``check`` too, the artifact,
+    which is written and then checked."""
+    inputs: str
+    op: str | Callable
+    artifact: str = ""
+    check: str = ""
 
 
-def _check_matched_pair(args):
-    m = fileio.load_matched_pair(args.inputs[0], MAX_DIM)
-    return _emit_report(bialgebra.check_matched_pair(m), args)
+def _run(v: Verb, args, inputs: list) -> int:
+    if callable(v.op):
+        return v.op(args, *inputs)
+    result = _lookup(v.op)(*inputs)
+    if v.check:
+        _save(args, v.artifact, result)
+        result = _lookup(v.check)(result)
+    elif v.artifact:
+        obj, result = result
+        _save(args, v.artifact, obj)
+    return _emit_report(result, args)
 
 
-def _check_manin(args):
-    c = fileio.load_cobracket(args.inputs[0], MAX_DIM)
-    total, rep = bialgebra.manin_bracket(c)
-    if args.output:
-        _write(args, "manin.alg", fileio.algebra_to_doc(total))
-    return _emit_report(rep, args)
+# ------------------------------------------------------------------- glue
+
+def _check_algebra(args, a):
+    return _emit_report(homlie.check_algebra(a, regular=args.regular), args)
 
 
-def _check_double(args):
-    c = fileio.load_cobracket(args.inputs[0], MAX_DIM)
-    return _emit_report(bialgebra.check_double_construction(c), args)
-
-
-def _check_equivalence(args):
-    c = fileio.load_cobracket(args.inputs[0], MAX_DIM)
+def _check_equivalence(args, c):
     res = bialgebra.equivalence_suite(c)
     agree = _flag(res.agree, "equivalence_agreement")
     combined = CheckReport(res.agree,
@@ -130,48 +147,8 @@ def _check_equivalence(args):
     return _emit_report(combined, args)
 
 
-def _check_o_operator(args):
-    o = fileio.load_o_operator(args.inputs[0], MAX_DIM)
-    return _emit_report(prelie.check_o_operator(o), args)
-
-
-def _check_chybe(args):
-    return _emit_report(yangbaxter.check_chybe(fileio.load_rtensor(args.inputs[0], MAX_DIM)), args)
-
-
-def _check_residual(args):
-    return _emit_report(yangbaxter.verify_residual(fileio.load_rtensor(args.inputs[0], MAX_DIM)), args)
-
-
-def _check_cobracket(args):
-    c = fileio.load_cobracket(args.inputs[0], MAX_DIM)
-    return _emit_report(check_algebra(bialgebra.dual_algebra(c)), args)
-
-
-def _check_symplectic(args):
-    a = fileio.load_algebra(args.inputs[0], MAX_DIM)
-    w = fileio.load_bilform(args.inputs[1], MAX_DIM)
-    return _emit_report(symplectic.check_symplectic(a, w), args)
-
-
-def _check_metric(args):
-    a = fileio.load_algebra(args.inputs[0], MAX_DIM)
-    b = fileio.load_bilform(args.inputs[1], MAX_DIM)
-    return _emit_report(symplectic.check_metric(a, b), args)
-
-
-def _check_phase_space(args):
-    base = fileio.load_algebra(args.inputs[0], MAX_DIM)
-    total = fileio.load_algebra(args.inputs[1], MAX_DIM)
-    return _emit_report(symplectic.check_phase_space(base, total), args)
-
-
-def _report_derivations(args):
-    a = fileio.load_algebra(args.inputs[0], MAX_DIM)
-    form = None
-    if len(args.inputs) > 1:
-        form = fileio.load_bilform(args.inputs[1], MAX_DIM).matrix
-    basis = derivation_space(a, form)
+def _report_derivations(args, a, form=None):
+    basis = homlie.derivation_space(a, form.matrix if form else None)
     doc = {"dim": len(basis),
            "basis": [fileio.matrix_to_doc(m) for m in basis]}
     if args.format == "structured":
@@ -185,146 +162,80 @@ def _report_derivations(args):
     return 0
 
 
-def _derive_derivations(args):
-    a = fileio.load_algebra(args.inputs[0], MAX_DIM)
-    b = fileio.load_bilform(args.inputs[1], MAX_DIM)
-    w = fileio.load_bilform(args.inputs[2], MAX_DIM)
-    D, rep = symplectic.derivation_from_symplectic(a, b, w)
-    if args.output:
-        _write(args, "derivation.mat", fileio.matrix_to_doc(D))
-    return _emit_report(rep, args)
+def _build_semidirect(args, r):
+    out = reps.semidirect_sum(r.base, r)
+    _save(args, "semidirect.alg", out)
+    return _emit_report(homlie.check_algebra(out), args)
 
 
-def _build_twist(args):
-    a = fileio.load_algebra(args.inputs[0], MAX_DIM)
-    morph = fileio.load_matrix(args.inputs[1], MAX_DIM)
-    out = yau_twist(a, morph)
-    _write(args, "twisted.alg", fileio.algebra_to_doc(out))
-    return _emit_report(check_algebra(out), args)
-
-
-def _derive_twist(args):
-    a = fileio.load_algebra(args.inputs[0], MAX_DIM)
-    beta = fileio.load_matrix(args.inputs[1], MAX_DIM)
-    out = composition_twist(a, beta)
-    _write(args, "twisted.alg", fileio.algebra_to_doc(out))
-    return _emit_report(check_algebra(out), args)
-
-
-def _build_semidirect(args):
-    r = fileio.load_rep(args.inputs[0], MAX_DIM)
-    out = semidirect_sum(r.base, r)
-    _write(args, "semidirect.alg", fileio.algebra_to_doc(out))
-    return _emit_report(check_algebra(out), args)
-
-
-def _build_subadjacent(args):
-    p = fileio.load_prelie(args.inputs[0], MAX_DIM)
-    out = prelie.subadjacent(p)
-    _write(args, "subadjacent.alg", fileio.algebra_to_doc(out))
-    return _emit_report(check_algebra(out), args)
-
-
-def _build_compatible_prelie(args):
-    o = fileio.load_o_operator(args.inputs[0], MAX_DIM)
+def _build_compatible_prelie(args, o):
     p = prelie.compatible_prelie(o.rep.base, o)
-    _write(args, "compatible.plg", fileio.prelie_to_doc(p))
+    _save(args, "compatible.plg", p)
     return _emit_report(prelie.check_prelie(p), args)
 
 
-def _derive_compatible_prelie(args):
-    a = fileio.load_algebra(args.inputs[0], MAX_DIM)
-    w = fileio.load_bilform(args.inputs[1], MAX_DIM)
-    p, rep = symplectic.compatible_prelie_from_symplectic(a, w)
-    _write(args, "compatible.plg", fileio.prelie_to_doc(p))
-    return _emit_report(rep, args)
-
-
-def _build_cobracket(args):
-    r = fileio.load_rtensor(args.inputs[0], MAX_DIM)
-    cob, rep = yangbaxter.coboundary_cobracket(r)
-    _write(args, "cobracket.cob", fileio.cobracket_to_doc(cob))
-    return _emit_report(rep, args)
-
-
-def _build_manin(args):
-    c = fileio.load_cobracket(args.inputs[0], MAX_DIM)
-    total, rep = bialgebra.manin_bracket(c)
-    _write(args, "manin.alg", fileio.algebra_to_doc(total))
-    return _emit_report(rep, args)
-
-
-def _build_phase_space(args):
-    p = fileio.load_prelie(args.inputs[0], MAX_DIM)
+def _build_phase_space(args, p):
     total, rep = symplectic.phase_space_from_prelie(p)
-    _write(args, "phase_space.alg", fileio.algebra_to_doc(total))
-    _write(args, "omega.frm",
-           fileio.bilform_to_doc(symplectic.canonical_phase_form(p.dim)))
+    _save(args, "phase_space.alg", total)
+    _save(args, "omega.frm", symplectic.canonical_phase_form(p.dim))
     return _emit_report(rep, args)
 
 
-def _derive_prelie(args):
-    base = fileio.load_algebra(args.inputs[0], MAX_DIM)
-    total = fileio.load_algebra(args.inputs[1], MAX_DIM)
-    p, rep = symplectic.prelie_from_phase_space(base, total)
-    if p is not None:
-        _write(args, "prelie.plg", fileio.prelie_to_doc(p))
-    return _emit_report(rep, args)
-
-
-def _derive_symplectic(args):
-    a = fileio.load_algebra(args.inputs[0], MAX_DIM)
-    b = fileio.load_bilform(args.inputs[1], MAX_DIM)
-    d = fileio.load_matrix(args.inputs[2], MAX_DIM)
-    w, rep = symplectic.symplectic_from_derivation(a, b, d)
-    _write(args, "omega.frm", fileio.bilform_to_doc(w))
-    return _emit_report(rep, args)
-
-
-def _build_nilpotent(args):
-    a = fileio.load_algebra(args.inputs[0], MAX_DIM)
+def _build_nilpotent(args, a):
     double_dim = 2 * a.dim * (args.steps - 1)
     if double_dim > 4 * MAX_DIM:
         raise InputError(f"double dimension {double_dim} exceeds the "
                          f"supported maximum {4 * MAX_DIM}")
     bundle, rep = symplectic.nilpotent_extension(a, args.steps)
-    _write(args, "extension.alg", fileio.algebra_to_doc(bundle.extension))
-    _write(args, "derivation.mat", fileio.matrix_to_doc(bundle.derivation))
-    _write(args, "double.alg", fileio.algebra_to_doc(bundle.double))
-    _write(args, "metric.frm", fileio.bilform_to_doc(bundle.metric))
-    _write(args, "omega.frm", fileio.bilform_to_doc(bundle.omega))
+    _save(args, "extension.alg", bundle.extension)
+    _save(args, "derivation.mat", bundle.derivation)
+    _save(args, "double.alg", bundle.double)
+    _save(args, "metric.frm", bundle.metric)
+    _save(args, "omega.frm", bundle.omega)
     return _emit_report(rep, args)
 
 
 HANDLERS = {
-    ("check", "algebra"): (_check_algebra, 1),
-    ("check", "rep"): (_check_rep, 1),
-    ("check", "prelie"): (_check_prelie, 1),
-    ("check", "matched-pair"): (_check_matched_pair, 1),
-    ("check", "manin"): (_check_manin, 1),
-    ("check", "double"): (_check_double, 1),
-    ("check", "equivalence"): (_check_equivalence, 1),
-    ("check", "o-operator"): (_check_o_operator, 1),
-    ("check", "chybe"): (_check_chybe, 1),
-    ("check", "residual"): (_check_residual, 1),
-    ("check", "cobracket"): (_check_cobracket, 1),
-    ("check", "symplectic"): (_check_symplectic, 2),
-    ("check", "metric"): (_check_metric, 2),
-    ("check", "phase-space"): (_check_phase_space, 2),
-    ("report", "derivations"): (_report_derivations, (1, 2)),
-    ("derive", "derivations"): (_derive_derivations, 3),
-    ("build", "twist"): (_build_twist, 2),
-    ("derive", "twist"): (_derive_twist, 2),
-    ("build", "semidirect"): (_build_semidirect, 1),
-    ("build", "subadjacent"): (_build_subadjacent, 1),
-    ("build", "compatible-prelie"): (_build_compatible_prelie, 1),
-    ("derive", "compatible-prelie"): (_derive_compatible_prelie, 2),
-    ("build", "cobracket"): (_build_cobracket, 1),
-    ("build", "manin"): (_build_manin, 1),
-    ("build", "phase-space"): (_build_phase_space, 1),
-    ("derive", "prelie"): (_derive_prelie, 2),
-    ("derive", "symplectic"): (_derive_symplectic, 3),
-    ("build", "nilpotent"): (_build_nilpotent, 1),
+    ("check", "algebra"): Verb("algebra", _check_algebra),
+    ("check", "rep"): Verb("rep", "reps.check_representation"),
+    ("check", "prelie"): Verb("prelie", "prelie.check_prelie"),
+    ("check", "matched-pair"): Verb("matched_pair", "bialgebra.check_matched_pair"),
+    ("check", "manin"): Verb("cobracket", "bialgebra.manin_bracket", "[manin.alg]"),
+    ("check", "double"): Verb("cobracket", "bialgebra.check_double_construction"),
+    ("check", "equivalence"): Verb("cobracket", _check_equivalence),
+    ("check", "o-operator"): Verb("o_operator", "prelie.check_o_operator"),
+    ("check", "chybe"): Verb("rtensor", "yangbaxter.check_chybe"),
+    ("check", "residual"): Verb("rtensor", "yangbaxter.verify_residual"),
+    ("check", "cobracket"): Verb("cobracket", "bialgebra.dual_algebra",
+                                 check="homlie.check_algebra"),
+    ("check", "symplectic"): Verb("algebra bilform", "symplectic.check_symplectic"),
+    ("check", "metric"): Verb("algebra bilform", "symplectic.check_metric"),
+    ("check", "phase-space"): Verb("algebra algebra", "symplectic.check_phase_space"),
+    ("report", "derivations"): Verb("algebra [bilform]", _report_derivations),
+    ("derive", "derivations"): Verb("algebra bilform bilform",
+                                    "symplectic.derivation_from_symplectic",
+                                    "[derivation.mat]"),
+    ("build", "twist"): Verb("algebra matrix", "homlie.yau_twist",
+                             "twisted.alg", "homlie.check_algebra"),
+    ("derive", "twist"): Verb("algebra matrix", "homlie.composition_twist",
+                              "twisted.alg", "homlie.check_algebra"),
+    ("build", "semidirect"): Verb("rep", _build_semidirect),
+    ("build", "subadjacent"): Verb("prelie", "prelie.subadjacent",
+                                   "subadjacent.alg", "homlie.check_algebra"),
+    ("build", "compatible-prelie"): Verb("o_operator", _build_compatible_prelie),
+    ("derive", "compatible-prelie"): Verb(
+        "algebra bilform", "symplectic.compatible_prelie_from_symplectic",
+        "compatible.plg"),
+    ("build", "cobracket"): Verb("rtensor", "yangbaxter.coboundary_cobracket",
+                                 "cobracket.cob"),
+    ("build", "manin"): Verb("cobracket", "bialgebra.manin_bracket", "manin.alg"),
+    ("build", "phase-space"): Verb("prelie", _build_phase_space),
+    ("derive", "prelie"): Verb("algebra algebra", "symplectic.prelie_from_phase_space",
+                               "prelie.plg"),
+    ("derive", "symplectic"): Verb("algebra bilform matrix",
+                                   "symplectic.symplectic_from_derivation",
+                                   "omega.frm"),
+    ("build", "nilpotent"): Verb("algebra", _build_nilpotent),
 }
 
 
@@ -354,15 +265,18 @@ def main(argv=None) -> int:
     if key not in HANDLERS:
         sys.stderr.write(f"error: no operation for '{args.verb} {args.target}'\n")
         return 2
-    handler, arity = HANDLERS[key]
-    arities = arity if isinstance(arity, tuple) else (arity,)
+    v = HANDLERS[key]
+    loaders = v.inputs.split()
+    arities = range(len(loaders) - v.inputs.count("["), len(loaders) + 1)
     if len(args.inputs) not in arities:
         sys.stderr.write(f"error: '{args.verb} {args.target}' takes "
                          f"{' or '.join(map(str, arities))} input file(s), "
                          f"got {len(args.inputs)}\n")
         return 2
     try:
-        return handler(args)
+        inputs = [getattr(fileio, "load_" + n.strip("[]"))(path, MAX_DIM)
+                  for n, path in zip(loaders, args.inputs)]
+        return _run(v, args, inputs)
     except InputError as e:
         sys.stderr.write(f"input error: {e}\n")
         return 2

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+from operator import lt
 from typing import Optional
 
 from .exactlin import InputError, Mat, Tensor4, rat, rat_str
@@ -98,12 +99,13 @@ def _matrix_doc(m: Mat) -> list:
     return [list(map(spell, row)) for row in m.entries]
 
 
-def _parse_dim(doc: dict, path: Optional[str], max_dim: Optional[int]) -> int:
-    n = _need(doc, "dim", path)
+def _parse_dim(doc: dict, path: Optional[str], max_dim: Optional[int],
+               field: str = "dim") -> int:
+    n = _need(doc, field, path)
     if type(n) is not int or n < 1:  # type(), so that a JSON boolean is refused
-        raise InputError(f"{_ctx(path, 'dim')}: expected a positive integer")
+        raise InputError(f"{_ctx(path, field)}: expected a positive integer")
     if max_dim is not None and n > max_dim:
-        raise InputError(f"{_ctx(path, 'dim')}: dimension {n} exceeds the "
+        raise InputError(f"{_ctx(path, field)}: dimension {n} exceeds the "
                          f"supported maximum {max_dim}")
     return n
 
@@ -129,31 +131,91 @@ def _index(v, where: str, n: int) -> int:
     return v - 1
 
 
-def _skew_rows_to_tensor(rows, where: str, n: int) -> Tensor4:
+def _read_rows(doc: dict, field: str, path: Optional[str], n: int,
+               shape: str, value, ordered: int = 0, repeated: str = "",
+               unordered: str = "", duplicate: str = "duplicate row") -> dict:
+    """The rows of ``field`` as {0-based index tuple: value}, in file order.
+    Each row is a list shaped as ``shape`` says, such as "[i, j, matrix]":
+    indices in 1..n, then the item that ``value(item, where)`` parses. The
+    first ``ordered`` indices must be strictly increasing. A row where they
+    repeat is refused with ``repeated`` (or, if that is empty,
+    ``unordered``), any other row out of order with ``unordered``, and a
+    repeated index tuple with ``duplicate``; each message is a
+    ``str.format`` template over the row's items."""
+    rows = _need_rows(doc, field, path)
+    where, width = _ctx(path, field), shape.count(",") + 1
+    out: dict = {}
+    for rnum, row in enumerate(rows, 1):
+        loc = f"{where}[{rnum}]"
+        if not isinstance(row, list) or len(row) != width:
+            raise InputError(f"{loc}: expected {shape}")
+        key = tuple([_index(v, loc, n) for v in row[:-1]])
+        if not all(map(lt, key, key[1:ordered])):
+            if repeated and len(set(key[:ordered])) < ordered:
+                raise InputError(f"{loc}: {repeated.format(*row)}")
+            raise InputError(f"{loc}: {unordered.format(*row)}")
+        if key in out:
+            raise InputError(f"{loc}: {duplicate.format(*row)}")
+        out[key] = value(row[-1], loc)
+    return out
+
+
+def _skew_bracket(doc: dict, path: Optional[str], n: int) -> Tensor4:
     """The skew-completed bracket of rows [i, j, k, l, value], i < j < k,
     built as the rows of a ``Tensor4`` directly: each value is parsed once,
     and the (i, j, k, l) are distinct, so no entry is added to another."""
+    rows = _read_rows(doc, "bracket", path, n, "[i, j, k, l, value]", _parse_rat,
+                      ordered=3, repeated="repeated index among ({0},{1},{2})",
+                      unordered="indices must be strictly increasing",
+                      duplicate="duplicate row ({0}, {1}, {2}, {3})")
     out: dict = {}
-    seen = set()
-    for rnum, row in enumerate(rows, 1):
-        loc = f"{where}[{rnum}]"
-        if not isinstance(row, list) or len(row) != 5:
-            raise InputError(f"{loc}: expected [i, j, k, l, value]")
-        i, j, k = (_index(v, loc, n) for v in row[:3])
-        l = _index(row[3], loc, n)
-        if len({i, j, k}) < 3:
-            raise InputError(f"{loc}: repeated index among ({row[0]},{row[1]},{row[2]})")
-        if not i < j < k:
-            raise InputError(f"{loc}: indices must be strictly increasing")
-        if (i, j, k, l) in seen:
-            raise InputError(f"{loc}: duplicate row {tuple(row[:4])}")
-        seen.add((i, j, k, l))
-        v = _parse_rat(row[4], loc)
+    for (i, j, k, l), v in rows.items():
         if v:
             src = (i, j, k)
             for (p, q, r), sign in _PERMS3:
                 out.setdefault((src[p], src[q], src[r]), {})[l] = sign * v
     return Tensor4._of((n,) * 4, out)
+
+
+def _prelie_product(doc: dict, path: Optional[str], n: int) -> Tensor4:
+    """The product of rows [i, j, k, l, value], i < j, skew-completed in
+    its first two slots."""
+    rows = _read_rows(doc, "bracket", path, n, "[i, j, k, l, value]", _parse_rat,
+                      ordered=2, repeated="repeated index in the skew pair",
+                      unordered="first two indices must satisfy i < j")
+    entries = []
+    for (i, j, k, l), v in rows.items():
+        entries.append((i, j, k, l, v))
+        entries.append((j, i, k, l, -v))
+    return Tensor4.from_entries((n,) * 4, entries)
+
+
+def _read_bracketed(doc: dict, path: Optional[str], max_dim: Optional[int],
+                    tensor) -> tuple:
+    """(dim, tensor, twist, label) of an algebra or pre-Lie document, read
+    in the order dim, basis, label, bracket rows (by ``tensor``), twist."""
+    n = _parse_dim(doc, path, max_dim)
+    _parse_basis(doc, path, n)
+    label = _parse_label(doc, path)
+    t = tensor(doc, path, n)
+    twist = _parse_matrix(_need(doc, "twist", path), _ctx(path, "twist"), n, n)
+    return n, t, twist, label
+
+
+def _bracketed_doc(x, t: Tensor4, keep) -> dict:
+    """The document of an algebra or pre-Lie product ``x`` whose tensor is
+    t: the rows [i, j, k, l, value] (1-based) of the entries whose (i, j, k)
+    ``keep`` admits, sorted; the other rows are dropped before the sort."""
+    c = dict(t.rows())
+    doc = {"dim": x.dim,
+           "basis": [f"e{i + 1}" for i in range(x.dim)],
+           "bracket": [[i + 1, j + 1, k + 1, l + 1, rat_str(v)]
+                       for i, j, k in sorted(filter(keep, c))
+                       for l, v in sorted(c[(i, j, k)].items())],
+           "twist": _matrix_doc(x.twist)}
+    if x.label:
+        doc["label"] = x.label
+    return doc
 
 
 def load_algebra(path: str, max_dim: Optional[int] = None) -> Algebra3:
@@ -162,56 +224,29 @@ def load_algebra(path: str, max_dim: Optional[int] = None) -> Algebra3:
 
 def algebra_from_doc(doc: dict, path: Optional[str] = None,
                      max_dim: Optional[int] = None) -> Algebra3:
-    n = _parse_dim(doc, path, max_dim)
-    _parse_basis(doc, path, n)
-    label = _parse_label(doc, path)
-    bracket = _skew_rows_to_tensor(_need_rows(doc, "bracket", path),
-                                   _ctx(path, "bracket"), n)
-    twist = _parse_matrix(_need(doc, "twist", path), _ctx(path, "twist"), n, n)
-    return Algebra3(n, bracket, twist, label=label)
-
-
-def _rows_doc(t: Tensor4, keep) -> list:
-    """The rows [i, j, k, l, value] (1-based) of the entries of t whose
-    (i, j, k) ``keep`` admits, sorted; the other rows are dropped before
-    the sort."""
-    c = dict(t.rows())
-    return [[i + 1, j + 1, k + 1, l + 1, rat_str(v)]
-            for i, j, k in sorted(filter(keep, c))
-            for l, v in sorted(c[(i, j, k)].items())]
+    return Algebra3(*_read_bracketed(doc, path, max_dim, _skew_bracket))
 
 
 def algebra_to_doc(a: Algebra3) -> dict:
-    rows = _rows_doc(a.bracket, lambda t: t[0] < t[1] < t[2])
-    doc = {"dim": a.dim,
-           "basis": [f"e{i + 1}" for i in range(a.dim)],
-           "bracket": rows,
-           "twist": _matrix_doc(a.twist)}
-    if a.label:
-        doc["label"] = a.label
-    return doc
+    return _bracketed_doc(a, a.bracket, lambda t: t[0] < t[1] < t[2])
 
 
-def _resolve(ref, path: Optional[str], loader, max_dim):
-    """An "algebra"-style field: inline object or a path relative to the
+def _algebra(doc: dict, field: str, path: str, max_dim) -> Algebra3:
+    """The algebra in ``field``: an inline object or a path relative to the
     referencing file."""
+    ref = _need(doc, field, path)
     if isinstance(ref, dict):
-        return loader(ref, None, max_dim)
+        return algebra_from_doc(ref, None, max_dim)
     if isinstance(ref, str):
-        base = os.path.dirname(path) if path else "."
-        return loader(_load_json(os.path.join(base, ref)), ref, max_dim)
+        ref_path = os.path.join(os.path.dirname(path), ref)
+        return algebra_from_doc(_load_json(ref_path), ref, max_dim)
     raise InputError(f"{_ctx(path, 'algebra')}: expected a file path or inline object")
 
 
 def load_rep(path: str, max_dim: Optional[int] = None) -> Rep3:
     doc = _load_json(path)
-    base = _resolve(_need(doc, "algebra", path), path, algebra_from_doc, max_dim)
-    m = _need(doc, "vdim", path)
-    if type(m) is not int or m < 1:
-        raise InputError(f"{_ctx(path, 'vdim')}: expected a positive integer")
-    if max_dim is not None and m > max_dim:
-        raise InputError(f"{_ctx(path, 'vdim')}: dimension {m} exceeds the "
-                         f"supported maximum {max_dim}")
+    base = _algebra(doc, "algebra", path, max_dim)
+    m = _parse_dim(doc, path, max_dim, "vdim")
     return _rep_from_rows(doc, path, base, m, "rho", "A")
 
 
@@ -219,18 +254,10 @@ def _rep_from_rows(doc: dict, path: Optional[str], base: Algebra3, vdim: int,
                    field: str, twist_field: str) -> Rep3:
     """A representation from rows [i, j, matrix], i < j and each pair at
     most once, in ``field`` and its carrier twist in ``twist_field``."""
-    upper = {}
-    for rnum, row in enumerate(_need_rows(doc, field, path), 1):
-        loc = f"{_ctx(path, field)}[{rnum}]"
-        if not isinstance(row, list) or len(row) != 3:
-            raise InputError(f"{loc}: expected [i, j, matrix]")
-        i = _index(row[0], loc, base.dim)
-        j = _index(row[1], loc, base.dim)
-        if not i < j:
-            raise InputError(f"{loc}: indices must satisfy i < j")
-        if (i, j) in upper:
-            raise InputError(f"{loc}: duplicate pair ({row[0]},{row[1]})")
-        upper[(i, j)] = _parse_matrix(row[2], loc, vdim, vdim)
+    upper = _read_rows(doc, field, path, base.dim, "[i, j, matrix]",
+                       lambda v, loc: _parse_matrix(v, loc, vdim, vdim),
+                       ordered=2, unordered="indices must satisfy i < j",
+                       duplicate="duplicate pair ({0},{1})")
     A = _parse_matrix(_need(doc, twist_field, path), _ctx(path, twist_field),
                       vdim, vdim)
     return rep_from_upper(base, vdim, upper, A)
@@ -249,21 +276,11 @@ def rep_to_doc(r: Rep3) -> dict:
 
 def load_cobracket(path: str, max_dim: Optional[int] = None) -> Cobracket:
     doc = _load_json(path)
-    base = _resolve(_need(doc, "algebra", path), path, algebra_from_doc, max_dim)
+    base = _algebra(doc, "algebra", path, max_dim)
     n = base.dim
-    rows = _need_rows(doc, "delta", path)
-    entries = []
-    seen = set()
-    for rnum, row in enumerate(rows, 1):
-        loc = f"{_ctx(path, 'delta')}[{rnum}]"
-        if not isinstance(row, list) or len(row) != 5:
-            raise InputError(f"{loc}: expected [i, j, l, k, value]")
-        i, j, l, k = (_index(v, loc, n) for v in row[:4])
-        if (i, j, l, k) in seen:
-            raise InputError(f"{loc}: duplicate row")
-        seen.add((i, j, l, k))
-        entries.append((i, j, l, k, _parse_rat(row[4], loc)))
-    return Cobracket(base, Tensor4.from_entries((n,) * 4, entries))
+    rows = _read_rows(doc, "delta", path, n, "[i, j, l, k, value]", _parse_rat)
+    return Cobracket(base, Tensor4.from_entries(
+        (n,) * 4, [(*key, v) for key, v in rows.items()]))
 
 
 def cobracket_to_doc(c: Cobracket) -> dict:
@@ -273,47 +290,17 @@ def cobracket_to_doc(c: Cobracket) -> dict:
 
 
 def load_prelie(path: str, max_dim: Optional[int] = None) -> PreLie3:
-    doc = _load_json(path)
-    n = _parse_dim(doc, path, max_dim)
-    _parse_basis(doc, path, n)
-    label = _parse_label(doc, path)
-    rows = _need_rows(doc, "bracket", path)
-    entries = []
-    seen = set()
-    for rnum, row in enumerate(rows, 1):
-        loc = f"{_ctx(path, 'bracket')}[{rnum}]"
-        if not isinstance(row, list) or len(row) != 5:
-            raise InputError(f"{loc}: expected [i, j, k, l, value]")
-        i, j, k, l = (_index(v, loc, n) for v in row[:4])
-        if i == j:
-            raise InputError(f"{loc}: repeated index in the skew pair")
-        if not i < j:
-            raise InputError(f"{loc}: first two indices must satisfy i < j")
-        if (i, j, k, l) in seen:
-            raise InputError(f"{loc}: duplicate row")
-        seen.add((i, j, k, l))
-        v = _parse_rat(row[4], loc)
-        entries.append((i, j, k, l, v))
-        entries.append((j, i, k, l, -v))
-    twist = _parse_matrix(_need(doc, "twist", path), _ctx(path, "twist"), n, n)
-    return PreLie3(n, Tensor4.from_entries((n,) * 4, entries), twist,
-                   label=label)
+    return PreLie3(*_read_bracketed(_load_json(path), path, max_dim,
+                                    _prelie_product))
 
 
 def prelie_to_doc(p: PreLie3) -> dict:
-    rows = _rows_doc(p.product, lambda t: t[0] < t[1])
-    doc = {"dim": p.dim,
-           "basis": [f"e{i + 1}" for i in range(p.dim)],
-           "bracket": rows,
-           "twist": _matrix_doc(p.twist)}
-    if p.label:
-        doc["label"] = p.label
-    return doc
+    return _bracketed_doc(p, p.product, lambda t: t[0] < t[1])
 
 
 def load_rtensor(path: str, max_dim: Optional[int] = None) -> RTensor:
     doc = _load_json(path)
-    base = _resolve(_need(doc, "algebra", path), path, algebra_from_doc, max_dim)
+    base = _algebra(doc, "algebra", path, max_dim)
     m = _parse_matrix(_need(doc, "matrix", path), _ctx(path, "matrix"),
                       base.dim, base.dim)
     return RTensor(base, m)
@@ -349,9 +336,8 @@ def matrix_to_doc(m: Mat) -> dict:
 
 def load_matched_pair(path: str, max_dim: Optional[int] = None) -> MatchedPairData:
     doc = _load_json(path)
-    left = _resolve(_need(doc, "left", path), path, algebra_from_doc, max_dim)
-    right = _resolve(_need(doc, "right", path), path, algebra_from_doc, max_dim)
-
+    left = _algebra(doc, "left", path, max_dim)
+    right = _algebra(doc, "right", path, max_dim)
     return MatchedPairData(
         left, right, _rep_from_rows(doc, path, left, right.dim, "rho", "rho_A"),
         _rep_from_rows(doc, path, right, left.dim, "mu", "mu_A"))
@@ -360,11 +346,9 @@ def load_matched_pair(path: str, max_dim: Optional[int] = None) -> MatchedPairDa
 def load_o_operator(path: str, max_dim: Optional[int] = None) -> OOperator:
     doc = _load_json(path)
     rep_ref = _need(doc, "rep", path)
-    if isinstance(rep_ref, str):
-        base_dir = os.path.dirname(path) if path else "."
-        rep = load_rep(os.path.join(base_dir, rep_ref), max_dim)
-    else:
+    if not isinstance(rep_ref, str):
         raise InputError(f"{_ctx(path, 'rep')}: expected a representation file path")
+    rep = load_rep(os.path.join(os.path.dirname(path), rep_ref), max_dim)
     T = _parse_matrix(_need(doc, "T", path), _ctx(path, "T"),
                       rep.base.dim, rep.vdim)
     return OOperator(rep, T)

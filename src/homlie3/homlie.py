@@ -411,9 +411,10 @@ def _morphism_terms(a: Algebra3, phi: Mat, t12: dict, skew: bool) -> list:
             (-1, _columns(phi), t12, (1, 2, 0), *keep)]
 
 
-def check_algebra(a: Algebra3, skew: bool = True, hom_jacobi: bool = True,
-                  multiplicative: bool = True, regular: bool = False) -> CheckReport:
-    """Run the selected axiom checks; skew failure short-circuits the rest."""
+def check_algebra(a: Algebra3, skew: bool = True, regular: bool = False) -> CheckReport:
+    """Check skewness (unless ``skew`` is false), the Hom-Jacobi identity,
+    multiplicativity and, if ``regular``, an invertible twist; a skew
+    failure short-circuits the rest."""
     parts = [("skew", _skew_check(a))] if skew else []
     if parts and not parts[0][1].passed:
         return CheckReport.combine(parts)
@@ -421,14 +422,12 @@ def check_algebra(a: Algebra3, skew: bool = True, hom_jacobi: bool = True,
     # skew check lets decide each orbit of keys at its sorted key
     A, n = a.twist, a.dim
     t12 = _twisted_outer(a, 2, skew)
-    if hom_jacobi:
-        parts.append(("hom_jacobi", _identity(
-            "hom_jacobi", _hom_jacobi_terms(a, t12, skew), (n,) * 5, n,
-            lhs=1, nominal=True)))
-    if multiplicative:
-        parts.append(("multiplicative", _identity(
-            "multiplicative", _morphism_terms(a, A, t12, skew), (n,) * 3, n,
-            lhs=1)))
+    parts.append(("hom_jacobi", _identity(
+        "hom_jacobi", _hom_jacobi_terms(a, t12, skew), (n,) * 5, n,
+        lhs=1, nominal=True)))
+    parts.append(("multiplicative", _identity(
+        "multiplicative", _morphism_terms(a, A, t12, skew), (n,) * 3, n,
+        lhs=1)))
     if regular:
         parts.append(("regular", _flag(mat_rank(A) == n, "regular")))
     return CheckReport.combine(parts)

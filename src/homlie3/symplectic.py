@@ -247,8 +247,8 @@ def phase_space_from_prelie(p: PreLie3) -> tuple:
     left-multiplication representation, together with its phase-space
     verdict. Returns (Algebra3, CheckReport)."""
     _require(check_prelie(p), "not a 3-Hom-pre-Lie algebra")
-    from .prelie import subadjacent
-    base = subadjacent(p)
+    # relabelled below, so the base's label never reaches an output
+    base = Algebra3(p.dim, subadjacent_tensor(p.product), p.twist)
     lrep = Rep3(base, p.dim, left_multiplication(p), p.twist)
     dual, dual_rep_ok = dual_representation(lrep)
     _require(dual_rep_ok,

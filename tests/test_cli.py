@@ -1,5 +1,6 @@
 """CLI dispatch, exit-code contract, deterministic structured reports,
 and serialize/parse identity on emitted artifacts."""
+import importlib
 import json
 import os
 import subprocess
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homlie3 import (RTensor, Witness, check_algebra, check_symplectic, fileio,
+from homlie3 import (InputError, PreconditionError, RTensor, Witness,
+                     check_algebra, check_symplectic, fileio,
                      nilpotent_extension)
-from homlie3.cli import MAX_DIM, _witness_doc, main
+from homlie3.cli import HANDLERS, MAX_DIM, _witness_doc, main
 
 from conftest import CAYLEY_S, a4_cayley, n4
 
@@ -297,6 +299,83 @@ def test_precondition_error_exits_two(tmp_path, capsys):
                         "-o", str(tmp_path)], capsys)
     assert code == 2
     assert "precondition" in err
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_unwritable_output_exits_two(tmp_path, capsys, below):
+    """An -o that names a file, or a path below one, is an input error."""
+    some_file = tmp_path / "some_file"
+    some_file.write_text("")
+    out = some_file / "sub" if below else some_file
+    code, _, err = run(["build", "twist", fx("n4.alg"), fx("morph.mat"),
+                        "-o", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"input error: {out}: cannot write twisted.alg (")
+    assert err.count("\n") == 1
+
+
+# The input counts of every verb/target pair, as its wrong-arity message
+# words them.
+TAKES = {
+    "check algebra": "1", "check rep": "1", "check prelie": "1",
+    "check matched-pair": "1", "check manin": "1", "check double": "1",
+    "check equivalence": "1", "check o-operator": "1", "check chybe": "1",
+    "check residual": "1", "check cobracket": "1", "check symplectic": "2",
+    "check metric": "2", "check phase-space": "2",
+    "report derivations": "1 or 2", "derive derivations": "3",
+    "build twist": "2", "derive twist": "2", "build semidirect": "1",
+    "build subadjacent": "1", "build compatible-prelie": "1",
+    "derive compatible-prelie": "2", "build cobracket": "1",
+    "build manin": "1", "build phase-space": "1", "derive prelie": "2",
+    "derive symplectic": "3", "build nilpotent": "1",
+}
+
+
+@pytest.mark.parametrize("key", sorted(HANDLERS), ids=" ".join)
+def test_handler_inputs(key, tmp_path, capsys, monkeypatch):
+    """Per verb/target: the wrong-arity message; exit 2 without a traceback
+    for a missing file or a directory as input; and the loaders and the
+    library operation are the ones on their modules at call time, where a
+    tracer or a test patches them."""
+    name = " ".join(key)
+    counts = [int(c) for c in TAKES[name].split(" or ")]
+    for k in (min(counts) - 1, max(counts) + 1):
+        code, _, err = run([*key] + ["x"] * k, capsys)
+        assert (code, err) == (2, f"error: '{name}' takes {TAKES[name]} "
+                                  f"input file(s), got {k}\n")
+    missing = str(tmp_path / "missing.json")
+    for path, message in ((missing, "no such file"),
+                          (str(tmp_path), "cannot read (")):
+        code, out, err = run([*key] + [path] * max(counts), capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: {path}: {message}")
+        assert err.count("\n") == 1
+
+    verb = HANDLERS[key]
+    loaders = [n.strip("[]") for n in verb.inputs.split()]
+    first = f"load_{loaders[0]}"
+
+    def refuse(path, max_dim):
+        raise InputError(f"stubbed {first}")
+    monkeypatch.setattr(fileio, first, refuse)
+    assert run([*key] + ["x"] * max(counts), capsys) == (
+        2, "", f"input error: stubbed {first}\n")
+    if callable(verb.op):
+        return
+    for loader in loaders:
+        monkeypatch.setattr(fileio, f"load_{loader}",
+                            lambda path, max_dim, loader=loader: (loader, path))
+    got = []
+
+    def op(*inputs):
+        got.extend(inputs)
+        raise PreconditionError("stubbed operation")
+    module, _, attr = verb.op.partition(".")
+    monkeypatch.setattr(importlib.import_module(f"homlie3.{module}"), attr, op)
+    paths = [f"in{i}" for i in range(len(loaders))]
+    assert run([*key] + paths, capsys) == (
+        2, "", "precondition failed: stubbed operation\n")
+    assert got == list(zip(loaders, paths))
 
 
 # ------------------------------------------------------------- determinism
