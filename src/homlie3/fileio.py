@@ -1,4 +1,4 @@
-"""Structured-text (JSON) formats for every artifact the toolkit consumes
+r"""Structured-text (JSON) formats for every artifact the toolkit consumes
 or emits. Indices in files are 1-based; algebra bracket rows are given only
 for i<j<k and skew-completed on load; rationals travel as "p/q" strings
 (denominator omitted when 1). Serializers are canonical: loading then
@@ -7,16 +7,24 @@ saving a saved file reproduces it byte for byte.
 Every byte the toolkit writes goes through ``dumps``. Its contract is byte
 equality with ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` for
 documents of str-keyed dicts, lists, tuples, strings, ints, bools, None
-and floats; it encodes a list of strings, such as a matrix row, in one
-C-level join instead of ``json``'s per-item Python loop. A matrix whose
+and floats; it spells a list of scalars, such as a matrix row or a bracket
+row, in one join instead of ``json``'s per-item Python loop. A matrix whose
 entries are all strings is parsed once per distinct string, not once per
 entry.
+
+Only this module opens, renames or removes files. An artifact is written
+atomically: its bytes go to NAME.tmp, which is renamed into place, and
+removed if the write or the rename fails. A file is read as UTF-8 with
+universal newlines ("\r\n" and a lone "\r" end a line, as in text mode),
+so a JSON error names the same line as an editor does.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-from operator import lt
+from itertools import chain, repeat
+from operator import lt, sub
 from typing import Optional
 
 from .exactlin import InputError, Mat, Tensor4, rat, rat_str
@@ -26,18 +34,28 @@ from .bialgebra import BilForm, Cobracket, MatchedPairData
 from .prelie import OOperator, PreLie3
 from .yangbaxter import RTensor
 
-_PERMS3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-           ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
-
-
 def _ctx(path: Optional[str], field: str) -> str:
     return f"{path or '<inline>'}: {field}"
 
 
+def _read_text(path: str) -> str:
+    r"""The file's bytes, read by ``os.read`` until end of file, decoded as
+    UTF-8, with "\r\n" and a lone "\r" read as "\n" as text mode reads
+    them."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = b"".join(iter(lambda: os.read(fd, 1 << 20), b""))
+    finally:
+        os.close(fd)
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _load_json(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(_read_text(path))
     except FileNotFoundError:
         raise InputError(f"{path}: no such file")
     except OSError as e:  # a directory, an unreadable file, ...
@@ -131,6 +149,35 @@ def _index(v, where: str, n: int) -> int:
     return v - 1
 
 
+def _well_formed_rows(rows: list, where: str, width: int, n: int, value,
+                      ordered: int):
+    """``_read_rows``'s result if every row is well formed, read column by
+    column with no per-row work but the value's parse, and each distinct
+    string value parsed once; else None."""
+    if not rows:
+        return {}
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {width}:
+        return None
+    *idx, vals = zip(*rows)
+    flat = list(chain.from_iterable(idx))
+    # type(), so that a JSON boolean is refused
+    if set(map(type, flat)) != {int} or min(flat) < 1 or max(flat) > n:
+        return None
+    if not all(all(map(lt, a, b)) for a, b in zip(idx, idx[1:ordered])):
+        return None
+    keys = list(zip(*[map(sub, c, repeat(1)) for c in idx]))
+    if len(set(keys)) < len(keys):
+        return None
+    try:
+        if set(map(type, vals)) == {str}:
+            vals = map({s: value(s, where) for s in set(vals)}.__getitem__, vals)
+        else:
+            vals = map(value, vals, repeat(where))
+        return dict(zip(keys, vals))
+    except InputError:
+        return None
+
+
 def _read_rows(doc: dict, field: str, path: Optional[str], n: int,
                shape: str, value, ordered: int = 0, repeated: str = "",
                unordered: str = "", duplicate: str = "duplicate row") -> dict:
@@ -141,10 +188,18 @@ def _read_rows(doc: dict, field: str, path: Optional[str], n: int,
     repeat is refused with ``repeated`` (or, if that is empty,
     ``unordered``), any other row out of order with ``unordered``, and a
     repeated index tuple with ``duplicate``; each message is a
-    ``str.format`` template over the row's items."""
+    ``str.format`` template over the row's items.
+
+    Well-formed rows are read by ``_well_formed_rows``. Only if some row is
+    not are the rows checked one by one, in file order, with each row's
+    location "field[r]" formatted, so the first failing check names the
+    error."""
     rows = _need_rows(doc, field, path)
     where, width = _ctx(path, field), shape.count(",") + 1
-    out: dict = {}
+    out = _well_formed_rows(rows, where, width, n, value, ordered)
+    if out is not None:
+        return out
+    out = {}
     for rnum, row in enumerate(rows, 1):
         loc = f"{where}[{rnum}]"
         if not isinstance(row, list) or len(row) != width:
@@ -162,18 +217,24 @@ def _read_rows(doc: dict, field: str, path: Optional[str], n: int,
 
 def _skew_bracket(doc: dict, path: Optional[str], n: int) -> Tensor4:
     """The skew-completed bracket of rows [i, j, k, l, value], i < j < k,
-    built as the rows of a ``Tensor4`` directly: each value is parsed once,
-    and the (i, j, k, l) are distinct, so no entry is added to another."""
+    built as the rows of a ``Tensor4`` directly: each value is parsed and
+    negated once, and the (i, j, k, l) are distinct, so no entry is added
+    to another."""
     rows = _read_rows(doc, "bracket", path, n, "[i, j, k, l, value]", _parse_rat,
                       ordered=3, repeated="repeated index among ({0},{1},{2})",
                       unordered="indices must be strictly increasing",
                       duplicate="duplicate row ({0}, {1}, {2}, {3})")
     out: dict = {}
+    at = out.setdefault
     for (i, j, k, l), v in rows.items():
         if v:
-            src = (i, j, k)
-            for (p, q, r), sign in _PERMS3:
-                out.setdefault((src[p], src[q], src[r]), {})[l] = sign * v
+            w = -v
+            at((i, j, k), {})[l] = v
+            at((j, k, i), {})[l] = v
+            at((k, i, j), {})[l] = v
+            at((i, k, j), {})[l] = w
+            at((k, j, i), {})[l] = w
+            at((j, i, k), {})[l] = w
     return Tensor4._of((n,) * 4, out)
 
 
@@ -358,49 +419,102 @@ _esc = json.encoder.encode_basestring_ascii
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _float(x: float) -> str:
+    r = float.__repr__(x)
+    return _NONFINITE.get(r, r)
+
+
+# How json.dumps spells a scalar, by its exact type.
+_SCALAR = {str: _esc, int: int.__repr__, float: _float,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): lambda _: "null"}
+_SCALARS = frozenset(_SCALAR)
+_LISTS = frozenset((list, tuple))
+
+
+def _not_json(o) -> TypeError:
+    return TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _spell(x) -> str:
+    try:
+        return _SCALAR[type(x)](x)
+    except KeyError:
+        raise _not_json(x) from None
+
+
+def _items(o, indent: str, spell) -> str:
+    """The list ``o`` of scalars, each spelled by ``spell``, in one join."""
+    if not o:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + (",\n" + inner).join(map(spell, o)) + f"\n{indent}]"
+
+
+def _row_spell(rows):
+    """The spelling of the items of ``rows``, a list of lists, if every
+    item is a scalar, else None. The items are told apart by their distinct
+    values, so a str, which equals only a str, is escaped once per value;
+    a set merges 1 with True, so other scalars are spelled one by one."""
+    if not set(map(type, rows[0])) <= _SCALARS:  # a report part, a rho row
+        return None
+    try:
+        distinct = set().union(*rows)
+    except TypeError:  # a later row holds a list or a dict
+        return None
+    leaves = set(map(type, distinct))
+    if leaves == {str}:
+        return {s: _esc(s) for s in distinct}.__getitem__
+    return _spell if leaves <= _SCALARS else None
+
+
 def _encode(o, indent: str) -> str:
     """``o`` as ``json.dumps(o, indent=2, sort_keys=True)`` spells it at
-    the nesting whose line prefix is ``indent``; a list of strings, such as
-    a matrix row, is escaped and joined in one C-level pass."""
-    if isinstance(o, str):
-        return _esc(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        r = float.__repr__(o)
-        return _NONFINITE.get(r, r)
+    the nesting whose line prefix is ``indent``. Each value is dispatched
+    on its exact type, so a subclass of a JSON type is refused as json
+    refuses any other type. A list of scalars (a bracket row, a witness
+    ``at``) is spelled in one join, and so is each row of a list of scalar
+    rows (a matrix, a bracket); only other lists recurse per item."""
+    t = type(o)
+    if t in _SCALARS:
+        return _SCALAR[t](o)
     inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        try:
-            body = sep.join(map(_esc, o))
-        except TypeError:  # an item that is not a string
-            body = sep.join([_encode(x, inner) for x in o])
-        return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(o, dict):
+    if t is dict:
         if not o:
             return "{}"
-        body = sep.join([f"{_esc(k)}: {_encode(x, inner)}"
-                         for k, x in sorted(o.items())])
+        body = (",\n" + inner).join([f"{_esc(k)}: {_encode(x, inner)}"
+                                      for k, x in sorted(o.items())])
         return f"{{\n{inner}{body}\n{indent}}}"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if t not in _LISTS:
+        raise _not_json(o)
+    kinds = set(map(type, o))
+    if kinds <= _SCALARS:
+        return _items(o, indent, _esc if kinds == {str} else _spell)
+    spell = _row_spell(o) if kinds <= _LISTS else None
+    body = ([_items(row, inner, spell) for row in o] if spell
+            else [_encode(x, inner) for x in o])
+    return f"[\n{inner}" + (",\n" + inner).join(body) + f"\n{indent}]"
 
 
 def dump(doc: dict, path: str) -> None:
-    """Atomic, canonical write of the text of ``dumps(doc)``."""
-    text = _encode(doc, "") + "\n"
+    """Atomic, canonical write of ``dumps(doc)``: its ASCII bytes are
+    written to NAME.tmp, which is then renamed over NAME. If the write or
+    the rename fails, NAME.tmp is removed and the error raised."""
+    data = (_encode(doc, "") + "\n").encode("ascii")
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # keep the error that matters
+            os.unlink(tmp)
+        raise
 
 
 def dumps(doc: dict) -> str:

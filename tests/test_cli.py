@@ -136,6 +136,38 @@ def test_invalid_json_exits_two(capsys):
     assert "invalid JSON" in err
 
 
+def _with_newlines(tmp_path, name, newline):
+    """A copy of fixture ``name`` whose line endings are ``newline``."""
+    path = tmp_path / name
+    with open(fx(name), "rb") as fh:
+        path.write_bytes(fh.read().replace(b"\n", newline))
+    return str(path)
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_line_endings_load_alike(tmp_path, newline):
+    path = _with_newlines(tmp_path, "n4diag.alg", newline)
+    assert fileio.load_algebra(path) == fileio.load_algebra(fx("n4diag.alg"))
+
+
+def test_invalid_json_line_counts_lone_cr(tmp_path):
+    """A lone carriage return ends a line, as it does in text mode."""
+    path = _with_newlines(tmp_path, "broken.alg", b"\r")
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(json.JSONDecodeError) as text_mode:
+            json.load(fh)
+    assert text_mode.value.lineno > 1
+    with pytest.raises(InputError, match=f"line {text_mode.value.lineno}: "):
+        fileio.load_algebra(path)
+
+
+def test_loader_refuses_a_directory_and_a_missing_path(tmp_path):
+    with pytest.raises(InputError, match=r"cannot read \(Is a directory\)"):
+        fileio.load_algebra(str(tmp_path))
+    with pytest.raises(InputError, match="no such file"):
+        fileio.load_algebra(str(tmp_path / "nope.alg"))
+
+
 @pytest.mark.parametrize("name, content, message", [
     ("a-directory", None, "cannot read"),
     ("latin1.alg", b'{"dim": 4, "label": "caf\xe9"}\n', "not UTF-8"),
@@ -204,6 +236,34 @@ def test_bad_algebra_rows_exit_two(tmp_path, capsys, rows, message):
     code, _, err = run(["check", "algebra", str(path)], capsys)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("target, name, field, rows, message", [
+    ("algebra", "n4.alg", "bracket", [[1, 2, 3, 4, "1"], [1, 3, 2, 4, "1"]],
+     "bracket[2]: indices must be strictly increasing"),
+    ("algebra", "n4.alg", "bracket", [[1, 2, 3, 4, "1"], [2, 2, 3, 4, "1"]],
+     "bracket[2]: repeated index among (2,2,3)"),
+    ("algebra", "n4.alg", "bracket", [[1, 2, 3, 4, "1"], [1, 2, 4, 5, "1"]],
+     "bracket[2]: index 5 out of range 1..4"),
+    ("algebra", "n4.alg", "bracket", [[1, 2, 3, 4, "1"], [1, 2, 4, 4, "x"]],
+     "bracket[2]: bad rational 'x'"),
+    ("prelie", "n4prelie.plg", "bracket", [[1, 2, 3, 4, "1"], [3, 2, 1, 4, "1"]],
+     "bracket[2]: first two indices must satisfy i < j"),
+    ("rep", "coadjoint.rep", "rho", [[1, 2, [["0"] * 4] * 4], [2, 1, [["0"] * 4] * 4]],
+     "rho[2]: indices must satisfy i < j"),
+], ids=["unordered", "repeated", "out-of-range", "bad-value", "prelie-unordered",
+        "rho-unordered"])
+def test_bad_row_after_a_good_one_is_named(tmp_path, capsys, target, name,
+                                           field, rows, message):
+    """The first bad row is named by its row number, whichever check it
+    fails, when the rows before it are well formed."""
+    doc = _inlined(name)
+    doc[field] = rows
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["check", target, str(path)], capsys)
+    assert code == 2
+    assert err == f"input error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("target, name, path, message", [
@@ -312,6 +372,18 @@ def test_unwritable_output_exits_two(tmp_path, capsys, below):
     assert code == 2
     assert err.startswith(f"input error: {out}: cannot write twisted.alg (")
     assert err.count("\n") == 1
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    """An artifact whose name is taken by a directory fails at the rename;
+    the NAME.tmp written before it is removed."""
+    (tmp_path / "twisted.alg").mkdir()
+    code, _, err = run(["build", "twist", fx("n4.alg"), fx("morph.mat"),
+                        "-o", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith(f"input error: {tmp_path}: cannot write twisted.alg (")
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["twisted.alg"]
 
 
 # The input counts of every verb/target pair, as its wrong-arity message
@@ -576,6 +648,16 @@ _JSON_TREES = st.recursive(
 @given(_JSON_TREES)
 @example({"f": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300],
           "e": [[], {}, (), ""], "s": ["\u00e9\u2603\ud83d\ude00", "\"\\\n\x00"]})
+@example([[1, 2, 3, 4, "5/7"]])
+@example([[1, True], [True, 1], [0, False]])
+@example({"m": [["0", "1/2", "0"], ["1/2", "0", "-1"], ["0", "-1", "1/2"]]})
+@example([[], ["a"], ()])
+@example([[{"a": 1}, 1.5], [None, "\u00e9"], ["x", -0.0, None]])
+@example([["\u2603", "b"], [float("nan"), "\u2603"]])
+@example({"parts": [["skew", {"checked": 5, "passed": True, "parts": [],
+                                "witness": None}]],
+          "witness": {"at": [1, 2, 3], "check": "skew",
+                      "left": ["1/2"], "right": []}})
 def test_dumps_is_json_dumps(doc):
     assert fileio.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

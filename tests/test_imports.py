@@ -1,8 +1,8 @@
 """Every top-level import in the package modules is used, every private
 top-level function is referenced somewhere in the package, every oracle in
 ``tests/oracles.py`` is referenced by the tests, values are divided only
-in ``exactlin``, and JSON is written only by ``fileio`` (no linter is
-installed, so this is the lint)."""
+in ``exactlin``, and JSON is written and files are touched only by
+``fileio`` (no linter is installed, so this is the lint)."""
 import ast
 import glob
 import os
@@ -191,3 +191,42 @@ def test_json_is_written_only_by_fileio(path):
     encoder, ``fileio.dumps``."""
     with open(path) as fh:
         assert json_writes(fh.read()) == []
+
+
+OS_FILE_CALLS = ("open", "replace", "unlink")
+
+
+def file_calls(source: str) -> list:
+    """Lines that call ``open``, ``os.open``, ``os.replace`` or
+    ``os.unlink``, or import one of the ``os`` names."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if ((isinstance(f, ast.Name) and f.id == "open")
+                    or (isinstance(f, ast.Attribute)
+                        and isinstance(f.value, ast.Name)
+                        and f.value.id == "os" and f.attr in OS_FILE_CALLS)):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(a.name in OS_FILE_CALLS for a in node.names)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_detector_flags_a_file_call():
+    src = ("import os\nfrom os import replace as r\n\n"
+           "def f(p, fh):\n    fh.open()\n    os.makedirs(p)\n"
+           "    with open(p) as g:\n        os.replace(p, p)\n"
+           "    os.unlink(p)\n    return os.open(p, 0), os.path.join(p)\n")
+    assert file_calls(src) == [2, 7, 8, 9, 10]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in glob.glob(os.path.join(SRC, "*.py"))
+                   if os.path.basename(p) != "fileio.py"),
+    ids=os.path.basename)
+def test_files_are_touched_only_by_fileio(path):
+    """Every artifact is read and written atomically by ``fileio``."""
+    with open(path) as fh:
+        assert file_calls(fh.read()) == []
