@@ -65,15 +65,9 @@ def rat(x):
     ``int``; any other string by ``Fraction``, so the strings accepted are
     exactly those ``Fraction`` accepts.
     """
-    # ints first: isinstance(int, Fraction) is a slow ABC check
+    # ints and strings first: isinstance(x, Fraction) is a slow ABC check
     if type(x) is int:
         return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):
-        if isinstance(x, bool):  # an int subclass, but not a number in a file
-            raise InputError(f"bad rational {x!r} (type bool)")
-        return int(x)
     if isinstance(x, str):
         digits = x[1:] if x[:1] == "-" else x
         try:
@@ -82,6 +76,12 @@ def rat(x):
             return _normal(Fraction(x))
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad rational {x!r}: {e}") from None
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        if isinstance(x, bool):  # an int subclass, but not a number in a file
+            raise InputError(f"bad rational {x!r} (type bool)")
+        return int(x)
     raise InputError(f"bad rational {x!r} (type {type(x).__name__})")
 
 
@@ -535,16 +535,8 @@ def sparse_of(vec: Sequence) -> dict:
     return dict(compress(enumerate(vec), vec))
 
 
-# Sparse matrices {p: {q: value}} with no zero entries and no empty rows, so
-# two of them compare equal exactly when the matrices they stand for do.
-
-def spmat_of(m: Mat) -> dict:
-    return {p: row for p, row in enumerate(map(sparse_of, m.entries)) if row}
-
-
-def spmat_to_mat(s: Mapping, rows: int, cols: int) -> Mat:
-    return Mat._of([dense(s.get(p, {}), cols) for p in range(rows)])
-
+# Lifting to ints. A sparse matrix is {p: {q: value}} with no zero entries
+# and no empty rows; the arithmetic on them is private to ``reps``.
 
 def common_denominator(values: Iterable) -> int:
     """The lcm of the denominators of the nonzero values (1 for none)."""
@@ -572,27 +564,3 @@ def unlift(s: Mapping, d: int) -> Mapping:
     return {p: {q: rat(Fraction(v, d)) for q, v in row.items()}
             for p, row in s.items()}
 
-
-def spmat_add_into(acc: dict, s: Mapping, scale=ONE) -> None:
-    """acc += scale * s."""
-    for p, row in s.items():
-        r = acc.setdefault(p, {})
-        vec_add_into(r, row, scale)
-        if not r:
-            del acc[p]
-
-
-def spmat_matmul(a: Mapping, b: Mapping, acc: Optional[dict] = None) -> dict:
-    """a @ b, accumulated into ``acc`` when one is given; returns the sum."""
-    out = {} if acc is None else acc
-    if not b:
-        return out
-    for p, arow in a.items():
-        r = out.setdefault(p, {})
-        for k, v in arow.items():
-            brow = b.get(k)
-            if brow:
-                vec_add_into(r, brow, v)
-        if not r:
-            del out[p]
-    return out

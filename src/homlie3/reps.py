@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from typing import Mapping
 
 from .exactlin import (
-    InputError, Mat, Tensor4, ZERO, common_denominator, lift, spmat_add_into,
-    spmat_lift, spmat_matmul, spmat_of, spmat_to_mat, unlift,
+    InputError, Mat, Tensor4, ZERO, common_denominator, dense, lift,
+    sparse_of, spmat_lift, unlift, vec_add_into,
 )
 from .homlie import (
     Algebra3, CheckReport, Witness, _permuted, _require, _skew_check,
@@ -101,11 +101,47 @@ def coadjoint_family(a: Algebra3) -> tuple:
     return _rep_family(_coadjoint_tensor(a))
 
 
+# Sparse matrices {p: {q: value}} with no zero entries and no empty rows (so
+# equal exactly when their matrices are): check_representation's kernel.
+
+def _spmat_of(m: Mat) -> dict:
+    return {p: row for p, row in enumerate(map(sparse_of, m.entries)) if row}
+
+
+def _spmat_to_mat(s: Mapping, rows: int, cols: int) -> Mat:
+    return Mat._of([dense(s.get(p, {}), cols) for p in range(rows)])
+
+
+def _spmat_add_into(acc: dict, s: Mapping, scale) -> None:
+    """acc += scale * s."""
+    for p, row in s.items():
+        r = acc.setdefault(p, {})
+        vec_add_into(r, row, scale)
+        if not r:
+            del acc[p]
+
+
+def _spmat_matmul(a: Mapping, b: Mapping) -> dict:
+    """a @ b."""
+    out: dict = {}
+    if not b:
+        return out
+    for p, arow in a.items():
+        r = out.setdefault(p, {})
+        for k, v in arow.items():
+            brow = b.get(k)
+            if brow:
+                vec_add_into(r, brow, v)
+        if not r:
+            del out[p]
+    return out
+
+
 def _combine(terms) -> dict:
     """Sum of scale * s over (s, scale) pairs of sparse matrices."""
     acc: dict = {}
     for s, f in terms:
-        spmat_add_into(acc, s, f)
+        _spmat_add_into(acc, s, f)
     return acc
 
 
@@ -120,12 +156,19 @@ def check_representation(r: Rep3) -> CheckReport:
 
     where a is the algebra twist and B the carrier twist. A part's witness
     is its lex-first failing tuple (u, v) or (x, y, z, u), and ``checked``
-    its lex position (n**2 or n**4 on a pass). Only the sorted tuple of each
-    orbit on which both sides are skew is evaluated: (u, v) and (z, u), as
-    ``Rep3`` validates rho skew, and, if the base bracket is skew, (x, y, z)
-    of action and (x, y) of exchange. A repeated index there makes both
-    sides zero, and the sorted tuple, which comes first, has the same sides
-    up to sign. Twisted operators are sparse and built on first use.
+    its lex position (n**2 or n**4 on a pass). Each part generates, in lex
+    order, only the sorted tuple of each orbit on which both sides are
+    skew: (u, v) and (z, u), as ``Rep3`` validates rho skew, and, if the
+    base bracket is skew, (x, y, z) of action and (x, y) of exchange. A
+    repeated index there makes both sides zero, and the sorted tuple, which
+    comes first, has the same sides up to sign.
+
+    Operators are sparse and built on first use, once per call. The rho rho
+    terms are read from a table of the products rho(a(p), a(q)) rho(r, s)
+    with p < q and r < s, each formed once: every other term is +-1 times
+    one of them, and one with a zero rho(r, s) is skipped. As rho is skew,
+    the last exchange term is -rho([x,y,u], a(z)) B, built like the bracket
+    term of action from the products rho(k, a(u)) B.
 
     The identities are compared on ints: rho, B, the twist and the bracket
     are lifted by the common denominators Dr, DB, Da and Dc of their
@@ -138,18 +181,19 @@ def check_representation(r: Rep3) -> CheckReport:
     lifted.
     """
     n, m = r.base.dim, r.vdim
-    rho = [[spmat_of(mat) for mat in row] for row in r.rho]
-    B = spmat_of(r.A)
+    # rho is skew: rho[i][j] is read for i < j only, and is {} elsewhere
+    rho = [[_spmat_of(mat) if i < j else {} for j, mat in enumerate(row)]
+           for i, row in enumerate(r.rho)]
+    B = _spmat_of(r.A)
     cols = r.base.twist.col_support()  # cols[u]: (a, alpha[a][u]) nonzero
     rows = dict(r.base.bracket.rows())  # (x, y, z): [x, y, z] nonzero
-    # rho is skew: its operators above the diagonal hold every denominator
-    Dr = common_denominator(v for i, fam in enumerate(rho) for s in fam[i + 1:]
+    Dr = common_denominator(v for fam in rho for s in fam
                             for row in s.values() for v in row.values())
     DB = common_denominator(v for row in B.values() for v in row.values())
     Da = common_denominator(f for col in cols for _, f in col)
     Dc = common_denominator(v for vec in rows.values() for v in vec.values())
     if Dr != 1:
-        rho = [[spmat_lift(s, Dr) for s in fam] for fam in rho]
+        rho = [[spmat_lift(s, Dr) if s else s for s in fam] for fam in rho]
     if Da != 1:
         cols = [[(a, lift(f, Da)) for a, f in col] for col in cols]
     rows = spmat_lift(rows, Dc * Dr * Da)
@@ -160,10 +204,11 @@ def check_representation(r: Rep3) -> CheckReport:
 
     @cache
     def half2(a, v):  # rho(a, a(v))
-        return _combine((rho[a][b], f) for b, f in cols[v])
+        return _combine((rho[a][b], f) if a < b else (rho[b][a], -f)
+                        for b, f in cols[v] if a != b)
 
     @cache
-    def tw(u, v):  # rho(a(u), a(v)); with a skew base only u < v is read
+    def tw(u, v):  # rho(a(u), a(v)), read only for u < v
         return _combine((half2(a, v), f) for a, f in cols[u])
 
     # S * rho(a(u), a(v)), for action and exchange
@@ -171,59 +216,66 @@ def check_representation(r: Rep3) -> CheckReport:
 
     @cache
     def half2B(k, u):  # rho(k, a(u)) B
-        return spmat_matmul(half2(k, u), B)
+        return _spmat_matmul(half2(k, u), B)
 
     @cache
-    def half1B(u, b):  # rho(a(u), b) B
-        return spmat_matmul(_combine((rho[a][b], f) for a, f in cols[u]), B)
+    def prod(p, q, r, s):  # S rho(a(p), a(q)) rho(r, s), p < q and r < s
+        return _spmat_matmul(twS(p, q), rho[r][s])
 
-    def fail(check, at, checked, lhs, rhs, scale):
-        lhs, rhs = unlift(lhs, scale), unlift(rhs, scale)
-        return CheckReport(False, checked, Witness(
-            check, at, tuple(spmat_to_mat(lhs, m, m).entries),
-            tuple(spmat_to_mat(rhs, m, m).entries), "rows"))
+    def add_prod(acc, p, q, r, s):  # acc += S rho(a(p), a(q)) rho(r, s)
+        sign = 1
+        if p > q:
+            p, q, sign = q, p, -1
+        if r > s:
+            r, s, sign = s, r, -sign
+        if p != q and rho[r][s]:
+            _spmat_add_into(acc, prod(p, q, r, s), sign)
 
-    def bracket_half2B(x, y, z, u):
-        # rho([x,y,z], a(u)) B
-        acc: dict = {}
+    def add_bracket(acc, x, y, z, u, sign=1):  # acc += sign rho([x,y,z], a(u)) B
         for k, f in rows.get((x, y, z), {}).items():
-            spmat_add_into(acc, half2B(k, u), f)
+            _spmat_add_into(acc, half2B(k, u), sign * f)
         return acc
 
+    def fail(check, at, lhs, rhs, scale):  # checked: the lex position of at
+        checked = sum(i * n ** k for k, i in enumerate(reversed(at))) + 1
+        lhs, rhs = unlift(lhs, scale), unlift(rhs, scale)
+        return CheckReport(False, checked, Witness(
+            check, at, tuple(_spmat_to_mat(lhs, m, m).entries),
+            tuple(_spmat_to_mat(rhs, m, m).entries), "rows"))
+
+    pairs = list(combinations(range(n), 2))
+
     def intertwine():
-        for checked, (u, v) in enumerate(product(range(n), repeat=2), 1):
-            if u >= v:
-                continue
-            lhs = spmat_matmul(tw(u, v), B)
-            rhs = spmat_matmul(BA, rho[u][v])
+        for u, v in pairs:
+            lhs = _spmat_matmul(tw(u, v), B)
+            rhs = _spmat_matmul(BA, rho[u][v])
             if lhs != rhs:
-                return fail("rep_intertwine", (u, v), checked, lhs, rhs, D2)
+                return fail("rep_intertwine", (u, v), lhs, rhs, D2)
         return CheckReport(True, n ** 2)
 
     def action():
-        for checked, (x, y, z, u) in enumerate(product(range(n), repeat=4), 1):
-            if skew and not x < y < z:
-                continue
-            lhs = bracket_half2B(x, y, z, u)
-            rhs = spmat_matmul(twS(y, z), rho[x][u])
-            # rho(a(z), a(x)) rho(y, u), with both factors negated
-            spmat_matmul(twS(x, z), rho[u][y], rhs)
-            spmat_matmul(twS(x, y), rho[z][u], rhs)
+        quads = ((x, y, z, u) for x, y, z in combinations(range(n), 3)
+                 for u in range(n)) if skew else product(range(n), repeat=4)
+        for x, y, z, u in quads:
+            lhs = add_bracket({}, x, y, z, u)
+            rhs: dict = {}
+            add_prod(rhs, y, z, x, u)
+            add_prod(rhs, z, x, y, u)
+            add_prod(rhs, x, y, z, u)
             if lhs != rhs:
-                return fail("rep_action", (x, y, z, u), checked, lhs, rhs, D4)
+                return fail("rep_action", (x, y, z, u), lhs, rhs, D4)
         return CheckReport(True, n ** 4)
 
     def exchange():
-        for checked, (x, y, z, u) in enumerate(product(range(n), repeat=4), 1):
-            if z >= u or skew and x >= y:
-                continue
-            lhs = spmat_matmul(twS(x, y), rho[z][u])
-            rhs = spmat_matmul(twS(z, u), rho[x][y], bracket_half2B(x, y, z, u))
-            for k, f in rows.get((x, y, u), {}).items():
-                spmat_add_into(rhs, half1B(z, k), f)
+        for (x, y), (z, u) in product(
+                pairs if skew else product(range(n), repeat=2), pairs):
+            lhs: dict = {}
+            add_prod(lhs, x, y, z, u)
+            rhs = add_bracket({}, x, y, z, u)
+            add_bracket(rhs, x, y, u, z, -1)
+            add_prod(rhs, z, u, x, y)
             if lhs != rhs:
-                return fail("rep_exchange", (x, y, z, u), checked, lhs, rhs,
-                            D4)
+                return fail("rep_exchange", (x, y, z, u), lhs, rhs, D4)
         return CheckReport(True, n ** 4)
 
     return CheckReport.combine([("intertwine", intertwine()),

@@ -4,6 +4,12 @@
 kernel in ``homlie3.reps`` replaced: every identity is evaluated as ``Mat``
 products on every basis tuple, in lex order, stopping at the first failure.
 The sparse kernel must reproduce its reports byte for byte.
+``check_representation_loop`` is the lifted sparse checker that the
+kernel's product table replaced, kept verbatim apart from its name, with
+the sparse-matrix helpers it called: it walks every 4-tuple in lex order,
+skips those outside the sorted orbit representatives and forms each
+operator product at each tuple. It is cheap enough to be an oracle at
+dimensions 8 to 12, where the dense one is not.
 
 The ``*_dense`` and ``*_loop`` checkers below are the hand-written loops
 that the sparse residual engine in ``homlie3.homlie`` replaced, kept
@@ -39,15 +45,17 @@ identities that the residual engine replaced (same reports byte for byte).
 """
 import itertools
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from typing import Mapping, Optional
 
 from homlie3.exactlin import (
-    InputError, LinearSolution, Mat, Tensor4, dense, mat_inverse,
-    rat, sparse_of, unit_vec, vec_add_into,
+    InputError, LinearSolution, Mat, Tensor4, common_denominator, dense, lift,
+    mat_inverse, rat, sparse_of, spmat_lift, unit_vec, unlift, vec_add_into,
 )
 from homlie3.homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, _derivation_rows,
-    bracket_vec, check_algebra, twist_slots,
+    _skew_check, bracket_vec, check_algebra, twist_slots,
 )
 from homlie3.reps import Rep3, check_representation
 from homlie3.bialgebra import (
@@ -167,6 +175,172 @@ def check_representation_dense(r: Rep3) -> CheckReport:
                         break
     parts.append(("exchange", CheckReport(witness is None, checked, witness)))
     return CheckReport.combine(parts)
+
+
+# The lifted sparse checker that the product table of ``check_representation``
+# replaced, and the sparse-matrix helpers it called in ``exactlin``.
+
+def spmat_of(m: Mat) -> dict:
+    return {p: row for p, row in enumerate(map(sparse_of, m.entries)) if row}
+
+
+def spmat_to_mat(s: Mapping, rows: int, cols: int) -> Mat:
+    return Mat._of([dense(s.get(p, {}), cols) for p in range(rows)])
+
+
+def spmat_add_into(acc: dict, s: Mapping, scale=1) -> None:
+    """acc += scale * s."""
+    for p, row in s.items():
+        r = acc.setdefault(p, {})
+        vec_add_into(r, row, scale)
+        if not r:
+            del acc[p]
+
+
+def spmat_matmul(a: Mapping, b: Mapping, acc: Optional[dict] = None) -> dict:
+    """a @ b, accumulated into ``acc`` when one is given; returns the sum."""
+    out = {} if acc is None else acc
+    if not b:
+        return out
+    for p, arow in a.items():
+        r = out.setdefault(p, {})
+        for k, v in arow.items():
+            brow = b.get(k)
+            if brow:
+                vec_add_into(r, brow, v)
+        if not r:
+            del out[p]
+    return out
+
+
+def _combine(terms) -> dict:
+    """Sum of scale * s over (s, scale) pairs of sparse matrices."""
+    acc: dict = {}
+    for s, f in terms:
+        spmat_add_into(acc, s, f)
+    return acc
+
+
+def check_representation_loop(r: Rep3) -> CheckReport:
+    """Exhaustive check of the three representation identities.
+
+        intertwine  rho(a(u), a(v)) B = B rho(u, v)
+        action      rho([x,y,z], a(u)) B = rho(a(y), a(z)) rho(x, u)
+                        + rho(a(z), a(x)) rho(y, u) + rho(a(x), a(y)) rho(z, u)
+        exchange    rho(a(x), a(y)) rho(z, u) = rho(a(z), a(u)) rho(x, y)
+                        + rho([x,y,z], a(u)) B + rho(a(z), [x,y,u]) B
+
+    where a is the algebra twist and B the carrier twist. A part's witness
+    is its lex-first failing tuple (u, v) or (x, y, z, u), and ``checked``
+    its lex position (n**2 or n**4 on a pass). Only the sorted tuple of each
+    orbit on which both sides are skew is evaluated: (u, v) and (z, u), as
+    ``Rep3`` validates rho skew, and, if the base bracket is skew, (x, y, z)
+    of action and (x, y) of exchange. A repeated index there makes both
+    sides zero, and the sorted tuple, which comes first, has the same sides
+    up to sign. Twisted operators are sparse and built on first use.
+
+    The identities are compared on ints: rho, B, the twist and the bracket
+    are lifted by the common denominators Dr, DB, Da and Dc of their
+    entries, and each term's missing factors are folded into an operator,
+    so that both sides of a part carry one scale. intertwine multiplies
+    B rho by Da**2 and has scale Dr*Da**2*DB; action and exchange multiply
+    the rho rho terms by Dc*DB and the bracket rows by Dc*Dr*Da, and have
+    scale Dc*Dr**2*Da**2*DB. The sides of a witness are divided back by
+    their part's scale. With integral data every scale is 1 and nothing is
+    lifted.
+    """
+    n, m = r.base.dim, r.vdim
+    rho = [[spmat_of(mat) for mat in row] for row in r.rho]
+    B = spmat_of(r.A)
+    cols = r.base.twist.col_support()  # cols[u]: (a, alpha[a][u]) nonzero
+    rows = dict(r.base.bracket.rows())  # (x, y, z): [x, y, z] nonzero
+    # rho is skew: its operators above the diagonal hold every denominator
+    Dr = common_denominator(v for i, fam in enumerate(rho) for s in fam[i + 1:]
+                            for row in s.values() for v in row.values())
+    DB = common_denominator(v for row in B.values() for v in row.values())
+    Da = common_denominator(f for col in cols for _, f in col)
+    Dc = common_denominator(v for vec in rows.values() for v in vec.values())
+    if Dr != 1:
+        rho = [[spmat_lift(s, Dr) for s in fam] for fam in rho]
+    if Da != 1:
+        cols = [[(a, lift(f, Da)) for a, f in col] for col in cols]
+    rows = spmat_lift(rows, Dc * Dr * Da)
+    B, BA = spmat_lift(B, DB), spmat_lift(B, DB * Da * Da)
+    S = Dc * DB  # the factor of the rho rho terms of action and exchange
+    D2, D4 = Dr * Da * Da * DB, S * Dr * Dr * Da * Da  # the parts' scales
+    skew = _skew_check(r.base).passed
+
+    @cache
+    def half2(a, v):  # rho(a, a(v))
+        return _combine((rho[a][b], f) for b, f in cols[v])
+
+    @cache
+    def tw(u, v):  # rho(a(u), a(v)); with a skew base only u < v is read
+        return _combine((half2(a, v), f) for a, f in cols[u])
+
+    # S * rho(a(u), a(v)), for action and exchange
+    twS = tw if S == 1 else cache(lambda u, v: _combine([(tw(u, v), S)]))
+
+    @cache
+    def half2B(k, u):  # rho(k, a(u)) B
+        return spmat_matmul(half2(k, u), B)
+
+    @cache
+    def half1B(u, b):  # rho(a(u), b) B
+        return spmat_matmul(_combine((rho[a][b], f) for a, f in cols[u]), B)
+
+    def fail(check, at, checked, lhs, rhs, scale):
+        lhs, rhs = unlift(lhs, scale), unlift(rhs, scale)
+        return CheckReport(False, checked, Witness(
+            check, at, tuple(spmat_to_mat(lhs, m, m).entries),
+            tuple(spmat_to_mat(rhs, m, m).entries), "rows"))
+
+    def bracket_half2B(x, y, z, u):
+        # rho([x,y,z], a(u)) B
+        acc: dict = {}
+        for k, f in rows.get((x, y, z), {}).items():
+            spmat_add_into(acc, half2B(k, u), f)
+        return acc
+
+    def intertwine():
+        for checked, (u, v) in enumerate(product(range(n), repeat=2), 1):
+            if u >= v:
+                continue
+            lhs = spmat_matmul(tw(u, v), B)
+            rhs = spmat_matmul(BA, rho[u][v])
+            if lhs != rhs:
+                return fail("rep_intertwine", (u, v), checked, lhs, rhs, D2)
+        return CheckReport(True, n ** 2)
+
+    def action():
+        for checked, (x, y, z, u) in enumerate(product(range(n), repeat=4), 1):
+            if skew and not x < y < z:
+                continue
+            lhs = bracket_half2B(x, y, z, u)
+            rhs = spmat_matmul(twS(y, z), rho[x][u])
+            # rho(a(z), a(x)) rho(y, u), with both factors negated
+            spmat_matmul(twS(x, z), rho[u][y], rhs)
+            spmat_matmul(twS(x, y), rho[z][u], rhs)
+            if lhs != rhs:
+                return fail("rep_action", (x, y, z, u), checked, lhs, rhs, D4)
+        return CheckReport(True, n ** 4)
+
+    def exchange():
+        for checked, (x, y, z, u) in enumerate(product(range(n), repeat=4), 1):
+            if z >= u or skew and x >= y:
+                continue
+            lhs = spmat_matmul(twS(x, y), rho[z][u])
+            rhs = spmat_matmul(twS(z, u), rho[x][y], bracket_half2B(x, y, z, u))
+            for k, f in rows.get((x, y, u), {}).items():
+                spmat_add_into(rhs, half1B(z, k), f)
+            if lhs != rhs:
+                return fail("rep_exchange", (x, y, z, u), checked, lhs, rhs,
+                            D4)
+        return CheckReport(True, n ** 4)
+
+    return CheckReport.combine([("intertwine", intertwine()),
+                                ("action", action()),
+                                ("exchange", exchange())])
 
 
 def hom_jacobi_residual_loop(a: Algebra3) -> dict:

@@ -84,6 +84,21 @@ def test_rat_random_strings_match_fraction(s):
     assert_rat_is_fraction(s)
 
 
+def test_rat_types_after_the_string_test():
+    """``rat`` tests for a string before the slower Fraction check; a str
+    subclass is still a string, an integral Fraction still an int, and a
+    bool still refused."""
+    class Text(str):
+        pass
+
+    got = rat(Text("3/4"))
+    assert got == F(3, 4) and type(got) is F
+    got = rat(F(6, 3))
+    assert got == 2 and type(got) is int
+    with pytest.raises(InputError, match="type bool"):
+        rat(True)
+
+
 def test_rat_values_are_int_when_integral():
     assert [type(rat(v)) for v in (3, F(6, 2), F(1, 2), "4", "4/3")] \
         == [int, int, F, int, F]

@@ -1,23 +1,27 @@
 """Representations, duals, coadjoint actions, and semidirect sums."""
 import fractions
+import functools
 import os
 import random
 import sys
+import types
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from homlie3 import (Algebra3, InputError, Mat, PreconditionError, Rep3,
                      Tensor4, adjoint_rep, check_algebra,
                      check_representation, coadjoint_rep,
-                     dual_representation, fileio, rep_from_upper,
-                     semidirect_sum, yau_twist)
+                     dual_representation, exactlin, fileio, mat_inverse,
+                     rep_from_upper, reps, semidirect_sum, yau_twist)
 from homlie3.cli import report_doc
+from homlie3.symplectic import _truncated_extension
 
-from conftest import (N4_DIAG, N4_NEG, a4, a4_cayley, n4, random_nilpotent,
-                      rank1_rep, skew_tensor)
+from conftest import (CAYLEY_S, N4_DIAG, N4_NEG, a4, a4_cayley, n4,
+                      random_nilpotent, rank1_rep, skew_tensor)
 from oracles import (base_projection, check_representation_dense,
-                     semidirect_sum_dense)
+                     check_representation_loop, semidirect_sum_dense)
 
 F = Fraction
 
@@ -259,3 +263,108 @@ def test_lifted_check_does_no_fraction_arithmetic():
         sys.setprofile(outer)
     assert r.passed
     assert calls == []
+
+
+def _block_cayley(k):
+    """A4^k, Yau-twisted along the Cayley rotation of CAYLEY_S on each
+    block: dim 4k, with a dense twist block and denominators 17 and 4913."""
+    eye = Mat.identity(4)
+    twist = rot = (eye - CAYLEY_S) @ mat_inverse(eye + CAYLEY_S)
+    for _ in range(k - 1):
+        twist = Mat.block_diag(twist, rot)
+    entries = [(i + 4 * b, j + 4 * b, l + 4 * b, m + 4 * b, v)
+               for b in range(k) for i, j, l, m, v in a4().bracket.items()]
+    power = Algebra3(4 * k, Tensor4.from_entries((4 * k,) * 4, entries),
+                     Mat.identity(4 * k), f"a4^{k}")
+    return yau_twist(power, twist)
+
+
+@functools.cache
+def _evaluated(check, n):
+    """The tuples, in lex order, that a part of check_representation
+    evaluates over a skew base bracket: those sorted in these slots."""
+    slots = {"rep_intertwine": ((0, 1),), "rep_action": ((0, 1), (1, 2)),
+             "rep_exchange": ((0, 1), (2, 3))}[check]
+    return [t for t in product(range(n), repeat=2 if len(slots) == 1 else 4)
+            if all(t[a] < t[b] for a, b in slots)]
+
+
+def _late_mutant(rep, rng, tries=200):
+    """A seeded single-entry mutant of rep that first fails past the first
+    quarter of the tuples its failing part evaluates."""
+    n, m = rep.base.dim, rep.vdim
+    for _ in range(tries):
+        i, j = sorted(rng.sample(range(n), 2))
+        mutant = _mutant(rep, i, j, rng.randrange(m), rng.randrange(m),
+                         rng.choice((F(1), F(-1), F(1, 2))))
+        failed = [p for _, p in check_representation(mutant).parts
+                  if not p.passed]
+        if failed:
+            w = failed[0].witness
+            evaluated = _evaluated(w.check, n)
+            if evaluated.index(w.at) > len(evaluated) // 4:
+                return mutant
+    raise AssertionError(f"no late mutant of {rep.base.label} in {tries} tries")
+
+
+def test_sparse_checker_matches_loop_oracle():
+    """At dim 8 and 12, where the dense oracle costs seconds, the reports
+    equal those of the lifted checker that formed each operator product at
+    each tuple (``check_representation_loop``), byte for byte."""
+    ext = _truncated_extension(n4(), 4)
+    big = [("a4^2.cayley.ad", adjoint_rep(_block_cayley(2))),
+           ("a4^3.cayley.ad", adjoint_rep(_block_cayley(3))),
+           ("n4[t]/t^4.ad", adjoint_rep(ext)),
+           ("n4[t]/t^4.coad", coadjoint_rep(ext))]
+    rng = random.Random(20190311)
+    corpus = big + [(f"{key}~late", _late_mutant(rep, rng)) for key, rep in big]
+    corpus.append(("nonskew", _nonskew_rep()))
+    for key, rep in corpus:
+        new = check_representation(rep)
+        old = check_representation_loop(rep)
+        assert fileio.dumps(report_doc(new)) == fileio.dumps(report_doc(old)), key
+        assert new.passed == ("~" not in key and key != "nonskew"), key
+
+
+def _count_calls(monkeypatch, module, names):
+    """Replace each function ``module.name`` by a wrapper that counts its
+    calls; returns the list the wrappers append to."""
+    calls = []
+    for name in names:
+        def wrapper(*args, _fn=getattr(module, name), _name=name, **kw):
+            calls.append(_name)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_kernel_stays_inside_reps(monkeypatch):
+    """A passing check calls the public ``exactlin`` functions it imports
+    (all but the per-entry helpers) O(n**2) times: once per operator, not
+    once per tuple. The benchmark's tracer (``perfbench/tracer.py``) opens a
+    span at each such call across a module boundary, so per-tuple calls
+    would record O(n**4) spans per check, and its traced run, which walks
+    every recorded span between ops, would grow quadratically."""
+    per_entry = {"rat", "dense", "sparse_of", "vec_add_into"}
+    names = [name for name, fn in vars(reps).items()
+             if isinstance(fn, types.FunctionType)
+             and fn.__module__ == exactlin.__name__
+             and not name.startswith("_") and name not in per_entry]
+    assert {"common_denominator", "lift", "spmat_lift", "unlift"} <= set(names)
+    for rep in (adjoint_rep(a4_cayley()),
+                adjoint_rep(_truncated_extension(n4(), 4))):
+        calls = _count_calls(monkeypatch, reps, names)
+        assert check_representation(rep).passed
+        n = rep.base.dim
+        assert len(calls) <= 2 * n * n + 16, (n, len(calls))
+        monkeypatch.undo()
+
+
+def test_each_operator_product_is_formed_once(monkeypatch):
+    """Each product rho(a(p), a(q)) rho(r, s) with p < q and r < s, each
+    rho(a(u), a(v)) B and B rho(u, v) with u < v, and each rho(k, a(u)) B
+    is formed at most once per check: at most C(n,2)**2 + 2 C(n,2) + n**2
+    products, 64 at n = 4."""
+    calls = _count_calls(monkeypatch, reps, ["_spmat_matmul"])
+    assert check_representation(adjoint_rep(a4_cayley())).passed
+    assert 0 < len(calls) <= 6 * 6 + 2 * 6 + 4 * 4
