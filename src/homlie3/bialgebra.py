@@ -8,14 +8,13 @@ dual space has matrix transpose(alpha); coadjoint actions are defined by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
 from itertools import chain
-from typing import Sequence
 
 from .exactlin import InputError, Mat, ONE, Tensor4, ZERO
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, _by_output, _flag,
-    _identity, _pairing, _permuted, _require, _skew_check, _slot_outer,
+    Algebra3, CheckReport, PreconditionError, Record, Witness, _by_output,
+    _flag, _identity, _pairing, _permuted, _require, _skew_check, _slot_outer,
     check_algebra, twist_slots,
 )
 from .reps import (
@@ -24,8 +23,7 @@ from .reps import (
 )
 
 
-@dataclass(frozen=True)
-class BilForm:
+class BilForm(Record):
     """A bilinear form by its Gram matrix; kind is 'symmetric' or 'skew'."""
     dim: int
     matrix: Mat
@@ -50,8 +48,7 @@ class BilForm:
                     for j, yj in enumerate(y) if yj), ZERO)
 
 
-@dataclass(frozen=True)
-class Cobracket:
+class Cobracket(Record):
     """A cobracket via the structure constants of the induced dual bracket:
     [e_i*, e_j*, e_k*]* = sum_l dual_c[i,j,k,l] e_l*, equivalently
     Delta(e_k) = sum dual_c[i,j,l,k] e_i (x) e_j (x) e_l."""
@@ -64,8 +61,7 @@ class Cobracket:
             raise InputError(f"dual bracket dims {self.dual_c.dims} for dim {n}")
 
 
-@dataclass(frozen=True)
-class MatchedPairData:
+class MatchedPairData(Record):
     left: Algebra3
     right: Algebra3
     rho: Rep3   # left acting on right's carrier
@@ -153,7 +149,7 @@ def check_matched_pair(m: MatchedPairData) -> CheckReport:
         r = _identity(name, terms, (n,) * 3 + (p,) * 2 if k <= 3
                       else (p,) * 3 + (n,) * 2, max(n, p))
         if not r.passed:
-            r = CheckReport(False, r.checked, replace(r.witness, right=()))
+            r = CheckReport(False, r.checked, r.witness.replace(right=()))
         parts.append((name, r))
 
     eqs_passed = all(r.passed for _, r in parts)
@@ -302,8 +298,7 @@ def check_double_construction(c: Cobracket) -> CheckReport:
         for name, lhs, terms in eqs])
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(Record):
     double: CheckReport
     manin: CheckReport
     matched: CheckReport

@@ -10,11 +10,11 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from .exactlin import InputError, rat_str
-from .homlie import CheckReport, PreconditionError, Witness, _flag
+from .homlie import CheckReport, PreconditionError, Record, Witness, _flag
 from . import bialgebra, fileio, homlie, prelie, reps, symplectic
 
 MAX_DIM = 12
@@ -101,7 +101,7 @@ def _save(args, name: str, obj) -> None:
     _write(args, name, getattr(fileio, _TO_DOC[name.rpartition(".")[2]])(obj))
 
 
-class Verb(NamedTuple):
+class Verb(Record):
     """``inputs`` names the fileio loader of each input file ("algebra" is
     ``fileio.load_algebra``; a [bracketed] one is optional). ``op`` is a
     glue function of this module, called with the parsed args and the

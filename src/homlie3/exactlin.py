@@ -43,10 +43,10 @@ which builds no inverse. Two contracts are fixed:
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 Rat = Fraction
 ZERO = 0
@@ -232,7 +232,7 @@ class Mat:
 
 
 def _gauss_jordan(rows: Iterable[Mapping], last: bool = False,
-                  width: Optional[int] = None) -> tuple:
+                  width: int | None = None) -> tuple:
     """Sparse Gauss-Jordan elimination of rows {col: value}.
 
     Each row in turn is reduced by the pivot rows found so far. Its first
@@ -345,7 +345,7 @@ def linear_solver(system: Mat):
     piv, null = _factor(system)
     n = system.cols
 
-    def solve(rhs: Sequence) -> Optional[tuple]:
+    def solve(rhs: Sequence) -> tuple | None:
         b = [rat(v) for v in rhs]
         if len(b) != system.rows:
             raise InputError(f"rhs length {len(b)} vs {system.rows} rows")
@@ -371,7 +371,7 @@ def solve_linear(system: Mat, rhs: Sequence) -> LinearSolution:
     return LinearSolution(x is not None, x, kernel_basis(system))
 
 
-def mat_inverse(m: Mat) -> Optional[Mat]:
+def mat_inverse(m: Mat) -> Mat | None:
     """Exact inverse, or None when singular."""
     if m.rows != m.cols:
         raise InputError(f"inverse of non-square {m.shape}")

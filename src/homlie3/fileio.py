@@ -25,7 +25,6 @@ import json
 import os
 from itertools import chain, repeat
 from operator import lt, sub
-from typing import Optional
 
 from .exactlin import InputError, Mat, Tensor4, rat, rat_str
 from .homlie import Algebra3
@@ -34,7 +33,7 @@ from .bialgebra import BilForm, Cobracket, MatchedPairData
 from .prelie import OOperator, PreLie3
 from .yangbaxter import RTensor
 
-def _ctx(path: Optional[str], field: str) -> str:
+def _ctx(path: str | None, field: str) -> str:
     return f"{path or '<inline>'}: {field}"
 
 
@@ -69,13 +68,13 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _need(doc: dict, field: str, path: Optional[str]):
+def _need(doc: dict, field: str, path: str | None):
     if field not in doc:
         raise InputError(f"{_ctx(path, field)}: missing field")
     return doc[field]
 
 
-def _need_rows(doc: dict, field: str, path: Optional[str]) -> list:
+def _need_rows(doc: dict, field: str, path: str | None) -> list:
     rows = _need(doc, field, path)
     if not isinstance(rows, list):
         raise InputError(f"{_ctx(path, field)}: expected a list of rows")
@@ -117,7 +116,7 @@ def _matrix_doc(m: Mat) -> list:
     return [list(map(spell, row)) for row in m.entries]
 
 
-def _parse_dim(doc: dict, path: Optional[str], max_dim: Optional[int],
+def _parse_dim(doc: dict, path: str | None, max_dim: int | None,
                field: str = "dim") -> int:
     n = _need(doc, field, path)
     if type(n) is not int or n < 1:  # type(), so that a JSON boolean is refused
@@ -128,7 +127,7 @@ def _parse_dim(doc: dict, path: Optional[str], max_dim: Optional[int],
     return n
 
 
-def _parse_basis(doc: dict, path: Optional[str], n: int) -> tuple:
+def _parse_basis(doc: dict, path: str | None, n: int) -> tuple:
     basis = doc.get("basis", [f"e{i + 1}" for i in range(n)])
     if (not isinstance(basis, list) or len(basis) != n
             or not all(isinstance(b, str) for b in basis)):
@@ -136,7 +135,7 @@ def _parse_basis(doc: dict, path: Optional[str], n: int) -> tuple:
     return tuple(basis)
 
 
-def _parse_label(doc: dict, path: Optional[str]) -> str:
+def _parse_label(doc: dict, path: str | None) -> str:
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise InputError(f"{_ctx(path, 'label')}: expected a string")
@@ -178,7 +177,7 @@ def _well_formed_rows(rows: list, where: str, width: int, n: int, value,
         return None
 
 
-def _read_rows(doc: dict, field: str, path: Optional[str], n: int,
+def _read_rows(doc: dict, field: str, path: str | None, n: int,
                shape: str, value, ordered: int = 0, repeated: str = "",
                unordered: str = "", duplicate: str = "duplicate row") -> dict:
     """The rows of ``field`` as {0-based index tuple: value}, in file order.
@@ -215,7 +214,7 @@ def _read_rows(doc: dict, field: str, path: Optional[str], n: int,
     return out
 
 
-def _skew_bracket(doc: dict, path: Optional[str], n: int) -> Tensor4:
+def _skew_bracket(doc: dict, path: str | None, n: int) -> Tensor4:
     """The skew-completed bracket of rows [i, j, k, l, value], i < j < k,
     built as the rows of a ``Tensor4`` directly: each value is parsed and
     negated once, and the (i, j, k, l) are distinct, so no entry is added
@@ -238,7 +237,7 @@ def _skew_bracket(doc: dict, path: Optional[str], n: int) -> Tensor4:
     return Tensor4._of((n,) * 4, out)
 
 
-def _prelie_product(doc: dict, path: Optional[str], n: int) -> Tensor4:
+def _prelie_product(doc: dict, path: str | None, n: int) -> Tensor4:
     """The product of rows [i, j, k, l, value], i < j, skew-completed in
     its first two slots."""
     rows = _read_rows(doc, "bracket", path, n, "[i, j, k, l, value]", _parse_rat,
@@ -251,7 +250,7 @@ def _prelie_product(doc: dict, path: Optional[str], n: int) -> Tensor4:
     return Tensor4.from_entries((n,) * 4, entries)
 
 
-def _read_bracketed(doc: dict, path: Optional[str], max_dim: Optional[int],
+def _read_bracketed(doc: dict, path: str | None, max_dim: int | None,
                     tensor) -> tuple:
     """(dim, tensor, twist, label) of an algebra or pre-Lie document, read
     in the order dim, basis, label, bracket rows (by ``tensor``), twist."""
@@ -263,33 +262,33 @@ def _read_bracketed(doc: dict, path: Optional[str], max_dim: Optional[int],
     return n, t, twist, label
 
 
-def _bracketed_doc(x, t: Tensor4, keep) -> dict:
-    """The document of an algebra or pre-Lie product ``x`` whose tensor is
-    t: the rows [i, j, k, l, value] (1-based) of the entries whose (i, j, k)
-    ``keep`` admits, sorted; the other rows are dropped before the sort."""
-    c = dict(t.rows())
+def _bracketed_doc(x, rows: list) -> dict:
+    """The document of an algebra or pre-Lie product ``x`` with the rows
+    ((i, j, k), {l: value}) of ``rows`` as [i, j, k, l, value], 1-based and
+    sorted; a caller selects them in a comprehension, with no call per row."""
     doc = {"dim": x.dim,
            "basis": [f"e{i + 1}" for i in range(x.dim)],
            "bracket": [[i + 1, j + 1, k + 1, l + 1, rat_str(v)]
-                       for i, j, k in sorted(filter(keep, c))
-                       for l, v in sorted(c[(i, j, k)].items())],
+                       for (i, j, k), vec in sorted(rows)
+                       for l, v in sorted(vec.items())],
            "twist": _matrix_doc(x.twist)}
     if x.label:
         doc["label"] = x.label
     return doc
 
 
-def load_algebra(path: str, max_dim: Optional[int] = None) -> Algebra3:
+def load_algebra(path: str, max_dim: int | None = None) -> Algebra3:
     return algebra_from_doc(_load_json(path), path, max_dim)
 
 
-def algebra_from_doc(doc: dict, path: Optional[str] = None,
-                     max_dim: Optional[int] = None) -> Algebra3:
+def algebra_from_doc(doc: dict, path: str | None = None,
+                     max_dim: int | None = None) -> Algebra3:
     return Algebra3(*_read_bracketed(doc, path, max_dim, _skew_bracket))
 
 
 def algebra_to_doc(a: Algebra3) -> dict:
-    return _bracketed_doc(a, a.bracket, lambda t: t[0] < t[1] < t[2])
+    return _bracketed_doc(a, [(t, vec) for t, vec in a.bracket.rows()
+                              if t[0] < t[1] < t[2]])
 
 
 def _algebra(doc: dict, field: str, path: str, max_dim) -> Algebra3:
@@ -304,14 +303,14 @@ def _algebra(doc: dict, field: str, path: str, max_dim) -> Algebra3:
     raise InputError(f"{_ctx(path, 'algebra')}: expected a file path or inline object")
 
 
-def load_rep(path: str, max_dim: Optional[int] = None) -> Rep3:
+def load_rep(path: str, max_dim: int | None = None) -> Rep3:
     doc = _load_json(path)
     base = _algebra(doc, "algebra", path, max_dim)
     m = _parse_dim(doc, path, max_dim, "vdim")
     return _rep_from_rows(doc, path, base, m, "rho", "A")
 
 
-def _rep_from_rows(doc: dict, path: Optional[str], base: Algebra3, vdim: int,
+def _rep_from_rows(doc: dict, path: str | None, base: Algebra3, vdim: int,
                    field: str, twist_field: str) -> Rep3:
     """A representation from rows [i, j, matrix], i < j and each pair at
     most once, in ``field`` and its carrier twist in ``twist_field``."""
@@ -335,7 +334,7 @@ def rep_to_doc(r: Rep3) -> dict:
             "rho": rows, "A": _matrix_doc(r.A)}
 
 
-def load_cobracket(path: str, max_dim: Optional[int] = None) -> Cobracket:
+def load_cobracket(path: str, max_dim: int | None = None) -> Cobracket:
     doc = _load_json(path)
     base = _algebra(doc, "algebra", path, max_dim)
     n = base.dim
@@ -350,16 +349,17 @@ def cobracket_to_doc(c: Cobracket) -> dict:
     return {"algebra": algebra_to_doc(c.base), "delta": rows}
 
 
-def load_prelie(path: str, max_dim: Optional[int] = None) -> PreLie3:
+def load_prelie(path: str, max_dim: int | None = None) -> PreLie3:
     return PreLie3(*_read_bracketed(_load_json(path), path, max_dim,
                                     _prelie_product))
 
 
 def prelie_to_doc(p: PreLie3) -> dict:
-    return _bracketed_doc(p, p.product, lambda t: t[0] < t[1])
+    return _bracketed_doc(p, [(t, vec) for t, vec in p.product.rows()
+                              if t[0] < t[1]])
 
 
-def load_rtensor(path: str, max_dim: Optional[int] = None) -> RTensor:
+def load_rtensor(path: str, max_dim: int | None = None) -> RTensor:
     doc = _load_json(path)
     base = _algebra(doc, "algebra", path, max_dim)
     m = _parse_matrix(_need(doc, "matrix", path), _ctx(path, "matrix"),
@@ -371,7 +371,7 @@ def rtensor_to_doc(r: RTensor) -> dict:
     return {"algebra": algebra_to_doc(r.base), "matrix": _matrix_doc(r.entries)}
 
 
-def load_bilform(path: str, max_dim: Optional[int] = None) -> BilForm:
+def load_bilform(path: str, max_dim: int | None = None) -> BilForm:
     doc = _load_json(path)
     n = _parse_dim(doc, path, max_dim)
     kind = _need(doc, "kind", path)
@@ -385,7 +385,7 @@ def bilform_to_doc(f: BilForm) -> dict:
     return {"dim": f.dim, "kind": f.kind, "matrix": _matrix_doc(f.matrix)}
 
 
-def load_matrix(path: str, max_dim: Optional[int] = None) -> Mat:
+def load_matrix(path: str, max_dim: int | None = None) -> Mat:
     doc = _load_json(path)
     n = _parse_dim(doc, path, max_dim)
     return _parse_matrix(_need(doc, "matrix", path), _ctx(path, "matrix"), n, n)
@@ -395,7 +395,7 @@ def matrix_to_doc(m: Mat) -> dict:
     return {"dim": m.rows, "matrix": _matrix_doc(m)}
 
 
-def load_matched_pair(path: str, max_dim: Optional[int] = None) -> MatchedPairData:
+def load_matched_pair(path: str, max_dim: int | None = None) -> MatchedPairData:
     doc = _load_json(path)
     left = _algebra(doc, "left", path, max_dim)
     right = _algebra(doc, "right", path, max_dim)
@@ -404,7 +404,7 @@ def load_matched_pair(path: str, max_dim: Optional[int] = None) -> MatchedPairDa
         _rep_from_rows(doc, path, right, left.dim, "mu", "mu_A"))
 
 
-def load_o_operator(path: str, max_dim: Optional[int] = None) -> OOperator:
+def load_o_operator(path: str, max_dim: int | None = None) -> OOperator:
     doc = _load_json(path)
     rep_ref = _need(doc, "rep", path)
     if not isinstance(rep_ref, str):

@@ -40,12 +40,11 @@ cached on it, so every check that rests on it shares one scan.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import compress, permutations
 from math import prod
-from operator import itemgetter
-from typing import Mapping, Optional, Sequence
+from operator import attrgetter, itemgetter
 
 from .exactlin import (
     InputError, Mat, ONE, Tensor4, ZERO, dense, mat_rank, sparse_kernel,
@@ -60,8 +59,66 @@ class PreconditionError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Witness:
+class Record:
+    """An immutable record whose methods are written once here, where
+    ``dataclass(frozen=True)`` generates them for each class at import.
+    Its fields are its annotated names, in order, defaulting to their
+    class-level values; they are given by position or name, then
+    ``__post_init__`` runs. Records compare and hash by their fields only,
+    so a value cached on the instance does not count, and never equal a
+    record of another class. Attributes cannot be set or deleted."""
+
+    def __init_subclass__(cls):
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        defaulted = [f in cls.__dict__ for f in fields]
+        if defaulted != sorted(defaulted):
+            raise TypeError(f"{cls.__name__}: a field without a default "
+                            "follows one with a default")
+        cls._fields, cls._required = fields, defaulted.count(False)
+        cls._key = attrgetter(*fields)
+
+    def __init__(self, *args, **kwargs):
+        # A defaulted field that is not given is not stored: reading it
+        # finds the class-level default.
+        fields, required = self._fields, self._required
+        if kwargs or not required <= len(args) <= len(fields):
+            named = kwargs.keys()
+            if (len(args) > len(fields) or not named <= set(fields[len(args):])
+                    or not named >= set(fields[len(args):required])):
+                raise TypeError(f"{type(self).__name__}({', '.join(fields)}) "
+                                f"with {required} required, called with "
+                                f"{len(args)} by position and {list(kwargs)}")
+            self.__dict__.update(kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` made; ``__post_init__`` runs on it."""
+        return type(self)(**{f: getattr(self, f) for f in self._fields} | changes)
+
+
+class Witness(Record):
     """First violated instance of a check: where, at which basis tuple.
 
     ``left`` and ``right`` are the two sides there; ``kind`` states what
@@ -78,11 +135,10 @@ class Witness:
             raise ValueError(f"witness kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     passed: bool
     checked: int
-    witness: Optional[Witness] = None
+    witness: Witness | None = None
     parts: tuple = ()  # ((name, CheckReport), ...)
 
     @staticmethod
@@ -113,8 +169,7 @@ def _require(report: CheckReport, message: str) -> CheckReport:
     return report
 
 
-@dataclass(frozen=True)
-class Algebra3:
+class Algebra3(Record):
     """A 3-Hom-Lie algebra by structure constants.
 
     bracket holds c with [e_i, e_j, e_k] = sum_l c[i,j,k,l] e_l (fully
@@ -139,7 +194,7 @@ class Algebra3:
         return _skew_scan(self.bracket)
 
     @staticmethod
-    def abelian(n: int, twist: Optional[Mat] = None, label: str = "abelian") -> "Algebra3":
+    def abelian(n: int, twist: Mat | None = None, label: str = "abelian") -> "Algebra3":
         return Algebra3(n, Tensor4.zero((n,) * 4),
                         twist if twist is not None else Mat.identity(n), label)
 
@@ -259,7 +314,7 @@ def _at(terms, key: tuple) -> dict:
 
 
 def _identity(name: str, terms, dims: tuple, width: int,
-              lhs: Optional[int] = None, nominal: bool = False) -> CheckReport:
+              lhs: int | None = None, nominal: bool = False) -> CheckReport:
     """Check that the terms sum to zero at every key of shape ``dims``.
 
     The witness is the lex-first nonzero key. Its left side is the sum of
@@ -433,7 +488,7 @@ def check_algebra(a: Algebra3, skew: bool = True, regular: bool = False) -> Chec
     return CheckReport.combine(parts)
 
 
-def is_bracket_morphism(a: Algebra3, phi: Mat) -> Optional[Witness]:
+def is_bracket_morphism(a: Algebra3, phi: Mat) -> Witness | None:
     """None when phi([x,y,z]) = [phi x, phi y, phi z] on all basis triples."""
     if phi.shape != (a.dim, a.dim):
         raise InputError(f"morphism shape {phi.shape} for dim {a.dim}")
@@ -471,7 +526,7 @@ def composition_twist(a: Algebra3, beta: Mat) -> Algebra3:
                     label=f"{a.label}~comp" if a.label else "comp")
 
 
-def _derivation_rows(a: Algebra3, form: Optional[Mat]) -> list:
+def _derivation_rows(a: Algebra3, form: Mat | None) -> list:
     """The nonzero rows {col: value} of the system over vec(D) (D[p][q] ->
     p*n+q) whose kernel is Der(L) (Der_B(L) given B), built from the nonzero
     twist, bracket and form entries: c[u,v,w,x] enters O(n) Leibniz rows."""
@@ -519,7 +574,7 @@ def _derivation_rows(a: Algebra3, form: Optional[Mat]) -> list:
     return [row for row in out if row]
 
 
-def derivation_space(a: Algebra3, form: Optional[Mat] = None) -> tuple:
+def derivation_space(a: Algebra3, form: Mat | None = None) -> tuple:
     """Canonical basis of Der(L) (or Der_B(L) when B is given) as matrices:
     the reduced echelon basis of the kernel of ``_derivation_rows``."""
     n = a.dim
@@ -547,7 +602,7 @@ def _leibniz_terms(a: Algebra3, d: Mat, skew: bool) -> list:
             (-1, cols, _by_slot(c, 2, skew), (1, 2, 0), *keep)]
 
 
-def is_derivation(a: Algebra3, d: Mat) -> Optional[Witness]:
+def is_derivation(a: Algebra3, d: Mat) -> Witness | None:
     """None when d commutes with the twist and satisfies the Leibniz rule.
     Once ``_skew_check`` passes, the Leibniz residual is formed only at
     x < y < z; otherwise at every key."""

@@ -7,11 +7,9 @@ bracket; invertible O-operators produce compatible pre-Lie structures.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactlin import InputError, Mat, Tensor4, ZERO, mat_inverse
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, _at, _columns,
+    Algebra3, CheckReport, PreconditionError, Record, Witness, _at, _columns,
     _identity, _image, _permuted, _require, _residual, _slot_outer,
     twist_slots,
 )
@@ -20,8 +18,7 @@ from .reps import (
 )
 
 
-@dataclass(frozen=True)
-class PreLie3:
+class PreLie3(Record):
     """product holds p with {e_i, e_j, e_k} = sum_l p[i,j,k,l] e_l."""
     dim: int
     product: Tensor4
@@ -36,8 +33,7 @@ class PreLie3:
             raise InputError(f"twist shape {self.twist.shape} for dim {n}")
 
 
-@dataclass(frozen=True)
-class OOperator:
+class OOperator(Record):
     rep: Rep3
     T: Mat  # carrier -> base
 
@@ -47,8 +43,7 @@ class OOperator:
                              f"({self.rep.base.dim}, {self.rep.vdim})")
 
 
-@dataclass(frozen=True)
-class PreLieRep:
+class PreLieRep(Record):
     """(rho, mu) acting on a carrier with twist B; rho skew in (i, j)."""
     base: PreLie3
     vdim: int

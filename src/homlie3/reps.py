@@ -6,23 +6,21 @@ identities (checked exhaustively on basis tuples, in lex order).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import cache
 from itertools import combinations, product
-from typing import Mapping
 
 from .exactlin import (
     InputError, Mat, Tensor4, ZERO, common_denominator, dense, lift,
     sparse_of, spmat_lift, unlift, vec_add_into,
 )
 from .homlie import (
-    Algebra3, CheckReport, Witness, _permuted, _require, _skew_check,
+    Algebra3, CheckReport, Record, Witness, _permuted, _require, _skew_check,
     check_algebra,
 )
 
 
-@dataclass(frozen=True)
-class Rep3:
+class Rep3(Record):
     """(V, rho, A): rho[i][j] is the operator for (e_i, e_j), skew in (i, j)."""
     base: Algebra3
     vdim: int

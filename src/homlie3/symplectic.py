@@ -4,14 +4,12 @@ polynomial-truncation extension used to produce metric symplectic examples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactlin import (
     InputError, Mat, ONE, Tensor4, ZERO, linear_solver, mat_inverse, mat_rank,
 )
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, _identity, _pairing,
-    _flag, _require, _skew_check, check_algebra, is_derivation,
+    Algebra3, CheckReport, PreconditionError, Record, Witness, _identity,
+    _pairing, _flag, _require, _skew_check, check_algebra, is_derivation,
 )
 from .reps import (
     Rep3, _coadjoint_tensor, _semidirect, dual_representation, semidirect_sum,
@@ -292,8 +290,7 @@ def prelie_from_phase_space(base: Algebra3, total: Algebra3) -> tuple:
     return p, CheckReport.combine(parts)
 
 
-@dataclass(frozen=True)
-class NilpotentExtension:
+class NilpotentExtension(Record):
     """L_n = L (x) (t F[t] / t^n F[t]) with its counting derivation, and the
     metric symplectic double on L_n + L_n*."""
     base: Algebra3

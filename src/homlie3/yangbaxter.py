@@ -8,19 +8,16 @@ coordinate pair (<r(xi), eta> = <r, xi (x) eta>).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .exactlin import InputError, Mat, Tensor4, mat_inverse
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, _identity, _image,
-    _flag, _pairing, _require, _residual, check_algebra, twist_slots,
+    Algebra3, CheckReport, PreconditionError, Record, Witness, _identity,
+    _image, _flag, _pairing, _require, _residual, check_algebra, twist_slots,
 )
 from .reps import _coadjoint_tensor
 from .bialgebra import BilForm, Cobracket
 
 
-@dataclass(frozen=True)
-class RTensor:
+class RTensor(Record):
     base: Algebra3
     entries: Mat  # R[a][b] = coefficient of e_a (x) e_b
 
@@ -164,9 +161,9 @@ def verify_residual(r: RTensor) -> CheckReport:
         # both sides as their nonzero (l, value) pairs
         w = res.witness
         pairs = lambda vec: tuple((l, v) for l, v in enumerate(vec) if v)
-        res = replace(res, witness=replace(w, left=pairs(w.left),
-                                           right=pairs(w.right), kind="pairs"))
-    return replace(res, parts=rep.parts + (("residual", res),))
+        res = res.replace(witness=w.replace(left=pairs(w.left),
+                                            right=pairs(w.right), kind="pairs"))
+    return res.replace(parts=rep.parts + (("residual", res),))
 
 
 def form_from_r(r: RTensor) -> BilForm:

@@ -8,11 +8,12 @@ from itertools import combinations, permutations
 import pytest
 import sympy
 
-from homlie3 import (Algebra3, InputError, Mat, Tensor4, check_algebra,
-                     composition_twist, derivation_space, fileio,
-                     is_derivation, nilpotent_extension, yau_twist)
+from homlie3 import (Algebra3, CheckReport, InputError, Mat, Tensor4,
+                     Witness, check_algebra, composition_twist,
+                     derivation_space, fileio, is_derivation,
+                     nilpotent_extension, yau_twist)
 from homlie3.cli import report_doc
-from homlie3.homlie import _skew_check, is_bracket_morphism
+from homlie3.homlie import Record, _skew_check, is_bracket_morphism
 from homlie3.symplectic import _truncated_extension
 
 from conftest import (N4_DIAG, N4_NEG, a4, a4_cayley, corrupted_n4,
@@ -202,3 +203,79 @@ def test_random_derivations_leibniz(rng):
         a = random_nilpotent(rng, 3, 1, 1)
         for d in derivation_space(a):
             assert is_derivation(a, d) is None
+
+
+# ------------------------------------------------------------------ Record
+
+def test_record_ignores_the_cached_skew_report():
+    a = n4()
+    b = Algebra3(a.dim, a.bracket, a.twist, a.label)
+    assert check_algebra(a).passed and "_skew" in vars(a)
+    assert "_skew" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert a != Algebra3(a.dim, a.bracket, a.twist, "other")
+
+
+def test_records_of_two_classes_are_never_equal():
+    class P(Record):
+        x: int
+
+    class Q(Record):
+        x: int
+
+    assert P(1) == P(1) and P(1) != Q(1)
+    assert P(1).replace(x=2) == P(2)
+
+
+def test_record_refuses_assignment_and_deletion():
+    w = Witness("skew", (0,), (1,), (2,))
+    with pytest.raises(AttributeError):
+        w.check = "other"
+    with pytest.raises(AttributeError):
+        del w.at
+    assert w.check == "skew"
+
+
+def test_replace_runs_post_init():
+    w = Witness("skew", (0,), (1,), (2,))
+    assert w.replace(left=(3,)) == Witness("skew", (0,), (3,), (2,))
+    assert w == Witness("skew", (0,), (1,), (2,))
+    with pytest.raises(ValueError):
+        w.replace(kind="matrix")
+
+
+def test_record_defaults_and_keywords():
+    r = CheckReport(True, 3)
+    assert r.witness is None and r.parts == ()
+    assert r == CheckReport(checked=3, passed=True, parts=()) \
+        == CheckReport(True, 3, None, ())
+    assert Algebra3.abelian(2) == Algebra3(2, Tensor4.zero((2,) * 4),
+                                           Mat.identity(2), label="abelian")
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((True,), {}),                          # missing field
+    ((), {"checked": 1}),                   # missing field
+    ((True, 1, None, (), 5), {}),           # too many
+    ((True, 1), {"colour": 1}),             # unknown field
+    ((True, 1), {"passed": False}),         # a second value
+])
+def test_record_refuses_a_bad_call(args, kwargs):
+    with pytest.raises(TypeError):
+        CheckReport(*args, **kwargs)
+
+
+def test_record_refuses_a_required_field_after_a_default():
+    with pytest.raises(TypeError):
+        class Bad(Record):
+            x: int = 0
+            y: int
+
+
+def test_record_repr_is_the_dataclass_form():
+    w = Witness("hom_jacobi", (0, 1, 2, 3, 0), (1,), (F(1, 2),))
+    assert repr(w) == ("Witness(check='hom_jacobi', at=(0, 1, 2, 3, 0), "
+                       "left=(1,), right=(Fraction(1, 2),), kind='scalars')")
+    assert repr(CheckReport(False, 7, w, (("skew", CheckReport(True, 64)),))) == (
+        f"CheckReport(passed=False, checked=7, witness={w!r}, parts=(('skew', "
+        "CheckReport(passed=True, checked=64, witness=None, parts=())),))")

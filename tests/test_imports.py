@@ -1,11 +1,14 @@
 """Every top-level import in the package modules is used, every private
 top-level function is referenced somewhere in the package, every oracle in
 ``tests/oracles.py`` is referenced by the tests, values are divided only
-in ``exactlin``, and JSON is written and files are touched only by
-``fileio`` (no linter is installed, so this is the lint)."""
+in ``exactlin``, JSON is written and files are touched only by ``fileio``,
+and no module imports ``dataclasses`` or ``typing`` (no linter is
+installed, so this is the lint)."""
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -230,3 +233,52 @@ def test_files_are_touched_only_by_fileio(path):
     """Every artifact is read and written atomically by ``fileio``."""
     with open(path) as fh:
         assert file_calls(fh.read()) == []
+
+
+# Modules whose import alone costs milliseconds at each start of the CLI:
+# dataclasses generates and execs code per class and pulls in inspect, ast
+# and dis, and typing is a large module that annotations do not need.
+SLOW_IMPORTS = ("dataclasses", "typing")
+
+
+def slow_imports(source: str) -> list:
+    """Lines that import one of SLOW_IMPORTS, or a submodule of one."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(n.split(".")[0] in SLOW_IMPORTS for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detector_flags_a_slow_import():
+    src = ("import os, typing\nfrom dataclasses import dataclass\n"
+           "from collections.abc import Mapping\nfrom .typing import x\n"
+           "def f():\n    import typing.re\n")
+    assert slow_imports(src) == [1, 2, 6]
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "*.py"))),
+                         ids=os.path.basename)
+def test_no_dataclasses_or_typing(path):
+    with open(path) as fh:
+        assert slow_imports(fh.read()) == []
+
+
+def test_fresh_import_loads_no_code_generation_modules():
+    """In a fresh interpreter without site packages, importing the package,
+    the CLI and fileio loads none of the modules that dataclasses and typing
+    bring in. No timing is checked."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import homlie3, homlie3.cli, homlie3.fileio; "
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'ast', 'dis'} "
+            "& set(sys.modules)))")
+    src = os.path.abspath(os.path.join(SRC, os.pardir))
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["[]"]
