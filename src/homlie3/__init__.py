@@ -3,7 +3,7 @@ structure-constant storage, exhaustive identity checkers, and the bialgebra
 / pre-Lie / Yang-Baxter / symplectic constructions."""
 
 from .exactlin import (InputError, Mat, Rat, Tensor4, mat_inverse, mat_rank,
-                       rat, rat_str, solve_linear)
+                       rat, rat_str)
 from .homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, check_algebra,
     composition_twist, derivation_space, is_derivation, yau_twist,

@@ -8,7 +8,6 @@ dual space has matrix transpose(alpha); coadjoint actions are defined by
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import chain
 
 from .exactlin import InputError, Mat, ONE, Tensor4, ZERO
@@ -41,11 +40,6 @@ class BilForm(Record):
                 raise InputError("matrix is not skew-symmetric")
         else:
             raise InputError(f"unknown form kind {self.kind!r}")
-
-    def value(self, x: Sequence, y: Sequence):
-        return sum((self.matrix.entries[i][j] * xi * yj
-                    for i, xi in enumerate(x) if xi
-                    for j, yj in enumerate(y) if yj), ZERO)
 
 
 class Cobracket(Record):
@@ -166,10 +160,9 @@ def check_matched_pair(m: MatchedPairData) -> CheckReport:
                        tuple(parts))
 
 
-def assemble_matched_pair(m: MatchedPairData, checked: bool = True) -> Algebra3:
+def assemble_matched_pair(m: MatchedPairData) -> Algebra3:
     """The bracket on L + L' built from both brackets and both actions."""
-    if checked:
-        _require(check_matched_pair(m), "not a matched pair")
+    _require(check_matched_pair(m), "not a matched pair")
     return _matched_sum(m.left, m.right, _action_tensor(m.rho.rho),
                         _action_tensor(m.mu.rho))
 

@@ -13,7 +13,7 @@ import sys
 from collections.abc import Callable
 from fractions import Fraction
 
-from .exactlin import InputError, rat_str
+from .exactlin import InputError, _unwritable, rat_str
 from .homlie import CheckReport, PreconditionError, Record, Witness, _flag
 from . import bialgebra, fileio, homlie, prelie, reps, symplectic
 
@@ -28,7 +28,10 @@ def _fmt_side(w: Witness, side: tuple) -> list:
     if w.kind == "pairs":
         return [f"({i + 1}, {rat_str(v)})" for i, v in side]
     if w.kind == "rows":
-        return [str(tuple(map(Fraction, row))) for row in side]
+        try:
+            return [str(tuple(map(Fraction, row))) for row in side]
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise _unwritable() from None
     return [rat_str(v) for v in side]
 
 
@@ -274,16 +277,17 @@ def main(argv=None) -> int:
                          f"got {len(args.inputs)}\n")
         return 2
     try:
-        inputs = [getattr(fileio, "load_" + n.strip("[]"))(path, MAX_DIM)
-                  for n, path in zip(loaders, args.inputs)]
-        return _run(v, args, inputs)
+        try:
+            inputs = [getattr(fileio, "load_" + n.strip("[]"))(path, MAX_DIM)
+                      for n, path in zip(loaders, args.inputs)]
+            return _run(v, args, inputs)
+        except PreconditionError as e:
+            sys.stderr.write(f"precondition failed: {e}\n")
+            if e.witness is not None:  # InputError if it cannot be written
+                sys.stderr.write(f"witness: {_witness_doc(e.witness)}\n")
+            return 2
     except InputError as e:
         sys.stderr.write(f"input error: {e}\n")
-        return 2
-    except PreconditionError as e:
-        sys.stderr.write(f"precondition failed: {e}\n")
-        if e.witness is not None:
-            sys.stderr.write(f"witness: {_witness_doc(e.witness)}\n")
         return 2
 
 

@@ -30,10 +30,10 @@ Comp.* 22, 1968).
 All linear algebra runs on one sparse Gauss-Jordan routine,
 ``_gauss_jordan``: rows are {col: value} dicts and a pivot map takes each
 pivot column to its normalised row, so a sparse system costs what its
-nonzero entries cost. ``rref``, ``kernel_basis``, ``sparse_kernel``,
-``solve_linear``, ``linear_solver``, ``mat_inverse`` and ``mat_rank``
-use it; a square matrix is tested for invertibility by ``mat_rank``,
-which builds no inverse. Two contracts are fixed:
+nonzero entries cost. ``sparse_kernel``, ``linear_solver``,
+``mat_inverse`` and ``mat_rank`` use it; a square matrix is tested for
+invertibility by ``mat_rank``, which builds no inverse. Two contracts are
+fixed:
 
 - A kernel basis is canonical: the reduced row echelon form of the kernel,
   one vector per free column f with a leading 1 at f. It depends only on
@@ -43,6 +43,8 @@ which builds no inverse. Two contracts are fixed:
 """
 from __future__ import annotations
 
+import re
+import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import compress
@@ -57,13 +59,21 @@ class InputError(ValueError):
     """Malformed or dimensionally inconsistent input."""
 
 
+# The exponent of a decimal string such as "1.5e-3", as Fraction reads it.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def rat(x):
     """Parse a rational from an int, a Fraction, or a "p/q" string: an int
     when the value is integral, a Fraction otherwise. A bool is refused.
 
     A string of ASCII digits with an optional leading "-" is read by
     ``int``; any other string by ``Fraction``, so the strings accepted are
-    exactly those ``Fraction`` accepts.
+    those ``Fraction`` accepts, less those whose exponent is at least
+    ``sys.get_int_max_str_digits()`` in size. Such an exponent alone puts
+    a digit count past the limit up to which a value can be written, and
+    it is refused before ``Fraction`` forms its power of ten, which for a
+    short string such as "1e999999999" takes minutes.
     """
     # ints and strings first: isinstance(x, Fraction) is a slow ABC check
     if type(x) is int:
@@ -73,6 +83,9 @@ def rat(x):
         try:
             if digits.isascii() and digits.isdigit():
                 return int(x)
+            exp, limit = _EXPONENT.search(x), sys.get_int_max_str_digits()
+            if exp and limit and abs(int(exp[1])) >= limit:
+                raise ValueError(f"exponent past the {limit}-digit limit")
             return _normal(Fraction(x))
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad rational {x!r}: {e}") from None
@@ -93,7 +106,16 @@ def _normal(v):
 
 def rat_str(x) -> str:
     """Canonical "p/q" form, "p" when the denominator is 1."""
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise _unwritable() from None
+
+
+def _unwritable() -> InputError:
+    """The error for a value with more digits than the interpreter spells."""
+    return InputError(f"a value has more than {sys.get_int_max_str_digits()} "
+                      "digits, too many to write")
 
 
 class Mat:
@@ -195,20 +217,8 @@ class Mat:
             out.append(acc)
         return Mat._of(out)
 
-    def apply(self, vec: Sequence) -> tuple:
-        if len(vec) != self.cols:
-            raise InputError(f"apply shape mismatch {self.shape} to len {len(vec)}")
-        return tuple(sum((a * v for a, v in zip(row, vec) if a and v), ZERO)
-                     for row in self.entries)
-
-    def col(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
-
     def transpose(self) -> "Mat":
         return Mat._of(zip(*self.entries))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Mat.identity(self.rows)
@@ -272,19 +282,6 @@ def _gauss_jordan(rows: Iterable[Mapping], last: bool = False,
     return piv, rest
 
 
-def rref(rows: Sequence[Sequence]) -> tuple:
-    """Reduced row echelon form.  Returns (rows, pivot_columns); the rows
-    keep their number, zero rows last."""
-    rows = list(rows)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    piv, _ = _gauss_jordan(map(sparse_of, rows))
-    pivots = sorted(piv)
-    out = [list(dense(piv[p], ncols)) for p in pivots]
-    return out + [[ZERO] * ncols for _ in range(len(rows) - len(out))], pivots
-
-
 def sparse_kernel(rows: Iterable[Mapping], ncols: int) -> list:
     """Canonical basis of {x : row . x = 0 for every row} as sparse vectors.
 
@@ -301,24 +298,6 @@ def sparse_kernel(rows: Iterable[Mapping], ncols: int) -> list:
             if f != p:
                 basis[f][p] = _normal(-v)
     return list(basis.values())
-
-
-class LinearSolution:
-    """Outcome of an exact linear solve: particular solution + kernel basis."""
-
-    __slots__ = ("consistent", "particular", "kernel")
-
-    def __init__(self, consistent: bool, particular, kernel):
-        self.consistent = consistent
-        self.particular = particular
-        self.kernel = kernel
-
-
-def kernel_basis(system: Mat) -> tuple:
-    """Canonical basis (reduced echelon rows) of the nullspace of ``system``."""
-    n = system.cols
-    return tuple(dense(v, n)
-                 for v in sparse_kernel(map(sparse_of, system.entries), n))
 
 
 def _factor(m: Mat) -> tuple:
@@ -360,17 +339,6 @@ def linear_solver(system: Mat):
     return solve
 
 
-def solve_linear(system: Mat, rhs: Sequence) -> LinearSolution:
-    """Solve ``system @ x = rhs`` exactly.
-
-    Returns one particular solution (or None if inconsistent) together with a
-    canonical basis of the kernel of ``system``.  The particular solution
-    has every free variable zero.
-    """
-    x = linear_solver(system)(rhs)
-    return LinearSolution(x is not None, x, kernel_basis(system))
-
-
 def mat_inverse(m: Mat) -> Mat | None:
     """Exact inverse, or None when singular."""
     if m.rows != m.cols:
@@ -395,8 +363,6 @@ def mat_rank(m: Mat) -> int:
 # ---------------------------------------------------------------------------
 # Sparse rank-4 tensors (structure constants c_{ijk}^l and friends).
 # Stored as {(i, j, k): {l: value}} with no explicit zeros.
-
-SparseVec = dict  # {int: rational}
 
 
 class Tensor4:
@@ -469,9 +435,6 @@ class Tensor4:
             for l, v in vec.items():
                 yield (*key, l, v)
 
-    def is_zero(self) -> bool:
-        return not self._rows
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Tensor4) and self.dims == other.dims
                 and self._rows == other._rows)
@@ -521,10 +484,6 @@ def vec_add_into(acc: dict, vec: Mapping, scale=ONE) -> None:
             acc[l] = nv
         else:
             acc.pop(l, None)
-
-
-def unit_vec(n: int, i: int) -> dict:
-    return {i: ONE}
 
 
 def dense(vec: Mapping, n: int) -> tuple:

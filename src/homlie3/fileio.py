@@ -26,7 +26,7 @@ import os
 from itertools import chain, repeat
 from operator import lt, sub
 
-from .exactlin import InputError, Mat, Tensor4, rat, rat_str
+from .exactlin import InputError, Mat, Tensor4, _unwritable, rat, rat_str
 from .homlie import Algebra3
 from .reps import Rep3, rep_from_upper
 from .bialgebra import BilForm, Cobracket, MatchedPairData
@@ -63,6 +63,8 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: not UTF-8 text (byte {e.start})")
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: line {e.lineno}: invalid JSON ({e.msg})")
+    except RecursionError:  # json decodes each nested array by recursion
+        raise InputError(f"{path}: invalid JSON (nesting too deep)")
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
@@ -323,17 +325,6 @@ def _rep_from_rows(doc: dict, path: str | None, base: Algebra3, vdim: int,
     return rep_from_upper(base, vdim, upper, A)
 
 
-def rep_to_doc(r: Rep3) -> dict:
-    n = r.base.dim
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not r.rho[i][j].is_zero():
-                rows.append([i + 1, j + 1, _matrix_doc(r.rho[i][j])])
-    return {"algebra": algebra_to_doc(r.base), "vdim": r.vdim,
-            "rho": rows, "A": _matrix_doc(r.A)}
-
-
 def load_cobracket(path: str, max_dim: int | None = None) -> Cobracket:
     doc = _load_json(path)
     base = _algebra(doc, "algebra", path, max_dim)
@@ -365,10 +356,6 @@ def load_rtensor(path: str, max_dim: int | None = None) -> RTensor:
     m = _parse_matrix(_need(doc, "matrix", path), _ctx(path, "matrix"),
                       base.dim, base.dim)
     return RTensor(base, m)
-
-
-def rtensor_to_doc(r: RTensor) -> dict:
-    return {"algebra": algebra_to_doc(r.base), "matrix": _matrix_doc(r.entries)}
 
 
 def load_bilform(path: str, max_dim: int | None = None) -> BilForm:
@@ -496,11 +483,20 @@ def _encode(o, indent: str) -> str:
     return f"[\n{inner}" + (",\n" + inner).join(body) + f"\n{indent}]"
 
 
+def _text(doc: dict) -> str:
+    """The encoded ``doc`` and its newline; an InputError when an int in it
+    has more digits than the interpreter spells."""
+    try:
+        return _encode(doc, "") + "\n"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise _unwritable() from None
+
+
 def dump(doc: dict, path: str) -> None:
     """Atomic, canonical write of ``dumps(doc)``: its ASCII bytes are
     written to NAME.tmp, which is then renamed over NAME. If the write or
     the rename fails, NAME.tmp is removed and the error raised."""
-    data = (_encode(doc, "") + "\n").encode("ascii")
+    data = _text(doc).encode("ascii")
     tmp = path + ".tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
@@ -519,4 +515,4 @@ def dump(doc: dict, path: str) -> None:
 
 def dumps(doc: dict) -> str:
     """Canonical text: sorted keys, two-space indent, ASCII, newline."""
-    return _encode(doc, "") + "\n"
+    return _text(doc)

@@ -199,19 +199,6 @@ class Algebra3(Record):
                         twist if twist is not None else Mat.identity(n), label)
 
 
-def bracket_vec(c: Tensor4, x: Mapping, y: Mapping, z: Mapping) -> dict:
-    """[x, y, z] for sparse coefficient vectors x, y, z."""
-    out: dict = {}
-    for i, xi in x.items():
-        for j, yj in y.items():
-            f = xi * yj
-            for k, zk in z.items():
-                row = c.row(i, j, k)
-                if row:
-                    vec_add_into(out, row, f * zk)
-    return out
-
-
 def twist_slots(c: Tensor4, mats: Mapping[int, Mat]) -> dict:
     """Compose the bracket with linear maps in the given argument slots.
 
@@ -396,18 +383,15 @@ def _tail_increasing(key: tuple) -> bool:
     return key[-3] < key[-2] < key[-1]
 
 
-def _twisted_outer(a: Algebra3, slot: int, skew: bool) -> dict:
-    """_slot_outer of the bracket with the twist in the two slots other
-    than ``slot``. With ``skew`` (the bracket is known to be skew) it holds
-    only the (others, vec) with others[0] < others[1], built from the rows
-    of the bracket with increasing indices a < b in the twisted slots: as
-    sum_{a,b} A[a][x] A[b][y] c[..a..b..] = sum_{a<b} (A[a][x] A[b][y]
-    - A[b][x] A[a][y]) c[..a..b..], each such row is read once, with the
-    nonzero 2x2 minors of the twist's rows a, b at columns x < y."""
+def _twisted_outer(a: Algebra3, slot: int) -> dict:
+    """_slot_outer of a skew bracket with the twist in the two slots other
+    than ``slot``, holding only the (others, vec) with others[0] <
+    others[1]. It is built from the rows of the bracket with increasing
+    indices a < b in the twisted slots: as sum_{a,b} A[a][x] A[b][y]
+    c[..a..b..] = sum_{a<b} (A[a][x] A[b][y] - A[b][x] A[a][y])
+    c[..a..b..], each such row is read once, with the nonzero 2x2 minors
+    of the twist's rows a, b at columns x < y."""
     A = a.twist
-    if not skew:
-        return _slot_outer(a.bracket, slot,
-                           {s: A for s in range(3) if s != slot})
     minors: dict = {}
     out: dict = {}
     support = [set(compress(range(A.cols), row)) for row in A.entries]
@@ -429,27 +413,22 @@ def _twisted_outer(a: Algebra3, slot: int, skew: bool) -> dict:
     return {m: pairs for m, pairs in out.items() if pairs}
 
 
-def _hom_jacobi_terms(a: Algebra3, t12: dict, skew: bool) -> list:
-    """The Hom-Jacobi residual at key (x, y, u, v, w), t12 being
-    _twisted_outer(a, 2, skew), [a(x), a(y), m] by m; with ``skew`` only at
-    x < y, u < v < w.
+def _hom_jacobi_terms(a: Algebra3, t12: dict) -> list:
+    """The Hom-Jacobi residual of a skew bracket at the keys (x, y, u, v, w)
+    with x < y, u < v < w, t12 being _twisted_outer(a, 2), [a(x), a(y), m]
+    by m.
 
     A skew bracket makes every term skew in (x, y); swapping two of u, v, w
     negates the first term and takes each other one to minus another."""
     c = dict(a.bracket.rows())
-    t23, t13 = _twisted_outer(a, 0, skew), _twisted_outer(a, 1, skew)
-    uvw = xy = c
-    keep = ()
-    if skew:
-        uvw = {t: v for t, v in c.items() if t[0] < t[1] < t[2]}
-        xy = {t: v for t, v in c.items() if t[0] < t[1]}
-        keep = (_tail_increasing,)
+    uvw = {t: v for t, v in c.items() if t[0] < t[1] < t[2]}
+    xy = {t: v for t, v in c.items() if t[0] < t[1]}
     # [a(x),a(y),[u,v,w]] - [[x,y,u],a(v),a(w)] - [a(u),[x,y,v],a(w)]
     #   - [a(u),a(v),[x,y,w]]; the key test orders u, v, w across parts
     return [(1, uvw, t12, (3, 4, 0, 1, 2)),
-            (-1, xy, t23, (0, 1, 2, 3, 4), *keep),
-            (-1, xy, t13, (0, 1, 3, 2, 4), *keep),
-            (-1, xy, t12, (0, 1, 3, 4, 2), *keep)]
+            (-1, xy, _twisted_outer(a, 0), (0, 1, 2, 3, 4), _tail_increasing),
+            (-1, xy, _twisted_outer(a, 1), (0, 1, 3, 2, 4), _tail_increasing),
+            (-1, xy, t12, (0, 1, 3, 4, 2), _tail_increasing)]
 
 
 def _morphism_terms(a: Algebra3, phi: Mat, t12: dict, skew: bool) -> list:
@@ -466,22 +445,22 @@ def _morphism_terms(a: Algebra3, phi: Mat, t12: dict, skew: bool) -> list:
             (-1, _columns(phi), t12, (1, 2, 0), *keep)]
 
 
-def check_algebra(a: Algebra3, skew: bool = True, regular: bool = False) -> CheckReport:
-    """Check skewness (unless ``skew`` is false), the Hom-Jacobi identity,
-    multiplicativity and, if ``regular``, an invertible twist; a skew
-    failure short-circuits the rest."""
-    parts = [("skew", _skew_check(a))] if skew else []
-    if parts and not parts[0][1].passed:
+def check_algebra(a: Algebra3, regular: bool = False) -> CheckReport:
+    """Check skewness, then the Hom-Jacobi identity, multiplicativity and,
+    if ``regular``, an invertible twist; a skew failure short-circuits the
+    rest."""
+    parts = [("skew", _skew_check(a))]
+    if not parts[0][1].passed:
         return CheckReport.combine(parts)
-    # [a(x), a(y), z] grouped by z, shared by both checks, which a passed
+    # [a(x), a(y), z] grouped by z, shared by both checks, which the passed
     # skew check lets decide each orbit of keys at its sorted key
     A, n = a.twist, a.dim
-    t12 = _twisted_outer(a, 2, skew)
+    t12 = _twisted_outer(a, 2)
     parts.append(("hom_jacobi", _identity(
-        "hom_jacobi", _hom_jacobi_terms(a, t12, skew), (n,) * 5, n,
+        "hom_jacobi", _hom_jacobi_terms(a, t12), (n,) * 5, n,
         lhs=1, nominal=True)))
     parts.append(("multiplicative", _identity(
-        "multiplicative", _morphism_terms(a, A, t12, skew), (n,) * 3, n,
+        "multiplicative", _morphism_terms(a, A, t12, True), (n,) * 3, n,
         lhs=1)))
     if regular:
         parts.append(("regular", _flag(mat_rank(A) == n, "regular")))

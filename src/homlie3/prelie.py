@@ -10,8 +10,7 @@ from __future__ import annotations
 from .exactlin import InputError, Mat, Tensor4, ZERO, mat_inverse
 from .homlie import (
     Algebra3, CheckReport, PreconditionError, Record, Witness, _at, _columns,
-    _identity, _image, _permuted, _require, _residual, _slot_outer,
-    twist_slots,
+    _identity, _image, _require, _residual, _slot_outer, twist_slots,
 )
 from .reps import (
     Rep3, _action_tensor, _check_family, _rep_family, check_representation,
@@ -201,17 +200,6 @@ def compatible_prelie(a: Algebra3, o: OOperator) -> PreLie3:
 def left_multiplication(p: PreLie3) -> tuple:
     """L(x,y): z -> {x,y,z} as an n x n family of matrices."""
     return _rep_family(p.product)
-
-
-def right_multiplication(p: PreLie3) -> tuple:
-    """R(x,y): z -> {z,x,y}."""
-    return _rep_family(_permuted(p.product, (1, 2, 0, 3)))
-
-
-def regular_prelie_rep(p: PreLie3) -> PreLieRep:
-    """The regular actions: rho = left multiplication, mu = right."""
-    return PreLieRep(p, p.dim, left_multiplication(p), right_multiplication(p),
-                     p.twist)
 
 
 def semidirect_prelie(r: PreLieRep) -> PreLie3:

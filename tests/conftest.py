@@ -182,7 +182,8 @@ def symp_prelie():
 def closed_form_kernel(a):
     """Basis (as vectors over the i<j entries) of the space of skew forms
     satisfying the four-term closed-form identity — it is linear in B."""
-    from homlie3.exactlin import ZERO, kernel_basis
+    from homlie3.exactlin import ZERO
+    from oracles import sparse_kernel_rows
     n = a.dim
     c, A = a.bracket, a.twist
     pairs = list(itertools.combinations(range(n), 2))
@@ -219,7 +220,7 @@ def closed_form_kernel(a):
         cols.append(residues(skew_from_vec(e)))
     system = Mat([[cols[p][q] for p in range(len(pairs))]
                   for q in range(len(cols[0]))])
-    return pairs, skew_from_vec, kernel_basis(system)
+    return pairs, skew_from_vec, sparse_kernel_rows(system)
 
 
 def invertible_chybe_solution(rng, a):

@@ -30,6 +30,13 @@ lays the program's sparse derivation rows out as a dense ``Mat`` for
 these comparisons, and ``base_projection`` reads the base bracket back out
 of a semidirect sum.
 
+``column``, ``apply``, ``form_value``, ``unit_vec``, ``bracket_vec``,
+``right_multiplication`` and ``regular_prelie_rep`` are helpers that only
+these oracles and the tests called, so they live here rather than in the
+package; ``sparse_kernel_rows`` reads the package's sparse kernel as the
+dense rows the removed ``kernel_basis`` returned, and ``LinearSolution``
+is the outcome of ``solve_linear_dense``.
+
 ``skew_check_dense`` is the skewness scan over every basis triple that the
 sweep over nonzero rows in ``homlie3.homlie`` replaced (same reports byte
 for byte), and ``semidirect_sum_dense`` the semidirect sum read from a
@@ -50,20 +57,20 @@ from itertools import product
 from typing import Mapping, Optional
 
 from homlie3.exactlin import (
-    InputError, LinearSolution, Mat, Tensor4, common_denominator, dense, lift,
-    mat_inverse, rat, sparse_of, spmat_lift, unit_vec, unlift, vec_add_into,
+    InputError, Mat, Tensor4, common_denominator, dense, lift, mat_inverse,
+    rat, sparse_kernel, sparse_of, spmat_lift, unlift, vec_add_into,
 )
 from homlie3.homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, _derivation_rows,
-    _skew_check, bracket_vec, check_algebra, twist_slots,
+    _permuted, _skew_check, check_algebra, twist_slots,
 )
-from homlie3.reps import Rep3, check_representation
+from homlie3.reps import Rep3, _rep_family, check_representation
 from homlie3.bialgebra import (
     BilForm, Cobracket, MatchedPairData, dual_algebra,
 )
 from homlie3.prelie import (
     OOperator, PreLie3, PreLieRep, _pair_skew_check, check_o_operator,
-    subadjacent_tensor,
+    left_multiplication, subadjacent_tensor,
 )
 from homlie3.yangbaxter import RTensor, alpha_invariance
 
@@ -71,6 +78,62 @@ from homlie3.yangbaxter import RTensor, alpha_invariance
 # type the package uses
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only the oracles and the tests call, as the package had them
+# (its ints stay ints).
+
+def column(m: Mat, j: int) -> tuple:
+    return tuple(row[j] for row in m.entries)
+
+
+def apply(m: Mat, vec) -> tuple:
+    if len(vec) != m.cols:
+        raise InputError(f"apply shape mismatch {m.shape} to len {len(vec)}")
+    return tuple(sum((a * v for a, v in zip(row, vec) if a and v), 0)
+                 for row in m.entries)
+
+
+def form_value(form: BilForm, x, y):
+    return sum((form.matrix.entries[i][j] * xi * yj
+                for i, xi in enumerate(x) if xi
+                for j, yj in enumerate(y) if yj), 0)
+
+
+def unit_vec(n: int, i: int) -> dict:
+    return {i: 1}
+
+
+def bracket_vec(c: Tensor4, x: Mapping, y: Mapping, z: Mapping) -> dict:
+    """[x, y, z] for sparse coefficient vectors x, y, z."""
+    out: dict = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            f = xi * yj
+            for k, zk in z.items():
+                row = c.row(i, j, k)
+                if row:
+                    vec_add_into(out, row, f * zk)
+    return out
+
+
+def right_multiplication(p: PreLie3) -> tuple:
+    """R(x,y): z -> {z,x,y}."""
+    return _rep_family(_permuted(p.product, (1, 2, 0, 3)))
+
+
+def regular_prelie_rep(p: PreLie3) -> PreLieRep:
+    """The regular actions: rho = left multiplication, mu = right."""
+    return PreLieRep(p, p.dim, left_multiplication(p), right_multiplication(p),
+                     p.twist)
+
+
+def sparse_kernel_rows(system: Mat) -> tuple:
+    """The canonical kernel basis of ``sparse_kernel`` as dense rows."""
+    n = system.cols
+    return tuple(dense(v, n)
+                 for v in sparse_kernel(map(sparse_of, system.entries), n))
 
 
 def _twisted_family(rep: Rep3, left: bool, right: bool) -> list:
@@ -654,7 +717,7 @@ def check_o_operator_dense(o: OOperator) -> CheckReport:
         inter, 1, None if inter else Witness(
             "o_intertwine", (), tuple((base.twist @ o.T).entries),
             tuple((o.T @ o.rep.A).entries), "rows"))))
-    tcols = [sparse_of(o.T.col(p)) for p in range(m)]
+    tcols = [sparse_of(column(o.T, p)) for p in range(m)]
     checked = 0
     witness = None
     for u in range(m):
@@ -672,7 +735,7 @@ def check_o_operator_dense(o: OOperator) -> CheckReport:
                 rwu = _rho_at(o.rep, tcols[w], tcols[u])
                 for p in range(m):
                     inner[p] = inner[p] + rvw.entries[p][u] + rwu.entries[p][v]
-                rhs = o.T.apply(inner)
+                rhs = apply(o.T, inner)
                 if dense(lhs, n) != rhs:
                     witness = Witness("o_operator", (u, v, w), dense(lhs, n), rhs)
                     break
@@ -690,7 +753,7 @@ def _apply_family(fam, u: Mapping, v: Mapping, w: Mapping, dim_out: int) -> dict
                 continue
             m = fam[i][j]
             for k, wk in w.items():
-                col = m.col(k)
+                col = column(m, k)
                 for l in range(dim_out):
                     val = col[l]
                     if val:
@@ -720,8 +783,8 @@ def check_matched_pair_dense(m: MatchedPairData) -> CheckReport:
     rho, mu = m.rho.rho, m.mu.rho
     ucL = [unit_vec(n, i) for i in range(n)]
     ucR = [unit_vec(p, i) for i in range(p)]
-    colL = [sparse_of(al.col(i)) for i in range(n)]
-    colR = [sparse_of(ar.col(i)) for i in range(p)]
+    colL = [sparse_of(column(al, i)) for i in range(n)]
+    colR = [sparse_of(column(ar, i)) for i in range(p)]
 
     def muv(u, v, w):
         return _apply_family(mu, u, v, w, n)
@@ -856,7 +919,7 @@ def check_invariance_dense(a: Algebra3, form: BilForm) -> CheckReport:
     n, c, A = a.dim, a.bracket, a.twist
     if form.dim != n:
         raise InputError(f"form dim {form.dim} vs algebra dim {n}")
-    cols = [A.col(i) for i in range(n)]
+    cols = [column(A, i) for i in range(n)]
     checked = 0
     for x in range(n):
         for y in range(n):
@@ -867,8 +930,8 @@ def check_invariance_dense(a: Algebra3, form: BilForm) -> CheckReport:
                     ru = c.row(x, y, u)
                     if not rz and not ru:
                         continue
-                    val = (form.value(dense(rz, n), cols[u])
-                           + form.value(dense(ru, n), cols[z]))
+                    val = (form_value(form, dense(rz, n), cols[u])
+                           + form_value(form, dense(ru, n), cols[z]))
                     if val:
                         return CheckReport(False, checked, Witness(
                             "invariance", (x, y, z, u), (val,), (ZERO,)))
@@ -994,7 +1057,7 @@ def closed_form_check_dense(a: Algebra3, form: BilForm) -> CheckReport:
             return ZERO
         tw = [ZERO] * n
         for l, v in row.items():
-            col = A.col(l)
+            col = column(A, l)
             for m in range(n):
                 tw[m] += v * col[m]
         return sum((form.matrix.entries[m][w] * tm for m, tm in enumerate(tw) if tm),
@@ -1277,7 +1340,7 @@ def dual_bracket_formula_loop(r: RTensor, dual_c: Tensor4) -> CheckReport:
     fam = coadjoint_family_loop(a)
     # every r in the closed form acts through the dual twist: r o a*
     reff = (A @ R).transpose()
-    rsharp_cols = [dict((i, v) for i, v in enumerate(reff.col(j)) if v)
+    rsharp_cols = [dict((i, v) for i, v in enumerate(column(reff, j)) if v)
                    for j in range(n)]
     witness = None
     checked = 0
@@ -1286,11 +1349,11 @@ def dual_bracket_formula_loop(r: RTensor, dual_c: Tensor4) -> CheckReport:
             for k in range(n):
                 checked += 1
                 m = _adstar_matrix(fam, rsharp_cols[i], rsharp_cols[j], n)
-                expect = list(m.col(k))
+                expect = list(column(m, k))
                 m = _adstar_matrix(fam, rsharp_cols[j], rsharp_cols[k], n)
-                ci = m.col(i)
+                ci = column(m, i)
                 m = _adstar_matrix(fam, rsharp_cols[k], rsharp_cols[i], n)
-                cj = m.col(j)
+                cj = column(m, j)
                 for l in range(n):
                     expect[l] += ci[l] + cj[l]
                 got = [dual_c.get(i, j, k, l) for l in range(n)]
@@ -1368,7 +1431,7 @@ def verify_residual_loop(r: RTensor) -> CheckReport:
         by_pqs.setdefault((p, q, s), {})[l] = v
     witness = None
     checked = 0
-    rcols = [dict((i, v) for i, v in enumerate(rs.col(j)) if v) for j in range(n)]
+    rcols = [dict((i, v) for i, v in enumerate(column(rs, j)) if v) for j in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -1441,6 +1504,17 @@ def kernel_basis_dense(system: Mat) -> tuple:
         return ()
     canon, _ = rref_dense(basis)
     return tuple(tuple(row) for row in canon if any(v != 0 for v in row))
+
+
+class LinearSolution:
+    """Outcome of an exact linear solve: particular solution + kernel basis."""
+
+    __slots__ = ("consistent", "particular", "kernel")
+
+    def __init__(self, consistent: bool, particular, kernel):
+        self.consistent = consistent
+        self.particular = particular
+        self.kernel = kernel
 
 
 def solve_linear_dense(system: Mat, rhs) -> LinearSolution:

@@ -31,7 +31,7 @@ from homlie3.prelie import subadjacent_tensor
 from homlie3.symplectic import is_metric_derivation, symplectic_from_derivation
 from homlie3.yangbaxter import alpha_invariance
 
-from oracles import base_projection
+from oracles import base_projection, column
 
 F = Fraction
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -140,7 +140,7 @@ def test_criterion_5_prelie_suites():
                 for w in range(n):
                     lhs = [sum((T.entries[l][m] * sub.get(u, v, w, m)
                                 for m in range(n)), F(0)) for l in range(a.dim)]
-                    tu, tv, tw = T.col(u), T.col(v), T.col(w)
+                    tu, tv, tw = column(T, u), column(T, v), column(T, w)
                     rhs = [sum((a.bracket.get(i, j, k, l) * tu[i] * tv[j] * tw[k]
                                 for i in range(a.dim) for j in range(a.dim)
                                 for k in range(a.dim)), F(0))

@@ -31,6 +31,24 @@ def run(argv, capsys):
     return code, cap.out, cap.err
 
 
+# The documents of the .rep and .rmat inputs, which no verb writes.
+
+def rep_to_doc(r) -> dict:
+    n = r.base.dim
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if any(map(any, r.rho[i][j].entries)):
+                rows.append([i + 1, j + 1, fileio._matrix_doc(r.rho[i][j])])
+    return {"algebra": fileio.algebra_to_doc(r.base), "vdim": r.vdim,
+            "rho": rows, "A": fileio._matrix_doc(r.A)}
+
+
+def rtensor_to_doc(r) -> dict:
+    return {"algebra": fileio.algebra_to_doc(r.base),
+            "matrix": fileio._matrix_doc(r.entries)}
+
+
 # ------------------------------------------------------------- exit code 0
 
 def test_check_algebra_passes(capsys):
@@ -93,7 +111,7 @@ def test_residual_witness_pairs_are_one_based_rationals(tmp_path, capsys):
     its witness sides are (index, value) pairs, shown like every other
     witness: 1-based index, "p/q" value."""
     path = str(tmp_path / "cayley.rmat")
-    fileio.dump(fileio.rtensor_to_doc(RTensor(a4_cayley(), CAYLEY_S)), path)
+    fileio.dump(rtensor_to_doc(RTensor(a4_cayley(), CAYLEY_S)), path)
     left = ["(1, -792/289)", "(2, 36/289)", "(3, -1368/289)", "(4, 1116/289)"]
     code, out, _ = run(["check", "residual", path], capsys)
     assert code == 1
@@ -328,6 +346,81 @@ def test_bad_matrix_entries_exit_two(tmp_path, capsys, cells, message):
     code, _, err = run(["check", "algebra", str(path)], capsys)
     assert code == 2
     assert err == f"input error: {path}: {message}\n"
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    """json decodes each nested array by recursion, so nesting past the
+    recursion limit is an input error, not a traceback."""
+    path = tmp_path / "deep.alg"
+    path.write_text("[" * 5000)
+    code, _, err = run(["check", "algebra", str(path)], capsys)
+    assert code == 2
+    assert err == f"input error: {path}: invalid JSON (nesting too deep)\n"
+
+
+@pytest.mark.parametrize("value", ["1e5000", "-2.5E-5_000", "1e999999999"])
+def test_exponent_past_the_digit_limit_exits_two(tmp_path, capsys, value):
+    """An exponent at least the interpreter's int-digit limit (4300) is
+    refused before Fraction forms its power of ten, which for 1e999999999
+    would take minutes."""
+    doc = _inlined("n4.alg")
+    doc["twist"][0][1] = value
+    path = tmp_path / "big.alg"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["check", "algebra", str(path)], capsys)
+    assert code == 2
+    assert err == f"input error: {path}: twist: bad rational {value!r}\n"
+
+
+# 10**2200 parses and is written back; a product of two such values has
+# 4401 digits, more than the interpreter spells (sys.get_int_max_str_digits).
+BIG = "1e2200"
+UNWRITABLE = "input error: a value has more than 4300 digits, too many to write\n"
+
+
+def _big_n4(tmp_path, morph_diag):
+    """N4 with [e1,e2,e3] = BIG e4, and the diagonal matrix morph_diag."""
+    alg = _inlined("n4.alg")
+    alg["bracket"][0][4] = BIG
+    fileio.dump(alg, str(tmp_path / "big.alg"))
+    fileio.dump({"dim": 4, "matrix": [[v if p == q else "0" for q in range(4)]
+                                      for p, v in enumerate(morph_diag)]},
+                str(tmp_path / "morph.mat"))
+    return [str(tmp_path / "big.alg"), str(tmp_path / "morph.mat")]
+
+
+def test_unwritable_artifact_exits_two(tmp_path, capsys):
+    """diag(BIG, 1, 1, BIG) is a bracket morphism; the twisted bracket
+    [e1,e2,e3] = BIG**2 e4 cannot be written, and no file is left."""
+    code, stdout, err = run(["build", "twist",
+                             *_big_n4(tmp_path, [BIG, "1", "1", BIG]),
+                             "-o", str(tmp_path)], capsys)
+    assert (code, stdout, err) == (2, "", UNWRITABLE)
+    assert sorted(os.listdir(tmp_path)) == ["big.alg", "morph.mat"]
+
+
+def test_unwritable_witness_exits_two(tmp_path, capsys):
+    """A witness that would spell BIG**2 is refused, whether it is the
+    precondition witness of a twist by a non-morphism or the matrix rows
+    of a failed check."""
+    code, _, err = run(["build", "twist",
+                        *_big_n4(tmp_path, [BIG, "1", "1", "1"])], capsys)
+    assert code == 2
+    assert err == ("precondition failed: morph is not a bracket morphism\n"
+                   + UNWRITABLE)
+    # rho(e1, e2) B and B rho(e1, e2) differ at row 3, column 4 by BIG**2
+    rep = _inlined("coadjoint.rep")
+    rep["rho"][0][2][2][3] = "-" + BIG
+    rep["A"][3][3] = BIG
+    path = tmp_path / "big.rep"
+    path.write_text(json.dumps(rep))
+    code, stdout, err = run(["check", "rep", str(path)], capsys)
+    assert (code, stdout, err) == (2, "", UNWRITABLE)
+
+
+def test_dumps_refuses_an_unwritable_int():
+    with pytest.raises(InputError, match="more than 4300 digits"):
+        fileio.dumps({"n": 10 ** 4400})
 
 
 def test_dimension_cap_exits_two(capsys):
@@ -596,8 +689,8 @@ def _roundtrip(path, loader, to_doc):
     ("n4diag.alg", fileio.load_algebra, fileio.algebra_to_doc),
     ("n4prelie.plg", fileio.load_prelie, fileio.prelie_to_doc),
     ("omega.frm", fileio.load_bilform, fileio.bilform_to_doc),
-    ("coadjoint.rep", fileio.load_rep, fileio.rep_to_doc),
-    ("r12.rmat", fileio.load_rtensor, fileio.rtensor_to_doc),
+    ("coadjoint.rep", fileio.load_rep, rep_to_doc),
+    ("r12.rmat", fileio.load_rtensor, rtensor_to_doc),
     ("zero.cob", fileio.load_cobracket, fileio.cobracket_to_doc),
     ("morph.mat", fileio.load_matrix, fileio.matrix_to_doc),
 ])

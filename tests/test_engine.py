@@ -19,7 +19,7 @@ import pytest
 from homlie3 import (Algebra3, BilForm, Cobracket, MatchedPairData, Mat,
                      OOperator, PreLie3, PreLieRep, PreconditionError,
                      RTensor, Rep3, Tensor4, adjoint_rep,
-                     assemble_matched_pair, check_algebra, check_chybe,
+                     check_algebra, check_chybe,
                      check_double_construction, check_invariance,
                      check_matched_pair, check_metric, check_o_operator,
                      check_prelie, check_representation, coadjoint_rep,
@@ -27,15 +27,14 @@ from homlie3 import (Algebra3, BilForm, Cobracket, MatchedPairData, Mat,
                      derivation_space, fileio, is_derivation, manin_bracket,
                      mat_inverse, rep_from_upper, semidirect_prelie,
                      triple_bracket, verify_residual)
-from homlie3.bialgebra import standard_manin_reps
+from homlie3.bialgebra import _matched_sum, standard_manin_reps
 from homlie3.cli import report_doc
 from homlie3.homlie import (CheckReport, Witness, _hom_jacobi_terms,
                             _leibniz_terms, _morphism_terms, _residual,
-                            _skew_check, _twisted_outer)
+                            _skew_check, _slot_outer, _twisted_outer)
 from homlie3.prelie import (_literal_prelie_rep_check, _prelie_identities,
-                            _prelie_rep_equations, left_multiplication,
-                            regular_prelie_rep, right_multiplication)
-from homlie3.reps import coadjoint_family
+                            _prelie_rep_equations, left_multiplication)
+from homlie3.reps import _action_tensor, coadjoint_family
 from homlie3.symplectic import (_fourterm_check, _fourterm_terms,
                                 _invariance_terms, nilpotent_extension)
 from homlie3.yangbaxter import _dual_bracket_formula, closed_form_check
@@ -159,47 +158,44 @@ def test_skew_twisted_outer_parts_are_the_increasing_full_ones():
             continue
         skewed += 1
         for slot in range(3):
-            reduced = _twisted_outer(a, slot, True)
+            reduced = _twisted_outer(a, slot)
             got = {m: dict(pairs) for m, pairs in reduced.items()}
             assert [len(p) for p in got.values()] == \
                 [len(p) for p in reduced.values()], (a.label, slot)
-            assert got == increasing(_twisted_outer(a, slot, False)), \
-                (a.label, slot)
+            full = _slot_outer(a.bracket, slot,
+                               {s: a.twist for s in range(3) if s != slot})
+            assert got == increasing(full), (a.label, slot)
     assert skewed >= 10
 
 
 def test_hom_jacobi_and_multiplicative_match_loops():
-    """Both parts equal the loops, over every key with skew=False and over
-    the sorted keys once skew has passed, where the term lists form the
-    full residual restricted to sorted keys."""
+    """Both parts equal the loops, which form every key, on skew brackets,
+    where the term lists form the full residual restricted to sorted
+    keys."""
     hj, mult = Tally(), Tally()
     restricted = False
-    for a in algebras() + [nonskew_mutant()]:
+    for a in algebras():
         full = (oracles.hom_jacobi_residual_loop(a),
                 oracles.multiplicative_residual_loop(a))
-        old_hj = oracles.hom_jacobi_check_loop(a, full[0])
-        old_mult = oracles.multiplicative_check_loop(a)
-        skew = _skew_check(a).passed
-        for s in (False, True) if skew else (False,):
-            rep = check_algebra(a, skew=s)
-            hj.compare(a.label, rep.part("hom_jacobi"), old_hj)
-            mult.compare(a.label, rep.part("multiplicative"), old_mult, 4 ** 3)
-        if skew:
-            t12 = _twisted_outer(a, 2, True)
-            got = (_residual(_hom_jacobi_terms(a, t12, True)),
-                   _residual(_morphism_terms(a, a.twist, t12, True)))
-            for res, want in zip(got, full):
-                assert res == {k: v for k, v in want.items()
-                               if sorted_key(k)}, a.label
-                restricted |= res != want
+        rep = check_algebra(a)
+        hj.compare(a.label, rep.part("hom_jacobi"),
+                   oracles.hom_jacobi_check_loop(a, full[0]))
+        mult.compare(a.label, rep.part("multiplicative"),
+                     oracles.multiplicative_check_loop(a), 4 ** 3)
+        t12 = _twisted_outer(a, 2)
+        got = (_residual(_hom_jacobi_terms(a, t12)),
+               _residual(_morphism_terms(a, a.twist, t12, True)))
+        for res, want in zip(got, full):
+            assert res == {k: v for k, v in want.items()
+                           if sorted_key(k)}, a.label
+            restricted |= res != want
     # hom_jacobi reports a nominal n**5, so no lex position to cover
     hj.assert_covered()
     mult.assert_covered(late=0.1)
     assert restricted
-    # with no skew check the mutant fails at keys a sorted scan never forms
-    rep = check_algebra(nonskew_mutant(), skew=False)
-    assert [rep.part(p).witness.at for p in ("hom_jacobi", "multiplicative")] \
-        == [(0, 1, 1, 0, 2), (1, 0, 3)]
+    # a bracket that fails skew gets no Hom-Jacobi or multiplicative part
+    rep = check_algebra(nonskew_mutant())
+    assert not rep.passed and [name for name, _ in rep.parts] == ["skew"]
 
 
 def test_is_derivation_matches_loop():
@@ -614,7 +610,7 @@ def test_rep_families_match_definitions():
         for i, j, k, l in itertools.product(range(4), repeat=4):
             assert fam[i][j].entries[l][k] == a.bracket.get(i, j, k, l)
     for p in prelie_products():
-        right = right_multiplication(p)
+        right = oracles.right_multiplication(p)
         for i, j, k, l in itertools.product(range(4), repeat=4):
             assert right[i][j].entries[l][k] == p.product.get(k, i, j, l)
     for a in (n4(), a4(), a4_cayley()):
@@ -649,10 +645,10 @@ def prelie_reps():
     nilpotent products vanish, so two reps with random dense operators on
     a 2-dim carrier make the composed terms count too."""
     rng = random.Random(20190321)
-    out = [regular_prelie_rep(p) for p in prelie_products()
+    out = [oracles.regular_prelie_rep(p) for p in prelie_products()
            if "-reversed~" in p.label]
     for _ in range(4):
-        reg = regular_prelie_rep(random_prelie(rng, 2, 1))
+        reg = oracles.regular_prelie_rep(random_prelie(rng, 2, 1))
         out += [reg,
                 PreLieRep(reg.base, 3, bumped_family(reg.rho, rng, True),
                           reg.mu, reg.B),
@@ -705,7 +701,8 @@ def test_action_constructions_match_dense():
     for r in prelie_reps():
         same_prelie(semidirect_prelie(r), oracles.semidirect_prelie_dense(r))
     for m in matched_pairs():
-        same_algebra(assemble_matched_pair(m, checked=False),
+        same_algebra(_matched_sum(m.left, m.right, _action_tensor(m.rho.rho),
+                                  _action_tensor(m.mu.rho)),
                      oracles.assemble_matched_pair_dense(m))
     # a zero cobracket on N4diag: its twist shows only in the total's twist
     manin = [coboundary_cobracket(r)[0] for r in r_matrices()

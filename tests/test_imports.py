@@ -1,5 +1,6 @@
 """Every top-level import in the package modules is used, every private
-top-level function is referenced somewhere in the package, every oracle in
+top-level function is referenced somewhere in the package, every public
+one is exported, referenced or reached by the CLI, every oracle in
 ``tests/oracles.py`` is referenced by the tests, values are divided only
 in ``exactlin``, JSON is written and files are touched only by ``fileio``,
 and no module imports ``dataclasses`` or ``typing`` (no linter is
@@ -11,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+
+from homlie3.cli import Verb
 
 TESTS = os.path.dirname(__file__)
 SRC = os.path.join(TESTS, os.pardir, "src", "homlie3")
@@ -67,7 +70,7 @@ def test_no_unused_top_level_imports(path):
 
 def referenced_names(source: str) -> set:
     """Names a module reads, looks up as attributes or imports by name; a
-    top-level function naming itself does not count."""
+    top-level function or class naming itself does not count."""
     out = set()
     for top in ast.parse(source).body:
         names = set()
@@ -78,7 +81,8 @@ def referenced_names(source: str) -> set:
                 names.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names |= {alias.name for alias in node.names}
-        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                            ast.ClassDef)):
             names.discard(top.name)
         out |= names
     return out
@@ -110,6 +114,75 @@ def test_no_unreferenced_private_functions():
         with open(path) as fh:
             sources[os.path.basename(path)] = fh.read()
     assert unreferenced_private_functions(sources) == []
+
+
+def cli_reached(source: str) -> set:
+    """Names the CLI reaches only through strings: the function of each
+    ``Verb``'s op and check ("module.function"), ``load_NAME`` for each
+    input NAME of a ``Verb`` and each fileio writer that ``_TO_DOC``
+    names."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Verb"):
+            fields = dict(zip(Verb._fields, node.args))
+            fields.update((k.arg, k.value) for k in node.keywords)
+            out |= {"load_" + n.strip("[]")
+                    for n in fields["inputs"].value.split()}
+            out |= {f.value.rpartition(".")[2]
+                    for f in (fields.get("op"), fields.get("check"))
+                    if isinstance(f, ast.Constant)}
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+              and [getattr(t, "id", None) for t in node.targets] == ["_TO_DOC"]):
+            out |= {v.value for v in node.value.values}
+    return out
+
+
+def unreachable_public(sources: dict) -> list:
+    """(module, name) for each public top-level function or class of the
+    modules in ``sources`` ({module: source}, "__init__.py" and "cli.py"
+    among them) that ``__init__`` does not export, no other top-level
+    statement references and the CLI does not reach through a string."""
+    reached = set().union(*map(referenced_names, sources.values()))
+    reached |= cli_reached(sources["cli.py"])
+    return sorted((mod, node.name) for mod, src in sources.items()
+                  for node in ast.parse(src).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and node.name not in reached)
+
+
+def test_detector_flags_an_unreachable_public_definition():
+    sources = {
+        "__init__.py": "from .a import Exported\n",
+        "a.py": "class Exported:\n    pass\n\n"
+                "class Dead:\n    def f(self):\n        return Dead()\n\n"
+                "def helper():\n    pass\n\n"
+                "def dead():\n    return helper(), dead\n\n"
+                "def op():\n    pass\n\ndef checker():\n    pass\n",
+        "fileio.py": "def load_thing():\n    pass\n\n"
+                     "def load_other():\n    pass\n\n"
+                     "def thing_to_doc():\n    pass\n\n"
+                     "def other_to_doc():\n    pass\n",
+        "cli.py": "_TO_DOC = {'thg': 'thing_to_doc'}\n"
+                  "HANDLERS = {('v', 't'): Verb('thing [other]', 'a.op'),\n"
+                  "            ('v', 'u'): Verb('thing', _glue, check='a.checker')}\n",
+    }
+    # a class or function naming only itself is unreached; one that only a
+    # dead definition names is reached, and goes once that one has gone
+    assert unreachable_public(sources) == [
+        ("a.py", "Dead"), ("a.py", "dead"), ("fileio.py", "other_to_doc")]
+
+
+def test_every_public_definition_is_reachable():
+    """Public code that no verb, export or other definition reaches is
+    deleted, and what tests alone call lives in ``tests/``."""
+    sources = {}
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path) as fh:
+            sources[os.path.basename(path)] = fh.read()
+    assert unreachable_public(sources) == []
 
 
 def unreferenced_functions(sources: dict, module: str) -> list:
