@@ -193,11 +193,9 @@ def check_invariance(a: Algebra3, form: BilForm) -> CheckReport:
 
 def standard_form(n: int) -> BilForm:
     """(x+xi, y+eta) = <x,eta> + <xi,y> on L + L*: block anti-diagonal I."""
-    m = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        m[i][n + i] = ONE
-        m[n + i][i] = ONE
-    return BilForm(2 * n, Mat._of(m), "symmetric")
+    pairs = [((n + i, ONE),) for i in range(n)]
+    return BilForm(2 * n, Mat._sparse(pairs + [((i, ONE),) for i in range(n)],
+                                      2 * n), "symmetric")
 
 
 def manin_bracket(c: Cobracket) -> tuple:

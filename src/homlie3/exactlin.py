@@ -32,8 +32,11 @@ All linear algebra runs on one sparse Gauss-Jordan routine,
 pivot column to its normalised row, so a sparse system costs what its
 nonzero entries cost. ``sparse_kernel``, ``linear_solver``,
 ``mat_inverse`` and ``mat_rank`` use it; a square matrix is tested for
-invertibility by ``mat_rank``, which builds no inverse. Two contracts are
-fixed:
+invertibility by ``mat_rank``, which builds no inverse. A ``Mat`` keeps a
+view of its rows' nonzero (j, value) pairs, formed at most once per
+matrix; products, sums, transposes, elimination and every scan of a matrix
+elsewhere read it, so O(n) nonzero entries cost O(n), not O(n**2). Two
+contracts are fixed:
 
 - A kernel basis is canonical: the reduced row echelon form of the kernel,
   one vector per free column f with a leading 1 at f. It depends only on
@@ -119,9 +122,11 @@ def _unwritable() -> InputError:
 
 
 class Mat:
-    """Immutable dense matrix of rationals.  ``M[i][j]``, row-major."""
+    """Immutable dense matrix of rationals.  ``M[i][j]``, row-major, with
+    ``nonzeros`` the view of its nonzero entries (see the module notes).
+    Equality and hashing read ``entries`` only."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_nz")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = tuple(tuple(rat(v) for v in row) for row in entries)
@@ -130,9 +135,8 @@ class Mat:
         cols = len(rows[0])
         if any(len(r) != cols for r in rows):
             raise InputError("ragged matrix rows")
-        self.rows = len(rows)
-        self.cols = cols
-        self.entries = rows
+        self.rows, self.cols, self.entries = len(rows), cols, rows
+        self._nz = None
 
     @staticmethod
     def _of(rows: Sequence[Sequence]) -> "Mat":
@@ -144,8 +148,28 @@ class Mat:
         m.entries = tuple(map(tuple, rows))
         if not m.entries or not m.entries[0]:
             raise InputError("matrix must have positive dimensions")
-        m.rows, m.cols = len(m.entries), len(m.entries[0])
+        m.rows, m.cols, m._nz = len(m.entries), len(m.entries[0]), None
         return m
+
+    @staticmethod
+    def _sparse(nz: list, cols: int) -> "Mat":
+        """The Mat of ``cols`` columns whose rows have the nonzero (j, value)
+        pairs nz, in column order, with its view formed."""
+        rows = [[ZERO] * cols for _ in nz]
+        for row, pairs in zip(rows, nz):
+            for j, v in pairs:
+                row[j] = v
+        m = Mat._of(rows)
+        m._nz = tuple(map(tuple, nz))
+        return m
+
+    @property
+    def nonzeros(self) -> tuple:
+        """For each row i, the (j, M[i][j]) with nonzero entries."""
+        if self._nz is None:
+            self._nz = tuple(tuple(compress(enumerate(r), r))
+                             for r in self.entries)
+        return self._nz
 
     @staticmethod
     def identity(n: int) -> "Mat":
@@ -158,23 +182,18 @@ class Mat:
     @staticmethod
     def diag(values: Sequence) -> "Mat":
         vals = [rat(v) for v in values]
-        n = len(vals)
-        rows = [[ZERO] * n for _ in range(n)]
-        for i, v in enumerate(vals):
-            rows[i][i] = v
-        return Mat._of(rows)
+        return Mat._sparse([((i, v),) if v else () for i, v in enumerate(vals)],
+                           len(vals))
 
     @staticmethod
     def block_diag(a: "Mat", b: "Mat") -> "Mat":
-        n, m = a.rows, b.rows
-        out = [[ZERO] * (a.cols + b.cols) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(a.cols):
-                out[i][j] = a.entries[i][j]
-        for i in range(m):
-            for j in range(b.cols):
-                out[n + i][a.cols + j] = b.entries[i][j]
-        return Mat._of(out)
+        right, left = (ZERO,) * b.cols, (ZERO,) * a.cols
+        m = Mat._of([row + right for row in a.entries]
+                    + [left + row for row in b.entries])
+        if a._nz is not None and b._nz is not None:
+            m._nz = a._nz + tuple(tuple((j + a.cols, v) for j, v in pairs)
+                                  for pairs in b._nz)
+        return m
 
     def __getitem__(self, i: int) -> Sequence:
         return self.entries[i]
@@ -187,16 +206,20 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat._of([[a + b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.entries, other.entries)])
+        out = [list(row) for row in self.entries]
+        for row, pairs in zip(out, other.nonzeros):
+            for j, v in pairs:
+                row[j] += v
+        return Mat._of(out)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat._of([[a - b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.entries, other.entries)])
+        return self + -other
 
     def __neg__(self) -> "Mat":
-        return Mat._of([[-a for a in row] for row in self.entries])
+        if self._nz is None:
+            return Mat._of([[-a for a in row] for row in self.entries])
+        return Mat._sparse([[(j, -v) for j, v in pairs]
+                            for pairs in self.nonzeros], self.cols)
 
     def scale(self, s) -> "Mat":
         s = rat(s)
@@ -205,20 +228,21 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise InputError(f"matmul shape mismatch {self.shape} @ {other.shape}")
-        # row k of other as its nonzero (j, b); row i of the product is the
-        # sum of a * other[k] over the nonzero a = self[i][k]
-        nz = [list(compress(enumerate(row), row)) for row in other.entries]
+        # row i is the sum of a * other[k] over the nonzero a = self[i][k]
+        nz = other.nonzeros
         out = []
-        for row in self.entries:
-            acc = [ZERO] * other.cols
-            for a, brow in compress(zip(row, nz), row):
-                for j, b in brow:
-                    acc[j] += a * b
-            out.append(acc)
-        return Mat._of(out)
+        for pairs in self.nonzeros:
+            acc: dict = {}
+            for k, a in pairs:
+                for j, b in nz[k]:
+                    acc[j] = acc.get(j, ZERO) + a * b
+            out.append(sorted((j, v) for j, v in acc.items() if v))
+        return Mat._sparse(out, other.cols)
 
     def transpose(self) -> "Mat":
-        return Mat._of(zip(*self.entries))
+        if self._nz is None:
+            return Mat._of(zip(*self.entries))
+        return Mat._sparse(self.col_support(), self.rows)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Mat.identity(self.rows)
@@ -229,8 +253,11 @@ class Mat:
 
     def col_support(self) -> list:
         """For each column j, the list of (i, M[i][j]) with nonzero entries."""
-        return [list(compress(enumerate(col), col))
-                for col in zip(*self.entries)]
+        cols = [[] for _ in range(self.cols)]
+        for i, pairs in enumerate(self.nonzeros):
+            for j, v in pairs:
+                cols[j].append((i, v))
+        return cols
 
     def _same_shape(self, other: "Mat") -> None:
         if self.shape != other.shape:
@@ -241,9 +268,9 @@ class Mat:
         return f"Mat[{body}]"
 
 
-def _gauss_jordan(rows: Iterable[Mapping], last: bool = False,
+def _gauss_jordan(rows: Iterable, last: bool = False,
                   width: int | None = None) -> tuple:
-    """Sparse Gauss-Jordan elimination of rows {col: value}.
+    """Sparse Gauss-Jordan elimination of rows {col: value} or their pairs.
 
     Each row in turn is reduced by the pivot rows found so far. Its first
     nonzero column (its last when ``last``) becomes a new pivot if it lies
@@ -308,8 +335,8 @@ def _factor(m: Mat) -> tuple:
     [m | b], and the rows of null span the vectors y with y m = 0.
     """
     n = m.cols
-    piv, rest = _gauss_jordan(({**sparse_of(row), n + i: ONE}
-                               for i, row in enumerate(m.entries)), width=n)
+    piv, rest = _gauss_jordan((pairs + ((n + i, ONE),)
+                               for i, pairs in enumerate(m.nonzeros)), width=n)
     tag = lambda row: {c - n: v for c, v in row.items() if c >= n}
     return {p: tag(row) for p, row in piv.items()}, [tag(row) for row in rest]
 
@@ -347,17 +374,14 @@ def mat_inverse(m: Mat) -> Mat | None:
     piv, _ = _factor(m)
     if len(piv) != n:
         return None
-    rows = [[ZERO] * n for _ in range(n)]
-    for p, row in piv.items():
-        for q, v in row.items():
-            rows[p][q] = _normal(v)
-    return Mat._of(rows)
+    return Mat._sparse([sorted((q, _normal(v)) for q, v in piv[p].items())
+                        for p in range(n)], n)
 
 
 def mat_rank(m: Mat) -> int:
     """The rank of m. A square m is invertible exactly when its rank is
     its size, so this decides nondegeneracy without building an inverse."""
-    return len(_gauss_jordan(map(sparse_of, m.entries))[0])
+    return len(_gauss_jordan(m.nonzeros)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +512,6 @@ def vec_add_into(acc: dict, vec: Mapping, scale=ONE) -> None:
 
 def dense(vec: Mapping, n: int) -> tuple:
     return tuple(vec.get(i, ZERO) for i in range(n))
-
-
-def sparse_of(vec: Sequence) -> dict:
-    return dict(compress(enumerate(vec), vec))
 
 
 # Lifting to ints. A sparse matrix is {p: {q: value}} with no zero entries

@@ -86,8 +86,8 @@ def _need_rows(doc: dict, field: str, path: str | None) -> list:
 def _parse_rat(v, where: str):
     try:
         return rat(v)
-    except (InputError, ValueError, TypeError):
-        raise InputError(f"{where}: bad rational {v!r}")
+    except InputError as e:  # rat's reason: "bad rational ...: why"
+        raise InputError(f"{where}: {e}") from None
 
 
 def _parse_matrix(v, where: str, rows: int, cols: int) -> Mat:
@@ -112,10 +112,15 @@ def _parse_matrix(v, where: str, rows: int, cols: int) -> Mat:
 
 
 def _matrix_doc(m: Mat) -> list:
-    """The rows of m as "p/q" strings, each distinct value converted once
-    (equal values spell alike: an integral Fraction as its int)."""
-    spell = {v: rat_str(v) for v in set().union(*m.entries)}.__getitem__
-    return [list(map(spell, row)) for row in m.entries]
+    """The rows of m as "p/q" strings, read from its nonzero view: each
+    distinct value is converted once (equal values spell alike: an integral
+    Fraction as its int), and every zero is the one string "0"."""
+    spell = {v: rat_str(v) for v in {v for r in m.nonzeros for _, v in r}}
+    rows = [["0"] * m.cols for _ in m.nonzeros]
+    for row, pairs in zip(rows, m.nonzeros):
+        for j, v in pairs:
+            row[j] = spell[v]
+    return rows
 
 
 def _parse_dim(doc: dict, path: str | None, max_dim: int | None,

@@ -33,16 +33,15 @@ A residual skew in a group of key indices is zero at a repeated index and
 elsewhere +-1 times its value at the key with the group sorted, which is
 lex before it. So once ``_skew_check`` passes, the Hom-Jacobi,
 multiplicativity and Leibniz terms are prefiltered to the sorted key of
-each orbit, and the twisted outer parts of the first two are built only
-at increasing index pairs, from 2x2 minors of the twist
-(``_twisted_outer``). The skew verdict is formed once per algebra and
-cached on it, so every check that rests on it shares one scan.
+each orbit, and the twisted outer parts of the first two are built in one
+pass, at increasing index pairs, from 2x2 minors of the twist formed once
+per pair (``_twisted_outer``). The skew scan visits each orbit once, and
+its verdict is cached on the algebra, so every check shares one scan.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from functools import cached_property
-from itertools import compress, permutations
 from math import prod
 from operator import attrgetter, itemgetter
 
@@ -206,9 +205,7 @@ def twist_slots(c: Tensor4, mats: Mapping[int, Mat]) -> dict:
     [m0(x), m1(y), m2(z)] where ms is mats.get(slot, identity).
     """
     # for each original index a, the columns x with M[a][x] != 0
-    row_sup = {}
-    for s, m in mats.items():
-        row_sup[s] = [list(compress(enumerate(row), row)) for row in m.entries]
+    row_sup = {s: m.nonzeros for s, m in mats.items()}
     out: dict = {}
     for (a, b, k), lvec in c.rows():
         ch0 = row_sup[0][a] if 0 in row_sup else ((a, ONE),)
@@ -224,40 +221,39 @@ def twist_slots(c: Tensor4, mats: Mapping[int, Mat]) -> dict:
 
 
 def _skew_check(a: Algebra3) -> CheckReport:
-    """Total skewness, compared in lex order only at the triples that can
-    fail: nonzero rows with a repeated index, and every permutation of a
-    nonzero row with distinct indices. The witness and ``checked`` (its
-    1-based lex position, n**3 on a pass) are those of a scan of every
-    triple. The report is formed once per algebra and cached on it, so
-    every check that rests on skewness shares it."""
+    """Total skewness by ``_skew_scan``, formed once per algebra and cached
+    on it, so every check that rests on skewness shares it."""
     return a._skew
 
 
 def _skew_scan(c: Tensor4) -> CheckReport:
-    n = c.dims[0]
-    visit = set()
-    for t, _ in c.rows():
-        visit.update([t] if len(set(t)) < 3 else permutations(t))
-    for t in sorted(visit):
-        i, j, k = t
-        checked = (i * n + j) * n + k + 1
-        row = c.row(i, j, k)
-        if len(set(t)) < 3:
-            l = min(row)
-            return CheckReport(False, checked, Witness(
-                "skew", (i, j, k, l), (row[l],), (ZERO,)))
-        canon = c.row(*sorted(t))
-        if ((i > j) + (i > k) + (j > k)) % 2:  # an odd permutation
-            canon = {l: -v for l, v in canon.items()}
-        if row == canon:
-            continue
-        for l in sorted(set(row) | set(canon)):
-            lhs = row.get(l, ZERO)
-            rhs = canon.get(l, ZERO)
-            if lhs != rhs:
-                return CheckReport(False, checked, Witness(
-                    "skew", (i, j, k, l), (lhs,), (rhs,)))
-    return CheckReport(True, n ** 3)
+    """Total skewness, compared only at the triples that can fail: a
+    nonzero row with a repeated index fails, and each orbit {i < j < k} of
+    a nonzero row is visited once, its five other permutations compared in
+    lex order with its sorted row (negated once for the odd ones) up to the
+    first that differs. The witness and ``checked`` (its 1-based lex
+    position, n**3 on a pass) are those of the lex-first failing triple, as
+    for a scan of every triple in lex order."""
+    n, get = c.dims[0], dict(c.rows()).get
+    fails, seen = [], set()
+    for t, row in c.rows():
+        i, j, k = s = tuple(sorted(t))
+        if i == j or j == k:
+            fails.append((t, row, {}))
+        elif s not in seen:
+            seen.add(s)
+            canon = get(s)
+            neg = {l: -v for l, v in canon.items()} if canon else None
+            fails += [(p, get(p, {}), want or {}) for p, want in (
+                ((i, k, j), neg), ((j, i, k), neg), ((j, k, i), canon),
+                ((k, i, j), canon), ((k, j, i), neg)) if get(p) != want][:1]
+    if not fails:
+        return CheckReport(True, n ** 3)
+    (i, j, k), row, want = min(fails, key=itemgetter(0))
+    l = next(l for l in sorted(row.keys() | want.keys())
+             if row.get(l, ZERO) != want.get(l, ZERO))
+    return CheckReport(False, (i * n + j) * n + k + 1, Witness(
+        "skew", (i, j, k, l), (row.get(l, ZERO),), (want.get(l, ZERO),)))
 
 
 def _residual(terms) -> dict:
@@ -374,8 +370,8 @@ def _image(m: Mat) -> dict:
 def _pairing(m: Mat) -> dict:
     """{l: [((w,), {0: m[l][w]})]}: an outer part that pairs the vector with
     each basis vector w through the form m (for the scalar identities)."""
-    return {l: [((w,), {0: v}) for w, v in compress(enumerate(row), row)]
-            for l, row in enumerate(m.entries)}
+    return {l: [((w,), {0: v}) for w, v in row]
+            for l, row in enumerate(m.nonzeros)}
 
 
 def _tail_increasing(key: tuple) -> bool:
@@ -383,40 +379,46 @@ def _tail_increasing(key: tuple) -> bool:
     return key[-3] < key[-2] < key[-1]
 
 
-def _twisted_outer(a: Algebra3, slot: int) -> dict:
-    """_slot_outer of a skew bracket with the twist in the two slots other
-    than ``slot``, holding only the (others, vec) with others[0] <
-    others[1]. It is built from the rows of the bracket with increasing
-    indices a < b in the twisted slots: as sum_{a,b} A[a][x] A[b][y]
-    c[..a..b..] = sum_{a<b} (A[a][x] A[b][y] - A[b][x] A[a][y])
-    c[..a..b..], each such row is read once, with the nonzero 2x2 minors
-    of the twist's rows a, b at columns x < y."""
+def _minors(A: Mat, a: int, b: int) -> list:
+    """The nonzero 2x2 minors of rows a, b of A at columns x < y, as
+    ((x, y), A[a][x] A[b][y] - A[b][x] A[a][y])."""
+    ra, rb = A.entries[a], A.entries[b]
+    cols = sorted(dict(A.nonzeros[a] + A.nonzeros[b]))
+    return [((x, y), d) for i, x in enumerate(cols) for y in cols[i + 1:]
+            if (d := ra[x] * rb[y] - rb[x] * ra[y])]
+
+
+def _twisted_outer(a: Algebra3) -> tuple:
+    """For each slot, _slot_outer of a skew bracket with the twist in the
+    two other slots, at others[0] < others[1] only. As sum_{a,b} A[a][x]
+    A[b][y] c[..a..b..] = sum_{a<b} (A[a][x] A[b][y] - A[b][x] A[a][y])
+    c[..a..b..], one pass over the rows with a < b in the twisted slots
+    fills all three, from the nonzero 2x2 minors of the twist's rows a, b
+    at columns x < y, formed once per pair."""
     A = a.twist
     minors: dict = {}
-    out: dict = {}
-    support = [set(compress(range(A.cols), row)) for row in A.entries]
-    for key, lvec in a.bracket.rows():
-        ab = key[:slot] + key[slot + 1:]
-        if ab[0] >= ab[1]:
-            continue
-        if ab not in minors:
-            ra, rb = A.entries[ab[0]], A.entries[ab[1]]
-            cols = sorted(support[ab[0]] | support[ab[1]])
-            minors[ab] = [((x, y), d) for i, x in enumerate(cols)
-                          for y in cols[i + 1:]
-                          if (d := ra[x] * rb[y] - rb[x] * ra[y])]
-        acc = out.setdefault(key[slot], {})
-        for xy, d in minors[ab]:
-            vec_add_into(acc.setdefault(xy, {}), lvec, d)
-    out = {m: [(xy, vec) for xy, vec in acc.items() if vec]
-           for m, acc in out.items()}
-    return {m: pairs for m, pairs in out.items() if pairs}
+    outs = o0, o1, o2 = ({}, {}, {})
+    for (i, j, k), lvec in a.bracket.rows():
+        for m, ab, out in ((i, (j, k), o0), (j, (i, k), o1), (k, (i, j), o2)):
+            if ab[0] >= ab[1]:
+                continue
+            if ab not in minors:
+                minors[ab] = _minors(A, *ab)
+            acc = out.setdefault(m, {})
+            for xy, d in minors[ab]:
+                if xy in acc:
+                    vec_add_into(acc[xy], lvec, d)
+                else:
+                    acc[xy] = {l: d * v for l, v in lvec.items()}
+    return tuple({m: pairs for m, acc in out.items()
+                  if (pairs := [(xy, vec) for xy, vec in acc.items() if vec])}
+                 for out in outs)
 
 
-def _hom_jacobi_terms(a: Algebra3, t12: dict) -> list:
+def _hom_jacobi_terms(a: Algebra3, outer: tuple) -> list:
     """The Hom-Jacobi residual of a skew bracket at the keys (x, y, u, v, w)
-    with x < y, u < v < w, t12 being _twisted_outer(a, 2), [a(x), a(y), m]
-    by m.
+    with x < y, u < v < w, outer being _twisted_outer(a), whose last part
+    is [a(x), a(y), m] by m.
 
     A skew bracket makes every term skew in (x, y); swapping two of u, v, w
     negates the first term and takes each other one to minus another."""
@@ -425,10 +427,10 @@ def _hom_jacobi_terms(a: Algebra3, t12: dict) -> list:
     xy = {t: v for t, v in c.items() if t[0] < t[1]}
     # [a(x),a(y),[u,v,w]] - [[x,y,u],a(v),a(w)] - [a(u),[x,y,v],a(w)]
     #   - [a(u),a(v),[x,y,w]]; the key test orders u, v, w across parts
-    return [(1, uvw, t12, (3, 4, 0, 1, 2)),
-            (-1, xy, _twisted_outer(a, 0), (0, 1, 2, 3, 4), _tail_increasing),
-            (-1, xy, _twisted_outer(a, 1), (0, 1, 3, 2, 4), _tail_increasing),
-            (-1, xy, t12, (0, 1, 3, 4, 2), _tail_increasing)]
+    return [(1, uvw, outer[2], (3, 4, 0, 1, 2)),
+            (-1, xy, outer[0], (0, 1, 2, 3, 4), _tail_increasing),
+            (-1, xy, outer[1], (0, 1, 3, 2, 4), _tail_increasing),
+            (-1, xy, outer[2], (0, 1, 3, 4, 2), _tail_increasing)]
 
 
 def _morphism_terms(a: Algebra3, phi: Mat, t12: dict, skew: bool) -> list:
@@ -455,12 +457,12 @@ def check_algebra(a: Algebra3, regular: bool = False) -> CheckReport:
     # [a(x), a(y), z] grouped by z, shared by both checks, which the passed
     # skew check lets decide each orbit of keys at its sorted key
     A, n = a.twist, a.dim
-    t12 = _twisted_outer(a, 2)
+    outer = _twisted_outer(a)
     parts.append(("hom_jacobi", _identity(
-        "hom_jacobi", _hom_jacobi_terms(a, t12), (n,) * 5, n,
+        "hom_jacobi", _hom_jacobi_terms(a, outer), (n,) * 5, n,
         lhs=1, nominal=True)))
     parts.append(("multiplicative", _identity(
-        "multiplicative", _morphism_terms(a, A, t12, True), (n,) * 3, n,
+        "multiplicative", _morphism_terms(a, A, outer[2], True), (n,) * 3, n,
         lhs=1)))
     if regular:
         parts.append(("regular", _flag(mat_rank(A) == n, "regular")))
@@ -520,12 +522,11 @@ def _derivation_rows(a: Algebra3, form: Mat | None) -> list:
 
     # D o alpha = alpha o D at (0, p, q):
     #   sum_m D[p][m] A[m][q] - A[p][m] D[m][q]
-    for r, cols in enumerate(A.entries):
-        for s, v in enumerate(cols):
-            if v:
-                for p in range(n):
-                    add((0, p, s), p * n + r, v)
-                    add((0, r, p), s * n + p, -v)
+    for r, cols in enumerate(A.nonzeros):
+        for s, v in cols:
+            for p in range(n):
+                add((0, p, s), p * n + r, v)
+                add((0, r, p), s * n + p, -v)
     # Leibniz over basis triples i<j<k (skewness makes the rest redundant)
     # at (1, i, j, k, l): sum_m D[l][m] c[i,j,k,m] - D[m][i] c[m,j,k,l]
     #   - D[m][j] c[i,m,k,l] - D[m][k] c[i,j,m,l]
@@ -543,12 +544,11 @@ def _derivation_rows(a: Algebra3, form: Mat | None) -> list:
                 add((1, u, v, k, x), w * n + k, -val)
     # B-skewness at (2, p, q): sum_m D[m][p] B[m][q] + B[p][m] D[m][q]
     if form is not None:
-        for r, cols in enumerate(form.entries):
-            for s, v in enumerate(cols):
-                if v:
-                    for p in range(n):
-                        add((2, p, s), r * n + p, v)
-                        add((2, r, p), s * n + p, v)
+        for r, cols in enumerate(form.nonzeros):
+            for s, v in cols:
+                for p in range(n):
+                    add((2, p, s), r * n + p, v)
+                    add((2, r, p), s * n + p, v)
     out = ({col: v for col, v in rows[key].items() if v} for key in sorted(rows))
     return [row for row in out if row]
 

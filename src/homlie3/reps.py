@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 from .exactlin import (
     InputError, Mat, Tensor4, ZERO, common_denominator, dense, lift,
-    sparse_of, spmat_lift, unlift, vec_add_into,
+    spmat_lift, unlift, vec_add_into,
 )
 from .homlie import (
     Algebra3, CheckReport, Record, Witness, _permuted, _require, _skew_check,
@@ -74,8 +74,7 @@ def _action_tensor(fam) -> Tensor4:
     n, m = len(fam), fam[0][0].rows
     return Tensor4.from_entries((n, n, m, m), (
         (i, j, q, p, v) for i in range(n) for j in range(n)
-        for p, row in enumerate(fam[i][j].entries)
-        for q, v in enumerate(row) if v))
+        for p, row in enumerate(fam[i][j].nonzeros) for q, v in row))
 
 
 def _rep_family(t: Tensor4) -> tuple:
@@ -103,7 +102,7 @@ def coadjoint_family(a: Algebra3) -> tuple:
 # equal exactly when their matrices are): check_representation's kernel.
 
 def _spmat_of(m: Mat) -> dict:
-    return {p: row for p, row in enumerate(map(sparse_of, m.entries)) if row}
+    return {p: dict(row) for p, row in enumerate(m.nonzeros) if row}
 
 
 def _spmat_to_mat(s: Mapping, rows: int, cols: int) -> Mat:

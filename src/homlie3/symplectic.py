@@ -103,7 +103,7 @@ def is_metric_derivation(a: Algebra3, form: BilForm, D: Mat) -> CheckReport:
     w = is_derivation(a, D)
     parts.append(("derivation", CheckReport(w is None, 1, w)))
     B = form.matrix
-    bskew = D.transpose() @ B + B @ D == Mat.zeros(a.dim, a.dim)
+    bskew = D.transpose() @ B == -(B @ D)  # D^T B + B D = 0
     parts.append(("B_skew", _flag(bskew, "B_skew")))
     parts.append(("invertible", _flag(mat_rank(D) == a.dim,
                                       "D_invertible")))
@@ -198,11 +198,9 @@ def compatible_prelie_from_symplectic(a: Algebra3, omega: BilForm) -> tuple:
 
 def canonical_phase_form(n: int) -> BilForm:
     """w(x+f, y+g) = <f,y> - <g,x> on L + L*: blocks [[0,-I],[I,0]]."""
-    m = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        m[i][n + i] = -ONE
-        m[n + i][i] = ONE
-    return BilForm(2 * n, Mat._of(m), "skew")
+    pairs = [((n + i, -ONE),) for i in range(n)]
+    return BilForm(2 * n, Mat._sparse(pairs + [((i, ONE),) for i in range(n)],
+                                      2 * n), "skew")
 
 
 def check_phase_space(base: Algebra3, total: Algebra3) -> CheckReport:

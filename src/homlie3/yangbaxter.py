@@ -39,12 +39,10 @@ def alpha_invariance(r: RTensor) -> CheckReport:
     A, R = r.base.twist, r.entries
     diff = A @ R @ A.transpose() - R
     n = r.base.dim
-    for i in range(n):
-        for j in range(n):
-            if diff.entries[i][j]:
-                return CheckReport(False, n * n, Witness(
-                    "alpha_invariance", (i, j), (diff.entries[i][j] + R.entries[i][j],),
-                    (R.entries[i][j],)))
+    for i, pairs in enumerate(diff.nonzeros):
+        for j, v in pairs[:1]:  # the lex-first nonzero entry
+            return CheckReport(False, n * n, Witness(
+                "alpha_invariance", (i, j), (v + R[i][j],), (R[i][j],)))
     return CheckReport(True, n * n)
 
 

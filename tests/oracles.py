@@ -39,9 +39,13 @@ is the outcome of ``solve_linear_dense``.
 
 ``skew_check_dense`` is the skewness scan over every basis triple that the
 sweep over nonzero rows in ``homlie3.homlie`` replaced (same reports byte
-for byte), and ``semidirect_sum_dense`` the semidirect sum read from a
-representation's dense operator family, which ``homlie3.reps`` now builds
-from its action tensor (same bracket and twist).
+for byte); ``skew_scan_lex`` is that sweep as it was, visiting every
+permutation of every nonzero row in lex order, which the one pass over
+orbits replaced (same reports); and ``semidirect_sum_dense`` the
+semidirect sum read from a representation's dense operator family, which
+``homlie3.reps`` now builds from its action tensor (same bracket and
+twist). ``sparse_of`` reads a dense row as {col: value}; the package reads
+a matrix's rows from ``Mat.nonzeros``.
 
 ``assemble_matched_pair_dense``, ``semidirect_prelie_dense`` and
 ``compatible_prelie_dense`` place the entries of the dense operator
@@ -53,12 +57,12 @@ identities that the residual engine replaced (same reports byte for byte).
 import itertools
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 from typing import Mapping, Optional
 
 from homlie3.exactlin import (
     InputError, Mat, Tensor4, common_denominator, dense, lift, mat_inverse,
-    rat, sparse_kernel, sparse_of, spmat_lift, unlift, vec_add_into,
+    rat, sparse_kernel, spmat_lift, unlift, vec_add_into,
 )
 from homlie3.homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, _derivation_rows,
@@ -83,6 +87,10 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 # Helpers that only the oracles and the tests call, as the package had them
 # (its ints stay ints).
+
+def sparse_of(vec) -> dict:
+    return dict(itertools.compress(enumerate(vec), vec))
+
 
 def column(m: Mat, j: int) -> tuple:
     return tuple(row[j] for row in m.entries)
@@ -1647,6 +1655,33 @@ def skew_check_dense(a: Algebra3) -> CheckReport:
                         return CheckReport(False, checked, Witness(
                             "skew", (i, j, k, l), (lhs,), (rhs,)))
     return CheckReport(True, checked)
+
+
+def skew_scan_lex(c: Tensor4) -> CheckReport:
+    n = c.dims[0]
+    visit = set()
+    for t, _ in c.rows():
+        visit.update([t] if len(set(t)) < 3 else permutations(t))
+    for t in sorted(visit):
+        i, j, k = t
+        checked = (i * n + j) * n + k + 1
+        row = c.row(i, j, k)
+        if len(set(t)) < 3:
+            l = min(row)
+            return CheckReport(False, checked, Witness(
+                "skew", (i, j, k, l), (row[l],), (ZERO,)))
+        canon = c.row(*sorted(t))
+        if ((i > j) + (i > k) + (j > k)) % 2:  # an odd permutation
+            canon = {l: -v for l, v in canon.items()}
+        if row == canon:
+            continue
+        for l in sorted(set(row) | set(canon)):
+            lhs = row.get(l, ZERO)
+            rhs = canon.get(l, ZERO)
+            if lhs != rhs:
+                return CheckReport(False, checked, Witness(
+                    "skew", (i, j, k, l), (lhs,), (rhs,)))
+    return CheckReport(True, n ** 3)
 
 
 def semidirect_sum_dense(a: Algebra3, r: Rep3) -> Algebra3:

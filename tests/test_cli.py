@@ -264,7 +264,7 @@ def test_bad_algebra_rows_exit_two(tmp_path, capsys, rows, message):
     ("algebra", "n4.alg", "bracket", [[1, 2, 3, 4, "1"], [1, 2, 4, 5, "1"]],
      "bracket[2]: index 5 out of range 1..4"),
     ("algebra", "n4.alg", "bracket", [[1, 2, 3, 4, "1"], [1, 2, 4, 4, "x"]],
-     "bracket[2]: bad rational 'x'"),
+     "bracket[2]: bad rational 'x': Invalid literal for Fraction: 'x'"),
     ("prelie", "n4prelie.plg", "bracket", [[1, 2, 3, 4, "1"], [3, 2, 1, 4, "1"]],
      "bracket[2]: first two indices must satisfy i < j"),
     ("rep", "coadjoint.rep", "rho", [[1, 2, [["0"] * 4] * 4], [2, 1, [["0"] * 4] * 4]],
@@ -285,7 +285,8 @@ def test_bad_row_after_a_good_one_is_named(tmp_path, capsys, target, name,
 
 
 @pytest.mark.parametrize("target, name, path, message", [
-    ("algebra", "n4.alg", ["twist", 0, 1], "twist: bad rational True"),
+    ("algebra", "n4.alg", ["twist", 0, 1],
+     "twist: bad rational True (type bool)"),
     ("algebra", "n4.alg", ["dim"], "dim: expected a positive integer"),
     ("algebra", "n4.alg", ["bracket", 0, 0],
      "bracket[1]: index True out of range 1..4"),
@@ -327,11 +328,12 @@ def test_label_and_basis_must_be_strings(tmp_path, capsys, target, name,
 
 
 @pytest.mark.parametrize("cells, message", [
-    ({(0, 0): 1, (0, 1): True}, "twist: bad rational True"),
-    ({(0, 1): True}, "twist: bad rational True"),
-    ({(0, 0): 1, (1, 1): 1.0}, "twist: bad rational 1.0"),
-    ({(0, 1): [1]}, "twist: bad rational [1]"),
-    ({(0, 3): "abc", (1, 0): "1/0"}, "twist: bad rational 'abc'"),
+    ({(0, 0): 1, (0, 1): True}, "twist: bad rational True (type bool)"),
+    ({(0, 1): True}, "twist: bad rational True (type bool)"),
+    ({(0, 0): 1, (1, 1): 1.0}, "twist: bad rational 1.0 (type float)"),
+    ({(0, 1): [1]}, "twist: bad rational [1] (type list)"),
+    ({(0, 3): "abc", (1, 0): "1/0"},
+     "twist: bad rational 'abc': Invalid literal for Fraction: 'abc'"),
 ], ids=["int-beside-true", "str-beside-true", "int-beside-float",
         "unhashable", "first-of-two-bad-strings"])
 def test_bad_matrix_entries_exit_two(tmp_path, capsys, cells, message):
@@ -362,14 +364,15 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys):
 def test_exponent_past_the_digit_limit_exits_two(tmp_path, capsys, value):
     """An exponent at least the interpreter's int-digit limit (4300) is
     refused before Fraction forms its power of ten, which for 1e999999999
-    would take minutes."""
+    would take minutes, and the message says so."""
     doc = _inlined("n4.alg")
     doc["twist"][0][1] = value
     path = tmp_path / "big.alg"
     path.write_text(json.dumps(doc))
     code, _, err = run(["check", "algebra", str(path)], capsys)
     assert code == 2
-    assert err == f"input error: {path}: twist: bad rational {value!r}\n"
+    assert err == (f"input error: {path}: twist: bad rational {value!r}: "
+                   "exponent past the 4300-digit limit\n")
 
 
 # 10**2200 parses and is written back; a product of two such values has

@@ -24,9 +24,9 @@ from homlie3 import (Algebra3, BilForm, Cobracket, MatchedPairData, Mat,
                      check_matched_pair, check_metric, check_o_operator,
                      check_prelie, check_representation, coadjoint_rep,
                      coboundary_cobracket, compatible_prelie,
-                     derivation_space, fileio, is_derivation, manin_bracket,
-                     mat_inverse, rep_from_upper, semidirect_prelie,
-                     triple_bracket, verify_residual)
+                     derivation_space, fileio, homlie, is_derivation,
+                     manin_bracket, mat_inverse, rep_from_upper,
+                     semidirect_prelie, triple_bracket, verify_residual)
 from homlie3.bialgebra import _matched_sum, standard_manin_reps
 from homlie3.cli import report_doc
 from homlie3.homlie import (CheckReport, Witness, _hom_jacobi_terms,
@@ -158,7 +158,7 @@ def test_skew_twisted_outer_parts_are_the_increasing_full_ones():
             continue
         skewed += 1
         for slot in range(3):
-            reduced = _twisted_outer(a, slot)
+            reduced = _twisted_outer(a)[slot]
             got = {m: dict(pairs) for m, pairs in reduced.items()}
             assert [len(p) for p in got.values()] == \
                 [len(p) for p in reduced.values()], (a.label, slot)
@@ -166,6 +166,23 @@ def test_skew_twisted_outer_parts_are_the_increasing_full_ones():
                                {s: a.twist for s in range(3) if s != slot})
             assert got == increasing(full), (a.label, slot)
     assert skewed >= 10
+
+
+def test_twist_minors_are_formed_once_per_check(monkeypatch):
+    """check_algebra on the dim-48 nilpotent double forms the minors of
+    each pair of twist rows once, for all three twisted slots: exactly the
+    pairs a < b that some bracket row holds in two of its slots."""
+    double = nilpotent_extension(n4(N4_DIAG), 7)[0].double
+    calls, minors = [], homlie._minors
+    monkeypatch.setattr(homlie, "_minors", lambda A, a, b: (
+        calls.append((a, b)), minors(A, a, b))[1])
+    assert check_algebra(double).part("skew").passed
+    slots = {(s, ab) for key, _ in double.bracket.rows() for s in range(3)
+             if (ab := key[:s] + key[s + 1:])[0] < ab[1]}
+    pairs = {ab for _, ab in slots}
+    assert len(calls) == len(set(calls)) and set(calls) == pairs
+    # formed once per slot, a pair held in several slots would repeat
+    assert double.dim == 48 and len(slots) > len(pairs) >= 50
 
 
 def test_hom_jacobi_and_multiplicative_match_loops():
@@ -182,9 +199,9 @@ def test_hom_jacobi_and_multiplicative_match_loops():
                    oracles.hom_jacobi_check_loop(a, full[0]))
         mult.compare(a.label, rep.part("multiplicative"),
                      oracles.multiplicative_check_loop(a), 4 ** 3)
-        t12 = _twisted_outer(a, 2)
-        got = (_residual(_hom_jacobi_terms(a, t12)),
-               _residual(_morphism_terms(a, a.twist, t12, True)))
+        outer = _twisted_outer(a)
+        got = (_residual(_hom_jacobi_terms(a, outer)),
+               _residual(_morphism_terms(a, a.twist, outer[2], True)))
         for res, want in zip(got, full):
             assert res == {k: v for k, v in want.items()
                            if sorted_key(k)}, a.label

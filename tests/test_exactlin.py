@@ -1,6 +1,7 @@
 """Exact linear algebra against an independent sympy oracle and against
 the dense routines it replaced (``oracles.py``), plus algebraic property
 tests for Mat and Tensor4."""
+import collections
 import fractions
 import glob
 import itertools
@@ -20,7 +21,7 @@ from homlie3 import (InputError, Mat, Tensor4, check_algebra, check_metric,
                      check_symplectic, derivation_space, exactlin, fileio,
                      mat_inverse, mat_rank, nilpotent_extension, rat,
                      rat_str)
-from homlie3.exactlin import _gauss_jordan, dense, linear_solver, sparse_of
+from homlie3.exactlin import _gauss_jordan, dense, linear_solver
 from homlie3.symplectic import _truncated_extension, is_metric_derivation
 
 import oracles
@@ -186,7 +187,7 @@ def test_rref_matches_sympy():
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
         m = random_mat(rng, r, c)
-        piv, _ = _gauss_jordan(map(sparse_of, m.entries))
+        piv, _ = _gauss_jordan(m.nonzeros)
         pivots = sorted(piv)
         reduced = [dense(piv[p], c) for p in pivots]
         reduced += [(0,) * c] * (r - len(pivots))
@@ -460,6 +461,102 @@ def test_block_diag_shapes_and_content():
     assert m.entries[0][2] == F(0)
 
 
+def sparse_mats(rng, count: int) -> list:
+    """Seeded matrices up to 6x6, sparse and dense, of ints and Fractions,
+    half of them with a zero row and a zero column, and count // 4 sparse
+    invertible ones."""
+    out = []
+    for _ in range(count):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        density = rng.choice((0.15, 0.4, 1.0))
+        rows = [[rng.choice((rng.randint(-3, 3), F(rng.randint(-3, 3), 2)))
+                 if rng.random() < density else 0 for _ in range(c)]
+                for _ in range(r)]
+        if rng.random() < 0.5:
+            rows[rng.randrange(r)] = [0] * c
+            zero_col = rng.randrange(c)
+            for row in rows:
+                row[zero_col] = 0
+        out.append(Mat(rows))
+    for _ in range(count // 4):  # sparse and invertible: P (D + U)
+        n = rng.randint(1, 6)
+        rows = [[0 if j < i or rng.random() < 0.7 else rng.randint(-2, 2)
+                 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.choice((1, -1, 3, F(1, 2)))
+        rng.shuffle(rows)
+        out.append(Mat(rows))
+    return out
+
+
+def dense_nonzeros(m: Mat) -> tuple:
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v)
+                 for row in m.entries)
+
+
+def views(m: Mat) -> list:
+    """m as it is and a copy of it with its nonzero view formed."""
+    formed = Mat._of(m.entries)
+    assert formed.nonzeros == dense_nonzeros(m)
+    return [Mat._of(m.entries), formed]
+
+
+def test_nonzero_view_agrees_with_dense_definitions():
+    """Every Mat operation that reads or forms the nonzero view gives the
+    dense definition's entries, and every view it forms is the nonzero
+    pairs of those entries, whether or not its operands' views were formed
+    first: products, sums, negation, transpose, diag, block_diag, column
+    supports, rank, inverse, solves and matrix documents."""
+    rng = random.Random(2207)
+    mats = sparse_mats(rng, 60)
+    checked, seen = 0, collections.Counter()
+    for a in mats:
+        b = rng.choice([m for m in mats if m.rows == a.cols] or [a.transpose()])
+        same = Mat([[rng.choice((0, 0, 1, F(-2, 3))) for _ in range(a.cols)]
+                    for _ in range(a.rows)])
+        for x in views(a):
+            for y in views(b):
+                want = [[sum((x[i][k] * y[k][j] for k in range(x.cols)), 0)
+                         for j in range(y.cols)] for i in range(x.rows)]
+                got = [x @ y, Mat.block_diag(x, y)]
+                assert got[0] == Mat(want)
+                corner = [[0] * y.cols for _ in range(x.rows)]
+                lower = [[0] * x.cols for _ in range(y.rows)]
+                assert got[1] == Mat([list(r) + z for r, z in zip(x, corner)]
+                                     + [z + list(r) for z, r in zip(lower, y)])
+                for z in views(same):
+                    got += [x + z, x - z]
+                    assert got[-2] == Mat([[p + q for p, q in zip(r, t)]
+                                           for r, t in zip(x, z)])
+                    assert got[-1] == Mat([[p - q for p, q in zip(r, t)]
+                                           for r, t in zip(x, z)])
+                got += [-x, x.transpose()]
+                assert got[-2] == Mat([[-v for v in r] for r in x])
+                assert got[-1] == Mat(list(zip(*x.entries)))
+                for m in got:
+                    assert m.nonzeros == dense_nonzeros(m)
+                    checked += 1
+            assert x.col_support() == [
+                [(i, x[i][j]) for i in range(x.rows) if x[i][j]]
+                for j in range(x.cols)]
+            assert fileio._matrix_doc(x) == [[rat_str(v) for v in row]
+                                             for row in x.entries]
+            assert mat_rank(x) == oracles.mat_rank_dense(x)
+            for rhs in ([rng.randint(-2, 2) for _ in range(x.rows)],
+                        oracles.apply(x, [rng.randint(-2, 2)
+                                          for _ in range(x.cols)])):
+                want = oracles.solve_linear_dense(x, rhs)
+                assert linear_solver(x)(rhs) == (
+                    want.particular if want.consistent else None)
+                seen[want.consistent] += 1
+            if x.rows == x.cols:
+                assert mat_inverse(x) == oracles.mat_inverse_dense(x)
+                seen["invertible"] += mat_rank(x) == x.rows
+    d = Mat.diag([0, F(1, 2), 3])
+    assert d.nonzeros == dense_nonzeros(d) == ((), ((1, F(1, 2)),), ((2, 3),))
+    assert checked > 1000 and min(seen.values()) >= 10, seen
+
+
 def test_tensor4_accumulates_and_drops_zeros():
     t = Tensor4.from_entries((2, 2, 2, 2),
                              [(0, 0, 0, 0, F(1)), (0, 0, 0, 0, F(-1)),
@@ -595,10 +692,10 @@ def test_trusted_constructors_keep_their_errors():
     ident = [["1" if p == q else "0" for q in range(3)] for p in range(3)]
     for doc, message in (
             ({"bracket": [[1, 2, 3, 1, True]], "twist": ident},
-             "<inline>: bracket[1]: bad rational True"),
+             "<inline>: bracket[1]: bad rational True (type bool)"),
             ({"bracket": [], "twist": [["1", "0", "0"], ["0", True, "0"],
                                        ["0", "0", "1"]]},
-             "<inline>: twist: bad rational True")):
+             "<inline>: twist: bad rational True (type bool)")):
         with pytest.raises(InputError) as e:
             fileio.algebra_from_doc({"dim": 3, **doc})
         assert str(e.value) == message

@@ -1,6 +1,6 @@
 """Every top-level import in the package modules is used, every private
 top-level function is referenced somewhere in the package, every public
-one is exported, referenced or reached by the CLI, every oracle in
+one is reached by a walk from the exports and the CLI, every oracle in
 ``tests/oracles.py`` is referenced by the tests, values are divided only
 in ``exactlin``, JSON is written and files are touched only by ``fileio``,
 and no module imports ``dataclasses`` or ``typing`` (no linter is
@@ -68,24 +68,29 @@ def test_no_unused_top_level_imports(path):
         assert unused_imports(fh.read()) == []
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _read_names(top) -> set:
+    """Names one top-level statement reads, looks up as attributes or
+    imports by name; a function or class naming itself does not count."""
+    names = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    if isinstance(top, DEFINITIONS):
+        names.discard(top.name)
+    return names
+
+
 def referenced_names(source: str) -> set:
     """Names a module reads, looks up as attributes or imports by name; a
     top-level function or class naming itself does not count."""
-    out = set()
-    for top in ast.parse(source).body:
-        names = set()
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                names |= {alias.name for alias in node.names}
-        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
-                            ast.ClassDef)):
-            names.discard(top.name)
-        out |= names
-    return out
+    return set().union(*map(_read_names, ast.parse(source).body))
 
 
 def unreferenced_private_functions(sources: dict) -> list:
@@ -141,14 +146,30 @@ def cli_reached(source: str) -> set:
 def unreachable_public(sources: dict) -> list:
     """(module, name) for each public top-level function or class of the
     modules in ``sources`` ({module: source}, "__init__.py" and "cli.py"
-    among them) that ``__init__`` does not export, no other top-level
-    statement references and the CLI does not reach through a string."""
-    reached = set().union(*map(referenced_names, sources.values()))
-    reached |= cli_reached(sources["cli.py"])
+    among them) that a walk from the roots does not reach. The roots are
+    the names ``__init__`` exports, those the CLI reaches through a string,
+    its entry point ``main`` and the names that top-level statements other
+    than definitions and imports read (they run at import); a reached
+    definition reaches every name it reads. So a chain of dead code, whose
+    links only name one another, is flagged whole."""
+    defs: dict = {}
+    reached = cli_reached(sources["cli.py"]) | {"main"}
+    reached |= referenced_names(sources["__init__.py"])
+    for src in sources.values():
+        for top in ast.parse(src).body:
+            if isinstance(top, DEFINITIONS):
+                defs.setdefault(top.name, []).append(top)
+            elif not isinstance(top, (ast.Import, ast.ImportFrom)):
+                reached |= _read_names(top)
+    todo = list(reached)
+    while todo:
+        for top in defs.pop(todo.pop(), ()):
+            new = _read_names(top) - reached
+            reached |= new
+            todo += new
     return sorted((mod, node.name) for mod, src in sources.items()
                   for node in ast.parse(src).body
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef))
+                  if isinstance(node, DEFINITIONS)
                   and not node.name.startswith("_")
                   and node.name not in reached)
 
@@ -156,11 +177,16 @@ def unreachable_public(sources: dict) -> list:
 def test_detector_flags_an_unreachable_public_definition():
     sources = {
         "__init__.py": "from .a import Exported\n",
-        "a.py": "class Exported:\n    pass\n\n"
+        "a.py": "from .b import imported\n\n"
+                "class Exported:\n    def f(self):\n        return _live()\n\n"
+                "def _live():\n    return used\n\n"
+                "def used():\n    pass\n\n"
                 "class Dead:\n    def f(self):\n        return Dead()\n\n"
-                "def helper():\n    pass\n\n"
-                "def dead():\n    return helper(), dead\n\n"
+                "def helper():\n    return imported\n\n"
+                "def _link():\n    return helper()\n\n"
+                "def dead():\n    return _link(), dead\n\n"
                 "def op():\n    pass\n\ndef checker():\n    pass\n",
+        "b.py": "def imported():\n    pass\n",
         "fileio.py": "def load_thing():\n    pass\n\n"
                      "def load_other():\n    pass\n\n"
                      "def thing_to_doc():\n    pass\n\n"
@@ -169,10 +195,12 @@ def test_detector_flags_an_unreachable_public_definition():
                   "HANDLERS = {('v', 't'): Verb('thing [other]', 'a.op'),\n"
                   "            ('v', 'u'): Verb('thing', _glue, check='a.checker')}\n",
     }
-    # a class or function naming only itself is unreached; one that only a
-    # dead definition names is reached, and goes once that one has gone
+    # a class or function naming only itself is unreached, and so is the
+    # whole chain that only a dead definition names, through a private
+    # link and an import; what a reached class's method names is reached
     assert unreachable_public(sources) == [
-        ("a.py", "Dead"), ("a.py", "dead"), ("fileio.py", "other_to_doc")]
+        ("a.py", "Dead"), ("a.py", "dead"), ("a.py", "helper"),
+        ("b.py", "imported"), ("fileio.py", "other_to_doc")]
 
 
 def test_every_public_definition_is_reachable():

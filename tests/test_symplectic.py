@@ -1,9 +1,12 @@
 """Symplectic structures, metrics, derivation round-trips, phase spaces,
 and the nilpotent-extension bundles."""
+import types
 from fractions import Fraction
 
 import pytest
 
+import homlie3
+from homlie3 import exactlin
 from homlie3 import (Algebra3, BilForm, Mat, PreconditionError, Rep3, fileio,
                      canonical_phase_form, check_algebra, check_metric,
                      check_phase_space, check_prelie, check_symplectic,
@@ -242,3 +245,33 @@ def test_phase_space_witnesses_do_not_depend_on_row_order():
         w = check_phase_space(base, Algebra3.abelian(8)).part(
             "base_bracket").witness
         assert (w.check, w.at) == ("base_bracket", (0, 1, 2, 3))
+
+
+def test_nilpotent_build_calls_public_exactlin_o1_times(monkeypatch):
+    """A nilpotent build calls the public ``exactlin`` functions (all but
+    the per-entry helpers) a fixed number of times, whatever the number of
+    steps: once per matrix it checks, not once per row or entry. The
+    benchmark's tracer (``perfbench/tracer.py``) opens a span at each such
+    call, so per-row calls would slow its traced run with the size of the
+    bundle."""
+    per_entry = {"rat", "rat_str", "dense", "vec_add_into"}
+    names = {name for name, fn in vars(exactlin).items()
+             if isinstance(fn, types.FunctionType)
+             and fn.__module__ == exactlin.__name__
+             and not name.startswith("_") and name not in per_entry}
+    assert {"mat_rank", "mat_inverse", "linear_solver"} <= names
+    calls = []
+    for mod in (exactlin, *(getattr(homlie3, m) for m in (
+            "homlie", "reps", "bialgebra", "prelie", "yangbaxter",
+            "symplectic", "fileio"))):
+        for name in names & set(vars(mod)):
+            def wrapper(*args, _fn=getattr(exactlin, name), _name=name, **kw):
+                calls.append(_name)
+                return _fn(*args, **kw)
+            monkeypatch.setattr(mod, name, wrapper)
+    counts = []
+    for steps in (3, 7):
+        calls.clear()
+        assert nilpotent_extension(n4(), steps)[1].passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 12, counts
