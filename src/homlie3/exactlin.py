@@ -8,11 +8,12 @@ rationals. An element is an ``int`` when it is integral and a
 ints stay ints, so integral data is never promoted to ``Fraction``.
 Arithmetic that mixes in a ``Fraction`` may leave an integral ``Fraction``
 in a result; it compares, hashes and prints as the int it equals.
-``mat_inverse``, ``sparse_kernel`` and the reciprocals of elimination
-turn one into its int (``_normal``). Values are divided only in this
-module, always with a ``Fraction`` numerator so that the result stays
-exact: in ``_gauss_jordan`` and ``unlift``. All containers are immutable
-after construction and all functions are pure.
+Matrix sums and products, ``mat_inverse``, ``sparse_kernel``, the
+reciprocals of elimination and ``unlift`` turn one into its int
+(``_normal``). Values are divided only in this module, always with a
+``Fraction`` numerator so that the result stays exact: in
+``_gauss_jordan`` and ``unlift``. All containers are immutable after
+construction and all functions are pure.
 
 Values pass ``rat`` once, at the boundary: the public constructors
 ``Mat(...)``, ``Mat.diag``, ``Tensor4(...)`` and ``Tensor4.from_entries``
@@ -20,12 +21,15 @@ parse their arguments, while ``Mat._of`` and ``Tensor4._of`` trust rows
 that are already parsed and checked, and are what every result built
 here from such values goes through.
 
-Fraction-free checks lift rational data to ints: ``common_denominator``
-gives the lcm D of the denominators, ``lift`` maps p/q to p * (D // q),
-an ``int``, and an identity that is homogeneous in the lifted factors is
-compared on ints. ``unlift`` divides a lifted side back by its scale only
-where a value is shown (Bareiss's integer-preserving arithmetic, *Math.
-Comp.* 22, 1968).
+Fraction-free checks lift rational data to ints. A ``Mat`` or ``Tensor4``
+has a denominator ``den``, the lcm D of its entries' denominators (1 when
+they are all ints), formed at most once per object, or set by the
+producer that already knows it. ``lifted()`` is the copy D * x with int
+entries, p/q becoming p * (D // q): the object itself when D is 1, so
+integral data is never copied. An identity is compared on ints, each of
+its terms scaled to one common factor, and ``unlift`` divides a lifted
+value back by that factor only where it is shown (Bareiss's
+integer-preserving arithmetic, *Math. Comp.* 22, 1968).
 
 All linear algebra runs on one sparse Gauss-Jordan routine,
 ``_gauss_jordan``: rows are {col: value} dicts and a pivot map takes each
@@ -123,10 +127,11 @@ def _unwritable() -> InputError:
 
 class Mat:
     """Immutable dense matrix of rationals.  ``M[i][j]``, row-major, with
-    ``nonzeros`` the view of its nonzero entries (see the module notes).
-    Equality and hashing read ``entries`` only."""
+    ``nonzeros`` the view of its nonzero entries and ``den`` its
+    denominator (see the module notes). Equality and hashing read
+    ``entries`` only."""
 
-    __slots__ = ("rows", "cols", "entries", "_nz")
+    __slots__ = ("rows", "cols", "entries", "_nz", "_den")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = tuple(tuple(rat(v) for v in row) for row in entries)
@@ -136,7 +141,7 @@ class Mat:
         if any(len(r) != cols for r in rows):
             raise InputError("ragged matrix rows")
         self.rows, self.cols, self.entries = len(rows), cols, rows
-        self._nz = None
+        self._nz = self._den = None
 
     @staticmethod
     def _of(rows: Sequence[Sequence]) -> "Mat":
@@ -148,7 +153,8 @@ class Mat:
         m.entries = tuple(map(tuple, rows))
         if not m.entries or not m.entries[0]:
             raise InputError("matrix must have positive dimensions")
-        m.rows, m.cols, m._nz = len(m.entries), len(m.entries[0]), None
+        m.rows, m.cols = len(m.entries), len(m.entries[0])
+        m._nz = m._den = None
         return m
 
     @staticmethod
@@ -170,6 +176,26 @@ class Mat:
             self._nz = tuple(tuple(compress(enumerate(r), r))
                              for r in self.entries)
         return self._nz
+
+    @property
+    def den(self) -> int:
+        """The lcm of the denominators of the entries, 1 when all are ints."""
+        if self._den is None:
+            self._den = lcm(*{v.denominator for pairs in self.nonzeros
+                              for _, v in pairs})
+        return self._den
+
+    def lifted(self, d: int | None = None) -> "Mat":
+        """d * M with int entries, for a d that ``den`` divides (``den`` by
+        default); M itself when d is 1."""
+        d = self.den if d is None else d
+        if d == 1:
+            return self
+        m = Mat._sparse([[(j, v.numerator * (d // v.denominator))
+                          for j, v in pairs] for pairs in self.nonzeros],
+                        self.cols)
+        m._den = 1
+        return m
 
     @staticmethod
     def identity(n: int) -> "Mat":
@@ -193,6 +219,8 @@ class Mat:
         if a._nz is not None and b._nz is not None:
             m._nz = a._nz + tuple(tuple((j + a.cols, v) for j, v in pairs)
                                   for pairs in b._nz)
+        if a._den is not None and b._den is not None:
+            m._den = lcm(a._den, b._den)
         return m
 
     def __getitem__(self, i: int) -> Sequence:
@@ -209,7 +237,7 @@ class Mat:
         out = [list(row) for row in self.entries]
         for row, pairs in zip(out, other.nonzeros):
             for j, v in pairs:
-                row[j] += v
+                row[j] = _normal(row[j] + v)
         return Mat._of(out)
 
     def __sub__(self, other: "Mat") -> "Mat":
@@ -220,10 +248,6 @@ class Mat:
             return Mat._of([[-a for a in row] for row in self.entries])
         return Mat._sparse([[(j, -v) for j, v in pairs]
                             for pairs in self.nonzeros], self.cols)
-
-    def scale(self, s) -> "Mat":
-        s = rat(s)
-        return Mat._of([[s * a for a in row] for row in self.entries])
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -236,13 +260,17 @@ class Mat:
             for k, a in pairs:
                 for j, b in nz[k]:
                     acc[j] = acc.get(j, ZERO) + a * b
-            out.append(sorted((j, v) for j, v in acc.items() if v))
+            out.append(sorted((j, v if type(v) is int else _normal(v))
+                              for j, v in acc.items() if v))
         return Mat._sparse(out, other.cols)
 
     def transpose(self) -> "Mat":
         if self._nz is None:
-            return Mat._of(zip(*self.entries))
-        return Mat._sparse(self.col_support(), self.rows)
+            m = Mat._of(zip(*self.entries))
+        else:
+            m = Mat._sparse(self.col_support(), self.rows)
+        m._den = self._den
+        return m
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Mat.identity(self.rows)
@@ -394,9 +422,10 @@ class Tensor4:
 
     ``Tensor4(dims, rows)`` parses every value with ``rat``;
     ``from_entries`` parses each entry once as it adds it up, and ``_of``
-    trusts rows that are already clean."""
+    trusts rows that are already clean. ``den`` is its denominator (see
+    the module notes)."""
 
-    __slots__ = ("dims", "_rows")
+    __slots__ = ("dims", "_rows", "_den")
 
     def __init__(self, dims: Sequence[int], rows: Mapping):
         self.dims = _tensor_dims(dims)
@@ -407,27 +436,29 @@ class Tensor4:
             _check_outputs(self.dims, v)
             if v:
                 clean[(i, j, k)] = v
-        self._rows = clean
+        self._rows, self._den = clean, None
 
     @staticmethod
-    def _of(dims: tuple, rows: dict) -> "Tensor4":
+    def _of(dims: tuple, rows: dict, den: int | None = None) -> "Tensor4":
         """A Tensor4 of rows {(i, j, k): {l: value}} that are already clean
         (in range, no zero entries or empty rows, ``rat`` values), as this
         module and the file parser build them: nothing is parsed, checked
-        or copied."""
+        or copied. ``den``, when the caller knows it, is its denominator."""
         t = object.__new__(Tensor4)
-        t.dims, t._rows = dims, rows
+        t.dims, t._rows, t._den = dims, rows, den
         return t
 
     @staticmethod
     def zero(dims: Sequence[int]) -> "Tensor4":
-        return Tensor4._of(_tensor_dims(dims), {})
+        return Tensor4._of(_tensor_dims(dims), {}, 1)
 
     @staticmethod
-    def from_entries(dims: Sequence[int], entries: Iterable) -> "Tensor4":
+    def from_entries(dims: Sequence[int], entries: Iterable,
+                     den: int | None = None) -> "Tensor4":
         """Build from an iterable of (i, j, k, l, value); duplicates add up.
         The indices of the sum are checked as ``Tensor4(dims, rows)`` checks
-        them."""
+        them. ``den``, when the caller knows it, is the denominator of the
+        sum."""
         rows: dict = {}
         for (i, j, k, l, v) in entries:
             vec = rows.setdefault((i, j, k), {})
@@ -442,7 +473,26 @@ class Tensor4:
         for (i, j, k), vec in rows.items():
             _check_key(dims, i, j, k)
             _check_outputs(dims, vec)
-        return Tensor4._of(dims, {key: vec for key, vec in rows.items() if vec})
+        return Tensor4._of(dims, {key: vec for key, vec in rows.items() if vec},
+                           den)
+
+    @property
+    def den(self) -> int:
+        """The lcm of the denominators of the entries, 1 when all are ints."""
+        if self._den is None:
+            self._den = lcm(*{v.denominator for vec in self._rows.values()
+                              for v in vec.values()})
+        return self._den
+
+    def lifted(self, d: int | None = None) -> "Tensor4":
+        """d * t with int entries, for a d that ``den`` divides (``den`` by
+        default); t itself when d is 1."""
+        d = self.den if d is None else d
+        if d == 1:
+            return self
+        return Tensor4._of(self.dims, {
+            key: {l: v.numerator * (d // v.denominator) for l, v in vec.items()}
+            for key, vec in self._rows.items()}, 1)
 
     def get(self, i: int, j: int, k: int, l: int):
         return self._rows.get((i, j, k), {}).get(l, ZERO)
@@ -472,7 +522,8 @@ class Tensor4:
         if s == 0:
             return Tensor4.zero(self.dims)
         return Tensor4._of(self.dims, {k: {l: _normal(s * v) for l, v in vec.items()}
-                                       for k, vec in self._rows.items()})
+                                       for k, vec in self._rows.items()},
+                           self._den if s in (1, -1) else None)
 
 
 def _tensor_dims(dims: Sequence[int]) -> tuple:
@@ -514,32 +565,11 @@ def dense(vec: Mapping, n: int) -> tuple:
     return tuple(vec.get(i, ZERO) for i in range(n))
 
 
-# Lifting to ints. A sparse matrix is {p: {q: value}} with no zero entries
-# and no empty rows; the arithmetic on them is private to ``reps``.
-
-def common_denominator(values: Iterable) -> int:
-    """The lcm of the denominators of the nonzero values (1 for none)."""
-    return lcm(*{v.denominator for v in values if v})
-
-
-def lift(v, d: int) -> int:
-    """d * v as an int, for a rational v whose denominator divides d."""
-    return v.numerator * (d // v.denominator)
-
-
-def spmat_lift(s: Mapping, d: int) -> Mapping:
-    """d * s with int entries, for a sparse matrix s whose denominators all
-    divide d; s itself, not a copy, when d is 1."""
+def unlift(rows: Mapping, d: int) -> Mapping:
+    """The rows {key: {l: v / d}} of rows of ints lifted by d, in ``rat``
+    form; rows itself when d is 1."""
     if d == 1:
-        return s
-    return {p: {q: lift(v, d) for q, v in row.items()} for p, row in s.items()}
-
-
-def unlift(s: Mapping, d: int) -> Mapping:
-    """The rational sparse matrix s / d of a lifted s, with entries through
-    rat; s itself when d is 1."""
-    if d == 1:
-        return s
-    return {p: {q: rat(Fraction(v, d)) for q, v in row.items()}
-            for p, row in s.items()}
+        return rows
+    return {key: {l: _normal(Fraction(v, d)) for l, v in vec.items()}
+            for key, vec in rows.items()}
 

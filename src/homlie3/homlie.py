@@ -37,17 +37,30 @@ each orbit, and the twisted outer parts of the first two are built in one
 pass, at increasing index pairs, from 2x2 minors of the twist formed once
 per pair (``_twisted_outer``). The skew scan visits each orbit once, and
 its verdict is cached on the algebra, so every check shares one scan.
+
+Rational data is checked on ints. A check builds its terms from sources
+lifted by their denominators (``Mat.lifted``, ``Tensor4.lifted``; an
+algebra caches its lifted bracket and twist), and gives ``_identity`` one
+scale per term: the product of the denominators of the sources that the
+term composes, each once per use. A Hom-Jacobi term uses the bracket twice
+and the twist twice, so its scale is Dc**2 Da**2; the two sides of
+multiplicativity have Dc Da and Dc Da**3. ``_identity`` multiplies each
+term's sign by L // scale, L the lcm of the scales, so that the residual
+is L times the rational one and has the same nonzero keys, and divides
+only the two sides of the witness back by L. Integral sources have every
+scale 1, and are neither copied nor rescaled. ``twist_slots`` composes
+lifted inputs too, and divides each entry of its result back once.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 from operator import attrgetter, itemgetter
 
 from .exactlin import (
     InputError, Mat, ONE, Tensor4, ZERO, dense, mat_rank, sparse_kernel,
-    vec_add_into,
+    unlift, vec_add_into,
 )
 
 class PreconditionError(ValueError):
@@ -192,6 +205,19 @@ class Algebra3(Record):
         """The report of ``_skew_check``, formed once per algebra."""
         return _skew_scan(self.bracket)
 
+    @cached_property
+    def _lift(self) -> tuple:
+        """(L, Dc, Da), formed once per algebra: Dc and Da the denominators
+        of the bracket and the twist, and L the algebra with both lifted to
+        ints by them (the algebra itself when both are 1). L holds data for
+        the checks to compose, not a 3-Hom-Lie algebra: multiplicativity,
+        of degree 1 and 3 in the twist, does not survive the lift."""
+        c, A = self.bracket, self.twist
+        Dc, Da = c.den, A.den
+        if Dc == Da == 1:
+            return self, 1, 1
+        return Algebra3(self.dim, c.lifted(), A.lifted(), self.label), Dc, Da
+
     @staticmethod
     def abelian(n: int, twist: Mat | None = None, label: str = "abelian") -> "Algebra3":
         return Algebra3(n, Tensor4.zero((n,) * 4),
@@ -202,8 +228,15 @@ def twist_slots(c: Tensor4, mats: Mapping[int, Mat]) -> dict:
     """Compose the bracket with linear maps in the given argument slots.
 
     Returns {(i,j,k): {l: val}} for the tensor of (x,y,z) ->
-    [m0(x), m1(y), m2(z)] where ms is mats.get(slot, identity).
+    [m0(x), m1(y), m2(z)] where ms is mats.get(slot, identity). It is
+    composed on the inputs lifted to ints, and each entry is divided back
+    once by the product of their denominators.
     """
+    d = c.den
+    for m in mats.values():
+        d *= m.den
+    if d != 1:
+        c, mats = c.lifted(), {s: m.lifted() for s, m in mats.items()}
     # for each original index a, the columns x with M[a][x] != 0
     row_sup = {s: m.nonzeros for s, m in mats.items()}
     out: dict = {}
@@ -217,7 +250,8 @@ def twist_slots(c: Tensor4, mats: Mapping[int, Mat]) -> dict:
                 for z, fz in ch2:
                     row = out.setdefault((x, y, z), {})
                     vec_add_into(row, lvec, fxy * fz)
-    return {key: vec for key, vec in out.items() if vec}
+    out = {key: vec for key, vec in out.items() if vec}
+    return unlift(out, d) if d != 1 else out
 
 
 def _skew_check(a: Algebra3) -> CheckReport:
@@ -297,7 +331,8 @@ def _at(terms, key: tuple) -> dict:
 
 
 def _identity(name: str, terms, dims: tuple, width: int,
-              lhs: int | None = None, nominal: bool = False) -> CheckReport:
+              lhs: int | None = None, nominal: bool = False,
+              scales: Sequence | None = None) -> CheckReport:
     """Check that the terms sum to zero at every key of shape ``dims``.
 
     The witness is the lex-first nonzero key. Its left side is the sum of
@@ -308,13 +343,24 @@ def _identity(name: str, terms, dims: tuple, width: int,
     enumerated up to it, and prod(dims) when the identity holds or the count
     is ``nominal``. Keys may be longer than ``dims``: the indices past them
     locate the witness within the value at that tuple.
+
+    ``scales``, when given, holds for each term the factor by which its
+    lifted sources scale it. Each term's sign is multiplied by L // scale,
+    L the lcm of the scales, and the witness's sides are divided back by L.
     """
+    L = lcm(*scales) if scales else 1
+    if L != 1:
+        terms = [(sign * (L // scale), *rest)
+                 for (sign, *rest), scale in zip(terms, scales, strict=True)]
     res = _residual(terms)
     if not res:
         return CheckReport(True, prod(dims))
     key = min(res)
-    left = dense(res[key] if lhs is None else _at(terms[:lhs], key), width)
-    right = tuple(v - res[key].get(l, ZERO) for l, v in enumerate(left))
+    left, diff = res[key] if lhs is None else _at(terms[:lhs], key), res[key]
+    if L != 1:
+        left, diff = unlift({0: left, 1: diff}, L).values()
+    left = dense(left, width)
+    right = tuple(v - diff.get(l, ZERO) for l, v in enumerate(left))
     checked = 0
     for k, d in zip(key, dims):
         checked = checked * d + k
@@ -352,9 +398,9 @@ def _by_output(t: Tensor4) -> dict:
 
 def _permuted(t: Tensor4, order: tuple) -> Tensor4:
     """t with its four indices rearranged: entry e goes to (e[s] for s in
-    order)."""
+    order). The values, and so the denominator, are t's."""
     return Tensor4.from_entries(tuple(t.dims[s] for s in order),
-                                map(itemgetter(*order, 4), t.items()))
+                                map(itemgetter(*order, 4), t.items()), t._den)
 
 
 def _columns(m: Mat) -> dict:
@@ -456,16 +502,17 @@ def check_algebra(a: Algebra3, regular: bool = False) -> CheckReport:
         return CheckReport.combine(parts)
     # [a(x), a(y), z] grouped by z, shared by both checks, which the passed
     # skew check lets decide each orbit of keys at its sorted key
-    A, n = a.twist, a.dim
-    outer = _twisted_outer(a)
+    n = a.dim
+    lifted, Dc, Da = a._lift
+    outer = _twisted_outer(lifted)
     parts.append(("hom_jacobi", _identity(
-        "hom_jacobi", _hom_jacobi_terms(a, outer), (n,) * 5, n,
-        lhs=1, nominal=True)))
+        "hom_jacobi", _hom_jacobi_terms(lifted, outer), (n,) * 5, n,
+        lhs=1, nominal=True, scales=(Dc * Dc * Da * Da,) * 4)))
     parts.append(("multiplicative", _identity(
-        "multiplicative", _morphism_terms(a, A, outer[2], True), (n,) * 3, n,
-        lhs=1)))
+        "multiplicative", _morphism_terms(lifted, lifted.twist, outer[2], True),
+        (n,) * 3, n, lhs=1, scales=(Dc * Da, Dc * Da ** 3))))
     if regular:
-        parts.append(("regular", _flag(mat_rank(A) == n, "regular")))
+        parts.append(("regular", _flag(mat_rank(a.twist) == n, "regular")))
     return CheckReport.combine(parts)
 
 
@@ -473,10 +520,13 @@ def is_bracket_morphism(a: Algebra3, phi: Mat) -> Witness | None:
     """None when phi([x,y,z]) = [phi x, phi y, phi z] on all basis triples."""
     if phi.shape != (a.dim, a.dim):
         raise InputError(f"morphism shape {phi.shape} for dim {a.dim}")
+    lifted, Dc, _ = a._lift
+    P, Dp = phi.lifted(), phi.den
     # the bracket has not been checked for skewness: every key is formed
     terms = _morphism_terms(
-        a, phi, _slot_outer(a.bracket, 2, {0: phi, 1: phi}), False)
-    return _identity("morphism", terms, (a.dim,) * 3, a.dim, lhs=1).witness
+        lifted, P, _slot_outer(lifted.bracket, 2, {0: P, 1: P}), False)
+    return _identity("morphism", terms, (a.dim,) * 3, a.dim, lhs=1,
+                     scales=(Dc * Dp, Dc * Dp ** 3)).witness
 
 
 def yau_twist(a: Algebra3, morph: Mat) -> Algebra3:
@@ -491,7 +541,7 @@ def yau_twist(a: Algebra3, morph: Mat) -> Algebra3:
     if w is not None:
         raise PreconditionError("morph is not a bracket morphism", witness=w)
     rows = twist_slots(a.bracket, {0: morph, 1: morph, 2: morph})
-    return Algebra3(a.dim, Tensor4((a.dim,) * 4, rows), morph,
+    return Algebra3(a.dim, Tensor4._of(a.bracket.dims, rows), morph,
                     label=f"{a.label}~yau" if a.label else "yau")
 
 
@@ -503,7 +553,7 @@ def composition_twist(a: Algebra3, beta: Mat) -> Algebra3:
     if a.twist @ beta != beta @ a.twist:
         raise PreconditionError("beta does not commute with the twist")
     rows = twist_slots(a.bracket, {0: beta, 1: beta, 2: a.twist})
-    return Algebra3(a.dim, Tensor4((a.dim,) * 4, rows), a.twist @ beta,
+    return Algebra3(a.dim, Tensor4._of(a.bracket.dims, rows), a.twist @ beta,
                     label=f"{a.label}~comp" if a.label else "comp")
 
 
@@ -585,10 +635,13 @@ def is_derivation(a: Algebra3, d: Mat) -> Witness | None:
     """None when d commutes with the twist and satisfies the Leibniz rule.
     Once ``_skew_check`` passes, the Leibniz residual is formed only at
     x < y < z; otherwise at every key."""
-    n, A = a.dim, a.twist
+    n = a.dim
     if d.shape != (n, n):
         raise InputError(f"derivation shape {d.shape} for dim {n}")
-    if d @ A != A @ d:
+    lifted, Dc, _ = a._lift
+    A, D = lifted.twist, d.lifted()
+    if D @ A != A @ D:
         return Witness("derivation_commutes", (), (), ())
-    terms = _leibniz_terms(a, d, _skew_check(a).passed)
-    return _identity("derivation", terms, (n,) * 3, n, lhs=1).witness
+    terms = _leibniz_terms(lifted, D, _skew_check(a).passed)
+    return _identity("derivation", terms, (n,) * 3, n, lhs=1,
+                     scales=(Dc * d.den,) * 4).witness

@@ -9,11 +9,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import cache
 from itertools import combinations, product
+from math import lcm
 
-from .exactlin import (
-    InputError, Mat, Tensor4, ZERO, common_denominator, dense, lift,
-    spmat_lift, unlift, vec_add_into,
-)
+from .exactlin import InputError, Mat, Tensor4, ZERO, dense, unlift, vec_add_into
 from .homlie import (
     Algebra3, CheckReport, Record, Witness, _permuted, _require, _skew_check,
     check_algebra,
@@ -168,8 +166,9 @@ def check_representation(r: Rep3) -> CheckReport:
     term of action from the products rho(k, a(u)) B.
 
     The identities are compared on ints: rho, B, the twist and the bracket
-    are lifted by the common denominators Dr, DB, Da and Dc of their
-    entries, and each term's missing factors are folded into an operator,
+    are lifted by their denominators Dr (the lcm of the operators' ``den``),
+    DB, Da and Dc, through ``Mat.lifted`` and ``Tensor4.lifted`` as every
+    check lifts, and each term's missing factors are folded into an operator,
     so that both sides of a part carry one scale. intertwine multiplies
     B rho by Da**2 and has scale Dr*Da**2*DB; action and exchange multiply
     the rho rho terms by Dc*DB and the bracket rows by Dc*Dr*Da, and have
@@ -179,22 +178,15 @@ def check_representation(r: Rep3) -> CheckReport:
     """
     n, m = r.base.dim, r.vdim
     # rho is skew: rho[i][j] is read for i < j only, and is {} elsewhere
-    rho = [[_spmat_of(mat) if i < j else {} for j, mat in enumerate(row)]
-           for i, row in enumerate(r.rho)]
-    B = _spmat_of(r.A)
-    cols = r.base.twist.col_support()  # cols[u]: (a, alpha[a][u]) nonzero
-    rows = dict(r.base.bracket.rows())  # (x, y, z): [x, y, z] nonzero
-    Dr = common_denominator(v for fam in rho for s in fam
-                            for row in s.values() for v in row.values())
-    DB = common_denominator(v for row in B.values() for v in row.values())
-    Da = common_denominator(f for col in cols for _, f in col)
-    Dc = common_denominator(v for vec in rows.values() for v in vec.values())
-    if Dr != 1:
-        rho = [[spmat_lift(s, Dr) if s else s for s in fam] for fam in rho]
-    if Da != 1:
-        cols = [[(a, lift(f, Da)) for a, f in col] for col in cols]
-    rows = spmat_lift(rows, Dc * Dr * Da)
-    B, BA = spmat_lift(B, DB), spmat_lift(B, DB * Da * Da)
+    Dr = lcm(*(mat.den for i, row in enumerate(r.rho) for mat in row[i + 1:]))
+    rho = [[_spmat_of(mat.lifted(Dr)) if i < j else {}
+            for j, mat in enumerate(row)] for i, row in enumerate(r.rho)]
+    lifted, Dc, Da = r.base._lift
+    DB = r.A.den
+    B, BA = _spmat_of(r.A.lifted()), _spmat_of(r.A.lifted(DB * Da * Da))
+    cols = lifted.twist.col_support()  # cols[u]: (a, Da alpha[a][u]) nonzero
+    # (x, y, z): Dc Dr Da [x, y, z], nonzero
+    rows = dict(r.base.bracket.lifted(Dc * Dr * Da).rows())
     S = Dc * DB  # the factor of the rho rho terms of action and exchange
     D2, D4 = Dr * Da * Da * DB, S * Dr * Dr * Da * Da  # the parts' scales
     skew = _skew_check(r.base).passed
@@ -329,7 +321,10 @@ def _semidirect(a: Algebra3, act: Tensor4, A: Mat) -> Algebra3:
     (x, y, v) -> rho(x, y) v and carrier twist A (see semidirect_sum)."""
     n, m = a.dim, act.dims[2]
     entries = [*a.bracket.items(), *_placed(act, 0, n)]
-    bracket = Tensor4.from_entries((n + m,) * 4, entries)
+    # the entries fall on distinct keys, so the values are a's and act's
+    dens = (a.bracket._den, act._den)
+    bracket = Tensor4.from_entries((n + m,) * 4, entries,
+                                   None if None in dens else lcm(*dens))
     twist = Mat.block_diag(a.twist, A)
     return Algebra3(n + m, bracket, twist,
                     label=f"{a.label}|x|V" if a.label else "semidirect")

@@ -46,10 +46,12 @@ def _fourterm_terms(a: Algebra3, W: Mat, skew: bool) -> list:
 
 def _fourterm_check(a: Algebra3, W: Mat) -> CheckReport:
     """The four-term cocycle identity on all basis 4-tuples, formed at the
-    sorted ones once ``_skew_check`` passes."""
-    terms = _fourterm_terms(a, W, _skew_check(a).passed)
+    sorted ones once ``_skew_check`` passes, on the lifted bracket, form
+    and twist: each term has scale Dc Dw Da."""
+    lifted, Dc, Da = a._lift
+    terms = _fourterm_terms(lifted, W.lifted(), _skew_check(a).passed)
     return _identity("symplectic_cocycle", terms, (a.dim,) * 4, 1,
-                     nominal=True)
+                     nominal=True, scales=(Dc * W.den * Da,) * 4)
 
 
 def _invariance_terms(a: Algebra3, B: Mat, skew: bool) -> list:
@@ -92,8 +94,10 @@ def check_metric(a: Algebra3, form: BilForm) -> CheckReport:
     parts.append(("symmetric", _flag(B.transpose() == B, "form_symmetric")))
     parts.append(("nondegenerate", _flag(mat_rank(B) == n,
                                          "form_nondegenerate")))
-    terms = _invariance_terms(a, B, _skew_check(a).passed)
-    parts.append(("invariance", _identity("metric", terms, (n,) * 4, 1)))
+    lifted, Dc, _ = a._lift
+    terms = _invariance_terms(lifted, B.lifted(), _skew_check(a).passed)
+    parts.append(("invariance", _identity("metric", terms, (n,) * 4, 1,
+                                          scales=(Dc * B.den,) * 2)))
     return CheckReport.combine(parts)
 
 
@@ -319,7 +323,9 @@ def _truncated_extension(a: Algebra3, steps: int) -> Algebra3:
                     if p + q + r <= deg:
                         entries.append((idx(i, p), idx(j, q), idx(k, r),
                                         idx(l, p + q + r), v))
-    bracket = Tensor4.from_entries((N,) * 4, entries)
+    # each entry is one of a's, so the extension of integral a is integral
+    bracket = Tensor4.from_entries((N,) * 4, entries,
+                                   1 if a.bracket.den == 1 else None)
     twist = a.twist
     for _ in range(deg - 1):
         twist = Mat.block_diag(twist, a.twist)

@@ -9,7 +9,9 @@ kernel's product table replaced, kept verbatim apart from its name, with
 the sparse-matrix helpers it called: it walks every 4-tuple in lex order,
 skips those outside the sorted orbit representatives and forms each
 operator product at each tuple. It is cheap enough to be an oracle at
-dimensions 8 to 12, where the dense one is not.
+dimensions 8 to 12, where the dense one is not. ``common_denominator``,
+``lift`` and ``spmat_lift`` are the lifting helpers it called, which the
+package replaced by ``Mat.den``/``Tensor4.den`` and their ``lifted``.
 
 The ``*_dense`` and ``*_loop`` checkers below are the hand-written loops
 that the sparse residual engine in ``homlie3.homlie`` replaced, kept
@@ -31,9 +33,10 @@ these comparisons, and ``base_projection`` reads the base bracket back out
 of a semidirect sum.
 
 ``column``, ``apply``, ``form_value``, ``unit_vec``, ``bracket_vec``,
-``right_multiplication`` and ``regular_prelie_rep`` are helpers that only
-these oracles and the tests called, so they live here rather than in the
-package; ``sparse_kernel_rows`` reads the package's sparse kernel as the
+``right_multiplication``, ``regular_prelie_rep`` and ``mat_scale`` (once
+``Mat.scale``) are helpers that only these oracles and the tests called,
+so they live here rather than in the package; ``fraction_ops`` counts the
+``Fraction`` arithmetic an action does; ``sparse_kernel_rows`` reads the package's sparse kernel as the
 dense rows the removed ``kernel_basis`` returned, and ``LinearSolution``
 is the outcome of ``solve_linear_dense``.
 
@@ -53,20 +56,34 @@ families one by one, where ``homlie3.bialgebra`` and ``homlie3.prelie`` now
 read action tensors (same tensors), and ``literal_prelie_rep_check_loop``
 is the hand-written loop over the four printed pre-Lie representation
 identities that the residual engine replaced (same reports byte for byte).
+
+``twist_slots_rational``, ``check_algebra_rational``,
+``is_bracket_morphism_rational``, ``is_derivation_rational``,
+``check_metric_rational`` and ``check_symplectic_rational`` are those
+functions as they were before the package lifted rational data to ints:
+the same term lists composed on the rational sources, with no scales.
+The lifted checks must reproduce their reports byte for byte, and
+``twist_slots`` their rows.
 """
+import fractions
 import itertools
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 from typing import Mapping, Optional
 
+from math import lcm
+
 from homlie3.exactlin import (
-    InputError, Mat, Tensor4, common_denominator, dense, lift, mat_inverse,
-    rat, sparse_kernel, spmat_lift, unlift, vec_add_into,
+    InputError, Mat, Tensor4, dense, mat_inverse, mat_rank, rat,
+    sparse_kernel, unlift, vec_add_into,
 )
 from homlie3.homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, _derivation_rows,
-    _permuted, _skew_check, check_algebra, twist_slots,
+    Algebra3, CheckReport, PreconditionError, Witness, _by_slot,
+    _derivation_rows, _flag, _hom_jacobi_terms, _identity, _leibniz_terms,
+    _morphism_terms, _permuted, _skew_check, _twisted_outer, check_algebra,
+    twist_slots,
 )
 from homlie3.reps import Rep3, _rep_family, check_representation
 from homlie3.bialgebra import (
@@ -77,6 +94,7 @@ from homlie3.prelie import (
     left_multiplication, subadjacent_tensor,
 )
 from homlie3.yangbaxter import RTensor, alpha_invariance
+from homlie3.symplectic import _fourterm_terms, _invariance_terms
 
 # the oracles' own constants: exact under division whatever the element
 # type the package uses
@@ -87,6 +105,34 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 # Helpers that only the oracles and the tests call, as the package had them
 # (its ints stay ints).
+
+def mat_scale(m: Mat, s) -> Mat:
+    """s * m."""
+    return Mat([[s * a for a in row] for row in m.entries])
+
+
+FRACTION_OPS = frozenset({"_add", "_sub", "_mul", "_div"})
+
+
+def fraction_ops(action) -> tuple:
+    """(action(), the names of the ``Fraction`` additions, subtractions,
+    multiplications and divisions it made, in call order)."""
+    calls = []
+
+    def count(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name in FRACTION_OPS
+                and code.co_filename == fractions.__file__):
+            calls.append(code.co_name)
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        out = action()
+    finally:
+        sys.setprofile(outer)
+    return out, calls
+
 
 def sparse_of(vec) -> dict:
     return dict(itertools.compress(enumerate(vec), vec))
@@ -158,7 +204,7 @@ def _twisted_family(rep: Rep3, left: bool, right: bool) -> list:
                 for b in range(n):
                     fb = A.entries[b][v] if right else (ONE if b == v else ZERO)
                     if fa * fb:
-                        acc = acc + rep.rho[a][b].scale(fa * fb)
+                        acc = acc + mat_scale(rep.rho[a][b], fa * fb)
             out[u][v] = acc
     return out
 
@@ -191,7 +237,7 @@ def check_representation_dense(r: Rep3) -> CheckReport:
         # rho([x,y,z], a(u)) o B
         acc = Mat.zeros(r.vdim, r.vdim)
         for m, f in c.row(x, y, z).items():
-            acc = acc + half2[m][u].scale(f)
+            acc = acc + mat_scale(half2[m][u], f)
         return acc @ B
 
     checked = 0
@@ -220,7 +266,7 @@ def check_representation_dense(r: Rep3) -> CheckReport:
         # rho(a(z), [x,y,u]) o B
         acc = Mat.zeros(r.vdim, r.vdim)
         for m, f in c.row(x, y, u).items():
-            acc = acc + half1[z][m].scale(f)
+            acc = acc + mat_scale(half1[z][m], f)
         return acc @ B
 
     checked = 0
@@ -250,6 +296,24 @@ def check_representation_dense(r: Rep3) -> CheckReport:
 
 # The lifted sparse checker that the product table of ``check_representation``
 # replaced, and the sparse-matrix helpers it called in ``exactlin``.
+
+def common_denominator(values) -> int:
+    """The lcm of the denominators of the nonzero values (1 for none)."""
+    return lcm(*{v.denominator for v in values if v})
+
+
+def lift(v, d: int) -> int:
+    """d * v as an int, for a rational v whose denominator divides d."""
+    return v.numerator * (d // v.denominator)
+
+
+def spmat_lift(s: Mapping, d: int) -> Mapping:
+    """d * s with int entries, for a sparse matrix s whose denominators all
+    divide d; s itself, not a copy, when d is 1."""
+    if d == 1:
+        return s
+    return {p: {q: lift(v, d) for q, v in row.items()} for p, row in s.items()}
+
 
 def spmat_of(m: Mat) -> dict:
     return {p: row for p, row in enumerate(map(sparse_of, m.entries)) if row}
@@ -707,7 +771,7 @@ def _rho_at(rep: Rep3, x, y) -> Mat:
         for j, yj in y.items():
             f = xi * yj
             if f:
-                acc = acc + rep.rho[i][j].scale(f)
+                acc = acc + mat_scale(rep.rho[i][j], f)
     return acc
 
 
@@ -1788,13 +1852,13 @@ def literal_prelie_rep_check_loop(r: PreLieRep) -> CheckReport:
     def mu_bracket(tensor, i, j, k, x4) -> Mat:
         acc = Mat.zeros(r.vdim, r.vdim)
         for m, f in tensor.row(i, j, k).items():
-            acc = acc + mu[m][x4].scale(f)
+            acc = acc + mat_scale(mu[m][x4], f)
         return acc
 
     def mu_second(tensor, x, i, j, k) -> Mat:
         acc = Mat.zeros(r.vdim, r.vdim)
         for m, f in tensor.row(i, j, k).items():
-            acc = acc + mu[x][m].scale(f)
+            acc = acc + mat_scale(mu[x][m], f)
         return acc
 
     checked = 0
@@ -1886,3 +1950,90 @@ def base_projection(total: Algebra3, n: int) -> Tensor4:
     entries = [(i, j, k, l, v) for i, j, k, l, v in total.bracket.items()
                if i < n and j < n and k < n and l < n]
     return Tensor4.from_entries((n,) * 4, entries)
+
+
+def twist_slots_rational(c: Tensor4, mats: Mapping) -> dict:
+    """Compose the bracket with linear maps in the given argument slots.
+
+    Returns {(i,j,k): {l: val}} for the tensor of (x,y,z) ->
+    [m0(x), m1(y), m2(z)] where ms is mats.get(slot, identity).
+    """
+    # for each original index a, the columns x with M[a][x] != 0
+    row_sup = {s: m.nonzeros for s, m in mats.items()}
+    out: dict = {}
+    for (a, b, k), lvec in c.rows():
+        ch0 = row_sup[0][a] if 0 in row_sup else ((a, 1),)
+        ch1 = row_sup[1][b] if 1 in row_sup else ((b, 1),)
+        ch2 = row_sup[2][k] if 2 in row_sup else ((k, 1),)
+        for x, fx in ch0:
+            for y, fy in ch1:
+                fxy = fx * fy
+                for z, fz in ch2:
+                    row = out.setdefault((x, y, z), {})
+                    vec_add_into(row, lvec, fxy * fz)
+    return {key: vec for key, vec in out.items() if vec}
+
+
+def check_algebra_rational(a: Algebra3, regular: bool = False) -> CheckReport:
+    """Check skewness, then the Hom-Jacobi identity, multiplicativity and,
+    if ``regular``, an invertible twist; a skew failure short-circuits the
+    rest."""
+    parts = [("skew", _skew_check(a))]
+    if not parts[0][1].passed:
+        return CheckReport.combine(parts)
+    A, n = a.twist, a.dim
+    outer = _twisted_outer(a)
+    parts.append(("hom_jacobi", _identity(
+        "hom_jacobi", _hom_jacobi_terms(a, outer), (n,) * 5, n,
+        lhs=1, nominal=True)))
+    parts.append(("multiplicative", _identity(
+        "multiplicative", _morphism_terms(a, A, outer[2], True), (n,) * 3, n,
+        lhs=1)))
+    if regular:
+        parts.append(("regular", _flag(mat_rank(A) == n, "regular")))
+    return CheckReport.combine(parts)
+
+
+def is_bracket_morphism_rational(a: Algebra3, phi: Mat) -> Optional[Witness]:
+    """None when phi([x,y,z]) = [phi x, phi y, phi z] on all basis triples."""
+    # the bracket has not been checked for skewness: every key is formed
+    t12 = _by_slot(twist_slots_rational(a.bracket, {0: phi, 1: phi}), 2, False)
+    terms = _morphism_terms(a, phi, t12, False)
+    return _identity("morphism", terms, (a.dim,) * 3, a.dim, lhs=1).witness
+
+
+def is_derivation_rational(a: Algebra3, d: Mat) -> Optional[Witness]:
+    """None when d commutes with the twist and satisfies the Leibniz rule."""
+    n, A = a.dim, a.twist
+    if d @ A != A @ d:
+        return Witness("derivation_commutes", (), (), ())
+    terms = _leibniz_terms(a, d, _skew_check(a).passed)
+    return _identity("derivation", terms, (n,) * 3, n, lhs=1).witness
+
+
+def check_metric_rational(a: Algebra3, form: BilForm) -> CheckReport:
+    """Symmetric, nondegenerate, B([x,y,z],w) + B(z,[x,y,w]) = 0."""
+    n, B = a.dim, form.matrix
+    parts = []
+    parts.append(("symmetric", _flag(B.transpose() == B, "form_symmetric")))
+    parts.append(("nondegenerate", _flag(mat_rank(B) == n,
+                                         "form_nondegenerate")))
+    terms = _invariance_terms(a, B, _skew_check(a).passed)
+    parts.append(("invariance", _identity("metric", terms, (n,) * 4, 1)))
+    return CheckReport.combine(parts)
+
+
+def check_symplectic_rational(a: Algebra3, form: BilForm) -> CheckReport:
+    """Skew, nondegenerate, twist-compatible (w(a(x),a(y)) = w(x,y)),
+    and the four-term cocycle identity."""
+    n, W, A = a.dim, form.matrix, a.twist
+    parts = []
+    parts.append(("skew", _flag(W.transpose() == -W, "form_skew")))
+    parts.append(("nondegenerate", _flag(mat_rank(W) == n,
+                                         "form_nondegenerate")))
+    parts.append(("twist_compatible", _flag(A.transpose() @ W @ A == W,
+                                            "twist_compatible")))
+    terms = _fourterm_terms(a, W, _skew_check(a).passed)
+    parts.append(("cocycle", _identity("symplectic_cocycle", terms,
+                                       (n,) * 4, 1, nominal=True)))
+    return CheckReport.combine(parts)

@@ -31,7 +31,7 @@ from homlie3.prelie import subadjacent_tensor
 from homlie3.symplectic import is_metric_derivation, symplectic_from_derivation
 from homlie3.yangbaxter import alpha_invariance
 
-from oracles import base_projection, column
+from oracles import base_projection, column, mat_scale
 
 F = Fraction
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -178,7 +178,7 @@ def test_criterion_7_inverse_form_biconditional():
     rng = _rng()
     a = random_nilpotent(rng, 4, 2, 1, label="nilp6")
     cases = [RTensor(n4(), mat_inverse(n4_omega())),
-             RTensor(n4(), mat_inverse(n4_omega()).scale(F(-3, 2)))]
+             RTensor(n4(), mat_scale(mat_inverse(n4_omega()), F(-3, 2)))]
     for _ in range(4):
         cases.append(invertible_chybe_solution(rng, a))
     while len(cases) < 24:

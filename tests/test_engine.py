@@ -10,11 +10,13 @@ bialgebra corpus adds the dim-5 nilp5. It passes and fails every ported
 part, and some failures come late in lex order, so a wrong index order or
 an off-by-one in the lex count shows.
 """
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homlie3 import (Algebra3, BilForm, Cobracket, MatchedPairData, Mat,
                      OOperator, PreLie3, PreLieRep, PreconditionError,
@@ -22,7 +24,8 @@ from homlie3 import (Algebra3, BilForm, Cobracket, MatchedPairData, Mat,
                      check_algebra, check_chybe,
                      check_double_construction, check_invariance,
                      check_matched_pair, check_metric, check_o_operator,
-                     check_prelie, check_representation, coadjoint_rep,
+                     check_prelie, check_representation, check_symplectic,
+                     coadjoint_rep,
                      coboundary_cobracket, compatible_prelie,
                      derivation_space, fileio, homlie, is_derivation,
                      manin_bracket, mat_inverse, rep_from_upper,
@@ -31,7 +34,8 @@ from homlie3.bialgebra import _matched_sum, standard_manin_reps
 from homlie3.cli import report_doc
 from homlie3.homlie import (CheckReport, Witness, _hom_jacobi_terms,
                             _leibniz_terms, _morphism_terms, _residual,
-                            _skew_check, _slot_outer, _twisted_outer)
+                            _skew_check, _slot_outer, _twisted_outer,
+                            is_bracket_morphism, twist_slots)
 from homlie3.prelie import (_literal_prelie_rep_check, _prelie_identities,
                             _prelie_rep_equations, left_multiplication)
 from homlie3.reps import _action_tensor, coadjoint_family
@@ -731,7 +735,8 @@ def test_action_constructions_match_dense():
                      oracles.assemble_matched_pair_dense(standard_manin_reps(cob)))
     o = symplectic_o_operator()
     neg = n4(N4_NEG, "n4neg")
-    cases = [(n4(), OOperator(o.rep, o.T.scale(f))) for f in (1, -2, F(1, 3))]
+    cases = [(n4(), OOperator(o.rep, oracles.mat_scale(o.T, f)))
+             for f in (1, -2, F(1, 3))]
     cases += [(neg, OOperator(coadjoint_rep(neg), o.T)),
               (Algebra3.abelian(4),
                OOperator(adjoint_rep(Algebra3.abelian(4)), Mat.identity(4)))]
@@ -747,3 +752,159 @@ def test_action_constructions_match_dense():
             oracles.compatible_prelie_dense(n4(), op)
         assert (str(new_e.value), new_e.value.witness) == \
             (str(old_e.value), old_e.value.witness)
+
+
+# Rational values whose denominators are pairwise distinct between the
+# bracket (2, 3, 17) and the twist (5, 289), so that a scale factor folded
+# into the wrong term, or divided back by the wrong power, shows.
+BRACKET_RATS = (F(1, 2), F(-2, 3), F(5, 17), F(-7, 6), F(3, 34), F(2))
+TWIST_RATS = (F(1, 5), F(-3, 289), F(4, 5), F(6, 289), F(2), F(-1))
+TRIPLES4 = list(itertools.combinations(range(4), 3))
+
+
+def _diag_twist(draw, n):
+    """A diagonal twist of drawn rationals, with one off-diagonal entry
+    added in half the draws."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.sampled_from(TWIST_RATS))
+    if draw(st.booleans()):
+        p, q = draw(st.permutations(range(n)))[:2]
+        rows[p][q] = draw(st.sampled_from(TWIST_RATS))
+    return Mat(rows)
+
+
+@functools.cache
+def _derivations(bracket: Tensor4, twist: Mat) -> tuple:
+    """derivation_space of (bracket, twist), or the zero matrix alone. A
+    scalar multiple of either has the same derivations."""
+    n = twist.rows
+    return derivation_space(Algebra3(n, bracket, twist)) or (Mat.zeros(n, n),)
+
+
+@st.composite
+def lift_cases(draw, kind, z=4, fail_at=None):
+    """(algebra, phi, d, B, W) of rational data with the denominators above,
+    by kind:
+    - the Cayley-twisted A4 with its bracket scaled, and its twist scaled by
+      1, -1 or a twist value (which breaks multiplicativity alone);
+    - dim 5, [e_i, e_j, e_k] = c_ijk e_z on drawn triples i < j < k of the
+      other indices, which satisfies Hom-Jacobi for every twist and, with
+      the twist t on the other indices and t**3 on e_z, multiplicativity;
+      a component on another e_m added at ``fail_at`` breaks it there
+      alone, and a drawn twist in place of t breaks it at some triple;
+    - A4 and N4 with a scaled bracket and a drawn twist or the identity,
+      where s I is invariant on A4 and s omega symplectic on N4.
+    phi is the twist or another drawn twist, d a scaled derivation (one
+    entry bumped in half the draws), B symmetric and W skew."""
+    scale = draw(st.sampled_from(BRACKET_RATS))
+    if kind == "cayley":
+        base = a4_cayley()
+        s = draw(st.sampled_from((F(1), F(-1)) + TWIST_RATS))
+        a = Algebra3(4, base.bracket.scale(scale),
+                     oracles.mat_scale(base.twist, s), "cayley")
+        ders = _derivations(base.bracket, base.twist)
+    elif kind == "central":
+        rest = [i for i in range(5) if i != z]
+        triples = draw(st.lists(st.sampled_from(
+            list(itertools.combinations(rest, 3))), max_size=4, unique=True))
+        rows = {t: {z: draw(st.sampled_from(BRACKET_RATS))} for t in triples}
+        t = draw(st.sampled_from(TWIST_RATS[:4]))
+        twist = Mat.diag([t ** 3 if i == z else t for i in range(5)])
+        if fail_at is not None:
+            rows.setdefault(fail_at, {})[rest[0]] = scale
+        elif draw(st.booleans()):
+            twist = _diag_twist(draw, 5)
+        a = Algebra3(5, skew_tensor(5, rows), twist, "central")
+        ders = _derivations(a.bracket, twist)
+    else:
+        base = a4() if kind == "a4" else n4()
+        twist = (Mat.identity(4) if draw(st.booleans())
+                 else _diag_twist(draw, 4))
+        a = Algebra3(4, base.bracket.scale(scale), twist, kind)
+        ders = _derivations(base.bracket, twist)
+    n = a.dim
+    phi = a.twist if draw(st.booleans()) else _diag_twist(draw, n)
+    d = oracles.mat_scale(draw(st.sampled_from(ders)),
+                          draw(st.sampled_from(BRACKET_RATS + TWIST_RATS)))
+    rows = [list(r) for r in d.entries]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += \
+            draw(st.sampled_from(TWIST_RATS))
+    s = draw(st.sampled_from(TWIST_RATS))
+    if kind == "a4" and draw(st.booleans()):
+        B = Mat.diag([s] * 4)
+    else:
+        B = [[0] * n for _ in range(n)]
+        for p, q in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)),
+                                  min_size=1, max_size=3)):
+            B[p][q] = B[q][p] = draw(st.sampled_from(BRACKET_RATS))
+        B = Mat(B)
+    if kind == "n4" and draw(st.booleans()):
+        W = oracles.mat_scale(n4_omega(), s)
+    else:
+        W = [[0] * n for _ in range(n)]
+        for p, q in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)),
+                                  min_size=1, max_size=3)):
+            if p != q:
+                W[p][q], W[q][p] = s, -s
+        W = Mat(W)
+    return a, phi, Mat(rows), B, W
+
+
+def _block(at: tuple, n: int) -> str:
+    """Where a three-index witness lies among the increasing triples: the
+    first (0, 1, 2), the last (n - 3, n - 2, n - 1) or between."""
+    if at == (0, 1, 2):
+        return "first"
+    return "last" if at == (n - 3, n - 2, n - 1) else "middle"
+
+
+def test_lifted_checks_match_the_rational_ones():
+    """check_algebra, is_bracket_morphism, is_derivation, check_metric and
+    check_symplectic compose lifted ints with a scale per term: their
+    reports equal, byte for byte, those of the rational code that composed
+    the same terms on Fractions, and twist_slots its rows. The draws pass
+    each check, and fail the three-index identities at the first, a middle
+    and the last increasing triple."""
+    seen = set()
+
+    def run(case):
+        a, phi, d, B, W = case
+        witness = lambda w: CheckReport(w is None, 1, w)
+        pairs = [
+            ("algebra", check_algebra(a), oracles.check_algebra_rational(a)),
+            ("morphism", witness(is_bracket_morphism(a, phi)),
+             witness(oracles.is_bracket_morphism_rational(a, phi))),
+            ("derivation", witness(is_derivation(a, d)),
+             witness(oracles.is_derivation_rational(a, d))),
+            ("metric", check_metric(a, BilForm(a.dim, B, "symmetric")),
+             oracles.check_metric_rational(a, BilForm(a.dim, B, "symmetric"))),
+            ("symplectic", check_symplectic(a, BilForm(a.dim, W, "skew")),
+             oracles.check_symplectic_rational(a, BilForm(a.dim, W, "skew")))]
+        for name, new, old in pairs:
+            assert dump(new) == dump(old), name
+            if old.passed:
+                seen.add((name, "passed"))
+            for part in (old, *(part for _, part in old.parts)):
+                w = part.witness
+                if w and w.check in ("multiplicative", "morphism",
+                                     "derivation"):
+                    seen.add((w.check, _block(w.at, a.dim)))
+        mats = {0: phi, 2: a.twist}
+        assert twist_slots(a.bracket, mats) == \
+            oracles.twist_slots_rational(a.bracket, mats)
+
+    # multiplicativity fails at the first, a middle and the last triple
+    kinds = [("cayley",), ("central", 4, None), ("central", 4, (0, 1, 2)),
+             ("central", 0, (1, 3, 4)), ("central", 0, (2, 3, 4)), ("a4",),
+             ("n4",)]
+    for kind in kinds:
+        settings(max_examples=4, deadline=None, derandomize=True,
+                 database=None)(given(lift_cases(*kind))(run))()
+    names = ("algebra", "morphism", "derivation", "metric", "symplectic")
+    assert {(name, "passed") for name in names} <= seen
+    assert {("multiplicative", block) for block in
+            ("first", "middle", "last")} <= seen, seen

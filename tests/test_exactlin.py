@@ -724,3 +724,30 @@ def test_inverses_and_derivations_hold_ints_when_integral():
     for a in (n4(), n4(N4_DIAG), a4(), a4_cayley(), nilp5()):
         for d in derivation_space(a):
             assert int_when_integral(v for row in d.entries for v in row)
+
+
+def test_sums_and_products_hold_ints_when_integral():
+    """A product or sum of matrices with Fraction entries holds an int
+    wherever its value is integral, as 1/2 * 2 is; the Cayley rotation
+    (I - S)(I + S)^-1 is such a product. Each matrix's ``den`` is the lcm
+    of its denominators, and ``lifted()`` has int entries equal to den
+    times its own."""
+    half = Mat([[F(1, 2), 0], [0, 2]]) @ Mat([[2, 0], [0, F(1, 2)]])
+    assert [type(v) for row in half.entries for v in row] == [int] * 4
+    rng = random.Random(20190324)
+    values = (0, 1, -1, 2, 3, F(1, 2), F(-1, 3), F(3, 2), F(2, 3), F(1, 6))
+    pick = lambda: rng.choice(values)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        a, b = (Mat([[pick() for _ in range(n)] for _ in range(n)])
+                for _ in range(2))
+        for m in (a @ b, a + b, a - b):
+            assert int_when_integral(v for row in m.entries for v in row)
+            den = math.lcm(*(F(v).denominator for row in m.entries
+                             for v in row))
+            assert m.den == den
+            lifted = m.lifted()
+            assert all(type(v) is int and v == den * w
+                       for row, wrow in zip(lifted.entries, m.entries)
+                       for v, w in zip(row, wrow))
+            assert lifted is m or den != 1

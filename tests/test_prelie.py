@@ -17,8 +17,8 @@ from homlie3 import Algebra3
 
 from conftest import (n4, n4_prelie, random_nilpotent, random_prelie,
                       symp_prelie, symplectic_o_operator)
-from oracles import (apply, bracket_vec, column, regular_prelie_rep,
-                     unit_vec)
+from oracles import (apply, bracket_vec, column, mat_scale,
+                     regular_prelie_rep, unit_vec)
 
 F = Fraction
 
@@ -82,7 +82,7 @@ def test_symplectic_o_operator_passes_and_induces_prelie():
     induced = induced_prelie_on_module(o)
     assert check_prelie(induced).passed
     # scalar multiples stay solutions (both sides are cubic in T)
-    scaled = OOperator(o.rep, o.T.scale(F(3)))
+    scaled = OOperator(o.rep, mat_scale(o.T, F(3)))
     assert check_o_operator(scaled).passed
 
 
@@ -126,7 +126,7 @@ def test_induced_prelie_intertwines_subadjacent():
     base = symplectic_o_operator()
     for scale in (F(1), F(-2), F(1, 3)):
         a = base.rep.base
-        o = OOperator(base.rep, base.T.scale(scale))
+        o = OOperator(base.rep, mat_scale(base.T, scale))
         assert check_o_operator(o).passed
         induced = induced_prelie_on_module(o)
         assert check_prelie(induced).passed

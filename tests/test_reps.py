@@ -1,9 +1,7 @@
 """Representations, duals, coadjoint actions, and semidirect sums."""
-import fractions
 import functools
 import os
 import random
-import sys
 import types
 from fractions import Fraction
 from itertools import product
@@ -21,7 +19,8 @@ from homlie3.symplectic import _truncated_extension
 from conftest import (CAYLEY_S, N4_DIAG, N4_NEG, a4, a4_cayley, n4,
                       random_nilpotent, rank1_rep, skew_tensor)
 from oracles import (base_projection, check_representation_dense,
-                     check_representation_loop, semidirect_sum_dense)
+                     check_representation_loop, fraction_ops,
+                     semidirect_sum_dense)
 
 F = Fraction
 
@@ -241,33 +240,19 @@ def test_sparse_checker_matches_dense_oracle():
 
 
 def test_lifted_check_does_no_fraction_arithmetic():
-    """The Cayley-twisted A4 has denominators 17 and 4913 in its twist and
+    """The Cayley-twisted A4 has the denominator 17 in its twist and its
     bracket, yet its passing adjoint check adds, subtracts, multiplies and
     divides no Fraction: every identity is compared on ints. A lift written
     as ``v * D`` keeps Fractions and fails this."""
     rep = adjoint_rep(a4_cayley())
-    ops = {"_add", "_sub", "_mul", "_div"}
-    calls = []
-
-    def count(frame, event, arg):
-        code = frame.f_code
-        if (event == "call" and code.co_name in ops
-                and code.co_filename == fractions.__file__):
-            calls.append(code.co_name)
-
-    outer = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        r = check_representation(rep)
-    finally:
-        sys.setprofile(outer)
+    r, calls = fraction_ops(lambda: check_representation(rep))
     assert r.passed
     assert calls == []
 
 
 def _block_cayley(k):
     """A4^k, Yau-twisted along the Cayley rotation of CAYLEY_S on each
-    block: dim 4k, with a dense twist block and denominators 17 and 4913."""
+    block: dim 4k, with a dense twist block and the denominator 17."""
     eye = Mat.identity(4)
     twist = rot = (eye - CAYLEY_S) @ mat_inverse(eye + CAYLEY_S)
     for _ in range(k - 1):
@@ -277,6 +262,21 @@ def _block_cayley(k):
     power = Algebra3(4 * k, Tensor4.from_entries((4 * k,) * 4, entries),
                      Mat.identity(4 * k), f"a4^{k}")
     return yau_twist(power, twist)
+
+
+def test_lifted_algebra_checks_and_twists_do_no_fraction_arithmetic():
+    """A passing check_algebra of the Cayley-twisted A4 and of block-Cayley
+    A4^2, lift included, and the Yau twist of A4 along the Cayley rotation
+    add, subtract, multiply and divide no Fraction."""
+    eye = Mat.identity(4)
+    rotation = (eye - CAYLEY_S) @ mat_inverse(eye + CAYLEY_S)
+    for a in (a4_cayley(), _block_cayley(2)):
+        assert a.twist.den == a.bracket.den == 17
+        r, calls = fraction_ops(lambda: check_algebra(a))
+        assert r.passed and calls == [], a.label
+    base = a4()
+    twisted, calls = fraction_ops(lambda: yau_twist(base, rotation))
+    assert twisted == a4_cayley() and calls == []
 
 
 @functools.cache
@@ -344,13 +344,15 @@ def test_kernel_stays_inside_reps(monkeypatch):
     once per tuple. The benchmark's tracer (``perfbench/tracer.py``) opens a
     span at each such call across a module boundary, so per-tuple calls
     would record O(n**4) spans per check, and its traced run, which walks
-    every recorded span between ops, would grow quadratically."""
+    every recorded span between ops, would grow quadratically. Denominators
+    and lifts are read through ``Mat`` and ``Tensor4`` methods, which it
+    does not wrap; ``unlift`` divides a witness back."""
     per_entry = {"rat", "dense", "sparse_of", "vec_add_into"}
     names = [name for name, fn in vars(reps).items()
              if isinstance(fn, types.FunctionType)
              and fn.__module__ == exactlin.__name__
              and not name.startswith("_") and name not in per_entry]
-    assert {"common_denominator", "lift", "spmat_lift", "unlift"} <= set(names)
+    assert "unlift" in names
     for rep in (adjoint_rep(a4_cayley()),
                 adjoint_rep(_truncated_extension(n4(), 4))):
         calls = _count_calls(monkeypatch, reps, names)

@@ -12,6 +12,7 @@ from homlie3.yangbaxter import alpha_invariance, closed_form_check, form_from_r
 
 from conftest import (N4_DIAG, N4_NEG, chybe_solution_on_n4, n4, n4_omega,
                       nilp5, random_nilpotent, random_skew_mat)
+from oracles import mat_scale
 
 F = Fraction
 
@@ -58,7 +59,7 @@ def test_all_skew_r_on_n4_are_solutions(rng):
 def test_triple_bracket_cubic_homogeneity(rng):
     r = RTensor(n4(), random_skew_mat(rng, 4))
     t = triple_bracket(r)
-    scaled = triple_bracket(RTensor(n4(), r.entries.scale(F(5))))
+    scaled = triple_bracket(RTensor(n4(), mat_scale(r.entries, F(5))))
     assert scaled == {k: F(125) * v for k, v in t.items()}
 
 
@@ -145,7 +146,7 @@ def test_cocycle_form_biconditional_suite(rng):
     from conftest import invertible_chybe_solution
     a = random_nilpotent(rng, 4, 2, 1, label="nilp6")
     cases = [RTensor(n4(), mat_inverse(n4_omega())),
-             RTensor(n4(), mat_inverse(n4_omega()).scale(F(-3, 2)))]
+             RTensor(n4(), mat_scale(mat_inverse(n4_omega()), F(-3, 2)))]
     for _ in range(4):
         cases.append(invertible_chybe_solution(rng, a))
     while len(cases) < 24:
