@@ -13,7 +13,7 @@ from itertools import chain
 from .exactlin import InputError, Mat, ONE, Tensor4, ZERO
 from .homlie import (
     Algebra3, CheckReport, PreconditionError, Record, Witness, _by_output,
-    _flag, _identity, _pairing, _permuted, _require, _skew_check, _slot_outer,
+    _flag, _identity, _invariance_terms, _permuted, _require, _slot_outer,
     check_algebra, twist_slots,
 )
 from .reps import (
@@ -182,13 +182,12 @@ def _matched_sum(left: Algebra3, right: Algebra3, rho: Tensor4,
 
 def check_invariance(a: Algebra3, form: BilForm) -> CheckReport:
     """([x,y,z], a(u)) + ([x,y,u], a(z)) = 0 on all basis 4-tuples."""
-    n, A = a.dim, a.twist
+    n = a.dim
     if form.dim != n:
         raise InputError(f"form dim {form.dim} vs algebra dim {n}")
-    BA = _pairing(form.matrix @ A)
-    c = dict(a.bracket.rows())
-    terms = [(1, c, BA, (0, 1, 2, 3)), (1, c, BA, (0, 1, 3, 2))]
-    return _identity("invariance", terms, (n,) * 4, 1)
+    _require(a._skew, "bracket is not skew")
+    BA = form.matrix @ a.twist
+    return _identity("invariance", _invariance_terms(a, BA, BA), (n,) * 4, 1)
 
 
 def standard_form(n: int) -> BilForm:
@@ -205,7 +204,7 @@ def manin_bracket(c: Cobracket) -> tuple:
     symmetric form, isotropy of both factors, and the projection conditions.
     """
     dual = dual_algebra(c)
-    _require(_skew_check(dual), "induced dual bracket is not skew")
+    _require(dual._skew, "induced dual bracket is not skew")
     total = _matched_sum(c.base, dual, _coadjoint_tensor(c.base),
                          _coadjoint_tensor(dual))
     n = c.base.dim

@@ -29,14 +29,16 @@ turns the residual into a report whose witness is its lex-first key, with
 first failure. The coboundary cobracket and [[r,r,r]] themselves are
 residuals of such sums.
 
-A residual skew in a group of key indices is zero at a repeated index and
+A skew bracket is a checked precondition of every identity over an
+algebra: ``check_algebra`` reports the skew scan as its first part, and
+every other entry point raises PreconditionError with its witness. The
+scan visits each orbit once and is cached on the algebra (``_skew``). A
+residual skew in a group of key indices is zero at a repeated index and
 elsewhere +-1 times its value at the key with the group sorted, which is
-lex before it. So once ``_skew_check`` passes, the Hom-Jacobi,
-multiplicativity and Leibniz terms are prefiltered to the sorted key of
-each orbit, and the twisted outer parts of the first two are built in one
-pass, at increasing index pairs, from 2x2 minors of the twist formed once
-per pair (``_twisted_outer``). The skew scan visits each orbit once, and
-its verdict is cached on the algebra, so every check shares one scan.
+lex before it. So each identity has one term list, prefiltered to the
+sorted key of each orbit, and the twisted outer parts of Hom-Jacobi and
+multiplicativity are built in one pass, at increasing index pairs, from
+2x2 minors of the twist formed once per pair (``_twisted_outer``).
 
 Rational data is checked on ints. A check builds its terms from sources
 lifted by their denominators (``Mat.lifted``, ``Tensor4.lifted``; an
@@ -185,7 +187,7 @@ class Algebra3(Record):
     """A 3-Hom-Lie algebra by structure constants.
 
     bracket holds c with [e_i, e_j, e_k] = sum_l c[i,j,k,l] e_l (fully
-    stored, skewness is validated by check_algebra rather than assumed);
+    stored; its skewness, a precondition of every check, is scanned once);
     twist is the matrix of alpha.
     """
     dim: int
@@ -202,7 +204,7 @@ class Algebra3(Record):
 
     @cached_property
     def _skew(self) -> CheckReport:
-        """The report of ``_skew_check``, formed once per algebra."""
+        """The report of ``_skew_scan``, formed once, read by every check."""
         return _skew_scan(self.bracket)
 
     @cached_property
@@ -252,12 +254,6 @@ def twist_slots(c: Tensor4, mats: Mapping[int, Mat]) -> dict:
                     vec_add_into(row, lvec, fxy * fz)
     out = {key: vec for key, vec in out.items() if vec}
     return unlift(out, d) if d != 1 else out
-
-
-def _skew_check(a: Algebra3) -> CheckReport:
-    """Total skewness by ``_skew_scan``, formed once per algebra and cached
-    on it, so every check that rests on skewness shares it."""
-    return a._skew
 
 
 def _skew_scan(c: Tensor4) -> CheckReport:
@@ -479,29 +475,23 @@ def _hom_jacobi_terms(a: Algebra3, outer: tuple) -> list:
             (-1, xy, outer[2], (0, 1, 3, 4, 2), _tail_increasing)]
 
 
-def _morphism_terms(a: Algebra3, phi: Mat, t12: dict, skew: bool) -> list:
+def _morphism_terms(a: Algebra3, phi: Mat, t12: dict) -> list:
     """phi([x,y,z]) - [phi x, phi y, phi z] at key (x, y, z), t12 being
-    [phi x, phi y, m] by m; with ``skew``, as a skew bracket makes both
-    sides skew in (x, y, z), only at x < y < z, t12 then holding only
-    x < y."""
-    c = dict(a.bracket.rows())
-    keep = ()
-    if skew:
-        c = {t: v for t, v in c.items() if t[0] < t[1] < t[2]}
-        keep = (_tail_increasing,)
+    [phi x, phi y, m] by m at x < y: a skew bracket makes both sides skew
+    in (x, y, z), so only x < y < z is formed."""
+    c = {t: v for t, v in a.bracket.rows() if t[0] < t[1] < t[2]}
     return [(1, c, _image(phi), (0, 1, 2)),
-            (-1, _columns(phi), t12, (1, 2, 0), *keep)]
+            (-1, _columns(phi), t12, (1, 2, 0), _tail_increasing)]
 
 
 def check_algebra(a: Algebra3, regular: bool = False) -> CheckReport:
     """Check skewness, then the Hom-Jacobi identity, multiplicativity and,
     if ``regular``, an invertible twist; a skew failure short-circuits the
     rest."""
-    parts = [("skew", _skew_check(a))]
+    parts = [("skew", a._skew)]
     if not parts[0][1].passed:
         return CheckReport.combine(parts)
-    # [a(x), a(y), z] grouped by z, shared by both checks, which the passed
-    # skew check lets decide each orbit of keys at its sorted key
+    # [a(x), a(y), z] grouped by z at x < y, shared by both checks
     n = a.dim
     lifted, Dc, Da = a._lift
     outer = _twisted_outer(lifted)
@@ -509,7 +499,7 @@ def check_algebra(a: Algebra3, regular: bool = False) -> CheckReport:
         "hom_jacobi", _hom_jacobi_terms(lifted, outer), (n,) * 5, n,
         lhs=1, nominal=True, scales=(Dc * Dc * Da * Da,) * 4)))
     parts.append(("multiplicative", _identity(
-        "multiplicative", _morphism_terms(lifted, lifted.twist, outer[2], True),
+        "multiplicative", _morphism_terms(lifted, lifted.twist, outer[2]),
         (n,) * 3, n, lhs=1, scales=(Dc * Da, Dc * Da ** 3))))
     if regular:
         parts.append(("regular", _flag(mat_rank(a.twist) == n, "regular")))
@@ -520,13 +510,12 @@ def is_bracket_morphism(a: Algebra3, phi: Mat) -> Witness | None:
     """None when phi([x,y,z]) = [phi x, phi y, phi z] on all basis triples."""
     if phi.shape != (a.dim, a.dim):
         raise InputError(f"morphism shape {phi.shape} for dim {a.dim}")
+    _require(a._skew, "bracket is not skew")
     lifted, Dc, _ = a._lift
     P, Dp = phi.lifted(), phi.den
-    # the bracket has not been checked for skewness: every key is formed
-    terms = _morphism_terms(
-        lifted, P, _slot_outer(lifted.bracket, 2, {0: P, 1: P}), False)
-    return _identity("morphism", terms, (a.dim,) * 3, a.dim, lhs=1,
-                     scales=(Dc * Dp, Dc * Dp ** 3)).witness
+    t12 = _by_slot(twist_slots(lifted.bracket, {0: P, 1: P}), 2, True)
+    return _identity("morphism", _morphism_terms(lifted, P, t12), (a.dim,) * 3,
+                     a.dim, lhs=1, scales=(Dc * Dp, Dc * Dp ** 3)).witness
 
 
 def yau_twist(a: Algebra3, morph: Mat) -> Algebra3:
@@ -606,6 +595,7 @@ def _derivation_rows(a: Algebra3, form: Mat | None) -> list:
 def derivation_space(a: Algebra3, form: Mat | None = None) -> tuple:
     """Canonical basis of Der(L) (or Der_B(L) when B is given) as matrices:
     the reduced echelon basis of the kernel of ``_derivation_rows``."""
+    _require(a._skew, "bracket is not skew")
     n = a.dim
     out = []
     for v in sparse_kernel(_derivation_rows(a, form), n * n):
@@ -616,32 +606,57 @@ def derivation_space(a: Algebra3, form: Mat | None = None) -> tuple:
     return tuple(out)
 
 
-def _leibniz_terms(a: Algebra3, d: Mat, skew: bool) -> list:
-    """D[x,y,z] - [Dx,y,z] - [x,Dy,z] - [x,y,Dz] at key (x, y, z); with
-    ``skew`` only at x < y < z. The bracket is then known to be skew, so
-    the residual, the sum of the four terms, is skew in (x, y, z), although
-    a single slot term such as [Dx,y,z] is not."""
+def _leibniz_terms(a: Algebra3, d: Mat) -> list:
+    """D[x,y,z] - [Dx,y,z] - [x,Dy,z] - [x,y,Dz] at key (x, y, z), formed at
+    x < y < z only: over a skew bracket the sum is skew in (x, y, z),
+    though a single slot term such as [Dx,y,z] is not."""
     c = dict(a.bracket.rows())
-    keep = (_tail_increasing,) if skew else ()
-    xyz = {t: v for t, v in c.items() if t[0] < t[1] < t[2]} if skew else c
+    xyz = {t: v for t, v in c.items() if t[0] < t[1] < t[2]}
     cols = _columns(d)
     return [(1, xyz, _image(d), (0, 1, 2)),
-            (-1, cols, _by_slot(c, 0, skew), (0, 1, 2), *keep),
-            (-1, cols, _by_slot(c, 1, skew), (1, 0, 2), *keep),
-            (-1, cols, _by_slot(c, 2, skew), (1, 2, 0), *keep)]
+            (-1, cols, _by_slot(c, 0, True), (0, 1, 2), _tail_increasing),
+            (-1, cols, _by_slot(c, 1, True), (1, 0, 2), _tail_increasing),
+            (-1, cols, _by_slot(c, 2, True), (1, 2, 0), _tail_increasing)]
 
 
 def is_derivation(a: Algebra3, d: Mat) -> Witness | None:
-    """None when d commutes with the twist and satisfies the Leibniz rule.
-    Once ``_skew_check`` passes, the Leibniz residual is formed only at
-    x < y < z; otherwise at every key."""
+    """None when d commutes with the twist and satisfies the Leibniz rule."""
     n = a.dim
     if d.shape != (n, n):
         raise InputError(f"derivation shape {d.shape} for dim {n}")
+    _require(a._skew, "bracket is not skew")
     lifted, Dc, _ = a._lift
     A, D = lifted.twist, d.lifted()
     if D @ A != A @ D:
         return Witness("derivation_commutes", (), (), ())
-    terms = _leibniz_terms(lifted, D, _skew_check(a).passed)
-    return _identity("derivation", terms, (n,) * 3, n, lhs=1,
-                     scales=(Dc * d.den,) * 4).witness
+    return _identity("derivation", _leibniz_terms(lifted, D), (n,) * 3, n,
+                     lhs=1, scales=(Dc * d.den,) * 4).witness
+
+
+def _increasing4(key: tuple) -> bool:
+    """The four indices of a key increase."""
+    return key[0] < key[1] < key[2] < key[3]
+
+
+def _fourterm_terms(a: Algebra3, M: Mat) -> list:
+    """T(x,y,z,w) - T(y,z,w,x) + T(z,w,x,y) - T(w,x,y,z) at key (x, y, z, w),
+    T(x,y,z,w) = [x,y,z]^T M w: the symplectic cocycle with M = W A, the
+    closed form with M = A^T B. Over a skew bracket the sum is totally skew,
+    whatever M (swapping x and y, y and z, or z and w negates it), so it is
+    formed only at x < y < z < w, each term reading its bracket at the
+    sorted triple (an even permutation of the one written)."""
+    c = {t: v for t, v in a.bracket.rows() if t[0] < t[1] < t[2]}
+    P = _pairing(M)
+    # T(x,y,z,w) - T(y,z,w,x) + T(x,z,w,y) - T(x,y,w,z)
+    return [(sign, c, P, order, _increasing4) for sign, order in (
+        (1, (0, 1, 2, 3)), (-1, (3, 0, 1, 2)),
+        (1, (0, 3, 1, 2)), (-1, (0, 1, 3, 2)))]
+
+
+def _invariance_terms(a: Algebra3, M1: Mat, M2: Mat) -> list:
+    """[x,y,z]^T M1 w + [x,y,w]^T M2 z at key (x, y, z, w), only at x < y,
+    where a skew bracket makes both terms skew: metric invariance with
+    (B, B^T), and pseudo-metric invariance with (B A, B A)."""
+    c = {t: v for t, v in a.bracket.rows() if t[0] < t[1]}
+    return [(1, c, _pairing(M1), (0, 1, 2, 3)),
+            (1, c, _pairing(M2), (0, 1, 3, 2))]

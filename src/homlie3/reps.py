@@ -1,8 +1,8 @@
 """Representations of 3-Hom-Lie algebras: checker, dual, semidirect sum.
 
-A representation is a skew bilinear family rho(x, y) of operators on a
-carrier V together with a carrier twist A, subject to three compatibility
-identities (checked exhaustively on basis tuples, in lex order).
+A representation of an algebra, whose bracket must be skew, is a skew
+bilinear family rho(x, y) of operators on a carrier V with a carrier twist
+A, subject to three identities (checked exhaustively on basis tuples).
 """
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ from math import lcm
 
 from .exactlin import InputError, Mat, Tensor4, ZERO, dense, unlift, vec_add_into
 from .homlie import (
-    Algebra3, CheckReport, Record, Witness, _permuted, _require, _skew_check,
-    check_algebra,
+    Algebra3, CheckReport, Record, Witness, _permuted, _require, check_algebra,
 )
 
 
@@ -153,8 +152,8 @@ def check_representation(r: Rep3) -> CheckReport:
     is its lex-first failing tuple (u, v) or (x, y, z, u), and ``checked``
     its lex position (n**2 or n**4 on a pass). Each part generates, in lex
     order, only the sorted tuple of each orbit on which both sides are
-    skew: (u, v) and (z, u), as ``Rep3`` validates rho skew, and, if the
-    base bracket is skew, (x, y, z) of action and (x, y) of exchange. A
+    skew: (u, v) and (z, u), as ``Rep3`` validates rho skew, and (x, y, z)
+    of action and (x, y) of exchange, as the base bracket must be skew. A
     repeated index there makes both sides zero, and the sorted tuple, which
     comes first, has the same sides up to sign.
 
@@ -176,6 +175,7 @@ def check_representation(r: Rep3) -> CheckReport:
     their part's scale. With integral data every scale is 1 and nothing is
     lifted.
     """
+    _require(r.base._skew, "base bracket is not skew")
     n, m = r.base.dim, r.vdim
     # rho is skew: rho[i][j] is read for i < j only, and is {} elsewhere
     Dr = lcm(*(mat.den for i, row in enumerate(r.rho) for mat in row[i + 1:]))
@@ -189,7 +189,6 @@ def check_representation(r: Rep3) -> CheckReport:
     rows = dict(r.base.bracket.lifted(Dc * Dr * Da).rows())
     S = Dc * DB  # the factor of the rho rho terms of action and exchange
     D2, D4 = Dr * Da * Da * DB, S * Dr * Dr * Da * Da  # the parts' scales
-    skew = _skew_check(r.base).passed
 
     @cache
     def half2(a, v):  # rho(a, a(v))
@@ -243,9 +242,7 @@ def check_representation(r: Rep3) -> CheckReport:
         return CheckReport(True, n ** 2)
 
     def action():
-        quads = ((x, y, z, u) for x, y, z in combinations(range(n), 3)
-                 for u in range(n)) if skew else product(range(n), repeat=4)
-        for x, y, z, u in quads:
+        for (x, y, z), u in product(combinations(range(n), 3), range(n)):
             lhs = add_bracket({}, x, y, z, u)
             rhs: dict = {}
             add_prod(rhs, y, z, x, u)
@@ -256,8 +253,7 @@ def check_representation(r: Rep3) -> CheckReport:
         return CheckReport(True, n ** 4)
 
     def exchange():
-        for (x, y), (z, u) in product(
-                pairs if skew else product(range(n), repeat=2), pairs):
+        for (x, y), (z, u) in product(pairs, pairs):
             lhs: dict = {}
             add_prod(lhs, x, y, z, u)
             rhs = add_bracket({}, x, y, z, u)

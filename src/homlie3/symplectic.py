@@ -8,8 +8,9 @@ from .exactlin import (
     InputError, Mat, ONE, Tensor4, ZERO, linear_solver, mat_inverse, mat_rank,
 )
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Record, Witness, _identity,
-    _pairing, _flag, _require, _skew_check, check_algebra, is_derivation,
+    Algebra3, CheckReport, PreconditionError, Record, Witness, _flag,
+    _fourterm_terms, _identity, _invariance_terms, _require, check_algebra,
+    is_derivation,
 )
 from .reps import (
     Rep3, _coadjoint_tensor, _semidirect, dual_representation, semidirect_sum,
@@ -18,50 +19,13 @@ from .bialgebra import BilForm, standard_form
 from .prelie import PreLie3, check_prelie, left_multiplication, subadjacent_tensor
 
 
-def _increasing4(key: tuple) -> bool:
-    """The four indices of a key increase."""
-    return key[0] < key[1] < key[2] < key[3]
-
-
-def _fourterm_terms(a: Algebra3, W: Mat, skew: bool) -> list:
-    """w([x,y,z], a(w)) - w([y,z,w], a(x)) + w([z,w,x], a(y))
-    - w([w,x,y], a(z)) at key (x, y, z, w).
-
-    Over a skew bracket the sum is totally skew in (x, y, z, w), whatever
-    the twist and the form: the cyclic shift of the four indices negates
-    it, and so does swapping x and y. So with ``skew`` it is formed only at
-    x < y < z < w, each term reading its bracket at the sorted triple (an
-    even permutation of the one written)."""
-    # with term(x,y,z,w) = w([x,y,z], a(w))
-    WA, c = _pairing(W @ a.twist), dict(a.bracket.rows())
-    if not skew:
-        return [(1, c, WA, (0, 1, 2, 3)), (-1, c, WA, (3, 0, 1, 2)),
-                (1, c, WA, (2, 3, 0, 1)), (-1, c, WA, (1, 2, 3, 0))]
-    c = {t: v for t, v in c.items() if t[0] < t[1] < t[2]}
-    # w([x,y,z],a(w)) - w([y,z,w],a(x)) + w([x,z,w],a(y)) - w([x,y,w],a(z))
-    return [(sign, c, WA, order, _increasing4) for sign, order in (
-        (1, (0, 1, 2, 3)), (-1, (3, 0, 1, 2)),
-        (1, (0, 3, 1, 2)), (-1, (0, 1, 3, 2)))]
-
-
 def _fourterm_check(a: Algebra3, W: Mat) -> CheckReport:
-    """The four-term cocycle identity on all basis 4-tuples, formed at the
-    sorted ones once ``_skew_check`` passes, on the lifted bracket, form
-    and twist: each term has scale Dc Dw Da."""
+    """The four-term cocycle identity (``_fourterm_terms`` with M = W A) on
+    the lifted bracket, form and twist: each term has scale Dc Dw Da."""
     lifted, Dc, Da = a._lift
-    terms = _fourterm_terms(lifted, W.lifted(), _skew_check(a).passed)
+    terms = _fourterm_terms(lifted, W.lifted() @ lifted.twist)
     return _identity("symplectic_cocycle", terms, (a.dim,) * 4, 1,
                      nominal=True, scales=(Dc * W.den * Da,) * 4)
-
-
-def _invariance_terms(a: Algebra3, B: Mat, skew: bool) -> list:
-    """B([x,y,z],w) + B(z,[x,y,w]) at key (x, y, z, w); with ``skew`` (both
-    terms are then skew in (x, y)) only at x < y."""
-    c = dict(a.bracket.rows())
-    if skew:
-        c = {t: v for t, v in c.items() if t[0] < t[1]}
-    return [(1, c, _pairing(B), (0, 1, 2, 3)),
-            (1, c, _pairing(B.transpose()), (0, 1, 3, 2))]
 
 
 def check_symplectic(a: Algebra3, form: BilForm) -> CheckReport:
@@ -70,6 +34,7 @@ def check_symplectic(a: Algebra3, form: BilForm) -> CheckReport:
     n = a.dim
     if form.dim != n:
         raise InputError(f"form dim {form.dim} vs algebra dim {n}")
+    _require(a._skew, "bracket is not skew")
     W, A = form.matrix, a.twist
     parts = []
     parts.append(("skew", _flag(W.transpose() == -W, "form_skew")))
@@ -89,13 +54,14 @@ def check_metric(a: Algebra3, form: BilForm) -> CheckReport:
     n = a.dim
     if form.dim != n:
         raise InputError(f"form dim {form.dim} vs algebra dim {n}")
+    _require(a._skew, "bracket is not skew")
     B = form.matrix
     parts = []
     parts.append(("symmetric", _flag(B.transpose() == B, "form_symmetric")))
     parts.append(("nondegenerate", _flag(mat_rank(B) == n,
                                          "form_nondegenerate")))
     lifted, Dc, _ = a._lift
-    terms = _invariance_terms(lifted, B.lifted(), _skew_check(a).passed)
+    terms = _invariance_terms(lifted, B.lifted(), B.transpose().lifted())
     parts.append(("invariance", _identity("metric", terms, (n,) * 4, 1,
                                           scales=(Dc * B.den,) * 2)))
     return CheckReport.combine(parts)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from .exactlin import InputError, Mat, Tensor4, mat_inverse
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Record, Witness, _identity,
-    _image, _flag, _pairing, _require, _residual, check_algebra, twist_slots,
+    Algebra3, CheckReport, PreconditionError, Record, Witness, _flag,
+    _fourterm_terms, _identity, _image, _pairing, _require, _residual,
+    check_algebra, twist_slots,
 )
 from .reps import _coadjoint_tensor
 from .bialgebra import BilForm, Cobracket
@@ -177,11 +178,8 @@ def closed_form_check(a: Algebra3, form: BilForm) -> CheckReport:
     n = a.dim
     if form.dim != n:
         raise InputError(f"form dim {form.dim} vs algebra dim {n}")
-    # with bw(x,y,z,w) = B(a[x,y,z], w), at key (x, y, z, w)
-    AB = _pairing(a.twist.transpose() @ form.matrix)
-    c = dict(a.bracket.rows())
-    terms = [(1, c, AB, (0, 1, 2, 3)), (-1, c, AB, (0, 1, 3, 2)),
-             (1, c, AB, (0, 3, 1, 2)), (-1, c, AB, (3, 0, 1, 2))]
+    _require(a._skew, "bracket is not skew")
+    terms = _fourterm_terms(a, a.twist.transpose() @ form.matrix)
     return _identity("closed_form", terms, (n,) * 4, 1)
 
 

@@ -82,8 +82,8 @@ from homlie3.exactlin import (
 from homlie3.homlie import (
     Algebra3, CheckReport, PreconditionError, Witness, _by_slot,
     _derivation_rows, _flag, _hom_jacobi_terms, _identity, _leibniz_terms,
-    _morphism_terms, _permuted, _skew_check, _twisted_outer, check_algebra,
-    twist_slots,
+    _fourterm_terms, _invariance_terms, _morphism_terms, _permuted,
+    _twisted_outer, check_algebra, twist_slots,
 )
 from homlie3.reps import Rep3, _rep_family, check_representation
 from homlie3.bialgebra import (
@@ -94,7 +94,6 @@ from homlie3.prelie import (
     left_multiplication, subadjacent_tensor,
 )
 from homlie3.yangbaxter import RTensor, alpha_invariance
-from homlie3.symplectic import _fourterm_terms, _invariance_terms
 
 # the oracles' own constants: exact under division whatever the element
 # type the package uses
@@ -369,10 +368,11 @@ def check_representation_loop(r: Rep3) -> CheckReport:
     is its lex-first failing tuple (u, v) or (x, y, z, u), and ``checked``
     its lex position (n**2 or n**4 on a pass). Only the sorted tuple of each
     orbit on which both sides are skew is evaluated: (u, v) and (z, u), as
-    ``Rep3`` validates rho skew, and, if the base bracket is skew, (x, y, z)
-    of action and (x, y) of exchange. A repeated index there makes both
-    sides zero, and the sorted tuple, which comes first, has the same sides
-    up to sign. Twisted operators are sparse and built on first use.
+    ``Rep3`` validates rho skew, and, as the checker refuses a base bracket
+    that is not skew, (x, y, z) of action and (x, y) of exchange. A
+    repeated index there makes both sides zero, and the sorted tuple, which
+    comes first, has the same sides up to sign. Twisted operators are
+    sparse and built on first use.
 
     The identities are compared on ints: rho, B, the twist and the bracket
     are lifted by the common denominators Dr, DB, Da and Dc of their
@@ -403,14 +403,13 @@ def check_representation_loop(r: Rep3) -> CheckReport:
     B, BA = spmat_lift(B, DB), spmat_lift(B, DB * Da * Da)
     S = Dc * DB  # the factor of the rho rho terms of action and exchange
     D2, D4 = Dr * Da * Da * DB, S * Dr * Dr * Da * Da  # the parts' scales
-    skew = _skew_check(r.base).passed
 
     @cache
     def half2(a, v):  # rho(a, a(v))
         return _combine((rho[a][b], f) for b, f in cols[v])
 
     @cache
-    def tw(u, v):  # rho(a(u), a(v)); with a skew base only u < v is read
+    def tw(u, v):  # rho(a(u), a(v)); only u < v is read
         return _combine((half2(a, v), f) for a, f in cols[u])
 
     # S * rho(a(u), a(v)), for action and exchange
@@ -449,7 +448,7 @@ def check_representation_loop(r: Rep3) -> CheckReport:
 
     def action():
         for checked, (x, y, z, u) in enumerate(product(range(n), repeat=4), 1):
-            if skew and not x < y < z:
+            if not x < y < z:
                 continue
             lhs = bracket_half2B(x, y, z, u)
             rhs = spmat_matmul(twS(y, z), rho[x][u])
@@ -462,7 +461,7 @@ def check_representation_loop(r: Rep3) -> CheckReport:
 
     def exchange():
         for checked, (x, y, z, u) in enumerate(product(range(n), repeat=4), 1):
-            if z >= u or skew and x >= y:
+            if z >= u or x >= y:
                 continue
             lhs = spmat_matmul(twS(x, y), rho[z][u])
             rhs = spmat_matmul(twS(z, u), rho[x][y], bracket_half2B(x, y, z, u))
@@ -1630,7 +1629,9 @@ def mat_rank_dense(m: Mat) -> int:
 def derivation_system_dense(a: Algebra3, form: Optional[Mat] = None) -> Mat:
     """Linear system over vec(D) (row-major, D[p][q] -> p*n+q) whose kernel
     is the space of derivations commuting with the twist (and B-skew when a
-    symmetric form B is supplied)."""
+    symmetric form B is supplied). It imposes Leibniz only at i < j < k,
+    which is the whole rule over a skew bracket only: on any other bracket
+    its kernel holds non-derivations, and ``derivation_space`` refuses it."""
     n, c, A = a.dim, a.bracket, a.twist
     idx = lambda p, q: p * n + q
     rows = []
@@ -1978,7 +1979,7 @@ def check_algebra_rational(a: Algebra3, regular: bool = False) -> CheckReport:
     """Check skewness, then the Hom-Jacobi identity, multiplicativity and,
     if ``regular``, an invertible twist; a skew failure short-circuits the
     rest."""
-    parts = [("skew", _skew_check(a))]
+    parts = [("skew", a._skew)]
     if not parts[0][1].passed:
         return CheckReport.combine(parts)
     A, n = a.twist, a.dim
@@ -1987,7 +1988,7 @@ def check_algebra_rational(a: Algebra3, regular: bool = False) -> CheckReport:
         "hom_jacobi", _hom_jacobi_terms(a, outer), (n,) * 5, n,
         lhs=1, nominal=True)))
     parts.append(("multiplicative", _identity(
-        "multiplicative", _morphism_terms(a, A, outer[2], True), (n,) * 3, n,
+        "multiplicative", _morphism_terms(a, A, outer[2]), (n,) * 3, n,
         lhs=1)))
     if regular:
         parts.append(("regular", _flag(mat_rank(A) == n, "regular")))
@@ -1996,9 +1997,8 @@ def check_algebra_rational(a: Algebra3, regular: bool = False) -> CheckReport:
 
 def is_bracket_morphism_rational(a: Algebra3, phi: Mat) -> Optional[Witness]:
     """None when phi([x,y,z]) = [phi x, phi y, phi z] on all basis triples."""
-    # the bracket has not been checked for skewness: every key is formed
-    t12 = _by_slot(twist_slots_rational(a.bracket, {0: phi, 1: phi}), 2, False)
-    terms = _morphism_terms(a, phi, t12, False)
+    t12 = _by_slot(twist_slots_rational(a.bracket, {0: phi, 1: phi}), 2, True)
+    terms = _morphism_terms(a, phi, t12)
     return _identity("morphism", terms, (a.dim,) * 3, a.dim, lhs=1).witness
 
 
@@ -2007,7 +2007,7 @@ def is_derivation_rational(a: Algebra3, d: Mat) -> Optional[Witness]:
     n, A = a.dim, a.twist
     if d @ A != A @ d:
         return Witness("derivation_commutes", (), (), ())
-    terms = _leibniz_terms(a, d, _skew_check(a).passed)
+    terms = _leibniz_terms(a, d)
     return _identity("derivation", terms, (n,) * 3, n, lhs=1).witness
 
 
@@ -2018,7 +2018,7 @@ def check_metric_rational(a: Algebra3, form: BilForm) -> CheckReport:
     parts.append(("symmetric", _flag(B.transpose() == B, "form_symmetric")))
     parts.append(("nondegenerate", _flag(mat_rank(B) == n,
                                          "form_nondegenerate")))
-    terms = _invariance_terms(a, B, _skew_check(a).passed)
+    terms = _invariance_terms(a, B, B.transpose())
     parts.append(("invariance", _identity("metric", terms, (n,) * 4, 1)))
     return CheckReport.combine(parts)
 
@@ -2033,7 +2033,7 @@ def check_symplectic_rational(a: Algebra3, form: BilForm) -> CheckReport:
                                          "form_nondegenerate")))
     parts.append(("twist_compatible", _flag(A.transpose() @ W @ A == W,
                                             "twist_compatible")))
-    terms = _fourterm_terms(a, W, _skew_check(a).passed)
+    terms = _fourterm_terms(a, W @ A)
     parts.append(("cocycle", _identity("symplectic_cocycle", terms,
                                        (n,) * 4, 1, nominal=True)))
     return CheckReport.combine(parts)

@@ -25,22 +25,24 @@ from homlie3 import (Algebra3, BilForm, Cobracket, MatchedPairData, Mat,
                      check_double_construction, check_invariance,
                      check_matched_pair, check_metric, check_o_operator,
                      check_prelie, check_representation, check_symplectic,
-                     coadjoint_rep,
+                     coadjoint_rep, composition_twist,
                      coboundary_cobracket, compatible_prelie,
                      derivation_space, fileio, homlie, is_derivation,
                      manin_bracket, mat_inverse, rep_from_upper,
-                     semidirect_prelie, triple_bracket, verify_residual)
+                     semidirect_prelie, triple_bracket, verify_residual,
+                     yau_twist)
 from homlie3.bialgebra import _matched_sum, standard_manin_reps
 from homlie3.cli import report_doc
-from homlie3.homlie import (CheckReport, Witness, _hom_jacobi_terms,
+from homlie3.homlie import (CheckReport, Witness, _fourterm_terms,
+                            _hom_jacobi_terms, _invariance_terms,
                             _leibniz_terms, _morphism_terms, _residual,
-                            _skew_check, _slot_outer, _twisted_outer,
+                            _slot_outer, _twisted_outer,
                             is_bracket_morphism, twist_slots)
 from homlie3.prelie import (_literal_prelie_rep_check, _prelie_identities,
                             _prelie_rep_equations, left_multiplication)
 from homlie3.reps import _action_tensor, coadjoint_family
-from homlie3.symplectic import (_fourterm_check, _fourterm_terms,
-                                _invariance_terms, nilpotent_extension)
+from homlie3.symplectic import (_fourterm_check, is_metric_derivation,
+                                nilpotent_extension)
 from homlie3.yangbaxter import _dual_bracket_formula, closed_form_check
 
 import oracles
@@ -123,9 +125,10 @@ def nonskew_mutant():
 
 
 def nonskew_algebras():
-    """Brackets that fail ``skew``, on which every key is formed: the
-    mutant above, and N4, A4 and the Cayley-twisted A4 each with one entry
-    [e_i, e_j, e_k]_l added alone at an unsorted triple."""
+    """Brackets that fail ``skew``, which every entry point but
+    ``check_algebra`` refuses: the mutant above, and N4, A4 and the
+    Cayley-twisted A4 each with one entry [e_i, e_j, e_k]_l added alone at
+    an unsorted triple."""
     rng = random.Random(20190319)
     out = [nonskew_mutant()]
     for a in (n4(), a4(), a4_cayley()):
@@ -135,8 +138,46 @@ def nonskew_algebras():
         extra = (i, j, k, rng.randrange(4), rng.choice(DELTAS))
         out.append(Algebra3(4, Tensor4.from_entries((4,) * 4, itertools.chain(
             a.bracket.items(), [extra])), a.twist, f"{a.label}~{extra[:3]}"))
-    assert not any(_skew_check(a).passed for a in out)
+    assert not any(a._skew.passed for a in out)
     return out
+
+
+def refused(a, call) -> bool:
+    """call() raises PreconditionError carrying the skew witness of a."""
+    with pytest.raises(PreconditionError) as err:
+        call()
+    return err.value.witness == a._skew.witness
+
+
+SYMMETRIC = BilForm(4, Mat.identity(4), "symmetric")
+SKEW = BilForm(4, n4_omega(), "skew")
+# every entry point that rests on a skew bracket, with arguments that pass
+# its other checks; yau_twist needs the identity twist first
+ENTRY_POINTS = {
+    "is_bracket_morphism": lambda a: is_bracket_morphism(a, Mat.identity(4)),
+    "yau_twist": lambda a: yau_twist(a.replace(twist=Mat.identity(4)),
+                                     Mat.identity(4)),
+    "composition_twist": lambda a: composition_twist(a, Mat.identity(4)),
+    "is_derivation": lambda a: is_derivation(a, Mat.identity(4)),
+    "is_metric_derivation": lambda a: is_metric_derivation(
+        a, SYMMETRIC, Mat.identity(4)),
+    "derivation_space": derivation_space,
+    "check_metric": lambda a: check_metric(a, SYMMETRIC),
+    "check_symplectic": lambda a: check_symplectic(a, SKEW),
+    "check_representation": lambda a: check_representation(
+        rep_from_upper(a, 2, {}, Mat.identity(2))),
+    "check_invariance": lambda a: check_invariance(a, SYMMETRIC),
+    "closed_form_check": lambda a: closed_form_check(a, SKEW),
+}
+
+
+@pytest.mark.parametrize("a", nonskew_algebras(), ids=lambda a: a.label)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_refuse_a_bracket_that_is_not_skew(entry, a):
+    """Each raises PreconditionError with the skew scan's witness, where
+    check_algebra reports the same witness as its failing first part."""
+    assert refused(a, lambda: ENTRY_POINTS[entry](a))
+    assert check_algebra(a).witness == a._skew.witness
 
 
 def sorted_key(key):
@@ -158,7 +199,7 @@ def test_skew_twisted_outer_parts_are_the_increasing_full_ones():
     others[1]: no pair lost, none added, no repeated others."""
     skewed = 0
     for a in algebras():
-        if not _skew_check(a).passed:
+        if not a._skew.passed:
             continue
         skewed += 1
         for slot in range(3):
@@ -205,7 +246,7 @@ def test_hom_jacobi_and_multiplicative_match_loops():
                      oracles.multiplicative_check_loop(a), 4 ** 3)
         outer = _twisted_outer(a)
         got = (_residual(_hom_jacobi_terms(a, outer)),
-               _residual(_morphism_terms(a, a.twist, outer[2], True)))
+               _residual(_morphism_terms(a, a.twist, outer[2])))
         for res, want in zip(got, full):
             assert res == {k: v for k, v in want.items()
                            if sorted_key(k)}, a.label
@@ -220,9 +261,14 @@ def test_hom_jacobi_and_multiplicative_match_loops():
 
 
 def test_is_derivation_matches_loop():
+    """On skew brackets; a non-skew one is refused by both is_derivation and
+    derivation_space, whose kernel would hold non-derivations there."""
     tally = Tally()
     rng = random.Random(20190313)
-    for a in algebras() + nonskew_algebras():
+    for a in nonskew_algebras():
+        assert refused(a, lambda: derivation_space(a))
+        assert refused(a, lambda: is_derivation(a, Mat.identity(4)))
+    for a in algebras():
         cands = list(derivation_space(a))
         cands += [mat_mutant(d, rng) for d in cands[:3]]
         # the projection onto e4: on reversed N4 it first fails at (e2,e3,e4)
@@ -365,11 +411,17 @@ def forms(kind):
 
 
 def test_form_checks_match_dense():
+    """On skew brackets; the four checks refuse a non-skew one."""
     metric, invariance, closed, cocycle = Tally(), Tally(), Tally(), Tally()
-    algs = algebras() + nonskew_algebras()
+    for a in nonskew_algebras():
+        for check, form in ((check_metric, SYMMETRIC),
+                            (check_invariance, SYMMETRIC),
+                            (closed_form_check, SKEW),
+                            (check_symplectic, SKEW)):
+            assert refused(a, lambda: check(a, form)), a.label
     # the metric and invariance checkers also take skew forms
     for kind in ("symmetric", "skew"):
-        for a, m in itertools.product(algs, forms(kind)):
+        for a, m in itertools.product(algebras(), forms(kind)):
             form = BilForm(4, m, kind)
             new, old = check_metric(a, form), oracles.check_metric_dense(a, form)
             assert dump(new) == dump(old), a.label
@@ -406,50 +458,53 @@ def increasing_key(key):
 
 def reduced_residuals(a, d, W, B):
     """(engine, oracle) pairs of the Leibniz residual of d, the four-term
-    residual of W and the metric-invariance residual of B. Once skew has
-    passed, the oracle's full residual is restricted to the sorted keys of
-    its orbits: x < y < z, x < y < z < w and x < y; otherwise it is kept
-    whole, and the engine forms every key."""
-    skew = _skew_check(a).passed
+    residual of W and the metric-invariance residual of B over a skew
+    bracket, the oracle's full residual restricted to the sorted keys of
+    its orbits: x < y < z, x < y < z < w and x < y."""
     full = (oracles.leibniz_residual_loop(a, d),
             scalar(oracles.fourterm_residual_loop(a, W)),
             scalar(oracles.metric_residual_loop(a, B)))
     keeps = (increasing_key, increasing_key, lambda key: key[0] < key[1])
-    got = (_residual(_leibniz_terms(a, d, skew)),
-           _residual(_fourterm_terms(a, W, skew)),
-           _residual(_invariance_terms(a, B, skew)))
-    if skew:
-        full = tuple(restricted(res, keep) for res, keep in zip(full, keeps))
-    return list(zip(got, full))
+    got = (_residual(_leibniz_terms(a, d)),
+           _residual(_fourterm_terms(a, W @ a.twist)),
+           _residual(_invariance_terms(a, B, B.transpose())))
+    return list(zip(got, (restricted(res, keep)
+                          for res, keep in zip(full, keeps))))
+
+
+def refuses_forms(a, d, W, B) -> bool:
+    """is_derivation, check_symplectic and check_metric refuse a."""
+    n = a.dim
+    return (refused(a, lambda: is_derivation(a, d))
+            and refused(a, lambda: check_symplectic(a, BilForm(n, W, "skew")))
+            and refused(a, lambda: check_metric(a, BilForm(n, B, "symmetric"))))
 
 
 def test_leibniz_cocycle_and_invariance_are_orbit_reduced():
     """Over a skew bracket the three residuals are the full ones restricted
-    to sorted keys, for derivations, skew forms and
-    symmetric forms that pass and fail; over a non-skew bracket they are
-    the full ones, which have nonzero keys a sorted scan never forms."""
+    to sorted keys, for derivations, skew forms and symmetric forms that
+    pass and fail; a non-skew bracket is refused."""
     rng = random.Random(20190320)
-    reduced = unsorted = 0
-    for a in algebras() + nonskew_algebras():
+    reduced = 0
+    ws, bs = forms("skew"), forms("symmetric")
+    for a in nonskew_algebras():
+        assert refuses_forms(a, Mat.identity(4), ws[0], bs[0]), a.label
+    for a in algebras():
         ds = list(derivation_space(a))[:2] + [
             mat_mutant(Mat.identity(4), rng) for _ in range(2)]
-        ws, bs = forms("skew"), forms("symmetric")
         for d, W, B in zip(ds, (ws[0], ws[3], ws[5], ws[8]),
                            (bs[0], bs[3], bs[5], bs[8])):
             for got, want in reduced_residuals(a, d, W, B):
                 assert got == want, a.label
-                if _skew_check(a).passed:
-                    reduced += bool(want)
-                else:
-                    unsorted += any(not increasing_key(k[:2]) for k in want)
-    assert reduced >= 20 and unsorted >= 5
+                reduced += bool(want)
+    assert reduced >= 20
 
 
 def test_orbit_reduction_on_random_dim_6_brackets():
     """The same on random skew brackets of dim 6, with a random twist,
     derivation candidate and forms, where the nonzero sorted keys of each
-    residual start at 0, 1 and 2; and with one unsorted entry added, on
-    every key."""
+    residual start at 0, 1 and 2; with one unsorted entry added, the
+    bracket is refused."""
     rng = random.Random(20190323)
     n = 6
     firsts = [set(), set(), set()]  # first key indices met, per residual
@@ -464,9 +519,12 @@ def test_orbit_reduction_on_random_dim_6_brackets():
             bracket = Tensor4.from_entries((n,) * 4, itertools.chain(
                 bracket.items(), [(4, 1, 3, 0, F(1))]))
         a = Algebra3(n, bracket, square(), f"random-{case}")
-        assert _skew_check(a).passed == (case % 2 == 0)
-        W, S = random_skew_mat(rng, n), square()
-        pairs = reduced_residuals(a, square(), W, S + S.transpose())
+        assert a._skew.passed == (case % 2 == 0)
+        d, W, S = square(), random_skew_mat(rng, n), square()
+        if case % 2:
+            assert refuses_forms(a, d, W, S + S.transpose()), a.label
+            continue
+        pairs = reduced_residuals(a, d, W, S + S.transpose())
         for (got, want), first in zip(pairs, firsts):
             assert got == want and want, a.label
             first |= {key[0] for key in want}

@@ -17,8 +17,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlie3 import (InputError, Mat, Tensor4, check_algebra, check_metric,
-                     check_symplectic, derivation_space, exactlin, fileio,
+from homlie3 import (InputError, Mat, PreconditionError, Tensor4,
+                     check_algebra, check_metric, check_symplectic,
+                     derivation_space, exactlin, fileio, is_derivation,
                      mat_inverse, mat_rank, nilpotent_extension, rat,
                      rat_str)
 from homlie3.exactlin import _gauss_jordan, dense, linear_solver
@@ -290,12 +291,22 @@ def derivation_corpus() -> list:
 
 
 def test_derivation_kernels_match_dense_oracle(derivation_corpus):
-    """The sparse derivation system equals the dense one (up to dim 8, where
-    the dense build is cheap), and the sparse kernel and
-    ``derivation_space`` give the dense route's canonical basis byte for
-    byte (the dense kernel of the system, as matrices and as rows)."""
+    """On the skew brackets, the sparse derivation system equals the dense
+    one (up to dim 8, where the dense build is cheap), and the sparse
+    kernel and ``derivation_space`` give the dense route's canonical basis
+    byte for byte (the dense kernel of the system, as matrices and as
+    rows), each of whose matrices passes ``is_derivation``. Both systems
+    impose Leibniz at i < j < k only, so ``derivation_space`` refuses the
+    non-skew corrupted N4 with its skew witness."""
     assert max(a.dim for a, _ in derivation_corpus) == 16
+    refused = 0
     for a, form in derivation_corpus:
+        if not a._skew.passed:
+            with pytest.raises(PreconditionError) as err:
+                derivation_space(a, form)
+            assert err.value.witness == a._skew.witness
+            refused += 1
+            continue
         system = oracles.derivation_system(a, form)
         if a.dim <= 8:
             assert system == oracles.derivation_system_dense(a, form)
@@ -303,6 +314,8 @@ def test_derivation_kernels_match_dense_oracle(derivation_corpus):
         assert derivation_space(a, form) == dense_space
         assert oracles.sparse_kernel_rows(system) == \
             tuple(sum(d.entries, ()) for d in dense_space)
+        assert all(is_derivation(a, d) is None for d in dense_space), a.label
+    assert refused == 2
 
 
 def test_solves_and_inverses_match_dense_oracle(derivation_corpus):

@@ -15,8 +15,7 @@ from homlie3 import (Algebra3, CheckReport, InputError, Mat, Tensor4,
                      derivation_space, fileio, is_derivation,
                      nilpotent_extension, yau_twist)
 from homlie3.cli import report_doc
-from homlie3.homlie import (Record, _skew_check, _skew_scan,
-                            is_bracket_morphism)
+from homlie3.homlie import Record, _skew_scan, is_bracket_morphism
 from homlie3.symplectic import _truncated_extension
 
 from conftest import (N4_DIAG, N4_NEG, a4, a4_cayley, corrupted_n4,
@@ -106,8 +105,8 @@ def test_skew_sweep_matches_dense_oracle():
     corpus += [_truncated_extension(n4(), 7), nilpotent_extension(n4(), 7)[0].double]
     dump = lambda r: fileio.dumps(report_doc(r))
     for a in corpus:
-        assert dump(_skew_check(a)) == dump(skew_check_dense(a)), a.label
-    assert all(_skew_check(a).passed for a in corpus[-2:])
+        assert dump(a._skew) == dump(skew_check_dense(a)), a.label
+    assert all(a._skew.passed for a in corpus[-2:])
 
 
 def _sign(t: tuple) -> int:

@@ -3,7 +3,8 @@ top-level function is referenced somewhere in the package, every public
 one is reached by a walk from the exports and the CLI, every oracle in
 ``tests/oracles.py`` is referenced by the tests, values are divided only
 in ``exactlin``, JSON is written and files are touched only by ``fileio``,
-and no module imports ``dataclasses`` or ``typing`` (no linter is
+no module imports ``dataclasses`` or ``typing``, no term builder takes a
+``skew`` flag and only ``Algebra3._skew`` calls the skew scan (no linter is
 installed, so this is the lint)."""
 import ast
 import glob
@@ -383,3 +384,53 @@ def test_fresh_import_loads_no_code_generation_modules():
     out = subprocess.run([sys.executable, "-S", "-c", code, src],
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.split() == ["[]"]
+
+
+def skew_flagged_term_builders(source: str) -> list:
+    """Functions named ``*_terms`` with a parameter named ``skew``."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name.endswith("_terms")
+                  and any(arg.arg == "skew" for arg in ast.walk(node.args)
+                          if isinstance(arg, ast.arg)))
+
+
+def stray_skew_scans(source: str) -> list:
+    """Lines that name ``_skew_scan`` outside ``Algebra3._skew``, its
+    definition aside."""
+    tree = ast.parse(source)
+    inside = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+              and cls.name == "Algebra3" for f in cls.body
+              if isinstance(f, ast.FunctionDef) and f.name == "_skew"
+              for node in ast.walk(f)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if id(node) not in inside
+                  and "_skew_scan" in (getattr(node, "id", None),
+                                       getattr(node, "attr", None),
+                                       getattr(node, "name", None))
+                  and not isinstance(node, ast.FunctionDef))
+
+
+def test_detector_flags_a_skew_flag_and_a_stray_skew_scan():
+    src = ("from .homlie import _skew_scan\n\n"
+           "class Algebra3:\n    def _skew(self):\n"
+           "        return _skew_scan(self.bracket)\n\n"
+           "def _skew_scan(c):\n    return c\n\n"
+           "def _a_terms(a, skew):\n    return homlie._skew_scan(a)\n\n"
+           "def _b_terms(a, *, skew=True):\n    return _skew_scan\n\n"
+           "def _c_terms(a, d):\n    return a._skew\n\n"
+           "def f(skew):\n    return skew\n")
+    assert skew_flagged_term_builders(src) == ["_a_terms", "_b_terms"]
+    assert stray_skew_scans(src) == [1, 11, 14]
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "*.py"))),
+                         ids=os.path.basename)
+def test_one_skew_precondition(path):
+    """Each identity over an algebra has one term list, formed at sorted
+    keys, and every precondition reads the one scan cached on the
+    algebra."""
+    with open(path) as fh:
+        source = fh.read()
+    assert skew_flagged_term_builders(source) == []
+    assert stray_skew_scans(source) == []
