@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import stat
 from itertools import chain, repeat
 from operator import lt, sub
 
@@ -500,8 +501,14 @@ def _text(doc: dict) -> str:
 def dump(doc: dict, path: str) -> None:
     """Atomic, canonical write of ``dumps(doc)``: its ASCII bytes are
     written to NAME.tmp, which is then renamed over NAME. If the write or
-    the rename fails, NAME.tmp is removed and the error raised."""
+    the rename fails, NAME.tmp is removed and the error raised. A regular
+    file NAME that already holds exactly these bytes is left untouched."""
     data = _text(doc).encode("ascii")
+    with contextlib.suppress(OSError):  # else the write below
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            with open(path, "rb") as fh:
+                if fh.read(len(data) + 1) == data:
+                    return
     tmp = path + ".tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:

@@ -2,16 +2,18 @@
 
 A representation of an algebra, whose bracket must be skew, is a skew
 bilinear family rho(x, y) of operators on a carrier V with a carrier twist
-A, subject to three identities (checked exhaustively on basis tuples).
+A, subject to three identities (checked exhaustively on basis tuples). The
+checker lifts a rep to ints and packs each operator column into one int
+once per ``Rep3``; packing is injective for the slot width it picks.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import lcm
 
-from .exactlin import InputError, Mat, Tensor4, ZERO, dense, unlift, vec_add_into
+from .exactlin import InputError, Mat, Tensor4, ZERO, dense, unlift
 from .homlie import (
     Algebra3, CheckReport, Record, Witness, _permuted, _require, check_algebra,
 )
@@ -29,6 +31,37 @@ class Rep3(Record):
         _check_family(self.rho, self.base.dim, m, "rho")
         if self.A.shape != (m, m):
             raise InputError(f"carrier twist shape {self.A.shape} for vdim {m}")
+
+    @cached_property
+    def _packed(self) -> tuple:
+        """check_representation's data, lifted and packed once per rep: (w,
+        rho, ents, B, BA, cols, rows, S, D2, D4), where rho[a, b] packs each
+        nonzero Dr rho(a, b) in both orders, ents[r][s] holds the
+        ``nonzeros`` of Dr rho(r, s) for r < s, B those of DB B and BA packs
+        DB Da**2 B."""
+        n, m = self.base.dim, self.vdim
+        Dr = lcm(*(mat.den for i, row in enumerate(self.rho)
+                   for mat in row[i + 1:]))
+        lifted, Dc, Da = self.base._lift
+        DB = self.A.den
+        ups = {(i, j): mat.lifted(Dr) for i, row in enumerate(self.rho)
+               for j, mat in enumerate(row) if i < j and any(mat.nonzeros)}
+        B, BA = self.A.lifted(), self.A.lifted(DB * Da * Da)
+        rows = dict(self.base.bracket.lifted(Dc * Dr * Da).rows())
+        S = Dc * DB
+        vs = [v for mat in (BA, lifted.twist, *ups.values())
+              for pairs in mat.nonzeros for _, v in pairs]
+        vs += [v for row in rows.values() for v in row.values()]
+        M = max(S, max(vs, default=0), -min(vs, default=0))
+        w = (4 * m * n * n * M ** 5).bit_length() + 1
+        rho, ents = {}, [[()] * n for _ in range(n)]
+        for (i, j), mat in ups.items():
+            rho[i, j] = packed = _packed_columns(mat, w)
+            rho[j, i] = {k: -x for k, x in packed.items()}
+            ents[i][j] = mat.nonzeros
+        return (w, rho, ents, B.nonzeros, _packed_columns(BA, w),
+                lifted.twist.col_support(), rows, S, Dr * Da * Da * DB,
+                S * Dr * Dr * Da * Da)
 
 
 def _check_family(fam, n: int, m: int, name: str, skew: bool = True) -> None:
@@ -95,48 +128,48 @@ def coadjoint_family(a: Algebra3) -> tuple:
     return _rep_family(_coadjoint_tensor(a))
 
 
-# Sparse matrices {p: {q: value}} with no zero entries and no empty rows (so
-# equal exactly when their matrices are): check_representation's kernel.
+# An m x m int matrix X is packed as the dict {j: sum_p X[p][j] 2**(w p)} of
+# its columns, one int each with signed slots of w bits; a zero column may be
+# absent or 0, so packed operators are compared by their difference.
 
-def _spmat_of(m: Mat) -> dict:
-    return {p: dict(row) for p, row in enumerate(m.nonzeros) if row}
-
-
-def _spmat_to_mat(s: Mapping, rows: int, cols: int) -> Mat:
-    return Mat._of([dense(s.get(p, {}), cols) for p in range(rows)])
-
-
-def _spmat_add_into(acc: dict, s: Mapping, scale) -> None:
-    """acc += scale * s."""
-    for p, row in s.items():
-        r = acc.setdefault(p, {})
-        vec_add_into(r, row, scale)
-        if not r:
-            del acc[p]
-
-
-def _spmat_matmul(a: Mapping, b: Mapping) -> dict:
-    """a @ b."""
+def _packed_columns(mat: Mat, w: int) -> dict:
     out: dict = {}
-    if not b:
-        return out
-    for p, arow in a.items():
-        r = out.setdefault(p, {})
-        for k, v in arow.items():
-            brow = b.get(k)
-            if brow:
-                vec_add_into(r, brow, v)
-        if not r:
-            del out[p]
+    for p, pairs in enumerate(mat.nonzeros):
+        for j, v in pairs:
+            out[j] = out.get(j, 0) + (v << w * p)
     return out
 
 
-def _combine(terms) -> dict:
-    """Sum of scale * s over (s, scale) pairs of sparse matrices."""
+def _sum(terms) -> dict:
+    """The packed sum of f X over the (packed X, f) terms."""
     acc: dict = {}
-    for s, f in terms:
-        _spmat_add_into(acc, s, f)
+    for X, f in terms:
+        for j, x in X.items():
+            acc[j] = acc.get(j, 0) + f * x
     return acc
+
+
+def _matmul(X: dict, Y: tuple) -> dict:
+    """The packed X Y of a packed X and Y's ``nonzeros``."""
+    acc: dict = {}
+    for k, pairs in enumerate(Y):
+        x = X.get(k)
+        if x:
+            for j, v in pairs:
+                acc[j] = acc.get(j, 0) + v * x
+    return acc
+
+
+def _unpacked_rows(X: dict, w: int, m: int, scale: int) -> tuple:
+    """The rows of the packed X / scale, each slot a balanced residue."""
+    rows: dict = {p: {} for p in range(m)}
+    half = 1 << w - 1
+    for j, x in X.items():
+        for p in range(m):
+            rows[p][j] = v = ((x + half) & (2 * half - 1)) - half
+            x = (x - v) >> w
+    rows = unlift(rows, scale)
+    return tuple(dense(rows[p], m) for p in range(m))
 
 
 def check_representation(r: Rep3) -> CheckReport:
@@ -150,117 +183,114 @@ def check_representation(r: Rep3) -> CheckReport:
 
     where a is the algebra twist and B the carrier twist. A part's witness
     is its lex-first failing tuple (u, v) or (x, y, z, u), and ``checked``
-    its lex position (n**2 or n**4 on a pass). Each part generates, in lex
-    order, only the sorted tuple of each orbit on which both sides are
-    skew: (u, v) and (z, u), as ``Rep3`` validates rho skew, and (x, y, z)
-    of action and (x, y) of exchange, as the base bracket must be skew. A
-    repeated index there makes both sides zero, and the sorted tuple, which
-    comes first, has the same sides up to sign.
+    its lex position (n**2 or n**4 on a pass). Only the sorted tuple of each
+    orbit is formed, in lex order: (u, v) and (z, u), as rho is skew, and
+    (x, y, z) of action and (x, y) of exchange, as the bracket is. A tuple
+    with a repeat has both sides zero; any other has those of its sorted
+    tuple, which comes first, up to sign.
 
-    Operators are sparse and built on first use, once per call. The rho rho
-    terms are read from a table of the products rho(a(p), a(q)) rho(r, s)
-    with p < q and r < s, each formed once: every other term is +-1 times
-    one of them, and one with a zero rho(r, s) is skipped. As rho is skew,
-    the last exchange term is -rho([x,y,u], a(z)) B, built like the bracket
-    term of action from the products rho(k, a(u)) B.
+    Operators are formed on first use, once per call. Each rho rho term is
+    +-1 times a product rho(a(p), a(q)) rho(r, s) with p < q, r < s and
+    rho(r, s) nonzero. As rho is skew, the last exchange term is
+    -rho([x,y,u], a(z)) B; each rho([x,y,z], a(u)) B is formed once per
+    sorted triple with a nonzero bracket row and u, from the rho(k, a(u)) B.
 
-    The identities are compared on ints: rho, B, the twist and the bracket
-    are lifted by their denominators Dr (the lcm of the operators' ``den``),
-    DB, Da and Dc, through ``Mat.lifted`` and ``Tensor4.lifted`` as every
-    check lifts, and each term's missing factors are folded into an operator,
-    so that both sides of a part carry one scale. intertwine multiplies
-    B rho by Da**2 and has scale Dr*Da**2*DB; action and exchange multiply
-    the rho rho terms by Dc*DB and the bracket rows by Dc*Dr*Da, and have
-    scale Dc*Dr**2*Da**2*DB. The sides of a witness are divided back by
-    their part's scale. With integral data every scale is 1 and nothing is
-    lifted.
+    The identities are compared on ints. rho, B, the twist and the bracket
+    are lifted by their denominators Dr, DB, Da and Dc, and each term's
+    missing factors are folded into an operator: intertwine scales B rho by
+    Da**2 and has scale Dr*Da**2*DB; action and exchange scale the rho rho
+    terms by S = Dc*DB and the bracket rows by Dc*Dr*Da, and have scale
+    Dc*Dr**2*Da**2*DB, which divides a witness's sides back.
+
+    Operators are packed (Kronecker substitution): a sum adds one int per
+    column, and a product X Y, whose right factor is a source rho(r, s) or
+    B, adds v X[k] into column j for each nonzero v = Y[k][j]. A rep is
+    lifted and packed once (``Rep3._packed``). With M the largest lifted
+    magnitude, S included, a compared entry is a sum of at most 3 m n**2
+    terms of at most M**5, so the slot width w = bitlen(4 m n**2 M**5) + 1
+    keeps packing injective: the sides are equal exactly when every packed
+    column of their difference is 0, and only a witness is unpacked.
     """
     _require(r.base._skew, "base bracket is not skew")
     n, m = r.base.dim, r.vdim
-    # rho is skew: rho[i][j] is read for i < j only, and is {} elsewhere
-    Dr = lcm(*(mat.den for i, row in enumerate(r.rho) for mat in row[i + 1:]))
-    rho = [[_spmat_of(mat.lifted(Dr)) if i < j else {}
-            for j, mat in enumerate(row)] for i, row in enumerate(r.rho)]
-    lifted, Dc, Da = r.base._lift
-    DB = r.A.den
-    B, BA = _spmat_of(r.A.lifted()), _spmat_of(r.A.lifted(DB * Da * Da))
-    cols = lifted.twist.col_support()  # cols[u]: (a, Da alpha[a][u]) nonzero
-    # (x, y, z): Dc Dr Da [x, y, z], nonzero
-    rows = dict(r.base.bracket.lifted(Dc * Dr * Da).rows())
-    S = Dc * DB  # the factor of the rho rho terms of action and exchange
-    D2, D4 = Dr * Da * Da * DB, S * Dr * Dr * Da * Da  # the parts' scales
+    w, rho, ents, B, BA, cols, rows, S, D2, D4 = r._packed
 
     @cache
     def half2(a, v):  # rho(a, a(v))
-        return _combine((rho[a][b], f) if a < b else (rho[b][a], -f)
-                        for b, f in cols[v] if a != b)
+        return _sum((rho[a, b], f) for b, f in cols[v] if (a, b) in rho)
 
     @cache
     def tw(u, v):  # rho(a(u), a(v)), read only for u < v
-        return _combine((half2(a, v), f) for a, f in cols[u])
+        return _sum((half2(a, v), f) for a, f in cols[u])
 
     # S * rho(a(u), a(v)), for action and exchange
-    twS = tw if S == 1 else cache(lambda u, v: _combine([(tw(u, v), S)]))
+    twS = tw if S == 1 else cache(lambda u, v: _sum([(tw(u, v), S)]))
 
     @cache
     def half2B(k, u):  # rho(k, a(u)) B
-        return _spmat_matmul(half2(k, u), B)
+        return _matmul(half2(k, u), B)
 
     @cache
     def prod(p, q, r, s):  # S rho(a(p), a(q)) rho(r, s), p < q and r < s
-        return _spmat_matmul(twS(p, q), rho[r][s])
+        return _matmul(twS(p, q), ents[r][s])
 
-    def add_prod(acc, p, q, r, s):  # acc += S rho(a(p), a(q)) rho(r, s)
-        sign = 1
+    @cache
+    def bracket(t, u):  # rho([t], a(u)) B for a sorted triple t with a row
+        return _sum((half2B(k, u), f) for k, f in rows[t].items())
+
+    # a tuple's terms sum to lhs - rhs; the first k of them are the lhs
+    def add_prod(terms, sign, p, q, r, s):  # += sign S rho(a(p), a(q)) rho(r, s)
         if p > q:
-            p, q, sign = q, p, -1
+            p, q, sign = q, p, -sign
         if r > s:
             r, s, sign = s, r, -sign
-        if p != q and rho[r][s]:
-            _spmat_add_into(acc, prod(p, q, r, s), sign)
+        if p != q and ents[r][s]:
+            terms.append((prod(p, q, r, s), sign))
 
-    def add_bracket(acc, x, y, z, u, sign=1):  # acc += sign rho([x,y,z], a(u)) B
-        for k, f in rows.get((x, y, z), {}).items():
-            _spmat_add_into(acc, half2B(k, u), sign * f)
-        return acc
+    def add_bracket(terms, sign, x, y, z, u):  # += sign rho([x,y,z], a(u)) B
+        if z < y:  # x < y: sort the triple
+            x, y, z, sign = (z, x, y, sign) if z < x else (x, z, y, -sign)
+        if (x, y, z) in rows:
+            terms.append((bracket((x, y, z), u), sign))
 
-    def fail(check, at, lhs, rhs, scale):  # checked: the lex position of at
-        checked = sum(i * n ** k for k, i in enumerate(reversed(at))) + 1
-        lhs, rhs = unlift(lhs, scale), unlift(rhs, scale)
-        return CheckReport(False, checked, Witness(
-            check, at, tuple(_spmat_to_mat(lhs, m, m).entries),
-            tuple(_spmat_to_mat(rhs, m, m).entries), "rows"))
+    def fail(check, at, terms, k, scale):  # checked: the lex position of at
+        checked = sum(i * n ** e for e, i in enumerate(reversed(at))) + 1
+        sides = _sum(terms[:k]), _sum((X, -f) for X, f in terms[k:])
+        return CheckReport(False, checked, Witness(check, at, *(
+            _unpacked_rows(side, w, m, scale) for side in sides), "rows"))
 
     pairs = list(combinations(range(n), 2))
 
     def intertwine():
         for u, v in pairs:
-            lhs = _spmat_matmul(tw(u, v), B)
-            rhs = _spmat_matmul(BA, rho[u][v])
-            if lhs != rhs:
-                return fail("rep_intertwine", (u, v), lhs, rhs, D2)
+            terms = [(_matmul(tw(u, v), B), 1), (_matmul(BA, ents[u][v]), -1)]
+            if any(_sum(terms).values()):
+                return fail("rep_intertwine", (u, v), terms, 1, D2)
         return CheckReport(True, n ** 2)
 
     def action():
         for (x, y, z), u in product(combinations(range(n), 3), range(n)):
-            lhs = add_bracket({}, x, y, z, u)
-            rhs: dict = {}
-            add_prod(rhs, y, z, x, u)
-            add_prod(rhs, z, x, y, u)
-            add_prod(rhs, x, y, z, u)
-            if lhs != rhs:
-                return fail("rep_action", (x, y, z, u), lhs, rhs, D4)
+            terms = []
+            add_bracket(terms, 1, x, y, z, u)
+            k = len(terms)
+            add_prod(terms, -1, y, z, x, u)
+            add_prod(terms, -1, z, x, y, u)
+            add_prod(terms, -1, x, y, z, u)
+            if terms and any(_sum(terms).values()):
+                return fail("rep_action", (x, y, z, u), terms, k, D4)
         return CheckReport(True, n ** 4)
 
     def exchange():
         for (x, y), (z, u) in product(pairs, pairs):
-            lhs: dict = {}
-            add_prod(lhs, x, y, z, u)
-            rhs = add_bracket({}, x, y, z, u)
-            add_bracket(rhs, x, y, u, z, -1)
-            add_prod(rhs, z, u, x, y)
-            if lhs != rhs:
-                return fail("rep_exchange", (x, y, z, u), lhs, rhs, D4)
+            # both products have their pairs sorted
+            terms = [(prod(x, y, z, u), 1)] if ents[z][u] else []
+            k = len(terms)
+            if ents[x][y]:
+                terms.append((prod(z, u, x, y), -1))
+            add_bracket(terms, -1, x, y, z, u)
+            add_bracket(terms, 1, x, y, u, z)
+            if terms and any(_sum(terms).values()):
+                return fail("rep_exchange", (x, y, z, u), terms, k, D4)
         return CheckReport(True, n ** 4)
 
     return CheckReport.combine([("intertwine", intertwine()),

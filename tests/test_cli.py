@@ -482,6 +482,42 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["twisted.alg"]
 
 
+def test_dump_leaves_an_identical_file_alone(tmp_path):
+    """A second dump of the same doc keeps the file's inode and mtime; a
+    changed doc, a file holding more bytes and a symlink are replaced.
+    No NAME.tmp is left in any case."""
+    path = str(tmp_path / "n4.alg")
+    doc = fileio.algebra_to_doc(fileio.load_algebra(fx("n4.alg")))
+    fileio.dump(doc, path)
+    old = os.stat(path)
+    os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns - 10 ** 9))
+    before = os.stat(path)
+    fileio.dump(doc, path)
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                 before.st_mtime_ns)
+    assert os.listdir(tmp_path) == ["n4.alg"]
+    data = fileio.dumps(doc).encode("ascii")
+    changed = dict(doc, label="other")
+    fileio.dump(changed, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == fileio.dumps(changed).encode("ascii")
+    assert os.stat(path).st_ino != before.st_ino
+    with open(path, "wb") as fh:  # the doc's bytes and one more
+        fh.write(data + b"\n")
+    fileio.dump(doc, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == data
+    target = str(tmp_path / "target")
+    with open(target, "wb") as fh:
+        fh.write(data)
+    os.remove(path)
+    os.symlink(target, path)
+    fileio.dump(doc, path)
+    assert not os.path.islink(path)
+    assert sorted(os.listdir(tmp_path)) == ["n4.alg", "target"]
+
+
 # The input counts of every verb/target pair, as its wrong-arity message
 # words them.
 TAKES = {

@@ -239,6 +239,110 @@ def test_sparse_checker_matches_dense_oracle():
     assert _nonskew_refused()
 
 
+BIG_RHO, BIG_B = F(10 ** 20, 19), F(-10 ** 20, 23)
+
+
+def _big_mutant(rep, sites):
+    """rep with rho(i, j)[p][q] += BIG_RHO (rho(j, i) kept skew) for each
+    site (i, j, p, q), and B[p][q] += BIG_B for each site (p, q)."""
+    for site in sites:
+        if len(site) == 4:
+            rep = _mutant(rep, *site, BIG_RHO)
+        else:
+            A = [list(row) for row in rep.A.entries]
+            A[site[0]][site[1]] += BIG_B
+            rep = Rep3(rep.base, rep.vdim, rep.rho, Mat(A))
+    return rep
+
+
+# An 8 x 8 sign matrix and signs on the pairs (a, b) with b > 2, in lex
+# order, found by a search: on the rep of _near_bound_rep, the first
+# failing action tuple (e1, e2, e3, e4) has a side 84 M**5 before it is
+# divided back, over a third of the bound 3 m n**2 M**5 = 192 M**5.
+NEAR_BOUND_TWIST = ("-----+-+", "--------", "+++-++-+", "-++++++-",
+                    "-+-++-+-", "-+--+-+-", "+--++-++", "+----+-+")
+NEAR_BOUND_RHO = "---++---+++++--+++-0+++++"
+
+
+def _near_bound_rep():
+    """Over N4[t]/t^3, whose bracket is zero, with the twist M H for the
+    sign matrix H, a rep on a line with rho(e_a, e_b) = +-M or 0 and
+    B = 1/M. Every source then has magnitude M, S = DB included, and
+    M = 2**67 - 1 puts 4 m n**2 M**5 just below a power of 2, so a slot
+    width 2 bits short of bitlen(4 m n**2 M**5) + 1 misreads that side."""
+    M, sign = 2 ** 67 - 1, {"+": 1, "-": -1, "0": 0}
+    base = Algebra3(8, _truncated_extension(n4(), 3).bracket,
+                    Mat([[sign[c] * M for c in row] for row in NEAR_BOUND_TWIST]),
+                    "n4[t]/t^3~MH")
+    pairs = [(a, b) for a in range(8) for b in range(max(a + 1, 3), 8)]
+    return rep_from_upper(base, 1, {
+        key: Mat([[sign[c] * M]]) for key, c in zip(pairs, NEAR_BOUND_RHO)},
+        Mat([[F(1, M)]]))
+
+
+def _big_corpus():
+    """Reps whose entries are about 10**20, of mixed sign, with the
+    denominators 13, 11, 17, 19 and 23 in the bracket, the twist, rho and
+    B, as (label, rep, passes): the adjoint reps of the Cayley A4 and of
+    the dim-8 nilpotent N4 + N4* (N4 extended by its coadjoint module),
+    each with its bracket scaled, and over the dim-8 nilpotent extension
+    N4[t]/t^3, whose bracket is zero, a rep whose only operators are
+    P = rho(e6, e8) and Q = rho(e7, e8). Its action part can fail only at
+    its last tuple (e6, e7, e8, e8), where the sides are 0 and QP - PQ.
+    Then mutants of each, and _near_bound_rep."""
+    def scaled(a, lam):
+        return Algebra3(a.dim, a.bracket.scale(lam), a.twist, a.label)
+    a4t = adjoint_rep(scaled(a4_cayley(), F(-(10 ** 20 + 7), 13)))
+    ext = adjoint_rep(scaled(semidirect_sum(n4(), coadjoint_rep(n4())),
+                             F(10 ** 20 + 9, 11)))
+    P = Mat.diag([BIG_RHO * (k - 3) for k in range(8)])
+    Q = Mat.diag([BIG_RHO * k * k for k in range(8)])  # commutes with P
+    flat = rep_from_upper(_truncated_extension(n4(), 3), 8,
+                          {(5, 7): P, (6, 7): Q}, Mat.identity(8))
+    mutants = [(a4t, [(0, 1, 0, 0)]), (ext, [(0, 1, 0, 0)]), (ext, [(0, 0)]),
+               (ext, [(6, 7, 0, 0), (3, 0)]), (flat, [(6, 7, 0, 1)])]
+    return ([(rep.base.label, rep, True) for rep in (a4t, ext, flat)]
+            + [(f"{rep.base.label}~{sites}", _big_mutant(rep, sites), False)
+               for rep, sites in mutants]
+            + [("near-bound", _near_bound_rep(), False)])
+
+
+def _failable(check, n):
+    """The tuples of a part at which it can fail: an exchange tuple with
+    (x, y) = (z, u) has equal sides."""
+    return [t for t in _evaluated(check, n)
+            if check != "rep_exchange" or t[:2] != t[2:]]
+
+
+def test_packed_check_matches_dense_oracle_at_large_magnitudes():
+    """Packed columns stay injective at entries of about 10**20: every
+    field of every part, both witness sides included, equals the dense
+    oracle's. The mutants fail each part at the first, a middle and the
+    last tuple at which it can fail, except exchange's last, and one side
+    of _near_bound_rep needs all but 1 bit of the slot width."""
+    where = set()
+    for label, rep, passes in _big_corpus():
+        new, old = check_representation(rep), check_representation_dense(rep)
+        assert new.passed == passes, label
+        assert new == old, label
+        for (name, a), (_, b) in zip(new.parts, old.parts):
+            assert (a.passed, a.checked) == (b.passed, b.checked)
+            if not a.passed:
+                assert (a.witness.check, a.witness.at) == \
+                    (b.witness.check, b.witness.at)
+                assert (a.witness.left, a.witness.right) == \
+                    (b.witness.left, b.witness.right)
+                assert a.witness.left != a.witness.right
+                keys = _failable(a.witness.check, rep.base.dim)
+                k = keys.index(a.witness.at)
+                where.add((name, "first" if k == 0 else
+                           "last" if k == len(keys) - 1 else "middle"))
+        assert fileio.dumps(report_doc(new)) == fileio.dumps(report_doc(old))
+    assert where == {(p, k) for p in ("intertwine", "action", "exchange")
+                     for k in ("first", "middle", "last")} - {
+                         ("exchange", "last")}
+
+
 def test_lifted_check_does_no_fraction_arithmetic():
     """The Cayley-twisted A4 has the denominator 17 in its twist and its
     bracket, yet its passing adjoint check adds, subtracts, multiplies and
@@ -248,6 +352,21 @@ def test_lifted_check_does_no_fraction_arithmetic():
     r, calls = fraction_ops(lambda: check_representation(rep))
     assert r.passed
     assert calls == []
+
+
+def test_rep_is_lifted_and_packed_once():
+    """A repeated check of the Cayley A4's adjoint rep reuses the packing
+    cached on the rep and makes no Fraction call. The cache is not a field:
+    a checked rep still equals, and hashes as, an unchecked equal one."""
+    rep, twin = adjoint_rep(a4_cayley()), adjoint_rep(a4_cayley())
+    first = check_representation(rep)
+    packed = rep._packed
+    for _ in range(3):
+        again, calls = fraction_ops(lambda: check_representation(rep))
+        assert again == first and again.passed and calls == []
+    assert rep._packed is packed and "_packed" not in vars(twin)
+    assert rep == twin and hash(rep) == hash(twin)
+    assert {rep: 1}[twin] == 1
 
 
 def _block_cayley(k):
@@ -367,7 +486,7 @@ def test_each_operator_product_is_formed_once(monkeypatch):
     rho(a(u), a(v)) B and B rho(u, v) with u < v, and each rho(k, a(u)) B
     is formed at most once per check: at most C(n,2)**2 + 2 C(n,2) + n**2
     products, 64 at n = 4."""
-    calls = _count_calls(monkeypatch, reps, ["_spmat_matmul"])
+    calls = _count_calls(monkeypatch, reps, ["_matmul"])
     assert check_representation(adjoint_rep(a4_cayley())).passed
     assert 0 < len(calls) <= 6 * 6 + 2 * 6 + 4 * 4
 
