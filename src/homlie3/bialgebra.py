@@ -8,8 +8,6 @@ dual space has matrix transpose(alpha); coadjoint actions are defined by
 """
 from __future__ import annotations
 
-from itertools import chain
-
 from .exactlin import InputError, Mat, ONE, Tensor4, ZERO
 from .homlie import (
     Algebra3, CheckReport, PreconditionError, Record, Witness, _by_output,
@@ -17,7 +15,7 @@ from .homlie import (
     check_algebra, twist_slots,
 )
 from .reps import (
-    Rep3, _action_tensor, _coadjoint_tensor, _placed, check_representation,
+    Rep3, _action_tensor, _coadjoint_tensor, _place, check_representation,
     coadjoint_family,
 )
 
@@ -172,11 +170,14 @@ def _matched_sum(left: Algebra3, right: Algebra3, rho: Tensor4,
     """The bracket on L + L' of two brackets and the action tensors of L on
     L' (rho) and of L' on L (mu), twist alpha (+) alpha'."""
     n, N = left.dim, left.dim + right.dim
-    shifted = ((n + i, n + j, n + k, n + l, v)
-               for i, j, k, l, v in right.bracket.items())
-    bracket = Tensor4.from_entries((N,) * 4, chain(
-        left.bracket.items(), shifted, _placed(rho, 0, n), _placed(mu, n, 0)))
-    return Algebra3(N, bracket, Mat.block_diag(left.twist, right.twist),
+    rows = dict(left.bracket.rows())
+    for (i, j, k), vec in right.bracket.rows():
+        rows[n + i, n + j, n + k] = {n + l: v for l, v in vec.items()}
+    # rho's keys have one index past n, mu's two: no two rows share a key
+    _place(rows, rho, 0, n)
+    _place(rows, mu, n, 0)
+    return Algebra3(N, Tensor4._of((N,) * 4, rows),
+                    Mat.block_diag(left.twist, right.twist),
                     label="matched-pair-sum")
 
 
@@ -211,11 +212,11 @@ def manin_bracket(c: Cobracket) -> tuple:
     form = standard_form(n)
     parts = [("algebra", check_algebra(total)),
              ("invariance", check_invariance(total, form))]
-    iso_w = None
-    for i in range(n):
-        for j in range(n):
-            if form.matrix.entries[i][j] or form.matrix.entries[n + i][n + j]:
-                iso_w = Witness("isotropy", (i, j), (), ())
+    # the last (i, j) at which the form is nonzero on L x L or on L* x L*
+    nz = form.matrix.nonzeros
+    hits = [(i, j - s) for s in (0, n) for i in range(n)
+            for j, _ in nz[s + i] if s <= j < s + n]
+    iso_w = Witness("isotropy", max(hits), (), ()) if hits else None
     parts.append(("isotropy", CheckReport(iso_w is None, 2 * n * n, iso_w)))
 
     proj_w = None

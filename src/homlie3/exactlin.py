@@ -17,9 +17,9 @@ construction and all functions are pure.
 
 Values pass ``rat`` once, at the boundary: the public constructors
 ``Mat(...)``, ``Mat.diag``, ``Tensor4(...)`` and ``Tensor4.from_entries``
-parse their arguments, while ``Mat._of`` and ``Tensor4._of`` trust rows
-that are already parsed and checked, and are what every result built
-here from such values goes through.
+parse their arguments, while ``Mat._of``, ``Mat._sparse`` and
+``Tensor4._of`` trust rows that are already parsed and checked, and are
+what every result built here from such values goes through.
 
 Fraction-free checks lift rational data to ints. A ``Mat`` or ``Tensor4``
 has a denominator ``den``, the lcm D of its entries' denominators (1 when
@@ -31,16 +31,17 @@ its terms scaled to one common factor, and ``unlift`` divides a lifted
 value back by that factor only where it is shown (Bareiss's
 integer-preserving arithmetic, *Math. Comp.* 22, 1968).
 
-All linear algebra runs on one sparse Gauss-Jordan routine,
+Kernels, solves and inverses run on one sparse Gauss-Jordan routine,
 ``_gauss_jordan``: rows are {col: value} dicts and a pivot map takes each
 pivot column to its normalised row, so a sparse system costs what its
-nonzero entries cost. ``sparse_kernel``, ``linear_solver``,
-``mat_inverse`` and ``mat_rank`` use it; a square matrix is tested for
-invertibility by ``mat_rank``, which builds no inverse. A ``Mat`` keeps a
-view of its rows' nonzero (j, value) pairs, formed at most once per
-matrix; products, sums, transposes, elimination and every scan of a matrix
-elsewhere read it, so O(n) nonzero entries cost O(n), not O(n**2). Two
-contracts are fixed:
+nonzero entries cost. ``mat_rank`` eliminates forward on lifted ints, with
+no ``Fraction``. A ``Mat`` holds its dense rows, the view of its rows'
+nonzero (j, value) pairs, or both, and forms the other once, on first
+read; one built by ``Mat._sparse`` holds only the view. Products, sums,
+transposes, elimination and every scan of a matrix elsewhere read the
+view, so O(n) nonzero entries cost O(n), not O(n**2). Equality compares
+dense rows when both sides hold them, the views otherwise, so a matrix
+read from a file keeps its dense path. Two contracts are fixed:
 
 - A kernel basis is canonical: the reduced row echelon form of the kernel,
   one vector per free column f with a leading 1 at f. It depends only on
@@ -55,7 +56,7 @@ import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 
 Rat = Fraction
 ZERO = 0
@@ -126,12 +127,12 @@ def _unwritable() -> InputError:
 
 
 class Mat:
-    """Immutable dense matrix of rationals.  ``M[i][j]``, row-major, with
-    ``nonzeros`` the view of its nonzero entries and ``den`` its
-    denominator (see the module notes). Equality and hashing read
-    ``entries`` only."""
+    """Immutable matrix of rationals.  ``M[i][j]``, row-major, with
+    ``entries`` its dense rows, ``nonzeros`` the view of its nonzero
+    entries (see the module notes) and ``den`` its denominator. The hash
+    reads ``entries``."""
 
-    __slots__ = ("rows", "cols", "entries", "_nz", "_den")
+    __slots__ = ("rows", "cols", "_entries", "_nz", "_den")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = tuple(tuple(rat(v) for v in row) for row in entries)
@@ -140,7 +141,7 @@ class Mat:
         cols = len(rows[0])
         if any(len(r) != cols for r in rows):
             raise InputError("ragged matrix rows")
-        self.rows, self.cols, self.entries = len(rows), cols, rows
+        self.rows, self.cols, self._entries = len(rows), cols, rows
         self._nz = self._den = None
 
     @staticmethod
@@ -150,31 +151,43 @@ class Mat:
         the constructors and the file parser build them: nothing is parsed,
         and only an empty shape is refused."""
         m = object.__new__(Mat)
-        m.entries = tuple(map(tuple, rows))
-        if not m.entries or not m.entries[0]:
+        m._entries = tuple(map(tuple, rows))
+        if not m._entries or not m._entries[0]:
             raise InputError("matrix must have positive dimensions")
-        m.rows, m.cols = len(m.entries), len(m.entries[0])
+        m.rows, m.cols = len(m._entries), len(m._entries[0])
         m._nz = m._den = None
         return m
 
     @staticmethod
-    def _sparse(nz: list, cols: int) -> "Mat":
+    def _sparse(nz: Sequence, cols: int) -> "Mat":
         """The Mat of ``cols`` columns whose rows have the nonzero (j, value)
-        pairs nz, in column order, with its view formed."""
-        rows = [[ZERO] * cols for _ in nz]
-        for row, pairs in zip(rows, nz):
-            for j, v in pairs:
-                row[j] = v
-        m = Mat._of(rows)
-        m._nz = tuple(map(tuple, nz))
+        pairs nz, in column order, holding only this view."""
+        if not nz or cols < 1:
+            raise InputError("matrix must have positive dimensions")
+        m = object.__new__(Mat)
+        m.rows, m.cols, m._nz = len(nz), cols, tuple(map(tuple, nz))
+        m._entries = m._den = None
         return m
+
+    @property
+    def entries(self) -> tuple:
+        """The dense rows, formed from the view on first read."""
+        if self._entries is None:
+            rows = []
+            for pairs in self._nz:
+                row = [ZERO] * self.cols
+                for j, v in pairs:
+                    row[j] = v
+                rows.append(tuple(row))
+            self._entries = tuple(rows)
+        return self._entries
 
     @property
     def nonzeros(self) -> tuple:
         """For each row i, the (j, M[i][j]) with nonzero entries."""
         if self._nz is None:
             self._nz = tuple(tuple(compress(enumerate(r), r))
-                             for r in self.entries)
+                             for r in self._entries)
         return self._nz
 
     @property
@@ -203,7 +216,7 @@ class Mat:
 
     @staticmethod
     def zeros(r: int, c: int) -> "Mat":
-        return Mat._of([[ZERO] * c for _ in range(r)])
+        return Mat._sparse(((),) * r, c)
 
     @staticmethod
     def diag(values: Sequence) -> "Mat":
@@ -213,12 +226,9 @@ class Mat:
 
     @staticmethod
     def block_diag(a: "Mat", b: "Mat") -> "Mat":
-        right, left = (ZERO,) * b.cols, (ZERO,) * a.cols
-        m = Mat._of([row + right for row in a.entries]
-                    + [left + row for row in b.entries])
-        if a._nz is not None and b._nz is not None:
-            m._nz = a._nz + tuple(tuple((j + a.cols, v) for j, v in pairs)
-                                  for pairs in b._nz)
+        shifted = tuple(tuple((j + a.cols, v) for j, v in pairs)
+                        for pairs in b.nonzeros)
+        m = Mat._sparse(a.nonzeros + shifted, a.cols + b.cols)
         if a._den is not None and b._den is not None:
             m._den = lcm(a._den, b._den)
         return m
@@ -227,7 +237,11 @@ class Mat:
         return self.entries[i]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Mat) and self.entries == other.entries
+        if not isinstance(other, Mat):
+            return False
+        if self._entries is not None and other._entries is not None:
+            return self._entries == other._entries
+        return self.cols == other.cols and self.nonzeros == other.nonzeros
 
     def __hash__(self) -> int:
         return hash(self.entries)
@@ -407,9 +421,28 @@ def mat_inverse(m: Mat) -> Mat | None:
 
 
 def mat_rank(m: Mat) -> int:
-    """The rank of m. A square m is invertible exactly when its rank is
+    """The rank of m, by fraction-free forward elimination of its lifted
+    rows: each row is cleared at its first column by the pivot row there,
+    as b * row - a * pivot (a, b the two entries over their gcd), until it
+    vanishes or becomes a pivot row, divided by the gcd of its entries to
+    bound their growth. A square m is invertible exactly when its rank is
     its size, so this decides nondegeneracy without building an inverse."""
-    return len(_gauss_jordan(m.nonzeros)[0])
+    piv: dict = {}
+    for pairs in m.lifted().nonzeros:
+        row = dict(pairs)
+        while row:
+            p = min(row)
+            top = piv.get(p)
+            if top is None:
+                g = gcd(*row.values())
+                piv[p] = {c: v // g for c, v in row.items()} if g != 1 else row
+                break
+            a, b = row[p], top[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            row = {c: b * v for c, v in row.items()} if b != 1 else row
+            vec_add_into(row, top, -a)
+    return len(piv)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +486,10 @@ class Tensor4:
         return Tensor4._of(_tensor_dims(dims), {}, 1)
 
     @staticmethod
-    def from_entries(dims: Sequence[int], entries: Iterable,
-                     den: int | None = None) -> "Tensor4":
+    def from_entries(dims: Sequence[int], entries: Iterable) -> "Tensor4":
         """Build from an iterable of (i, j, k, l, value); duplicates add up.
         The indices of the sum are checked as ``Tensor4(dims, rows)`` checks
-        them. ``den``, when the caller knows it, is the denominator of the
-        sum."""
+        them."""
         rows: dict = {}
         for (i, j, k, l, v) in entries:
             vec = rows.setdefault((i, j, k), {})
@@ -473,8 +504,7 @@ class Tensor4:
         for (i, j, k), vec in rows.items():
             _check_key(dims, i, j, k)
             _check_outputs(dims, vec)
-        return Tensor4._of(dims, {key: vec for key, vec in rows.items() if vec},
-                           den)
+        return Tensor4._of(dims, {key: vec for key, vec in rows.items() if vec})
 
     @property
     def den(self) -> int:

@@ -394,9 +394,12 @@ def _by_output(t: Tensor4) -> dict:
 
 def _permuted(t: Tensor4, order: tuple) -> Tensor4:
     """t with its four indices rearranged: entry e goes to (e[s] for s in
-    order). The values, and so the denominator, are t's."""
-    return Tensor4.from_entries(tuple(t.dims[s] for s in order),
-                                map(itemgetter(*order, 4), t.items()), t._den)
+    order). The entries stay on distinct keys, so the values, and so the
+    denominator, are t's."""
+    rows: dict = {}
+    for *key, l, v in map(itemgetter(*order, 4), t.items()):
+        rows.setdefault(tuple(key), {})[l] = v
+    return Tensor4._of(tuple(t.dims[s] for s in order), rows, t._den)
 
 
 def _columns(m: Mat) -> dict:
@@ -424,10 +427,11 @@ def _tail_increasing(key: tuple) -> bool:
 def _minors(A: Mat, a: int, b: int) -> list:
     """The nonzero 2x2 minors of rows a, b of A at columns x < y, as
     ((x, y), A[a][x] A[b][y] - A[b][x] A[a][y])."""
-    ra, rb = A.entries[a], A.entries[b]
-    cols = sorted(dict(A.nonzeros[a] + A.nonzeros[b]))
+    ra, rb = dict(A.nonzeros[a]), dict(A.nonzeros[b])
+    cols = sorted(ra.keys() | rb.keys())
     return [((x, y), d) for i, x in enumerate(cols) for y in cols[i + 1:]
-            if (d := ra[x] * rb[y] - rb[x] * ra[y])]
+            if (d := ra.get(x, ZERO) * rb.get(y, ZERO)
+                - rb.get(x, ZERO) * ra.get(y, ZERO))]
 
 
 def _twisted_outer(a: Algebra3) -> tuple:
@@ -450,6 +454,8 @@ def _twisted_outer(a: Algebra3) -> tuple:
             for xy, d in minors[ab]:
                 if xy in acc:
                     vec_add_into(acc[xy], lvec, d)
+                elif d == 1:
+                    acc[xy] = dict(lvec)
                 else:
                     acc[xy] = {l: d * v for l, v in lvec.items()}
     return tuple({m: pairs for m, acc in out.items()

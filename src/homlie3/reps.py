@@ -13,7 +13,7 @@ from functools import cache, cached_property
 from itertools import combinations, product
 from math import lcm
 
-from .exactlin import InputError, Mat, Tensor4, ZERO, dense, unlift
+from .exactlin import InputError, Mat, Tensor4, dense, unlift
 from .homlie import (
     Algebra3, CheckReport, Record, Witness, _permuted, _require, check_algebra,
 )
@@ -69,20 +69,19 @@ def _check_family(fam, n: int, m: int, name: str, skew: bool = True) -> None:
     first offending pair in row-major order is named."""
     if len(fam) != n or any(len(r) != n for r in fam):
         raise InputError(f"{name} family must be dim x dim")
-    for i in range(n):
-        for j in range(n):
-            if fam[i][j].shape != (m, m):
-                raise InputError(f"{name}({i},{j}) shape {fam[i][j].shape}")
+    for i, row in enumerate(fam):
+        for j, mat in enumerate(row):
+            if mat.rows != m or mat.cols != m:
+                raise InputError(f"{name}({i},{j}) shape {mat.shape}")
             # the pair (i, j) with j >= i is met first in row-major order
-            if skew and j >= i and not _negates(fam[i][j], fam[j][i]):
+            if skew and j >= i and not _negates(mat, fam[j][i]):
                 raise InputError(f"{name} not skew at ({i},{j})")
 
 
 def _negates(a: Mat, b: Mat) -> bool:
-    """a == -b, entry by entry, without building -b."""
-    return a.shape == b.shape and all(
-        x == -y for ra, rb in zip(a.entries, b.entries)
-        for x, y in zip(ra, rb))
+    """a == -b, compared on the nonzero views without building -b."""
+    return a.shape == b.shape and a.nonzeros == tuple(
+        tuple([(j, -x) for j, x in row]) for row in b.nonzeros)
 
 
 def rep_from_upper(base: Algebra3, vdim: int, upper: Mapping, A: Mat) -> Rep3:
@@ -94,7 +93,9 @@ def rep_from_upper(base: Algebra3, vdim: int, upper: Mapping, A: Mat) -> Rep3:
         if not 0 <= i < j < n:
             raise InputError(f"rho index ({i},{j}) must satisfy 0 <= i < j < dim")
         fam[i][j] = m
-        fam[j][i] = -m
+        # negated on its view, which the skew test and the check read
+        fam[j][i] = Mat._sparse([[(k, -v) for k, v in pairs]
+                                 for pairs in m.nonzeros], m.cols)
     return Rep3(base, vdim, tuple(tuple(r) for r in fam), A)
 
 
@@ -111,11 +112,13 @@ def _rep_family(t: Tensor4) -> tuple:
     """The n x n family of m x m matrices rho(x, y) of an action tensor with
     rows (x, y, v) -> rho(x, y) v (the inverse of _action_tensor)."""
     n, _, m, _ = t.dims
-    fam = [[[[ZERO] * m for _ in range(m)] for _ in range(n)]
-           for _ in range(n)]
-    for i, j, k, l, v in t.items():
-        fam[i][j][l][k] = v
-    return tuple(tuple(Mat._of(rows) for rows in row) for row in fam)
+    fam = [[[[] for _ in range(m)] for _ in range(n)] for _ in range(n)]
+    for (i, j, k), vec in t.rows():
+        rows = fam[i][j]
+        for l, v in vec.items():
+            rows[l].append((k, v))
+    return tuple(tuple(Mat._sparse([sorted(r) for r in rows], m)
+                       for rows in row) for row in fam)
 
 
 def _coadjoint_tensor(a: Algebra3) -> Tensor4:
@@ -346,21 +349,22 @@ def _semidirect(a: Algebra3, act: Tensor4, A: Mat) -> Algebra3:
     """The semidirect bracket on L + V of an action tensor with rows
     (x, y, v) -> rho(x, y) v and carrier twist A (see semidirect_sum)."""
     n, m = a.dim, act.dims[2]
-    entries = [*a.bracket.items(), *_placed(act, 0, n)]
-    # the entries fall on distinct keys, so the values are a's and act's
+    rows = dict(a.bracket.rows())
+    _place(rows, act, 0, n)
     dens = (a.bracket._den, act._den)
-    bracket = Tensor4.from_entries((n + m,) * 4, entries,
-                                   None if None in dens else lcm(*dens))
+    bracket = Tensor4._of((n + m,) * 4, rows,
+                          None if None in dens else lcm(*dens))
     twist = Mat.block_diag(a.twist, A)
     return Algebra3(n + m, bracket, twist,
                     label=f"{a.label}|x|V" if a.label else "semidirect")
 
 
-def _placed(act: Tensor4, x0: int, v0: int):
-    """The entries of an action in a direct-sum bracket: rho(e_i, e_j) f_q =
-    sum_p v f_p goes into its three slots [e_i, e_j, f_q], [f_q, e_i, e_j]
-    and [e_j, f_q, e_i], with e offset by x0 and f by v0."""
-    for i, j, q, p, v in act.items():
-        i, j, q, p = i + x0, j + x0, q + v0, p + v0
-        yield from ((i, j, q, p, v), (q, i, j, p, v), (j, q, i, p, v))
-
+def _place(rows: dict, act: Tensor4, x0: int, v0: int) -> None:
+    """Put an action into the rows of a direct-sum bracket: rho(e_i, e_j) f_q
+    = sum_p v f_p goes into [e_i, e_j, f_q], [f_q, e_i, e_j] and [e_j, f_q,
+    e_i], e offset by x0 and f by v0. The slot of f tells the three keys
+    apart, so they share one row."""
+    for (i, j, q), vec in act.rows():
+        i, j, q = i + x0, j + x0, q + v0
+        rows[i, j, q] = rows[q, i, j] = rows[j, q, i] = {
+            p + v0: v for p, v in vec.items()}

@@ -134,7 +134,7 @@ def compatible_prelie_from_symplectic(a: Algebra3, omega: BilForm) -> tuple:
     # {x,y,z} = u where (W.A)^T u = g, g_w = -w(a(z), [x,y,w])
     #   = -sum_m (A^T W)[z][m] [x,y,w]_m
     solve = linear_solver((W @ A).transpose())
-    atw = (A.transpose() @ W).entries
+    atw = [dict(pairs) for pairs in (A.transpose() @ W).nonzeros]
     by_pair: dict = {}  # (x, y): [(w, [x,y,w])] over the nonzero rows
     for (i, j, w), row in c.rows():
         by_pair.setdefault((i, j), []).append((w, row))
@@ -148,7 +148,7 @@ def compatible_prelie_from_symplectic(a: Algebra3, omega: BilForm) -> tuple:
                 g = [ZERO] * n
                 tk = atw[k]
                 for w, row in rows:
-                    g[w] = -sum((tk[m] * v for m, v in row.items() if tk[m]),
+                    g[w] = -sum((tk[m] * v for m, v in row.items() if m in tk),
                                 ZERO)
                 if not any(g):
                     continue  # {x,y,z} = 0
@@ -277,21 +277,17 @@ def _truncated_extension(a: Algebra3, steps: int) -> Algebra3:
     [x,y,z] t^(p+q+r) and the twist a (x) id."""
     n, deg = a.dim, steps - 1
     N = n * deg
-
-    def idx(i, p):  # basis e_i (x) t^p, p = 1..deg
-        return (p - 1) * n + i
-
-    entries = []
-    for i, j, k, l, v in a.bracket.items():
-        for p in range(1, deg + 1):
-            for q in range(1, deg + 1):
-                for r in range(1, deg + 1):
-                    if p + q + r <= deg:
-                        entries.append((idx(i, p), idx(j, q), idx(k, r),
-                                        idx(l, p + q + r), v))
-    # each entry is one of a's, so the extension of integral a is integral
-    bracket = Tensor4.from_entries((N,) * 4, entries,
-                                   1 if a.bracket.den == 1 else None)
+    # the degrees (p, q, r) of three inputs whose product survives
+    degs = [(p, q, r) for p in range(1, deg + 1) for q in range(1, deg + 1)
+            for r in range(1, deg + 1) if p + q + r <= deg]
+    rows = {}
+    for (i, j, k), vec in a.bracket.rows():
+        for p, q, r in degs:
+            out = (p + q + r - 1) * n
+            rows[(p - 1) * n + i, (q - 1) * n + j, (r - 1) * n + k] = {
+                out + l: v for l, v in vec.items()}
+    # the keys are distinct and each row is one of a's, and so is den
+    bracket = Tensor4._of((N,) * 4, rows, a.bracket.den)
     twist = a.twist
     for _ in range(deg - 1):
         twist = Mat.block_diag(twist, a.twist)

@@ -163,14 +163,58 @@ def sparse_square_cases(rng) -> list:
     return cases
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def rational_low_rank(rng, r, c, rank, scale=1):
+    """An r x c matrix of rank at most ``rank``: a product of two int
+    factors with entries up to about 3 * ``scale`` in size, its row i
+    divided by PRIMES[i] and its column j by PRIMES[r + j], so that each
+    entry is divided by its own pair of primes."""
+    k = max(rank, 1)
+    left = Mat([[rng.randint(-3, 3) * scale if rank else 0 for _ in range(k)]
+                for _ in range(r)])
+    right = Mat([[rng.randint(-3, 3) * scale + rng.randint(-9, 9)
+                  for _ in range(c)] for _ in range(k)])
+    return Mat([[F(v, PRIMES[i] * PRIMES[r + j]) for j, v in enumerate(row)]
+                for i, row in enumerate((left @ right).entries)])
+
+
+def large_cases(rng) -> list:
+    """Matrices with entries of about 10**20: random ones, ones with a row
+    that is a combination of two others, and a rational one."""
+    big = 10 ** 20
+    out = []
+    for n in (3, 5, 8):
+        rows = [[rng.randint(-big, big) for _ in range(n)] for _ in range(n)]
+        out.append(Mat(rows))
+        rows = [list(r) for r in rows]
+        rows[-1] = [2 * x - 3 * y for x, y in zip(rows[0], rows[1])]
+        out.append(Mat(rows))
+    out.append(Mat([[F(rng.randint(-big, big), rng.randint(1, 10 ** 6))
+                     for _ in range(4)] for _ in range(4)]))
+    return out
+
+
 def test_rank_and_inverse_against_sympy():
+    """Rank and inverse against sympy on small dense and 12 x 12 sparse
+    matrices, on rank-deficient rational ones whose entries are each
+    divided by their own pair of primes, and on entries of about 10**20."""
     rng = random.Random(101)
     cases = [random_mat(rng, rng.randint(1, 6), rng.randint(1, 6))
              for _ in range(40)]
+    cases += [rational_low_rank(rng, r, c, rank)
+              for r, c, rank in ((5, 5, 3), (6, 6, 5), (4, 7, 2), (7, 4, 3),
+                                 (6, 6, 0), (8, 8, 6))]
+    cases += [rational_low_rank(rng, 6, 6, rank, scale=10 ** 20)
+              for rank in (4, 6)]
+    cases += large_cases(rng)
+    deficient = 0
     for m in cases + sparse_square_cases(random.Random(505)):
         r, c = m.shape
         sm = to_sympy(m)
         assert mat_rank(m) == sm.rank()
+        deficient += sm.rank() < min(r, c)
         if r == c:
             inv = mat_inverse(m)
             if sm.det() == 0:
@@ -178,6 +222,20 @@ def test_rank_and_inverse_against_sympy():
             else:
                 assert inv is not None
                 assert to_sympy(inv) == sm.inv()
+    assert deficient >= 10
+
+
+def test_rank_makes_no_fraction_arithmetic():
+    """``mat_rank`` of a rational matrix eliminates on lifted ints: it makes
+    no ``Fraction`` addition, subtraction, multiplication or division."""
+    rng = random.Random(606)
+    for m in (rational_low_rank(rng, 6, 6, 4), rational_low_rank(rng, 5, 7, 5),
+              random_mat(rng, 6, 6), large_cases(rng)[-1]):
+        assert m.den > 1
+        fresh = Mat(m.entries)
+        rank, calls = oracles.fraction_ops(lambda: mat_rank(fresh))
+        assert rank == to_sympy(m).rank()
+        assert calls == []
 
 
 def test_rref_matches_sympy():
@@ -508,18 +566,20 @@ def dense_nonzeros(m: Mat) -> tuple:
 
 
 def views(m: Mat) -> list:
-    """m as it is and a copy of it with its nonzero view formed."""
+    """Copies of m that hold its dense rows only, its rows and its nonzero
+    view, and its nonzero view only."""
     formed = Mat._of(m.entries)
     assert formed.nonzeros == dense_nonzeros(m)
-    return [Mat._of(m.entries), formed]
+    return [Mat._of(m.entries), formed, Mat._sparse(dense_nonzeros(m), m.cols)]
 
 
 def test_nonzero_view_agrees_with_dense_definitions():
     """Every Mat operation that reads or forms the nonzero view gives the
     dense definition's entries, and every view it forms is the nonzero
-    pairs of those entries, whether or not its operands' views were formed
-    first: products, sums, negation, transpose, diag, block_diag, column
-    supports, rank, inverse, solves and matrix documents."""
+    pairs of those entries, whether its operands hold their dense rows,
+    their views or both: products, sums, negation, transpose, diag,
+    block_diag, column supports, rank, inverse, solves and matrix
+    documents."""
     rng = random.Random(2207)
     mats = sparse_mats(rng, 60)
     checked, seen = 0, collections.Counter()
@@ -529,23 +589,25 @@ def test_nonzero_view_agrees_with_dense_definitions():
                     for _ in range(a.rows)])
         for x in views(a):
             for y in views(b):
-                want = [[sum((x[i][k] * y[k][j] for k in range(x.cols)), 0)
-                         for j in range(y.cols)] for i in range(x.rows)]
+                # the expected entries read a, b and same, so that a copy
+                # that holds only its view keeps it up to its first sum
+                want = [[sum((a[i][k] * b[k][j] for k in range(a.cols)), 0)
+                         for j in range(b.cols)] for i in range(a.rows)]
                 got = [x @ y, Mat.block_diag(x, y)]
                 assert got[0] == Mat(want)
-                corner = [[0] * y.cols for _ in range(x.rows)]
-                lower = [[0] * x.cols for _ in range(y.rows)]
-                assert got[1] == Mat([list(r) + z for r, z in zip(x, corner)]
-                                     + [z + list(r) for z, r in zip(lower, y)])
+                corner = [[0] * b.cols for _ in range(a.rows)]
+                lower = [[0] * a.cols for _ in range(b.rows)]
+                assert got[1] == Mat([list(r) + z for r, z in zip(a, corner)]
+                                     + [z + list(r) for z, r in zip(lower, b)])
+                got += [-x, x.transpose()]
+                assert got[-2] == Mat([[-v for v in r] for r in a])
+                assert got[-1] == Mat(list(zip(*a.entries)))
                 for z in views(same):
                     got += [x + z, x - z]
                     assert got[-2] == Mat([[p + q for p, q in zip(r, t)]
-                                           for r, t in zip(x, z)])
+                                           for r, t in zip(a, same)])
                     assert got[-1] == Mat([[p - q for p, q in zip(r, t)]
-                                           for r, t in zip(x, z)])
-                got += [-x, x.transpose()]
-                assert got[-2] == Mat([[-v for v in r] for r in x])
-                assert got[-1] == Mat(list(zip(*x.entries)))
+                                           for r, t in zip(a, same)])
                 for m in got:
                     assert m.nonzeros == dense_nonzeros(m)
                     checked += 1
@@ -568,6 +630,50 @@ def test_nonzero_view_agrees_with_dense_definitions():
     d = Mat.diag([0, F(1, 2), 3])
     assert d.nonzeros == dense_nonzeros(d) == ((), ((1, F(1, 2)),), ((2, 3),))
     assert checked > 1000 and min(seen.values()) >= 10, seen
+
+
+def test_sparse_built_mats_equal_and_hash_as_their_dense_twins():
+    """A Mat built from nonzero rows (a product, a negation, block_diag and
+    diag) holds no dense rows until they are read, equals its dense twins
+    (``Mat(...)`` of the same values, and ``Mat._of`` rows that hold an
+    integral Fraction where it holds an int) on either side of ``==``
+    without forming them, and hashes as they do, with the same entries. A
+    copy with an extra zero column or one changed entry differs."""
+    x = Mat([[F(1, 2), 0, 3], [0, 0, 0], [F(4, 3), -1, 0]])
+    y = Mat([[4, 0], [0, 0], [F(1, 3), 0]])
+    assert x.nonzeros  # formed, so that -x holds only its view
+    cases = {  # each with its dense rows; 1/2 * 4 + 3 * 1/3 = 3 is integral
+        "product": (lambda: x @ y, [[3, 0], [0, 0], [F(16, 3), 0]]),
+        "negation": (lambda: -x,
+                     [[F(-1, 2), 0, -3], [0, 0, 0], [F(-4, 3), 1, 0]]),
+        "block_diag": (lambda: Mat.block_diag(y, x),
+                       [[4, 0, 0, 0, 0], [0, 0, 0, 0, 0], [F(1, 3), 0, 0, 0, 0],
+                        [0, 0, F(1, 2), 0, 3], [0, 0, 0, 0, 0],
+                        [0, 0, F(4, 3), -1, 0]]),
+        "diag": (lambda: Mat.diag([F(6, 3), 0, F(-1, 2)]),
+                 [[2, 0, 0], [0, 0, 0], [0, 0, F(-1, 2)]]),
+    }
+    for name, (build, rows) in cases.items():
+        assert any(not any(r) for r in rows), name  # an all-zero row
+        fraction_rows = [[F(v) if type(v) is int and v else v for v in r]
+                         for r in rows]
+        for twin in (Mat(rows), Mat._of(fraction_rows)):
+            m = build()
+            assert m._entries is None, name
+            assert m == twin and twin == m and not m != twin, name
+            assert m._entries is None, name
+            assert hash(m) == hash(twin), name
+            assert m.entries == twin.entries, name
+            assert m == twin and twin == m, name  # now both hold rows
+            assert m.nonzeros == dense_nonzeros(twin), name
+        assert any(type(v) is F and v.denominator == 1
+                   for r in fraction_rows for v in r), name
+        wider = Mat([list(r) + [0] for r in rows])
+        changed = Mat([[rows[0][0] + 1, *rows[0][1:]], *rows[1:]])
+        for other in (wider, changed):
+            m = build()
+            assert m != other and other != m, name
+        assert build() != rows
 
 
 def test_tensor4_accumulates_and_drops_zeros():
