@@ -1,4 +1,4 @@
-"""Exact rational matrices, sparse rank-4 tensors, and linear solving.
+"""Exact rational matrices, sparse rank-4 tensors, kernels and inverses.
 
 Everything downstream works over the rationals with no rounding: structure
 constants, twist maps and bilinear forms are matrices/tensors of exact
@@ -31,7 +31,7 @@ its terms scaled to one common factor, and ``unlift`` divides a lifted
 value back by that factor only where it is shown (Bareiss's
 integer-preserving arithmetic, *Math. Comp.* 22, 1968).
 
-Kernels, solves and inverses run on one sparse Gauss-Jordan routine,
+Kernels and inverses run on one sparse Gauss-Jordan routine,
 ``_gauss_jordan``: rows are {col: value} dicts and a pivot map takes each
 pivot column to its normalised row, so a sparse system costs what its
 nonzero entries cost. ``mat_rank`` eliminates forward on lifted ints, with
@@ -41,13 +41,10 @@ read; one built by ``Mat._sparse`` holds only the view. Products, sums,
 transposes, elimination and every scan of a matrix elsewhere read the
 view, so O(n) nonzero entries cost O(n), not O(n**2). Equality compares
 dense rows when both sides hold them, the views otherwise, so a matrix
-read from a file keeps its dense path. Two contracts are fixed:
-
-- A kernel basis is canonical: the reduced row echelon form of the kernel,
-  one vector per free column f with a leading 1 at f. It depends only on
-  the kernel, not on the rows that define it or their order.
-- A particular solution is the one read off the reduced row echelon form
-  of [system | rhs]: every free variable is zero.
+read from a file keeps its dense path. A kernel basis is canonical: the
+reduced row echelon form of the kernel, one vector per free column f with
+a leading 1 at f. It depends only on the kernel, not on the rows that
+define it or their order.
 """
 from __future__ import annotations
 
@@ -248,11 +245,13 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        out = [list(row) for row in self.entries]
-        for row, pairs in zip(out, other.nonzeros):
-            for j, v in pairs:
-                row[j] = _normal(row[j] + v)
-        return Mat._of(out)
+        out = []
+        for pairs, more in zip(self.nonzeros, other.nonzeros):
+            row = dict(pairs)
+            for j, v in more:
+                row[j] = row.get(j, ZERO) + v
+            out.append(sorted((j, _normal(v)) for j, v in row.items() if v))
+        return Mat._sparse(out, self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + -other
@@ -310,16 +309,13 @@ class Mat:
         return f"Mat[{body}]"
 
 
-def _gauss_jordan(rows: Iterable, last: bool = False,
-                  width: int | None = None) -> tuple:
+def _gauss_jordan(rows: Iterable, last: bool = False) -> dict:
     """Sparse Gauss-Jordan elimination of rows {col: value} or their pairs.
 
     Each row in turn is reduced by the pivot rows found so far. Its first
-    nonzero column (its last when ``last``) becomes a new pivot if it lies
-    below ``width``: the row is scaled to 1 there and the column is cleared
-    from every other pivot row. Returns (pivots, rest): pivots maps each
-    pivot column to its row, and rest lists the nonzero rows left with no
-    column below ``width`` (``width`` is for the first-column order).
+    nonzero column (its last when ``last``) becomes a new pivot: the row is
+    scaled to 1 there and the column is cleared from every other pivot row.
+    Returns the map of each pivot column to its row.
 
     Every pivot row keeps its pivot as its first (last) nonzero column and
     is zero at every other pivot, so the pivot rows in column order are the
@@ -328,7 +324,6 @@ def _gauss_jordan(rows: Iterable, last: bool = False,
     """
     pick = max if last else min
     piv: dict = {}
-    rest = []
     for row in rows:
         row = dict(row)
         for p in [c for c in row if c in piv]:
@@ -336,9 +331,6 @@ def _gauss_jordan(rows: Iterable, last: bool = False,
         if not row:
             continue
         p = pick(row)
-        if width is not None and p >= width:
-            rest.append(row)
-            continue
         v = row[p]
         if v != 1:
             inv = -1 if v == -1 else _normal(Fraction(1) / v)  # exact
@@ -348,7 +340,7 @@ def _gauss_jordan(rows: Iterable, last: bool = False,
             if f:
                 vec_add_into(other, row, -f)
         piv[p] = row
-    return piv, rest
+    return piv
 
 
 def sparse_kernel(rows: Iterable[Mapping], ncols: int) -> list:
@@ -360,7 +352,7 @@ def sparse_kernel(rows: Iterable[Mapping], ncols: int) -> list:
     gives exactly these vectors: for each free f, e_f minus the column f of
     the pivot rows.
     """
-    piv, _ = _gauss_jordan(rows, last=True)
+    piv = _gauss_jordan(rows, last=True)
     basis = {f: {f: ONE} for f in range(ncols) if f not in piv}
     for p, row in piv.items():
         for f, v in row.items():
@@ -369,55 +361,18 @@ def sparse_kernel(rows: Iterable[Mapping], ncols: int) -> list:
     return list(basis.values())
 
 
-def _factor(m: Mat) -> tuple:
-    """Eliminate [m | I] with pivots among m's columns, first column first.
-
-    Returns (pivots, null) with the identity part of each row as {i: value}:
-    pivot p's row T_p gives x_p = T_p . b in the reduced echelon form of
-    [m | b], and the rows of null span the vectors y with y m = 0.
-    """
-    n = m.cols
-    piv, rest = _gauss_jordan((pairs + ((n + i, ONE),)
-                               for i, pairs in enumerate(m.nonzeros)), width=n)
-    tag = lambda row: {c - n: v for c, v in row.items() if c >= n}
-    return {p: tag(row) for p, row in piv.items()}, [tag(row) for row in rest]
-
-
-def linear_solver(system: Mat):
-    """Factor ``system`` once, for many right-hand sides.
-
-    Returns a function rhs -> the particular solution of system @ x = rhs
-    read off the reduced echelon form of [system | rhs] (free variables
-    zero), or None when rhs is inconsistent.
-    """
-    piv, null = _factor(system)
-    n = system.cols
-
-    def solve(rhs: Sequence) -> tuple | None:
-        b = [rat(v) for v in rhs]
-        if len(b) != system.rows:
-            raise InputError(f"rhs length {len(b)} vs {system.rows} rows")
-        dot = lambda t: sum((v * b[i] for i, v in t.items()), ZERO)
-        if any(dot(y) for y in null):
-            return None
-        x = [ZERO] * n
-        for p, t in piv.items():
-            x[p] = dot(t)
-        return tuple(x)
-
-    return solve
-
-
 def mat_inverse(m: Mat) -> Mat | None:
-    """Exact inverse, or None when singular."""
+    """Exact inverse, or None when singular: [m | I] is reduced, and row p
+    of the inverse is the identity part of the pivot row at column p."""
     if m.rows != m.cols:
         raise InputError(f"inverse of non-square {m.shape}")
     n = m.rows
-    piv, _ = _factor(m)
-    if len(piv) != n:
+    piv = _gauss_jordan(pairs + ((n + i, ONE),)
+                        for i, pairs in enumerate(m.nonzeros))
+    if any(p not in piv for p in range(n)):
         return None
-    return Mat._sparse([sorted((q, _normal(v)) for q, v in piv[p].items())
-                        for p in range(n)], n)
+    return Mat._sparse([sorted((c - n, _normal(v)) for c, v in piv[p].items()
+                               if c >= n) for p in range(n)], n)
 
 
 def mat_rank(m: Mat) -> int:

@@ -277,13 +277,21 @@ def _skew_scan(c: Tensor4) -> CheckReport:
             fails += [(p, get(p, {}), want or {}) for p, want in (
                 ((i, k, j), neg), ((j, i, k), neg), ((j, k, i), canon),
                 ((k, i, j), canon), ((k, j, i), neg)) if get(p) != want][:1]
+    return _scan_report("skew", fails, n)
+
+
+def _scan_report(check: str, fails: list, n: int) -> CheckReport:
+    """The report of a scan of every triple of dim n in lex order, from the
+    failing triples (t, row, want) that a sweep over nonzero rows found:
+    the witness is at the lex-first t and its first l where row and want
+    differ, and ``checked`` is its 1-based lex position, n**3 on a pass."""
     if not fails:
         return CheckReport(True, n ** 3)
     (i, j, k), row, want = min(fails, key=itemgetter(0))
     l = next(l for l in sorted(row.keys() | want.keys())
              if row.get(l, ZERO) != want.get(l, ZERO))
     return CheckReport(False, (i * n + j) * n + k + 1, Witness(
-        "skew", (i, j, k, l), (row.get(l, ZERO),), (want.get(l, ZERO),)))
+        check, (i, j, k, l), (row.get(l, ZERO),), (want.get(l, ZERO),)))
 
 
 def _residual(terms) -> dict:

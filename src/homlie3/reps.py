@@ -332,7 +332,7 @@ def coadjoint_rep(a: Algebra3) -> Rep3:
     return Rep3(a, a.dim, coadjoint_family(a), a.twist.transpose())
 
 
-def semidirect_sum(a: Algebra3, r: Rep3, check: bool = True) -> Algebra3:
+def semidirect_sum(a: Algebra3, r: Rep3) -> Algebra3:
     """3-Hom-Lie structure on L + V induced by a representation.
 
     [x1+v1, x2+v2, x3+v3] = [x1,x2,x3] + rho(x1,x2)v3 + rho(x2,x3)v1
@@ -340,8 +340,7 @@ def semidirect_sum(a: Algebra3, r: Rep3, check: bool = True) -> Algebra3:
     """
     if r.base is not a and r.base != a:
         raise InputError("representation base differs from the given algebra")
-    if check:
-        _require(check_representation(r), "representation fails its axioms")
+    _require(check_representation(r), "representation fails its axioms")
     return _semidirect(a, _action_tensor(r.rho), r.A)
 
 

@@ -5,15 +5,15 @@ polynomial-truncation extension used to produce metric symplectic examples.
 from __future__ import annotations
 
 from .exactlin import (
-    InputError, Mat, ONE, Tensor4, ZERO, linear_solver, mat_inverse, mat_rank,
+    InputError, Mat, ONE, Tensor4, ZERO, mat_inverse, mat_rank,
 )
 from .homlie import (
     Algebra3, CheckReport, PreconditionError, Record, Witness, _flag,
-    _fourterm_terms, _identity, _invariance_terms, _require, check_algebra,
-    is_derivation,
+    _fourterm_terms, _identity, _image, _invariance_terms, _permuted,
+    _require, _residual, check_algebra, is_derivation, twist_slots,
 )
 from .reps import (
-    Rep3, _coadjoint_tensor, _semidirect, dual_representation, semidirect_sum,
+    Rep3, _action_tensor, _coadjoint_tensor, _semidirect, dual_representation,
 )
 from .bialgebra import BilForm, standard_form
 from .prelie import PreLie3, check_prelie, left_multiplication, subadjacent_tensor
@@ -124,42 +124,22 @@ def derivation_from_symplectic(a: Algebra3, metric: BilForm,
 def compatible_prelie_from_symplectic(a: Algebra3, omega: BilForm) -> tuple:
     """The product with w({x,y,z}, a(w)) = -w(a(z), [x,y,w]).
 
-    Solved per basis triple from nondegeneracy, against one factorisation
-    of the system; the result is re-verified as a pre-Lie structure whose
+    Solved for every basis triple at once through the inverse of (W A)^T,
+    which the symplectic precondition makes invertible (W nondegenerate and
+    A^T W A = W); the result is re-verified as a pre-Lie structure whose
     cyclic sum returns the original bracket.
     Returns (PreLie3, CheckReport).
     """
     _require(check_symplectic(a, omega), "not a symplectic structure")
     n, c, A, W = a.dim, a.bracket, a.twist, omega.matrix
     # {x,y,z} = u where (W.A)^T u = g, g_w = -w(a(z), [x,y,w])
-    #   = -sum_m (A^T W)[z][m] [x,y,w]_m
-    solve = linear_solver((W @ A).transpose())
-    atw = [dict(pairs) for pairs in (A.transpose() @ W).nonzeros]
-    by_pair: dict = {}  # (x, y): [(w, [x,y,w])] over the nonzero rows
-    for (i, j, w), row in c.rows():
-        by_pair.setdefault((i, j), []).append((w, row))
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            rows = by_pair.get((i, j))
-            if not rows:
-                continue  # {x,y,z} = 0 for every z
-            for k in range(n):
-                g = [ZERO] * n
-                tk = atw[k]
-                for w, row in rows:
-                    g[w] = -sum((tk[m] * v for m, v in row.items() if m in tk),
-                                ZERO)
-                if not any(g):
-                    continue  # {x,y,z} = 0
-                x = solve(g)
-                if x is None:
-                    raise PreconditionError("defining system inconsistent")
-                for l, v in enumerate(x):
-                    if v:
-                        entries.append((i, j, k, l, v))
-    product = Tensor4.from_entries((n,) * 4, entries)
-    p = PreLie3(n, product, A, label="symplectic-compatible")
+    #   = -sum_m (A^T W)[z][m] [x,y,w]_m: the rows (x, y, z) -> {w: -g_w}
+    # are the bracket read at (x, y, m) -> w with (A^T W)^T in slot m
+    neg_g = twist_slots(_permuted(c, (0, 1, 3, 2)),
+                        {2: (A.transpose() @ W).transpose()})
+    inv = mat_inverse((W @ A).transpose())
+    rows = _residual([(-1, neg_g, _image(inv), (0, 1, 2))])
+    p = PreLie3(n, Tensor4((n,) * 4, rows), A, label="symplectic-compatible")
     parts = [("prelie", check_prelie(p))]
     parts.append(("compatible",
                   _flag(subadjacent_tensor(p.product) == c, "compatible")))
@@ -219,7 +199,7 @@ def phase_space_from_prelie(p: PreLie3) -> tuple:
     dual, dual_rep_ok = dual_representation(lrep)
     _require(dual_rep_ok,
              "dual of left multiplication fails the representation axioms")
-    total = semidirect_sum(base, dual, check=False)
+    total = _semidirect(base, _action_tensor(dual.rho), dual.A)
     total = Algebra3(total.dim, total.bracket, total.twist, label="phase-space")
     return total, check_phase_space(base, total)
 

@@ -24,31 +24,36 @@ reproduce their reports byte for byte, and ``triple_bracket_loop`` and
 ``coboundary_cobracket_loop`` the tensors it builds.
 
 ``rref_dense`` is the dense row reduction that the sparse Gauss-Jordan
-routine of ``homlie3.exactlin`` replaced, with the kernel, solve, inverse
-and rank routines built on it, and ``derivation_system_dense`` the dense
+routine of ``homlie3.exactlin`` replaced, with the kernel, inverse and
+rank routines built on it, and ``derivation_system_dense`` the dense
 derivation system. The sparse routines must return the same canonical
-kernel bases, particular solutions and inverses. ``derivation_system``
-lays the program's sparse derivation rows out as a dense ``Mat`` for
-these comparisons, and ``base_projection`` reads the base bracket back out
-of a semidirect sum.
+kernel bases and inverses. ``derivation_system`` lays the program's
+sparse derivation rows out as a dense ``Mat`` for these comparisons, and
+``base_projection`` reads the base bracket back out of a semidirect sum.
 
 ``column``, ``apply``, ``form_value``, ``unit_vec``, ``bracket_vec``,
 ``right_multiplication``, ``regular_prelie_rep`` and ``mat_scale`` (once
 ``Mat.scale``) are helpers that only these oracles and the tests called,
 so they live here rather than in the package; ``fraction_ops`` counts the
-``Fraction`` arithmetic an action does; ``sparse_kernel_rows`` reads the package's sparse kernel as the
-dense rows the removed ``kernel_basis`` returned, and ``LinearSolution``
-is the outcome of ``solve_linear_dense``.
+``Fraction`` arithmetic an action does; ``sparse_kernel_rows`` reads the
+package's sparse kernel as the dense rows the removed ``kernel_basis``
+returned.
 
 ``skew_check_dense`` is the skewness scan over every basis triple that the
 sweep over nonzero rows in ``homlie3.homlie`` replaced (same reports byte
 for byte); ``skew_scan_lex`` is that sweep as it was, visiting every
 permutation of every nonzero row in lex order, which the one pass over
-orbits replaced (same reports); and ``semidirect_sum_dense`` the
-semidirect sum read from a representation's dense operator family, which
-``homlie3.reps`` now builds from its action tensor (same bracket and
-twist). ``sparse_of`` reads a dense row as {col: value}; the package reads
-a matrix's rows from ``Mat.nonzeros``.
+orbits replaced (same reports); ``pair_skew_check_dense`` is the scan of
+every triple for skewness in the first two slots that the sweep over
+nonzero rows in ``homlie3.prelie`` replaced (same reports); and
+``semidirect_sum_dense`` the semidirect sum read from a representation's
+dense operator family, which ``homlie3.reps`` now builds from its action
+tensor (same bracket and twist). ``sparse_of`` reads a dense row as
+{col: value}; the package reads a matrix's rows from ``Mat.nonzeros``.
+
+``symplectic_compatible_check_dense`` checks the defining identity
+w({x,y,z}, a(w)) = -w(a(z), [x,y,w]) of the product that
+``compatible_prelie_from_symplectic`` builds, at every basis 4-tuple.
 
 ``assemble_matched_pair_dense``, ``semidirect_prelie_dense`` and
 ``compatible_prelie_dense`` place the entries of the dense operator
@@ -90,8 +95,8 @@ from homlie3.bialgebra import (
     BilForm, Cobracket, MatchedPairData, dual_algebra,
 )
 from homlie3.prelie import (
-    OOperator, PreLie3, PreLieRep, _pair_skew_check, check_o_operator,
-    left_multiplication, subadjacent_tensor,
+    OOperator, PreLie3, PreLieRep, check_o_operator, left_multiplication,
+    subadjacent_tensor,
 )
 from homlie3.yangbaxter import RTensor, alpha_invariance
 
@@ -651,13 +656,37 @@ def leibniz_residual_loop(a: Algebra3, d: Mat) -> dict:
     return residual
 
 
+def pair_skew_check_dense(p: PreLie3) -> CheckReport:
+    n, t = p.dim, p.product
+    checked = 0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                checked += 1
+                row = t.row(i, j, k)
+                if i == j:
+                    if row:
+                        l = min(row)
+                        return CheckReport(False, checked, Witness(
+                            "prelie_skew", (i, j, k, l), (row[l],), (ZERO,)))
+                    continue
+                other = t.row(j, i, k)
+                for l in sorted(set(row) | set(other)):
+                    lhs = row.get(l, ZERO)
+                    rhs = -other.get(l, ZERO)
+                    if lhs != rhs:
+                        return CheckReport(False, checked, Witness(
+                            "prelie_skew", (i, j, k, l), (lhs,), (rhs,)))
+    return CheckReport(True, checked)
+
+
 def check_prelie_dense(p: PreLie3) -> CheckReport:
     """Skewness in the first two slots plus the two pre-Lie identities.
 
     Occurrences of the bracket inside the identities use the sub-adjacent
     commutator (cyclic sum of the product).
     """
-    parts = [("skew_pair", _pair_skew_check(p))]
+    parts = [("skew_pair", pair_skew_check_dense(p))]
     if not parts[0][1].passed:
         return CheckReport.combine(parts)
     n, t, A = p.dim, p.product, p.twist
@@ -1577,37 +1606,6 @@ def kernel_basis_dense(system: Mat) -> tuple:
     return tuple(tuple(row) for row in canon if any(v != 0 for v in row))
 
 
-class LinearSolution:
-    """Outcome of an exact linear solve: particular solution + kernel basis."""
-
-    __slots__ = ("consistent", "particular", "kernel")
-
-    def __init__(self, consistent: bool, particular, kernel):
-        self.consistent = consistent
-        self.particular = particular
-        self.kernel = kernel
-
-
-def solve_linear_dense(system: Mat, rhs) -> LinearSolution:
-    """Solve ``system @ x = rhs`` exactly.
-
-    Returns one particular solution (or None if inconsistent) together with a
-    canonical basis of the kernel of ``system``.
-    """
-    b = [rat(v) for v in rhs]
-    if len(b) != system.rows:
-        raise InputError(f"rhs length {len(b)} vs {system.rows} rows")
-    aug = [list(row) + [b[i]] for i, row in enumerate(system.entries)]
-    reduced, pivots = rref_dense(aug)
-    n = system.cols
-    if n in pivots:
-        return LinearSolution(False, None, kernel_basis_dense(system))
-    x = [ZERO] * n
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][n]
-    return LinearSolution(True, tuple(x), kernel_basis_dense(system))
-
-
 def mat_inverse_dense(m: Mat) -> Optional[Mat]:
     """Exact inverse, or None when singular."""
     if m.rows != m.cols:
@@ -1944,6 +1942,23 @@ def compatible_prelie_dense(a: Algebra3, o: OOperator) -> PreLie3:
     if subadjacent_tensor(p.product) != a.bracket:
         raise PreconditionError("sub-adjacent bracket does not recover the input")
     return p
+
+
+def symplectic_compatible_check_dense(a: Algebra3, omega: BilForm,
+                                      p: PreLie3) -> CheckReport:
+    """The defining identity w({x,y,z}, a(w)) = -w(a(z), [x,y,w]) of the
+    compatible product of a symplectic form, on every basis 4-tuple in lex
+    order, stopping at the first failure."""
+    n, A = a.dim, a.twist
+    checked = 0
+    for x, y, z, w in product(range(n), repeat=4):
+        checked += 1
+        lhs = form_value(omega, dense(p.product.row(x, y, z), n), column(A, w))
+        rhs = -form_value(omega, column(A, z), dense(a.bracket.row(x, y, w), n))
+        if lhs != rhs:
+            return CheckReport(False, checked, Witness(
+                "symplectic_compatible", (x, y, z, w), (lhs,), (rhs,)))
+    return CheckReport(True, checked)
 
 
 def base_projection(total: Algebra3, n: int) -> Tensor4:

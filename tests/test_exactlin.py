@@ -22,7 +22,7 @@ from homlie3 import (InputError, Mat, PreconditionError, Tensor4,
                      derivation_space, exactlin, fileio, is_derivation,
                      mat_inverse, mat_rank, nilpotent_extension, rat,
                      rat_str)
-from homlie3.exactlin import _gauss_jordan, dense, linear_solver
+from homlie3.exactlin import _gauss_jordan, dense, sparse_kernel
 from homlie3.symplectic import _truncated_extension, is_metric_derivation
 
 import oracles
@@ -246,7 +246,7 @@ def test_rref_matches_sympy():
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
         m = random_mat(rng, r, c)
-        piv, _ = _gauss_jordan(m.nonzeros)
+        piv = _gauss_jordan(m.nonzeros)
         pivots = sorted(piv)
         reduced = [dense(piv[p], c) for p in pivots]
         reduced += [(0,) * c] * (r - len(pivots))
@@ -257,13 +257,18 @@ def test_rref_matches_sympy():
 
 def test_kernel_matches_sympy_nullspace():
     """The kernel basis is exactly the reduced echelon form of sympy's
-    nullspace, on dense random and sparse rank-deficient matrices."""
+    nullspace, on dense random and sparse rank-deficient matrices, the
+    latter also at ranks strictly between 0 and both sides."""
     rng = random.Random(303)
     cases = [random_mat(rng, rng.randint(1, 5), rng.randint(1, 6))
              for _ in range(30)]
     for _ in range(40):
         r, c = rng.randint(1, 7), rng.randint(1, 8)
         cases.append(sparse_low_rank(rng, r, c, rng.randint(0, min(r, c))))
+    rng = random.Random(414)
+    for _ in range(40):
+        r, c = rng.randint(2, 7), rng.randint(2, 7)
+        cases.append(sparse_low_rank(rng, r, c, rng.randint(1, min(r, c) - 1)))
     for m in cases:
         r, c = m.shape
         ker = oracles.sparse_kernel_rows(m)
@@ -273,41 +278,6 @@ def test_kernel_matches_sympy_nullspace():
             assert sm * sympy.Matrix([sympy.Rational(x) for x in v]) == \
                 sympy.zeros(r, 1)
         assert ker == sympy_canonical_kernel(sm)
-
-
-def sympy_particular(sm, b) -> tuple:
-    """The solution read off sympy's rref of [m | b] with every free
-    variable zero, or None when a pivot falls on b."""
-    n = sm.cols
-    reduced, pivots = sm.row_join(sympy.Matrix(b)).rref()
-    if n in pivots:
-        return None
-    x = [F(0)] * n
-    for r, p in enumerate(pivots):
-        v = reduced[r, n]
-        x[p] = F(int(v.p), int(v.q))
-    return tuple(x)
-
-
-def test_linear_solver_particular_solution_matches_sympy_on_singular_systems():
-    """Rank-deficient systems: the particular solution sets every free
-    variable to zero, a right-hand side outside the column space is
-    reported inconsistent (None), and the kernel is sympy's."""
-    rng = random.Random(414)
-    seen = {True: 0, False: 0}
-    for _ in range(40):
-        r, c = rng.randint(2, 7), rng.randint(2, 7)
-        m = sparse_low_rank(rng, r, c, rng.randint(1, min(r, c) - 1))
-        sm = to_sympy(m)
-        solve = linear_solver(m)
-        assert oracles.sparse_kernel_rows(m) == sympy_canonical_kernel(sm)
-        inside = oracles.apply(m, [F(rng.randint(-3, 3)) for _ in range(c)])
-        outside = [F(rng.randint(-3, 3)) for _ in range(r)]
-        for b in (inside, outside):
-            x = sympy_particular(sm, [sympy.Rational(v) for v in b])
-            assert solve(b) == x
-            seen[x is not None] += 1
-    assert min(seen.values()) >= 10
 
 
 # ------------------------------------------------ against the dense oracle
@@ -377,50 +347,21 @@ def test_derivation_kernels_match_dense_oracle(derivation_corpus):
 
 
 def test_solves_and_inverses_match_dense_oracle(derivation_corpus):
-    """Particular solutions (consistent and inconsistent right-hand sides)
-    on the derivation systems up to dim 6, and inverses and ranks of their
-    twists, forms and leading square blocks, as the dense rref route
-    computes them."""
-    rng = random.Random(707)
-    seen = {True: 0, False: 0}
+    """Kernels of the derivation systems up to dim 6, and inverses and ranks
+    of their twists, forms and leading square blocks, as the dense rref
+    route computes them."""
     for a, form in derivation_corpus:
         for m in (a.twist, form if form is not None else Mat.identity(a.dim)):
             assert mat_inverse(m) == oracles.mat_inverse_dense(m)
         if a.dim > 6:
             continue
         system = oracles.derivation_system(a, form)
-        solve = linear_solver(system)
-        cols = system.cols
-        k = min(system.rows, cols)
+        k = min(system.rows, system.cols)
         block = Mat([row[:k] for row in system.entries[:k]])
         assert mat_inverse(block) == oracles.mat_inverse_dense(block)
         assert mat_rank(system) == oracles.mat_rank_dense(system)
-        kernel = oracles.sparse_kernel_rows(system)
-        for b in (oracles.apply(system,
-                                [F(rng.randint(-2, 2)) for _ in range(cols)]),
-                  [F(rng.randint(-2, 2)) for _ in range(system.rows)]):
-            want = oracles.solve_linear_dense(system, b)
-            got = solve(b)
-            assert (got is not None, got, kernel) == \
-                (want.consistent, want.particular, want.kernel)
-            seen[want.consistent] += 1
-    assert min(seen.values()) >= 10
-
-
-def test_linear_solver_consistent_and_inconsistent():
-    rng = random.Random(404)
-    for _ in range(30):
-        r = rng.randint(1, 5)
-        c = rng.randint(1, 5)
-        m = random_mat(rng, r, c)
-        x = [F(rng.randint(-4, 4)) for _ in range(c)]
-        rhs = oracles.apply(m, x)
-        particular = linear_solver(m)(rhs)
-        assert particular is not None
-        assert oracles.apply(m, particular) == tuple(rhs)
-    # x + y = 0 and x + y = 1 cannot both hold
-    assert linear_solver(Mat([[F(1), F(1)], [F(1), F(1)]]))([F(0), F(1)]) \
-        is None
+        assert oracles.sparse_kernel_rows(system) == \
+            oracles.kernel_basis_dense(system)
 
 
 small_rats = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -578,7 +519,7 @@ def test_nonzero_view_agrees_with_dense_definitions():
     dense definition's entries, and every view it forms is the nonzero
     pairs of those entries, whether its operands hold their dense rows,
     their views or both: products, sums, negation, transpose, diag,
-    block_diag, column supports, rank, inverse, solves and matrix
+    block_diag, column supports, rank, kernel, inverse and matrix
     documents."""
     rng = random.Random(2207)
     mats = sparse_mats(rng, 60)
@@ -617,13 +558,10 @@ def test_nonzero_view_agrees_with_dense_definitions():
             assert fileio._matrix_doc(x) == [[rat_str(v) for v in row]
                                              for row in x.entries]
             assert mat_rank(x) == oracles.mat_rank_dense(x)
-            for rhs in ([rng.randint(-2, 2) for _ in range(x.rows)],
-                        oracles.apply(x, [rng.randint(-2, 2)
-                                          for _ in range(x.cols)])):
-                want = oracles.solve_linear_dense(x, rhs)
-                assert linear_solver(x)(rhs) == (
-                    want.particular if want.consistent else None)
-                seen[want.consistent] += 1
+            kernel = oracles.kernel_basis_dense(x)
+            assert tuple(dense(v, x.cols) for v in sparse_kernel(
+                x.nonzeros, x.cols)) == kernel
+            seen["kernel" if kernel else "no kernel"] += 1
             if x.rows == x.cols:
                 assert mat_inverse(x) == oracles.mat_inverse_dense(x)
                 seen["invertible"] += mat_rank(x) == x.rows
@@ -633,8 +571,9 @@ def test_nonzero_view_agrees_with_dense_definitions():
 
 
 def test_sparse_built_mats_equal_and_hash_as_their_dense_twins():
-    """A Mat built from nonzero rows (a product, a negation, block_diag and
-    diag) holds no dense rows until they are read, equals its dense twins
+    """A Mat built from nonzero rows (a product, a negation, block_diag,
+    diag, and a sum and a difference of operands that hold only their
+    views) holds no dense rows until they are read, equals its dense twins
     (``Mat(...)`` of the same values, and ``Mat._of`` rows that hold an
     integral Fraction where it holds an int) on either side of ``==``
     without forming them, and hashes as they do, with the same entries. A
@@ -642,6 +581,8 @@ def test_sparse_built_mats_equal_and_hash_as_their_dense_twins():
     x = Mat([[F(1, 2), 0, 3], [0, 0, 0], [F(4, 3), -1, 0]])
     y = Mat([[4, 0], [0, 0], [F(1, 3), 0]])
     assert x.nonzeros  # formed, so that -x holds only its view
+    xs = Mat._sparse(x.nonzeros, 3)
+    zs = Mat._sparse([[(0, F(1, 2))], [], [(0, F(-1, 3)), (1, 1)]], 3)
     cases = {  # each with its dense rows; 1/2 * 4 + 3 * 1/3 = 3 is integral
         "product": (lambda: x @ y, [[3, 0], [0, 0], [F(16, 3), 0]]),
         "negation": (lambda: -x,
@@ -652,6 +593,10 @@ def test_sparse_built_mats_equal_and_hash_as_their_dense_twins():
                         [0, 0, F(4, 3), -1, 0]]),
         "diag": (lambda: Mat.diag([F(6, 3), 0, F(-1, 2)]),
                  [[2, 0, 0], [0, 0, 0], [0, 0, F(-1, 2)]]),
+        # 1/2 + 1/2 = 1 is integral and -1 + 1 = 0 drops out
+        "sum": (lambda: xs + zs, [[1, 0, 3], [0, 0, 0], [1, 0, 0]]),
+        "difference": (lambda: xs - zs,
+                       [[0, 0, 3], [0, 0, 0], [F(5, 3), -2, 0]]),
     }
     for name, (build, rows) in cases.items():
         assert any(not any(r) for r in rows), name  # an all-zero row
@@ -674,6 +619,7 @@ def test_sparse_built_mats_equal_and_hash_as_their_dense_twins():
             m = build()
             assert m != other and other != m, name
         assert build() != rows
+    assert xs._entries is None and zs._entries is None
 
 
 def test_tensor4_accumulates_and_drops_zeros():

@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlie3 import (InputError, Mat, OOperator, PreconditionError, PreLie3,
                      PreLieRep, Tensor4,
@@ -10,7 +12,9 @@ from homlie3 import (InputError, Mat, OOperator, PreconditionError, PreLie3,
                      compatible_prelie, dual_prelie_rep,
                      induced_prelie_on_module, semidirect_prelie, subadjacent,
                      subadjacent_rep)
-from homlie3.prelie import subadjacent_tensor
+from homlie3 import fileio
+from homlie3.cli import report_doc
+from homlie3.prelie import _pair_skew_check, subadjacent_tensor
 from homlie3.reps import check_representation
 
 from homlie3 import Algebra3
@@ -18,7 +22,7 @@ from homlie3 import Algebra3
 from conftest import (n4, n4_prelie, random_nilpotent, random_prelie,
                       symp_prelie, symplectic_o_operator)
 from oracles import (apply, bracket_vec, column, mat_scale,
-                     regular_prelie_rep, unit_vec)
+                     pair_skew_check_dense, regular_prelie_rep, unit_vec)
 
 F = Fraction
 
@@ -46,6 +50,59 @@ def test_symmetric_corruption_fails_pair_skewness():
     assert not r.passed
     w = r.part("skew_pair").witness
     assert w is not None and w.at[:2] in ((0, 1), (1, 0))
+
+
+PAIR_VALUES = st.sampled_from((1, -1, 2, F(1, 2)))
+PAIR_PLANTS = st.tuples(st.sampled_from(("repeated", "missing", "sign",
+                                         "entry")),
+                        st.sampled_from(("first", "middle", "last")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_skew_sweep_matches_the_dense_scan(data):
+    """The sweep over nonzero rows gives the dense scan's report (verdict,
+    witness and ``checked``) on products of dim <= 5, skew in their first
+    two slots, with failures planted at the first, a middle and the last
+    pair: a nonzero row with i == j, a missing partner (j, i, k), a
+    partner of the wrong sign and a wrong entry."""
+    n = data.draw(st.integers(2, 5), "n")
+    pairs = [(i, j, k) for i in range(n) for j in range(i + 1, n)
+             for k in range(n)]
+    rows = {}
+
+    def seed(t):
+        i, j, k = t
+        row = data.draw(st.dictionaries(st.integers(0, n - 1), PAIR_VALUES,
+                                        min_size=1, max_size=2))
+        rows[t], rows[j, i, k] = row, {l: -v for l, v in row.items()}
+
+    for t in data.draw(st.lists(st.sampled_from(pairs), max_size=3,
+                                unique=True)):
+        seed(t)
+    for kind, where in data.draw(st.lists(PAIR_PLANTS, max_size=2)):
+        if kind == "repeated":
+            m = n // 2
+            t = {"first": (0, 0, 0), "middle": (m, m, 0),
+                 "last": (n - 1, n - 1, n - 1)}[where]
+            rows[t] = {data.draw(st.integers(0, n - 1)): data.draw(PAIR_VALUES)}
+            continue
+        t = {"first": pairs[0], "last": pairs[-1]}.get(where) \
+            or data.draw(st.sampled_from(pairs))
+        if t not in rows:
+            seed(t)
+        i, j, k = t
+        t = t if where == "first" else (j, i, k)
+        row = rows.pop(t, {})
+        if kind == "sign":
+            rows[t] = {l: -v for l, v in row.items()}
+        elif kind == "entry":
+            rows[t] = {**row, data.draw(st.integers(0, n - 1)):
+                       data.draw(PAIR_VALUES)}
+    p = PreLie3(n, Tensor4((n,) * 4, rows), Mat.identity(n))
+    new, old = _pair_skew_check(p), pair_skew_check_dense(p)
+    assert new == old
+    assert fileio.dumps(report_doc(new)) == fileio.dumps(report_doc(old))
 
 
 def test_random_prelie_theorem_suite(rng):

@@ -7,18 +7,20 @@ import pytest
 
 import homlie3
 from homlie3 import exactlin
-from homlie3 import (Algebra3, BilForm, Mat, PreconditionError, Rep3, fileio,
-                     canonical_phase_form, check_algebra, check_metric,
-                     check_phase_space, check_prelie, check_symplectic,
+from homlie3 import (Algebra3, BilForm, Mat, PreconditionError, PreLie3, Rep3,
+                     Tensor4, fileio, canonical_phase_form, check_algebra,
+                     check_metric, check_phase_space, check_prelie,
+                     check_symplectic,
                      compatible_prelie_from_symplectic,
                      derivation_from_symplectic, nilpotent_extension,
                      phase_space_from_prelie, prelie_from_phase_space,
-                     semidirect_sum, subadjacent, symplectic_from_derivation)
+                     subadjacent, symplectic_from_derivation)
 from homlie3.cli import report_doc
-from homlie3.reps import coadjoint_family
+from homlie3.reps import _action_tensor, _semidirect, coadjoint_family
 from homlie3.symplectic import is_metric_derivation
 from homlie3.prelie import subadjacent_tensor
 
+import oracles
 from conftest import (N4_DIAG, N4_NEG, n4, n4_omega, n4_prelie,
                       random_prelie, skew_tensor)
 
@@ -117,14 +119,16 @@ def test_nilpotent_extension_bundles():
 
 def test_nilpotent_double_equals_coadjoint_semidirect_sum():
     """The double built from the coadjoint action tensor is the semidirect
-    sum of the extension with its coadjoint Rep3, in bracket and twist."""
+    sum of the extension with the action tensor of its coadjoint Rep3, in
+    bracket and twist (that Rep3 need not pass the representation check
+    that ``semidirect_sum`` makes)."""
     for base in (n4(), n4(N4_DIAG)):
         for steps in (2, 3, 4):
             bundle, _ = nilpotent_extension(base, steps)
             ext = bundle.extension
             coad = Rep3(ext, ext.dim, coadjoint_family(ext),
                         ext.twist.transpose())
-            old = semidirect_sum(ext, coad, check=False)
+            old = _semidirect(ext, _action_tensor(coad.rho), coad.A)
             assert bundle.double.bracket == old.bracket, (base.label, steps)
             assert bundle.double.twist == old.twist, (base.label, steps)
 
@@ -173,6 +177,34 @@ def test_compatible_prelie_from_symplectic_roundtrip():
     assert rep.part("compatible").passed
     assert subadjacent_tensor(p.product) == a.bracket
     assert check_prelie(p).passed
+
+
+def test_compatible_prelie_satisfies_its_defining_identity(rng):
+    """The product built from a symplectic form satisfies w({x,y,z}, a(w))
+    = -w(a(z), [x,y,w]) at every basis 4-tuple, by the dense oracle: on N4
+    with omega, with omega scaled by 3/7, and on the phase spaces of
+    randomized pre-Lie algebras, whose twists are not all the identity.
+    The oracle finds a changed entry of the product."""
+    w = omega_form()
+    cases = [(n4(), w), (n4(), BilForm(4, Mat([[v * F(3, 7) for v in row]
+                                              for row in w.matrix]), "skew"))]
+    for _ in range(8):
+        p = random_prelie(rng, rng.choice([3, 4]), rng.choice([1, 2]),
+                          rng.choice([1, -1]))
+        total, _ = phase_space_from_prelie(p)
+        cases.append((total, canonical_phase_form(p.dim)))
+    assert any(not a.twist.is_identity() for a, _ in cases)
+    for a, form in cases:
+        p, rep = compatible_prelie_from_symplectic(a, form)
+        assert rep.passed, a.label
+        assert p.product != Tensor4.zero(p.product.dims), a.label
+        ok = oracles.symplectic_compatible_check_dense(a, form, p)
+        assert ok.passed and ok.checked == a.dim ** 4, a.label
+        (i, j, k), row = min(p.product.rows())
+        bumped = PreLie3(a.dim, Tensor4.from_entries(p.product.dims, [
+            *p.product.items(), (i, j, k, min(row), 1)]), p.twist)
+        assert not oracles.symplectic_compatible_check_dense(
+            a, form, bumped).passed, a.label
 
 
 def test_canonical_phase_form_shape():
@@ -259,7 +291,7 @@ def test_nilpotent_build_calls_public_exactlin_o1_times(monkeypatch):
              if isinstance(fn, types.FunctionType)
              and fn.__module__ == exactlin.__name__
              and not name.startswith("_") and name not in per_entry}
-    assert {"mat_rank", "mat_inverse", "linear_solver"} <= names
+    assert {"mat_rank", "mat_inverse", "sparse_kernel"} <= names
     calls = []
     for mod in (exactlin, *(getattr(homlie3, m) for m in (
             "homlie", "reps", "bialgebra", "prelie", "yangbaxter",
