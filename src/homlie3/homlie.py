@@ -318,22 +318,6 @@ def _residual(terms) -> dict:
     return {key: vec for key, vec in res.items() if vec}
 
 
-def _at(terms, key: tuple) -> dict:
-    """The sum of the terms at one key, from the one t + others of each
-    term that its order maps there."""
-    out: dict = {}
-    for sign, inner, outer, order, *keep in terms:
-        if keep and not keep[0](key):
-            continue
-        src = tuple(key[order.index(s)] for s in range(len(order)))
-        k = len(next(iter(inner), ()))
-        for m, f in inner.get(src[:k], {}).items():
-            for others, vec in outer.get(m, ()):
-                if others == src[k:]:
-                    vec_add_into(out, vec, sign * f)
-    return out
-
-
 def _identity(name: str, terms, dims: tuple, width: int,
               lhs: int | None = None, nominal: bool = False,
               scales: Sequence | None = None) -> CheckReport:
@@ -360,7 +344,8 @@ def _identity(name: str, terms, dims: tuple, width: int,
     if not res:
         return CheckReport(True, prod(dims))
     key = min(res)
-    left, diff = res[key] if lhs is None else _at(terms[:lhs], key), res[key]
+    diff = res[key]
+    left = diff if lhs is None else _residual(terms[:lhs]).get(key, {})
     if L != 1:
         left, diff = unlift({0: left, 1: diff}, L).values()
     left = dense(left, width)

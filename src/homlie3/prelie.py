@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .exactlin import InputError, Mat, Tensor4, ZERO, mat_inverse
 from .homlie import (
-    Algebra3, CheckReport, PreconditionError, Record, Witness, _at, _columns,
+    Algebra3, CheckReport, PreconditionError, Record, Witness, _columns,
     _identity, _image, _require, _residual, _scan_report, _slot_outer,
     twist_slots,
 )
@@ -285,7 +285,8 @@ def _literal_prelie_rep_check(r: PreLieRep) -> CheckReport:
     if not fails:
         return CheckReport(True, 4 * n ** 4)
     at, k = min(fails)
-    cols = [_at(eqs[k][:1], (*at, v)) for v in range(m)]
+    lhs = _residual(eqs[k][:1])
+    cols = [lhs.get((*at, v), {}) for v in range(m)]
     left = tuple(tuple(col.get(l, ZERO) for col in cols) for l in range(m))
     right = tuple(tuple(x - res[k].get((*at, v), {}).get(l, ZERO)
                         for v, x in enumerate(row))

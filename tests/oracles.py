@@ -1,102 +1,83 @@
-"""Reference implementations kept as test oracles.
+"""Test oracles: one reference per identity, each written from its formula.
 
-``check_representation_dense`` is the literal dense checker that the sparse
-kernel in ``homlie3.reps`` replaced: every identity is evaluated as ``Mat``
-products on every basis tuple, in lex order, stopping at the first failure.
-The sparse kernel must reproduce its reports byte for byte.
-``check_representation_loop`` is the lifted sparse checker that the
-kernel's product table replaced, kept verbatim apart from its name, with
-the sparse-matrix helpers it called: it walks every 4-tuple in lex order,
-skips those outside the sorted orbit representatives and forms each
-operator product at each tuple. It is cheap enough to be an oracle at
-dimensions 8 to 12, where the dense one is not. ``common_denominator``,
-``lift`` and ``spmat_lift`` are the lifting helpers it called, which the
-package replaced by ``Mat.den``/``Tensor4.den`` and their ``lifted``.
+No oracle calls the package's residual engine, its term lists or the
+checker it stands in for (``tests/test_imports.py`` lints this). Each walks
+basis tuples in lex order, or accumulates a residual with no symmetry
+assumed; the package's reports must equal theirs byte for byte.
 
-The ``*_dense`` and ``*_loop`` checkers below are the hand-written loops
-that the sparse residual engine in ``homlie3.homlie`` replaced, kept
-verbatim apart from their names (identity 2 of ``check_prelie_dense`` and
-the dual-bracket formula of ``coboundary_cobracket_loop`` are split out so
-that they can be compared on their own). The ``_dense`` ones walk every
-basis tuple in lex order; the ``_loop`` ones accumulate their own sparse
-residual or walk the basis triples with sparse tensors. The engine must
-reproduce their reports byte for byte, and ``triple_bracket_loop`` and
-``coboundary_cobracket_loop`` the tensors it builds.
+- ``check_representation_walk``: intertwine, action and exchange, on
+  sparse {(p, q): v} operators (formulas in its docstring).
+- ``skew_check_dense``: [x,y,z] = sgn(s) [s(x,y,z)], s the sorting
+  permutation, and 0 at a repeated index, at every triple.
+- ``hom_jacobi_check_loop``/``hom_jacobi_residual_loop``: [a(x), a(y),
+  [u,v,w]] = [[x,y,u], a(v), a(w)] + [a(u), [x,y,v], a(w)]
+  + [a(u), a(v), [x,y,w]].
+- ``multiplicative_check_loop``/``multiplicative_residual_loop``:
+  a([x,y,z]) = [a(x), a(y), a(z)]; with phi for a, bracket morphisms.
+- ``check_algebra_loop``: skew, then the two above.
+- ``is_derivation_loop``/``leibniz_residual_loop``: D a = a D and
+  D[x,y,z] = [Dx,y,z] + [x,Dy,z] + [x,y,Dz].
+- ``pair_skew_check_dense``, ``check_prelie_dense``,
+  ``prelie_identity_2_dense``: {x,y,z} = -{y,x,z} and the two 3-Hom-pre-Lie
+  identities (in ``check_prelie_dense``).
+- ``literal_prelie_rep_check_loop``: the four printed pre-Lie
+  representation identities.
+- ``check_o_operator_dense``: a T = T A and [Tu,Tv,Tw] = T(rho(Tu,Tv)w
+  + rho(Tv,Tw)u + rho(Tw,Tu)v).
+- ``check_matched_pair_dense``: matched-pair equations (2.1)-(2.6).
+- ``check_invariance_dense``: B([x,y,z], a(u)) + B([x,y,u], a(z)) = 0.
+- ``fourterm_check_loop``/``fourterm_residual_loop``: w([x,y,z], a(w))
+  - w([y,z,w], a(x)) + w([z,w,x], a(y)) - w([w,x,y], a(z)) = 0.
+- ``check_metric_dense``/``metric_residual_loop``: B symmetric and
+  nondegenerate, B([x,y,z],w) + B(z,[x,y,w]) = 0.
+- ``closed_form_check_dense``: B(a[x,y,z],w) - B(a[x,y,w],z)
+  + B(a[x,z,w],y) - B(a[y,z,w],x) = 0.
+- ``check_double_construction_loop``: (2.10)-(2.12) on Delta of the
+  cobracket.
+- ``triple_bracket_loop``/``check_chybe_loop``: [[r,r,r]] = 0 from its four
+  summands.
+- ``coboundary_cobracket_loop``/``dual_bracket_formula_loop``: Delta
+  = Delta_1 + Delta_2 + Delta_3 and [xi,eta,gamma]* = ad*_{r xi, r eta}
+  gamma + cyclic.
+- ``verify_residual_loop``: [r xi, r eta, r gamma] - r([xi,eta,gamma]*)
+  = [[r,r,r]](xi,eta,gamma).
+- ``symplectic_compatible_check_dense``: w({x,y,z}, a(w))
+  = -w(a(z), [x,y,w]).
+- ``rref_dense``, ``kernel_basis_dense``, ``mat_inverse_dense``,
+  ``mat_rank_dense``, ``derivation_system_dense``,
+  ``derivation_space_dense``: dense Gauss-Jordan and the Leibniz system.
+- Constructions read entry by entry from dense families:
+  ``semidirect_sum_dense``, ``assemble_matched_pair_dense``,
+  ``semidirect_prelie_dense``, ``compatible_prelie_dense`` ({x,y,z}
+  = T rho(x,y) T^-1 z), ``coadjoint_family_loop`` and ``compose_slots``
+  ((x,y,z) -> [m0 x, m1 y, m2 z]).
 
-``rref_dense`` is the dense row reduction that the sparse Gauss-Jordan
-routine of ``homlie3.exactlin`` replaced, with the kernel, inverse and
-rank routines built on it, and ``derivation_system_dense`` the dense
-derivation system. The sparse routines must return the same canonical
-kernel bases and inverses. ``derivation_system`` lays the program's
-sparse derivation rows out as a dense ``Mat`` for these comparisons, and
-``base_projection`` reads the base bracket back out of a semidirect sum.
-
-``column``, ``apply``, ``form_value``, ``unit_vec``, ``bracket_vec``,
-``right_multiplication``, ``regular_prelie_rep`` and ``mat_scale`` (once
-``Mat.scale``) are helpers that only these oracles and the tests called,
-so they live here rather than in the package; ``fraction_ops`` counts the
-``Fraction`` arithmetic an action does; ``sparse_kernel_rows`` reads the
-package's sparse kernel as the dense rows the removed ``kernel_basis``
-returned.
-
-``skew_check_dense`` is the skewness scan over every basis triple that the
-sweep over nonzero rows in ``homlie3.homlie`` replaced (same reports byte
-for byte); ``skew_scan_lex`` is that sweep as it was, visiting every
-permutation of every nonzero row in lex order, which the one pass over
-orbits replaced (same reports); ``pair_skew_check_dense`` is the scan of
-every triple for skewness in the first two slots that the sweep over
-nonzero rows in ``homlie3.prelie`` replaced (same reports); and
-``semidirect_sum_dense`` the semidirect sum read from a representation's
-dense operator family, which ``homlie3.reps`` now builds from its action
-tensor (same bracket and twist). ``sparse_of`` reads a dense row as
-{col: value}; the package reads a matrix's rows from ``Mat.nonzeros``.
-
-``symplectic_compatible_check_dense`` checks the defining identity
-w({x,y,z}, a(w)) = -w(a(z), [x,y,w]) of the product that
-``compatible_prelie_from_symplectic`` builds, at every basis 4-tuple.
-
-``assemble_matched_pair_dense``, ``semidirect_prelie_dense`` and
-``compatible_prelie_dense`` place the entries of the dense operator
-families one by one, where ``homlie3.bialgebra`` and ``homlie3.prelie`` now
-read action tensors (same tensors), and ``literal_prelie_rep_check_loop``
-is the hand-written loop over the four printed pre-Lie representation
-identities that the residual engine replaced (same reports byte for byte).
-
-``twist_slots_rational``, ``check_algebra_rational``,
-``is_bracket_morphism_rational``, ``is_derivation_rational``,
-``check_metric_rational`` and ``check_symplectic_rational`` are those
-functions as they were before the package lifted rational data to ints:
-the same term lists composed on the rational sources, with no scales.
-The lifted checks must reproduce their reports byte for byte, and
-``twist_slots`` their rows.
+The rest are helpers that only tests call: ``fraction_ops`` counts the
+``Fraction`` arithmetic of an action, ``derivation_system`` and
+``sparse_kernel_rows`` lay the package's sparse rows out densely, and
+``base_projection`` reads a base bracket back out of a semidirect sum.
 """
 import fractions
 import itertools
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import product
 from typing import Mapping, Optional
 
-from math import lcm
-
 from homlie3.exactlin import (
-    InputError, Mat, Tensor4, dense, mat_inverse, mat_rank, rat,
-    sparse_kernel, unlift, vec_add_into,
+    InputError, Mat, Tensor4, dense, mat_inverse, sparse_kernel, vec_add_into,
 )
 from homlie3.homlie import (
-    Algebra3, CheckReport, PreconditionError, Witness, _by_slot,
-    _derivation_rows, _flag, _hom_jacobi_terms, _identity, _leibniz_terms,
-    _fourterm_terms, _invariance_terms, _morphism_terms, _permuted,
-    _twisted_outer, check_algebra, twist_slots,
+    Algebra3, CheckReport, PreconditionError, Witness, _derivation_rows,
+    _permuted,
 )
-from homlie3.reps import Rep3, _rep_family, check_representation
+from homlie3.reps import Rep3, _rep_family
 from homlie3.bialgebra import (
     BilForm, Cobracket, MatchedPairData, dual_algebra,
 )
 from homlie3.prelie import (
-    OOperator, PreLie3, PreLieRep, check_o_operator, left_multiplication,
-    subadjacent_tensor,
+    OOperator, PreLie3, PreLieRep, left_multiplication, subadjacent_tensor,
 )
 from homlie3.yangbaxter import RTensor, alpha_invariance
 
@@ -194,174 +175,62 @@ def sparse_kernel_rows(system: Mat) -> tuple:
                  for v in sparse_kernel(map(sparse_of, system.entries), n))
 
 
-def _twisted_family(rep: Rep3, left: bool, right: bool) -> list:
-    """Family rho(alpha^?x, alpha^?y) as an n x n table of matrices."""
-    n, A = rep.base.dim, rep.base.twist
-    out = [[None] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            acc = Mat.zeros(rep.vdim, rep.vdim)
-            for a in range(n):
-                fa = A.entries[a][u] if left else (ONE if a == u else ZERO)
-                if not fa:
-                    continue
-                for b in range(n):
-                    fb = A.entries[b][v] if right else (ONE if b == v else ZERO)
-                    if fa * fb:
-                        acc = acc + mat_scale(rep.rho[a][b], fa * fb)
-            out[u][v] = acc
-    return out
+def compose_slots(c: Tensor4, mats: Mapping) -> dict:
+    """Compose the bracket with linear maps in the given argument slots.
+
+    Returns {(i,j,k): {l: val}} for the tensor of (x,y,z) ->
+    [m0(x), m1(y), m2(z)] where ms is mats.get(slot, identity).
+    """
+    # for each original index a, the columns x with M[a][x] != 0
+    row_sup = {s: m.nonzeros for s, m in mats.items()}
+    out: dict = {}
+    for (a, b, k), lvec in c.rows():
+        ch0 = row_sup[0][a] if 0 in row_sup else ((a, 1),)
+        ch1 = row_sup[1][b] if 1 in row_sup else ((b, 1),)
+        ch2 = row_sup[2][k] if 2 in row_sup else ((k, 1),)
+        for x, fx in ch0:
+            for y, fy in ch1:
+                fxy = fx * fy
+                for z, fz in ch2:
+                    row = out.setdefault((x, y, z), {})
+                    vec_add_into(row, lvec, fxy * fz)
+    return {key: vec for key, vec in out.items() if vec}
 
 
-def check_representation_dense(r: Rep3) -> CheckReport:
-    """Exhaustive check of the three representation identities."""
-    n, c, A = r.base.dim, r.base.bracket, r.base.twist
-    B = r.A
-    tw = _twisted_family(r, True, True)     # rho(a(u), a(v))
-    half2 = _twisted_family(r, False, True)  # rho(u, a(v))
-    half1 = _twisted_family(r, True, False)  # rho(a(u), v)
-    parts = []
-
-    checked = 0
-    witness = None
-    for u in range(n):
-        if witness:
-            break
-        for v in range(n):
-            checked += 1
-            lhs = tw[u][v] @ B
-            rhs = B @ r.rho[u][v]
-            if lhs != rhs:
-                witness = Witness("rep_intertwine", (u, v),
-                                  tuple(lhs.entries), tuple(rhs.entries), "rows")
-                break
-    parts.append(("intertwine", CheckReport(witness is None, checked, witness)))
-
-    def rho_bracket_half2(x, y, z, u):
-        # rho([x,y,z], a(u)) o B
-        acc = Mat.zeros(r.vdim, r.vdim)
-        for m, f in c.row(x, y, z).items():
-            acc = acc + mat_scale(half2[m][u], f)
-        return acc @ B
-
-    checked = 0
-    witness = None
-    for x in range(n):
-        if witness:
-            break
-        for y in range(n):
-            if witness:
-                break
-            for z in range(n):
-                if witness:
-                    break
-                for u in range(n):
-                    checked += 1
-                    lhs = rho_bracket_half2(x, y, z, u)
-                    rhs = (tw[y][z] @ r.rho[x][u] + tw[z][x] @ r.rho[y][u]
-                           + tw[x][y] @ r.rho[z][u])
-                    if lhs != rhs:
-                        witness = Witness("rep_action", (x, y, z, u),
-                                          tuple(lhs.entries), tuple(rhs.entries), "rows")
-                        break
-    parts.append(("action", CheckReport(witness is None, checked, witness)))
-
-    def rho_half1_bracket(z, x, y, u):
-        # rho(a(z), [x,y,u]) o B
-        acc = Mat.zeros(r.vdim, r.vdim)
-        for m, f in c.row(x, y, u).items():
-            acc = acc + mat_scale(half1[z][m], f)
-        return acc @ B
-
-    checked = 0
-    witness = None
-    for x in range(n):
-        if witness:
-            break
-        for y in range(n):
-            if witness:
-                break
-            for z in range(n):
-                if witness:
-                    break
-                for u in range(n):
-                    checked += 1
-                    lhs = tw[x][y] @ r.rho[z][u]
-                    rhs = (tw[z][u] @ r.rho[x][y]
-                           + rho_bracket_half2(x, y, z, u)
-                           + rho_half1_bracket(z, x, y, u))
-                    if lhs != rhs:
-                        witness = Witness("rep_exchange", (x, y, z, u),
-                                          tuple(lhs.entries), tuple(rhs.entries), "rows")
-                        break
-    parts.append(("exchange", CheckReport(witness is None, checked, witness)))
-    return CheckReport.combine(parts)
+def _op(m: Mat) -> dict:
+    """A matrix as the sparse operator {(p, q): m[p][q]} of its nonzeros."""
+    return {(p, q): v for p, row in enumerate(m.entries)
+            for q, v in enumerate(row) if v}
 
 
-# The lifted sparse checker that the product table of ``check_representation``
-# replaced, and the sparse-matrix helpers it called in ``exactlin``.
-
-def common_denominator(values) -> int:
-    """The lcm of the denominators of the nonzero values (1 for none)."""
-    return lcm(*{v.denominator for v in values if v})
-
-
-def lift(v, d: int) -> int:
-    """d * v as an int, for a rational v whose denominator divides d."""
-    return v.numerator * (d // v.denominator)
+def _op_sum(terms) -> dict:
+    """The sparse sum of f X over the (X, f) terms."""
+    out: dict = {}
+    for X, f in terms:
+        if f:
+            for key, v in X.items():
+                v = v if f == 1 else f * v
+                out[key] = out[key] + v if key in out else v
+    return {key: v for key, v in out.items() if v}
 
 
-def spmat_lift(s: Mapping, d: int) -> Mapping:
-    """d * s with int entries, for a sparse matrix s whose denominators all
-    divide d; s itself, not a copy, when d is 1."""
-    if d == 1:
-        return s
-    return {p: {q: lift(v, d) for q, v in row.items()} for p, row in s.items()}
+def _op_mul(X: Mapping, Y: Mapping) -> dict:
+    """The sparse product X Y."""
+    if not X or not Y:
+        return {}
+    rows: dict = {}
+    for (k, q), y in Y.items():
+        rows.setdefault(k, []).append((q, y))
+    out: dict = {}
+    for (p, k), x in X.items():
+        for q, y in rows.get(k, ()):
+            out[p, q] = out[p, q] + x * y if (p, q) in out else x * y
+    return {key: v for key, v in out.items() if v}
 
 
-def spmat_of(m: Mat) -> dict:
-    return {p: row for p, row in enumerate(map(sparse_of, m.entries)) if row}
-
-
-def spmat_to_mat(s: Mapping, rows: int, cols: int) -> Mat:
-    return Mat._of([dense(s.get(p, {}), cols) for p in range(rows)])
-
-
-def spmat_add_into(acc: dict, s: Mapping, scale=1) -> None:
-    """acc += scale * s."""
-    for p, row in s.items():
-        r = acc.setdefault(p, {})
-        vec_add_into(r, row, scale)
-        if not r:
-            del acc[p]
-
-
-def spmat_matmul(a: Mapping, b: Mapping, acc: Optional[dict] = None) -> dict:
-    """a @ b, accumulated into ``acc`` when one is given; returns the sum."""
-    out = {} if acc is None else acc
-    if not b:
-        return out
-    for p, arow in a.items():
-        r = out.setdefault(p, {})
-        for k, v in arow.items():
-            brow = b.get(k)
-            if brow:
-                vec_add_into(r, brow, v)
-        if not r:
-            del out[p]
-    return out
-
-
-def _combine(terms) -> dict:
-    """Sum of scale * s over (s, scale) pairs of sparse matrices."""
-    acc: dict = {}
-    for s, f in terms:
-        spmat_add_into(acc, s, f)
-    return acc
-
-
-def check_representation_loop(r: Rep3) -> CheckReport:
-    """Exhaustive check of the three representation identities.
+def check_representation_walk(r: Rep3) -> CheckReport:
+    """The three representation identities, each side formed from its
+    formula at every (u, v) and (x, y, z, u) in lex order:
 
         intertwine  rho(a(u), a(v)) B = B rho(u, v)
         action      rho([x,y,z], a(u)) B = rho(a(y), a(z)) rho(x, u)
@@ -369,117 +238,64 @@ def check_representation_loop(r: Rep3) -> CheckReport:
         exchange    rho(a(x), a(y)) rho(z, u) = rho(a(z), a(u)) rho(x, y)
                         + rho([x,y,z], a(u)) B + rho(a(z), [x,y,u]) B
 
-    where a is the algebra twist and B the carrier twist. A part's witness
-    is its lex-first failing tuple (u, v) or (x, y, z, u), and ``checked``
-    its lex position (n**2 or n**4 on a pass). Only the sorted tuple of each
-    orbit on which both sides are skew is evaluated: (u, v) and (z, u), as
-    ``Rep3`` validates rho skew, and, as the checker refuses a base bracket
-    that is not skew, (x, y, z) of action and (x, y) of exchange. A
-    repeated index there makes both sides zero, and the sorted tuple, which
-    comes first, has the same sides up to sign. Twisted operators are
-    sparse and built on first use.
-
-    The identities are compared on ints: rho, B, the twist and the bracket
-    are lifted by the common denominators Dr, DB, Da and Dc of their
-    entries, and each term's missing factors are folded into an operator,
-    so that both sides of a part carry one scale. intertwine multiplies
-    B rho by Da**2 and has scale Dr*Da**2*DB; action and exchange multiply
-    the rho rho terms by Dc*DB and the bracket rows by Dc*Dr*Da, and have
-    scale Dc*Dr**2*Da**2*DB. The sides of a witness are divided back by
-    their part's scale. With integral data every scale is 1 and nothing is
-    lifted.
-    """
-    n, m = r.base.dim, r.vdim
-    rho = [[spmat_of(mat) for mat in row] for row in r.rho]
-    B = spmat_of(r.A)
-    cols = r.base.twist.col_support()  # cols[u]: (a, alpha[a][u]) nonzero
-    rows = dict(r.base.bracket.rows())  # (x, y, z): [x, y, z] nonzero
-    # rho is skew: its operators above the diagonal hold every denominator
-    Dr = common_denominator(v for i, fam in enumerate(rho) for s in fam[i + 1:]
-                            for row in s.values() for v in row.values())
-    DB = common_denominator(v for row in B.values() for v in row.values())
-    Da = common_denominator(f for col in cols for _, f in col)
-    Dc = common_denominator(v for vec in rows.values() for v in vec.values())
-    if Dr != 1:
-        rho = [[spmat_lift(s, Dr) for s in fam] for fam in rho]
-    if Da != 1:
-        cols = [[(a, lift(f, Da)) for a, f in col] for col in cols]
-    rows = spmat_lift(rows, Dc * Dr * Da)
-    B, BA = spmat_lift(B, DB), spmat_lift(B, DB * Da * Da)
-    S = Dc * DB  # the factor of the rho rho terms of action and exchange
-    D2, D4 = Dr * Da * Da * DB, S * Dr * Dr * Da * Da  # the parts' scales
+    with a the algebra twist and B the carrier twist. Each part stops at
+    the first tuple whose sides differ, its witness, and ``checked`` is
+    that tuple's 1-based lex position (n**2 or n**4 on a pass)."""
+    n, m, c = r.base.dim, r.vdim, r.base.bracket
+    A = r.base.twist.entries
+    rho = [[_op(mat) for mat in fam] for fam in r.rho]
+    B = _op(r.A)
 
     @cache
-    def half2(a, v):  # rho(a, a(v))
-        return _combine((rho[a][b], f) for b, f in cols[v])
-
-    @cache
-    def tw(u, v):  # rho(a(u), a(v)); only u < v is read
-        return _combine((half2(a, v), f) for a, f in cols[u])
-
-    # S * rho(a(u), a(v)), for action and exchange
-    twS = tw if S == 1 else cache(lambda u, v: _combine([(tw(u, v), S)]))
+    def tw(u, v):  # rho(a(u), a(v))
+        return _op_sum((rho[a][b], A[a][u] * A[b][v])
+                       for a in range(n) for b in range(n))
 
     @cache
     def half2B(k, u):  # rho(k, a(u)) B
-        return spmat_matmul(half2(k, u), B)
+        return _op_mul(_op_sum((rho[k][b], A[b][u]) for b in range(n)), B)
 
     @cache
-    def half1B(u, b):  # rho(a(u), b) B
-        return spmat_matmul(_combine((rho[a][b], f) for a, f in cols[u]), B)
+    def half1B(z, k):  # rho(a(z), k) B
+        return _op_mul(_op_sum((rho[a][k], A[a][z]) for a in range(n)), B)
 
-    def fail(check, at, checked, lhs, rhs, scale):
-        lhs, rhs = unlift(lhs, scale), unlift(rhs, scale)
-        return CheckReport(False, checked, Witness(
-            check, at, tuple(spmat_to_mat(lhs, m, m).entries),
-            tuple(spmat_to_mat(rhs, m, m).entries), "rows"))
+    @cache
+    def bracket_left(x, y, z, u):  # rho([x,y,z], a(u)) B
+        return _op_sum((half2B(k, u), f) for k, f in c.row(x, y, z).items())
 
-    def bracket_half2B(x, y, z, u):
-        # rho([x,y,z], a(u)) B
-        acc: dict = {}
-        for k, f in rows.get((x, y, z), {}).items():
-            spmat_add_into(acc, half2B(k, u), f)
-        return acc
+    @cache
+    def prod(p, q, s, u):  # rho(a(p), a(q)) rho(s, u)
+        return _op_mul(tw(p, q), rho[s][u])
 
-    def intertwine():
-        for checked, (u, v) in enumerate(product(range(n), repeat=2), 1):
-            if u >= v:
-                continue
-            lhs = spmat_matmul(tw(u, v), B)
-            rhs = spmat_matmul(BA, rho[u][v])
+    def intertwine(u, v):
+        return _op_mul(tw(u, v), B), _op_mul(B, rho[u][v])
+
+    def action(x, y, z, u):
+        return bracket_left(x, y, z, u), _op_sum((
+            (prod(y, z, x, u), 1), (prod(z, x, y, u), 1),
+            (prod(x, y, z, u), 1)))
+
+    def exchange(x, y, z, u):
+        right = _op_sum((half1B(z, k), f) for k, f in c.row(x, y, u).items())
+        return prod(x, y, z, u), _op_sum((
+            (prod(z, u, x, y), 1), (bracket_left(x, y, z, u), 1), (right, 1)))
+
+    def rows(X):
+        return tuple(tuple(X.get((p, q), ZERO) for q in range(m))
+                     for p in range(m))
+
+    def walk(check, arity, sides):
+        for checked, at in enumerate(product(range(n), repeat=arity), 1):
+            lhs, rhs = sides(*at)
             if lhs != rhs:
-                return fail("rep_intertwine", (u, v), checked, lhs, rhs, D2)
-        return CheckReport(True, n ** 2)
+                return CheckReport(False, checked, Witness(
+                    check, at, rows(lhs), rows(rhs), "rows"))
+        return CheckReport(True, n ** arity)
 
-    def action():
-        for checked, (x, y, z, u) in enumerate(product(range(n), repeat=4), 1):
-            if not x < y < z:
-                continue
-            lhs = bracket_half2B(x, y, z, u)
-            rhs = spmat_matmul(twS(y, z), rho[x][u])
-            # rho(a(z), a(x)) rho(y, u), with both factors negated
-            spmat_matmul(twS(x, z), rho[u][y], rhs)
-            spmat_matmul(twS(x, y), rho[z][u], rhs)
-            if lhs != rhs:
-                return fail("rep_action", (x, y, z, u), checked, lhs, rhs, D4)
-        return CheckReport(True, n ** 4)
-
-    def exchange():
-        for checked, (x, y, z, u) in enumerate(product(range(n), repeat=4), 1):
-            if z >= u or x >= y:
-                continue
-            lhs = spmat_matmul(twS(x, y), rho[z][u])
-            rhs = spmat_matmul(twS(z, u), rho[x][y], bracket_half2B(x, y, z, u))
-            for k, f in rows.get((x, y, u), {}).items():
-                spmat_add_into(rhs, half1B(z, k), f)
-            if lhs != rhs:
-                return fail("rep_exchange", (x, y, z, u), checked, lhs, rhs,
-                            D4)
-        return CheckReport(True, n ** 4)
-
-    return CheckReport.combine([("intertwine", intertwine()),
-                                ("action", action()),
-                                ("exchange", exchange())])
+    return CheckReport.combine([
+        ("intertwine", walk("rep_intertwine", 2, intertwine)),
+        ("action", walk("rep_action", 4, action)),
+        ("exchange", walk("rep_exchange", 4, exchange))])
 
 
 def hom_jacobi_residual_loop(a: Algebra3) -> dict:
@@ -487,9 +303,9 @@ def hom_jacobi_residual_loop(a: Algebra3) -> dict:
     is nonzero, using no skewness (the accumulation of
     hom_jacobi_check_loop)."""
     c, A = a.bracket, a.twist
-    t12 = twist_slots(c, {0: A, 1: A})
-    t23 = twist_slots(c, {1: A, 2: A})
-    t13 = twist_slots(c, {0: A, 2: A})
+    t12 = compose_slots(c, {0: A, 1: A})
+    t23 = compose_slots(c, {1: A, 2: A})
+    t13 = compose_slots(c, {0: A, 2: A})
     t12_by_third: dict = {}
     for (i, j, m), vec in t12.items():
         t12_by_third.setdefault(m, []).append((i, j, vec))
@@ -503,15 +319,7 @@ def hom_jacobi_residual_loop(a: Algebra3) -> dict:
     residual: dict = {}
 
     def add(key, vec, scale):
-        for l, v in vec.items():
-            val = residual.get(key, {}).get(l, ZERO) + scale * v
-            slot = residual.setdefault(key, {})
-            if val:
-                slot[l] = val
-            else:
-                slot.pop(l, None)
-                if not slot:
-                    residual.pop(key, None)
+        vec_add_into(residual.setdefault(key, {}), vec, scale)
 
     for (i, j, k), row in c.rows():
         for m, f in row.items():
@@ -527,7 +335,7 @@ def hom_jacobi_residual_loop(a: Algebra3) -> dict:
             # -[a(u), a(v), [x,y,w]] with (x,y,w) = (i,j,k)
             for u, v, vec in t12_by_third.get(m, ()):
                 add((i, j, u, v, k), vec, -f)
-    return residual
+    return {key: slot for key, slot in residual.items() if slot}
 
 
 def hom_jacobi_check_loop(a: Algebra3,
@@ -538,13 +346,13 @@ def hom_jacobi_check_loop(a: Algebra3,
     # entries.  A tuple absent from the accumulator has residual zero, so
     # the verdict is exhaustive; witnesses are reconstructed per tuple.
     n, c, A = a.dim, a.bracket, a.twist
-    t12 = twist_slots(c, {0: A, 1: A})
     if residual is None:
         residual = hom_jacobi_residual_loop(a)
     checked = n ** 5
     bad = [key for key, slot in residual.items() if slot]
     if not bad:
         return CheckReport(True, checked)
+    t12 = compose_slots(c, {0: A, 1: A})
     x, y, u, v, w = min(bad)
     lhs: dict = {}
     mxy = {m: t12.get((x, y, m)) for m in range(n)}
@@ -561,7 +369,7 @@ def hom_jacobi_check_loop(a: Algebra3,
 
 def multiplicative_check_loop(a: Algebra3) -> CheckReport:
     n, c, A = a.dim, a.bracket, a.twist
-    full = twist_slots(c, {0: A, 1: A, 2: A})
+    full = compose_slots(c, {0: A, 1: A, 2: A})
     colsup = A.col_support()
     checked = 0
     for i in range(n):
@@ -583,12 +391,22 @@ def multiplicative_check_loop(a: Algebra3) -> CheckReport:
     return CheckReport(True, checked)
 
 
+def check_algebra_loop(a: Algebra3) -> CheckReport:
+    """Skewness, then the Hom-Jacobi identity and multiplicativity; a skew
+    failure short-circuits the rest."""
+    parts = [("skew", skew_check_dense(a))]
+    if parts[0][1].passed:
+        parts += [("hom_jacobi", hom_jacobi_check_loop(a)),
+                  ("multiplicative", multiplicative_check_loop(a))]
+    return CheckReport.combine(parts)
+
+
 def multiplicative_residual_loop(a: Algebra3) -> dict:
     """alpha([x,y,z]) - [alpha x, alpha y, alpha z] at every basis triple
     where it is nonzero (multiplicative_check_loop without its early
     exit)."""
     n, c, A = a.dim, a.bracket, a.twist
-    full = twist_slots(c, {0: A, 1: A, 2: A})
+    full = compose_slots(c, {0: A, 1: A, 2: A})
     colsup = A.col_support()
     out = {}
     for key in itertools.product(range(n), repeat=3):
@@ -691,9 +509,9 @@ def check_prelie_dense(p: PreLie3) -> CheckReport:
         return CheckReport.combine(parts)
     n, t, A = p.dim, p.product, p.twist
     cc = subadjacent_tensor(t)
-    q1 = twist_slots(t, {0: A, 1: A})
-    q23 = twist_slots(t, {1: A, 2: A})
-    q13 = twist_slots(t, {0: A, 2: A})
+    q1 = compose_slots(t, {0: A, 1: A})
+    q23 = compose_slots(t, {1: A, 2: A})
+    q13 = compose_slots(t, {0: A, 2: A})
     rng = range(n)
 
     def contract(coeffs: Mapping, table, key3) -> dict:
@@ -752,8 +570,8 @@ def prelie_identity_2_dense(p: PreLie3) -> CheckReport:
     never reaches it when identity 1 fails."""
     n, t, A = p.dim, p.product, p.twist
     cc = subadjacent_tensor(t)
-    q1 = twist_slots(t, {0: A, 1: A})
-    q23 = twist_slots(t, {1: A, 2: A})
+    q1 = compose_slots(t, {0: A, 1: A})
+    q23 = compose_slots(t, {1: A, 2: A})
     rng = range(n)
 
     # identity B: {[x,y,z]_C,a(u),a(v)} = {a(x),a(y),[z,u,v]_C}
@@ -805,7 +623,7 @@ def _rho_at(rep: Rep3, x, y) -> Mat:
 
 def check_o_operator_dense(o: OOperator) -> CheckReport:
     """alpha o T = T o A, and T transports the cyclic action to the bracket."""
-    rep_ok = check_representation(o.rep)
+    rep_ok = check_representation_walk(o.rep)
     if not rep_ok.passed:
         raise PreconditionError("underlying representation fails",
                                 witness=rep_ok.witness)
@@ -873,7 +691,7 @@ def check_matched_pair_dense(m: MatchedPairData) -> CheckReport:
     coherent input (disagreement is an internal-inconsistency finding).
     """
     for name, rep in (("rho", m.rho), ("mu", m.mu)):
-        r = check_representation(rep)
+        r = check_representation_walk(rep)
         if not r.passed:
             raise PreconditionError(f"{name} fails the representation axioms",
                                     witness=r.witness)
@@ -1004,7 +822,7 @@ def check_matched_pair_dense(m: MatchedPairData) -> CheckReport:
     total_checked = sum(r.checked for _, r in parts)
 
     assembled = assemble_matched_pair_dense(m)
-    alg_report = check_algebra(assembled)
+    alg_report = check_algebra_loop(assembled)
     parts.append(("assembled_algebra", alg_report))
     agree = eqs_passed == alg_report.passed
     parts.append(("verdicts_agree", CheckReport(
@@ -1211,7 +1029,7 @@ def check_double_construction_loop(c: Cobracket) -> CheckReport:
     lists all three); the overall verdict requires all three.
     """
     Lstar = dual_algebra(c)
-    pre = check_algebra(Lstar)
+    pre = check_algebra_loop(Lstar)
     if not pre.passed:
         raise PreconditionError("dual bracket is not a valid algebra",
                                 witness=pre.witness)
@@ -1720,33 +1538,6 @@ def skew_check_dense(a: Algebra3) -> CheckReport:
     return CheckReport(True, checked)
 
 
-def skew_scan_lex(c: Tensor4) -> CheckReport:
-    n = c.dims[0]
-    visit = set()
-    for t, _ in c.rows():
-        visit.update([t] if len(set(t)) < 3 else permutations(t))
-    for t in sorted(visit):
-        i, j, k = t
-        checked = (i * n + j) * n + k + 1
-        row = c.row(i, j, k)
-        if len(set(t)) < 3:
-            l = min(row)
-            return CheckReport(False, checked, Witness(
-                "skew", (i, j, k, l), (row[l],), (ZERO,)))
-        canon = c.row(*sorted(t))
-        if ((i > j) + (i > k) + (j > k)) % 2:  # an odd permutation
-            canon = {l: -v for l, v in canon.items()}
-        if row == canon:
-            continue
-        for l in sorted(set(row) | set(canon)):
-            lhs = row.get(l, ZERO)
-            rhs = canon.get(l, ZERO)
-            if lhs != rhs:
-                return CheckReport(False, checked, Witness(
-                    "skew", (i, j, k, l), (lhs,), (rhs,)))
-    return CheckReport(True, n ** 3)
-
-
 def semidirect_sum_dense(a: Algebra3, r: Rep3) -> Algebra3:
     """The semidirect sum L + V of a representation, read from its dense
     family of operators (no representation check)."""
@@ -1925,7 +1716,7 @@ def compatible_prelie_dense(a: Algebra3, o: OOperator) -> PreLie3:
     tinv = mat_inverse(o.T)
     if tinv is None:
         raise PreconditionError("T is singular")
-    rep = check_o_operator(o)
+    rep = check_o_operator_dense(o)
     if not rep.passed:
         raise PreconditionError("not an O-operator", witness=rep.witness)
     n = a.dim
@@ -1966,89 +1757,3 @@ def base_projection(total: Algebra3, n: int) -> Tensor4:
     entries = [(i, j, k, l, v) for i, j, k, l, v in total.bracket.items()
                if i < n and j < n and k < n and l < n]
     return Tensor4.from_entries((n,) * 4, entries)
-
-
-def twist_slots_rational(c: Tensor4, mats: Mapping) -> dict:
-    """Compose the bracket with linear maps in the given argument slots.
-
-    Returns {(i,j,k): {l: val}} for the tensor of (x,y,z) ->
-    [m0(x), m1(y), m2(z)] where ms is mats.get(slot, identity).
-    """
-    # for each original index a, the columns x with M[a][x] != 0
-    row_sup = {s: m.nonzeros for s, m in mats.items()}
-    out: dict = {}
-    for (a, b, k), lvec in c.rows():
-        ch0 = row_sup[0][a] if 0 in row_sup else ((a, 1),)
-        ch1 = row_sup[1][b] if 1 in row_sup else ((b, 1),)
-        ch2 = row_sup[2][k] if 2 in row_sup else ((k, 1),)
-        for x, fx in ch0:
-            for y, fy in ch1:
-                fxy = fx * fy
-                for z, fz in ch2:
-                    row = out.setdefault((x, y, z), {})
-                    vec_add_into(row, lvec, fxy * fz)
-    return {key: vec for key, vec in out.items() if vec}
-
-
-def check_algebra_rational(a: Algebra3, regular: bool = False) -> CheckReport:
-    """Check skewness, then the Hom-Jacobi identity, multiplicativity and,
-    if ``regular``, an invertible twist; a skew failure short-circuits the
-    rest."""
-    parts = [("skew", a._skew)]
-    if not parts[0][1].passed:
-        return CheckReport.combine(parts)
-    A, n = a.twist, a.dim
-    outer = _twisted_outer(a)
-    parts.append(("hom_jacobi", _identity(
-        "hom_jacobi", _hom_jacobi_terms(a, outer), (n,) * 5, n,
-        lhs=1, nominal=True)))
-    parts.append(("multiplicative", _identity(
-        "multiplicative", _morphism_terms(a, A, outer[2]), (n,) * 3, n,
-        lhs=1)))
-    if regular:
-        parts.append(("regular", _flag(mat_rank(A) == n, "regular")))
-    return CheckReport.combine(parts)
-
-
-def is_bracket_morphism_rational(a: Algebra3, phi: Mat) -> Optional[Witness]:
-    """None when phi([x,y,z]) = [phi x, phi y, phi z] on all basis triples."""
-    t12 = _by_slot(twist_slots_rational(a.bracket, {0: phi, 1: phi}), 2, True)
-    terms = _morphism_terms(a, phi, t12)
-    return _identity("morphism", terms, (a.dim,) * 3, a.dim, lhs=1).witness
-
-
-def is_derivation_rational(a: Algebra3, d: Mat) -> Optional[Witness]:
-    """None when d commutes with the twist and satisfies the Leibniz rule."""
-    n, A = a.dim, a.twist
-    if d @ A != A @ d:
-        return Witness("derivation_commutes", (), (), ())
-    terms = _leibniz_terms(a, d)
-    return _identity("derivation", terms, (n,) * 3, n, lhs=1).witness
-
-
-def check_metric_rational(a: Algebra3, form: BilForm) -> CheckReport:
-    """Symmetric, nondegenerate, B([x,y,z],w) + B(z,[x,y,w]) = 0."""
-    n, B = a.dim, form.matrix
-    parts = []
-    parts.append(("symmetric", _flag(B.transpose() == B, "form_symmetric")))
-    parts.append(("nondegenerate", _flag(mat_rank(B) == n,
-                                         "form_nondegenerate")))
-    terms = _invariance_terms(a, B, B.transpose())
-    parts.append(("invariance", _identity("metric", terms, (n,) * 4, 1)))
-    return CheckReport.combine(parts)
-
-
-def check_symplectic_rational(a: Algebra3, form: BilForm) -> CheckReport:
-    """Skew, nondegenerate, twist-compatible (w(a(x),a(y)) = w(x,y)),
-    and the four-term cocycle identity."""
-    n, W, A = a.dim, form.matrix, a.twist
-    parts = []
-    parts.append(("skew", _flag(W.transpose() == -W, "form_skew")))
-    parts.append(("nondegenerate", _flag(mat_rank(W) == n,
-                                         "form_nondegenerate")))
-    parts.append(("twist_compatible", _flag(A.transpose() @ W @ A == W,
-                                            "twist_compatible")))
-    terms = _fourterm_terms(a, W @ A)
-    parts.append(("cocycle", _identity("symplectic_cocycle", terms,
-                                       (n,) * 4, 1, nominal=True)))
-    return CheckReport.combine(parts)

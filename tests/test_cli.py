@@ -1,6 +1,8 @@
 """CLI dispatch, exit-code contract, deterministic structured reports,
 and serialize/parse identity on emitted artifacts."""
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -580,6 +582,79 @@ def test_handler_inputs(key, tmp_path, capsys, monkeypatch):
     assert run([*key] + paths, capsys) == (
         2, "", "precondition failed: stubbed operation\n")
     assert got == list(zip(loaders, paths))
+
+
+# ------------------------------------------- exit codes on mutated fixtures
+
+# A fixture for each loader, so that every verb/target pair runs on one.
+FIXTURE_OF = {"algebra": "n4.alg", "rep": "coadjoint.rep",
+              "prelie": "n4prelie.plg", "matched_pair": "trivial.mpair",
+              "cobracket": "zero.cob", "o_operator": "symp.oop",
+              "rtensor": "r12.rmat", "bilform": "omega.frm",
+              "matrix": "morph.mat"}
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5),
+    st.sampled_from([10 ** 30, -10 ** 30, 1.5, float("nan"), float("inf")]),
+    st.sampled_from(["", "x", "0", "1", "-1/2", "1/0", "2/4", "1e3", "e1",
+                     "skew", "symmetric", "9" * 5000]),
+    st.lists(st.integers(0, 5), max_size=5),
+    st.dictionaries(st.sampled_from(["dim", "basis", "x"]),
+                    st.integers(0, 4), max_size=2))
+
+
+def _paths(doc, at=()):
+    """The path of every value in a JSON document, containers and the
+    document itself included, in a fixed order."""
+    yield at
+    items = sorted(doc.items()) if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _paths(v, at + (k,))
+
+
+def _replaced(doc, path, value):
+    """A copy of doc with the value at path replaced by value."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    node = copy
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return copy
+
+
+def test_mutated_fixtures_exit_zero_one_or_two(tmp_path):
+    """Each verb/target pair, run in process on its fixtures with one JSON
+    value of one input (a leaf, a container or the whole document)
+    replaced, exits 0, 1 or 2 and raises nothing."""
+    docs = {}
+    for name in FIXTURE_OF.values():
+        with open(fx(name)) as fh:
+            docs[name] = json.load(fh)
+    out, mutated = str(tmp_path / "out"), str(tmp_path / "mutated.json")
+    codes = set()
+
+    def run_mutant(key, names, data):
+        i = data.draw(st.integers(0, len(names) - 1))
+        doc = docs[names[i]]
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        with open(mutated, "w") as fh:
+            json.dump(_replaced(doc, path, data.draw(JSON_VALUES)), fh)
+        paths = [mutated if j == i else fx(n) for j, n in enumerate(names)]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([*key, *paths, "-o", out])
+        assert code in (0, 1, 2), (key, names[i], path)
+        codes.add(code)
+
+    for key, verb in sorted(HANDLERS.items()):
+        names = [FIXTURE_OF[n.strip("[]")] for n in verb.inputs.split()]
+        settings(max_examples=20, deadline=None, derandomize=True,
+                 database=None)(given(st.data())(
+                     lambda data: run_mutant(key, names, data)))()
+    assert codes == {0, 1, 2}
 
 
 # ------------------------------------------------------------- determinism

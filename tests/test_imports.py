@@ -1,7 +1,8 @@
 """Every top-level import in the package modules is used, every private
 top-level function is referenced somewhere in the package, every public
 one is reached by a walk from the exports and the CLI, every oracle in
-``tests/oracles.py`` is referenced by the tests, values are divided only
+``tests/oracles.py`` is referenced by the tests and runs none of the
+package's residual engine or checkers, values are divided only
 in ``exactlin``, JSON is written and files are touched only by ``fileio``,
 no module imports ``dataclasses`` or ``typing``, no term builder takes a
 ``skew`` flag and only ``Algebra3._skew`` calls the skew scan (no linter is
@@ -238,6 +239,36 @@ def test_every_oracle_is_used():
         with open(path) as fh:
             sources[os.path.basename(path)] = fh.read()
     assert unreferenced_functions(sources, "oracles.py") == []
+
+
+# The residual engine, its composed outer parts and the checkers that the
+# oracles stand in for; the term builders are the names ``_*_terms``.
+ENGINE = frozenset({"_identity", "_residual", "_twisted_outer", "_by_slot",
+                    "_slot_outer", "twist_slots", "check_algebra",
+                    "check_representation", "check_o_operator"})
+
+
+def engine_names(source: str) -> list:
+    """The names of the engine, a term builder or a checker of ENGINE that
+    a module reads, looks up as an attribute or imports."""
+    return sorted(name for name in referenced_names(source)
+                  if name in ENGINE
+                  or name.startswith("_") and name.endswith("_terms"))
+
+
+def test_detector_flags_an_oracle_on_the_engine():
+    src = ("from homlie3.homlie import _fourterm_terms, _permuted\n"
+           "from homlie3 import reps\n\n"
+           "def check_algebra_loop(a):\n"
+           "    return reps.check_representation(a), _permuted\n")
+    assert engine_names(src) == ["_fourterm_terms", "check_representation"]
+
+
+def test_oracles_do_not_run_the_engine():
+    """An oracle that ran the package's engine or checker would share the
+    design it checks, so it could not catch a misreading of the paper."""
+    with open(os.path.join(TESTS, "oracles.py")) as fh:
+        assert engine_names(fh.read()) == []
 
 
 def divisions(source: str) -> list:

@@ -19,9 +19,8 @@ from homlie3.symplectic import _truncated_extension
 
 from conftest import (CAYLEY_S, N4_DIAG, N4_NEG, a4, a4_cayley, n4,
                       random_nilpotent, rank1_rep, skew_tensor)
-from oracles import (base_projection, check_representation_dense,
-                     check_representation_loop, fraction_ops,
-                     semidirect_sum_dense)
+from oracles import (base_projection, check_representation_walk,
+                     fraction_ops, semidirect_sum_dense)
 
 F = Fraction
 
@@ -234,7 +233,7 @@ def test_sparse_checker_matches_dense_oracle():
     late_exit = False
     for key, rep in _oracle_corpus():
         new = check_representation(rep)
-        old = check_representation_dense(rep)
+        old = check_representation_walk(rep)
         assert fileio.dumps(report_doc(new)) == fileio.dumps(report_doc(old)), key
         failed = [(name, part) for name, part in old.parts if not part.passed]
         failed_parts.update(name for name, _ in failed)
@@ -323,13 +322,13 @@ def _failable(check, n):
 
 def test_packed_check_matches_dense_oracle_at_large_magnitudes():
     """Packed columns stay injective at entries of about 10**20: every
-    field of every part, both witness sides included, equals the dense
-    oracle's. The mutants fail each part at the first, a middle and the
-    last tuple at which it can fail, except exchange's last, and one side
-    of _near_bound_rep needs all but 1 bit of the slot width."""
+    field of every part, both witness sides included, equals the
+    definition walk's. The mutants fail each part at the first, a middle
+    and the last tuple at which it can fail, except exchange's last, and
+    one side of _near_bound_rep needs all but 1 bit of the slot width."""
     where = set()
     for label, rep, passes in _big_corpus():
-        new, old = check_representation(rep), check_representation_dense(rep)
+        new, old = check_representation(rep), check_representation_walk(rep)
         assert new.passed == passes, label
         assert new == old, label
         for (name, a), (_, b) in zip(new.parts, old.parts):
@@ -434,9 +433,8 @@ def _late_mutant(rep, rng, tries=200):
 
 
 def test_sparse_checker_matches_loop_oracle():
-    """At dim 8 and 12, where the dense oracle costs seconds, the reports
-    equal those of the lifted checker that formed each operator product at
-    each tuple (``check_representation_loop``), byte for byte."""
+    """At dim 8 and 12 the reports equal, byte for byte, those of the walk
+    over every tuple (``check_representation_walk``)."""
     ext = _truncated_extension(n4(), 4)
     big = [("a4^2.cayley.ad", adjoint_rep(_block_cayley(2))),
            ("a4^3.cayley.ad", adjoint_rep(_block_cayley(3))),
@@ -446,7 +444,7 @@ def test_sparse_checker_matches_loop_oracle():
     corpus = big + [(f"{key}~late", _late_mutant(rep, rng)) for key, rep in big]
     for key, rep in corpus:
         new = check_representation(rep)
-        old = check_representation_loop(rep)
+        old = check_representation_walk(rep)
         assert fileio.dumps(report_doc(new)) == fileio.dumps(report_doc(old)), key
         assert new.passed == ("~" not in key), key
     assert _nonskew_refused()
