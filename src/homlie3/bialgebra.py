@@ -191,11 +191,16 @@ def check_invariance(a: Algebra3, form: BilForm) -> CheckReport:
     return _identity("invariance", _invariance_terms(a, BA, BA), (n,) * 4, 1)
 
 
+def _pairing_form(n: int, upper, kind: str) -> BilForm:
+    """The form of kind ``kind`` on L + L* with blocks [[0, upper I], [I, 0]]."""
+    pairs = [((n + i, upper),) for i in range(n)]
+    return BilForm(2 * n, Mat._sparse(pairs + [((i, ONE),) for i in range(n)],
+                                      2 * n), kind)
+
+
 def standard_form(n: int) -> BilForm:
     """(x+xi, y+eta) = <x,eta> + <xi,y> on L + L*: block anti-diagonal I."""
-    pairs = [((n + i, ONE),) for i in range(n)]
-    return BilForm(2 * n, Mat._sparse(pairs + [((i, ONE),) for i in range(n)],
-                                      2 * n), "symmetric")
+    return _pairing_form(n, ONE, "symmetric")
 
 
 def manin_bracket(c: Cobracket) -> tuple:
@@ -289,16 +294,11 @@ def check_double_construction(c: Cobracket) -> CheckReport:
         for name, lhs, terms in eqs])
 
 
-class EquivalenceResult(Record):
-    double: CheckReport
-    manin: CheckReport
-    matched: CheckReport
-    agree: bool
-
-
-def equivalence_suite(c: Cobracket) -> EquivalenceResult:
+def equivalence_suite(c: Cobracket) -> CheckReport:
     """Run bialgebra / Manin-triple / matched-pair checks and compare them.
 
+    The report passes when the parts double_construction, manin_triple and
+    matched_pair agree (part agreement); ``checked`` sums those three.
     A matched-pair precondition failure (the coadjoint actions are not
     representations, which happens when the twist does not preserve the
     canonical pairing) is recorded as a failed verdict rather than raised,
@@ -310,5 +310,10 @@ def equivalence_suite(c: Cobracket) -> EquivalenceResult:
         matched = check_matched_pair(standard_manin_reps(c))
     except PreconditionError as e:
         matched = CheckReport(False, 0, e.witness)
-    agree = double.passed == manin.passed == matched.passed
-    return EquivalenceResult(double, manin, matched, agree)
+    agree = _flag(double.passed == manin.passed == matched.passed,
+                  "equivalence_agreement")
+    return CheckReport(agree.passed,
+                       double.checked + manin.checked + matched.checked,
+                       agree.witness,
+                       (("double_construction", double), ("manin_triple", manin),
+                        ("matched_pair", matched), ("agreement", agree)))

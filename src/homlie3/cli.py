@@ -14,8 +14,8 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .exactlin import InputError, _unwritable, rat_str
-from .homlie import CheckReport, PreconditionError, Record, Witness, _flag
-from . import bialgebra, fileio, homlie, prelie, reps, symplectic
+from .homlie import CheckReport, PreconditionError, Record, Witness
+from . import fileio, homlie, symplectic
 
 MAX_DIM = 12
 
@@ -137,19 +137,6 @@ def _check_algebra(args, a):
     return _emit_report(homlie.check_algebra(a, regular=args.regular), args)
 
 
-def _check_equivalence(args, c):
-    res = bialgebra.equivalence_suite(c)
-    agree = _flag(res.agree, "equivalence_agreement")
-    combined = CheckReport(res.agree,
-                           res.double.checked + res.manin.checked + res.matched.checked,
-                           agree.witness,
-                           (("double_construction", res.double),
-                            ("manin_triple", res.manin),
-                            ("matched_pair", res.matched),
-                            ("agreement", agree)))
-    return _emit_report(combined, args)
-
-
 def _report_derivations(args, a, form=None):
     basis = homlie.derivation_space(a, form.matrix if form else None)
     doc = {"dim": len(basis),
@@ -163,18 +150,6 @@ def _report_derivations(args, a, form=None):
     if args.output:
         _write(args, "derivations.json", doc)
     return 0
-
-
-def _build_semidirect(args, r):
-    out = reps.semidirect_sum(r.base, r)
-    _save(args, "semidirect.alg", out)
-    return _emit_report(homlie.check_algebra(out), args)
-
-
-def _build_compatible_prelie(args, o):
-    p = prelie.compatible_prelie(o.rep.base, o)
-    _save(args, "compatible.plg", p)
-    return _emit_report(prelie.check_prelie(p), args)
 
 
 def _build_phase_space(args, p):
@@ -205,7 +180,7 @@ HANDLERS = {
     ("check", "matched-pair"): Verb("matched_pair", "bialgebra.check_matched_pair"),
     ("check", "manin"): Verb("cobracket", "bialgebra.manin_bracket", "[manin.alg]"),
     ("check", "double"): Verb("cobracket", "bialgebra.check_double_construction"),
-    ("check", "equivalence"): Verb("cobracket", _check_equivalence),
+    ("check", "equivalence"): Verb("cobracket", "bialgebra.equivalence_suite"),
     ("check", "o-operator"): Verb("o_operator", "prelie.check_o_operator"),
     ("check", "chybe"): Verb("rtensor", "yangbaxter.check_chybe"),
     ("check", "residual"): Verb("rtensor", "yangbaxter.verify_residual"),
@@ -222,10 +197,12 @@ HANDLERS = {
                              "twisted.alg", "homlie.check_algebra"),
     ("derive", "twist"): Verb("algebra matrix", "homlie.composition_twist",
                               "twisted.alg", "homlie.check_algebra"),
-    ("build", "semidirect"): Verb("rep", _build_semidirect),
+    ("build", "semidirect"): Verb("rep", "reps.semidirect_sum", "semidirect.alg",
+                                  "homlie.check_algebra"),
     ("build", "subadjacent"): Verb("prelie", "prelie.subadjacent",
                                    "subadjacent.alg", "homlie.check_algebra"),
-    ("build", "compatible-prelie"): Verb("o_operator", _build_compatible_prelie),
+    ("build", "compatible-prelie"): Verb("o_operator", "prelie.compatible_prelie",
+                                         "compatible.plg", "prelie.check_prelie"),
     ("derive", "compatible-prelie"): Verb(
         "algebra bilform", "symplectic.compatible_prelie_from_symplectic",
         "compatible.plg"),

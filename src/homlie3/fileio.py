@@ -247,15 +247,16 @@ def _skew_bracket(doc: dict, path: str | None, n: int) -> Tensor4:
 
 def _prelie_product(doc: dict, path: str | None, n: int) -> Tensor4:
     """The product of rows [i, j, k, l, value], i < j, skew-completed in
-    its first two slots."""
+    its first two slots, built as rows directly as in ``_skew_bracket``."""
     rows = _read_rows(doc, "bracket", path, n, "[i, j, k, l, value]", _parse_rat,
                       ordered=2, repeated="repeated index in the skew pair",
                       unordered="first two indices must satisfy i < j")
-    entries = []
+    out: dict = {}
     for (i, j, k, l), v in rows.items():
-        entries.append((i, j, k, l, v))
-        entries.append((j, i, k, l, -v))
-    return Tensor4.from_entries((n,) * 4, entries)
+        if v:  # (i, j, k, l) and (j, i, k, l) are distinct keys
+            out.setdefault((i, j, k), {})[l] = v
+            out.setdefault((j, i, k), {})[l] = -v
+    return Tensor4._of((n,) * 4, out)
 
 
 def _read_bracketed(doc: dict, path: str | None, max_dim: int | None,
@@ -336,8 +337,11 @@ def load_cobracket(path: str, max_dim: int | None = None) -> Cobracket:
     base = _algebra(doc, "algebra", path, max_dim)
     n = base.dim
     rows = _read_rows(doc, "delta", path, n, "[i, j, l, k, value]", _parse_rat)
-    return Cobracket(base, Tensor4.from_entries(
-        (n,) * 4, [(*key, v) for key, v in rows.items()]))
+    out: dict = {}
+    for (i, j, l, k), v in rows.items():
+        if v:  # the keys are distinct, so no value is added to another
+            out.setdefault((i, j, l), {})[k] = v
+    return Cobracket(base, Tensor4._of((n,) * 4, out))
 
 
 def cobracket_to_doc(c: Cobracket) -> dict:

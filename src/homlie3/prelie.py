@@ -13,9 +13,7 @@ from .homlie import (
     _identity, _image, _require, _residual, _scan_report, _slot_outer,
     twist_slots,
 )
-from .reps import (
-    Rep3, _action_tensor, _check_family, _rep_family, check_representation,
-)
+from .reps import Rep3, _action_tensor, _check_family, check_representation
 
 
 class PreLie3(Record):
@@ -179,13 +177,13 @@ def induced_prelie_on_module(o: OOperator) -> PreLie3:
     return p
 
 
-def compatible_prelie(a: Algebra3, o: OOperator) -> PreLie3:
+def compatible_prelie(o: OOperator) -> PreLie3:
     """{x,y,z} = T rho(x,y) T^{-1} z for an invertible O-operator on a."""
     tinv = mat_inverse(o.T)
     if tinv is None:
         raise PreconditionError("T is singular")
     _require(check_o_operator(o), "not an O-operator")
-    n = a.dim
+    a, n = o.rep.base, o.rep.base.dim
     # T rho(x, y) T^{-1} z at key (x, y, z)
     rows = _residual([(1, twist_slots(_action_tensor(o.rep.rho), {2: tinv}),
                        _image(o.T), (0, 1, 2))])
@@ -194,11 +192,6 @@ def compatible_prelie(a: Algebra3, o: OOperator) -> PreLie3:
     if subadjacent_tensor(p.product) != a.bracket:
         raise PreconditionError("sub-adjacent bracket does not recover the input")
     return p
-
-
-def left_multiplication(p: PreLie3) -> tuple:
-    """L(x,y): z -> {x,y,z} as an n x n family of matrices."""
-    return _rep_family(p.product)
 
 
 def semidirect_prelie(r: PreLieRep) -> PreLie3:

@@ -324,38 +324,37 @@ def coadjoint_rep(a: Algebra3) -> Rep3:
     """The coadjoint action: <ad*_{x,y} xi, z> = -<xi, [x,y,z]>, carrier
     twist transpose(alpha).
 
-    This is not a representation for every twist. For an orthogonal twist
-    that is not diagonal it fails the representation identities: on the
-    Cayley-twisted A4, check_representation reports intertwine at (e1, e2).
+    Not a representation for every twist: it passes on N4, A4 and nilp5
+    (identity twists) and fails at intertwine (e1, e2) on N4 twisted by
+    diag(2,2,2,8) and on the Cayley-twisted A4 (see ROADMAP item 1).
     """
     _require(check_algebra(a), "coadjoint_rep needs a valid algebra")
     return Rep3(a, a.dim, coadjoint_family(a), a.twist.transpose())
 
 
-def semidirect_sum(a: Algebra3, r: Rep3) -> Algebra3:
-    """3-Hom-Lie structure on L + V induced by a representation.
+def semidirect_sum(r: Rep3) -> Algebra3:
+    """3-Hom-Lie structure on L + V induced by a representation of L.
 
     [x1+v1, x2+v2, x3+v3] = [x1,x2,x3] + rho(x1,x2)v3 + rho(x2,x3)v1
                             + rho(x3,x1)v2, twist = alpha (+) A.
     """
-    if r.base is not a and r.base != a:
-        raise InputError("representation base differs from the given algebra")
     _require(check_representation(r), "representation fails its axioms")
-    return _semidirect(a, _action_tensor(r.rho), r.A)
+    label = r.base.label
+    return _semidirect(r.base, _action_tensor(r.rho), r.A,
+                       f"{label}|x|V" if label else "semidirect")
 
 
-def _semidirect(a: Algebra3, act: Tensor4, A: Mat) -> Algebra3:
+def _semidirect(a: Algebra3, act: Tensor4, A: Mat, label: str) -> Algebra3:
     """The semidirect bracket on L + V of an action tensor with rows
-    (x, y, v) -> rho(x, y) v and carrier twist A (see semidirect_sum)."""
+    (x, y, v) -> rho(x, y) v and carrier twist A (see semidirect_sum),
+    labelled ``label``."""
     n, m = a.dim, act.dims[2]
     rows = dict(a.bracket.rows())
     _place(rows, act, 0, n)
     dens = (a.bracket._den, act._den)
     bracket = Tensor4._of((n + m,) * 4, rows,
                           None if None in dens else lcm(*dens))
-    twist = Mat.block_diag(a.twist, A)
-    return Algebra3(n + m, bracket, twist,
-                    label=f"{a.label}|x|V" if a.label else "semidirect")
+    return Algebra3(n + m, bracket, Mat.block_diag(a.twist, A), label)
 
 
 def _place(rows: dict, act: Tensor4, x0: int, v0: int) -> None:

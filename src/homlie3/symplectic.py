@@ -13,10 +13,10 @@ from .homlie import (
     _require, _residual, check_algebra, is_derivation, twist_slots,
 )
 from .reps import (
-    Rep3, _action_tensor, _coadjoint_tensor, _semidirect, dual_representation,
+    Rep3, _coadjoint_tensor, _rep_family, _semidirect, check_representation,
 )
-from .bialgebra import BilForm, standard_form
-from .prelie import PreLie3, check_prelie, left_multiplication, subadjacent_tensor
+from .bialgebra import BilForm, _pairing_form, standard_form
+from .prelie import PreLie3, check_prelie, subadjacent_tensor
 
 
 def _fourterm_check(a: Algebra3, W: Mat) -> CheckReport:
@@ -109,14 +109,15 @@ def _symplectic_from_derivation(a: Algebra3, form: BilForm, D: Mat) -> tuple:
 
 def derivation_from_symplectic(a: Algebra3, metric: BilForm,
                                omega: BilForm) -> tuple:
-    """Recover D with B(Dx,y) = w(a(x),y): D = transpose(B^-1).(tA.W)^T...
-    concretely D = inverse(B) applied on the left of transpose(tA.W).
+    """D = (B^-1 W^T A)^T for the metric B, the 2-form W and the twist A.
 
+    symplectic_from_derivation builds W from D^T B = A^T W, whose solution
+    for a symmetric B is B^-1 W^T A; the two agree where that matrix is
+    symmetric, as for the diagonal derivation of a nilpotent bundle.
     Returns (D, CheckReport) with the metric-derivation verdict."""
     Binv = mat_inverse(metric.matrix)
     if Binv is None:
         raise PreconditionError("metric is degenerate")
-    # transpose(D).B = transpose(A).W  =>  D = transpose(B^-1 . W^T . A)
     D = (Binv @ omega.matrix.transpose() @ a.twist).transpose()
     return D, is_metric_derivation(a, metric, D)
 
@@ -148,9 +149,7 @@ def compatible_prelie_from_symplectic(a: Algebra3, omega: BilForm) -> tuple:
 
 def canonical_phase_form(n: int) -> BilForm:
     """w(x+f, y+g) = <f,y> - <g,x> on L + L*: blocks [[0,-I],[I,0]]."""
-    pairs = [((n + i, -ONE),) for i in range(n)]
-    return BilForm(2 * n, Mat._sparse(pairs + [((i, ONE),) for i in range(n)],
-                                      2 * n), "skew")
+    return _pairing_form(n, -ONE, "skew")
 
 
 def check_phase_space(base: Algebra3, total: Algebra3) -> CheckReport:
@@ -193,14 +192,12 @@ def phase_space_from_prelie(p: PreLie3) -> tuple:
     left-multiplication representation, together with its phase-space
     verdict. Returns (Algebra3, CheckReport)."""
     _require(check_prelie(p), "not a 3-Hom-pre-Lie algebra")
-    # relabelled below, so the base's label never reaches an output
     base = Algebra3(p.dim, subadjacent_tensor(p.product), p.twist)
-    lrep = Rep3(base, p.dim, left_multiplication(p), p.twist)
-    dual, dual_rep_ok = dual_representation(lrep)
-    _require(dual_rep_ok,
+    # L*(x, y) = -L(x, y)^T as rows (x, y, l) -> {k: -{x,y,e_k}_l}
+    dual, At = _permuted(p.product, (0, 1, 3, 2)).scale(-1), p.twist.transpose()
+    _require(check_representation(Rep3(base, p.dim, _rep_family(dual), At)),
              "dual of left multiplication fails the representation axioms")
-    total = _semidirect(base, _action_tensor(dual.rho), dual.A)
-    total = Algebra3(total.dim, total.bracket, total.twist, label="phase-space")
+    total = _semidirect(base, dual, At, "phase-space")
     return total, check_phase_space(base, total)
 
 
@@ -287,9 +284,8 @@ def nilpotent_extension(a: Algebra3, steps: int) -> tuple:
     ext = _truncated_extension(a, steps)
     D = Mat.diag([p for p in range(1, deg + 1) for _ in range(n)])
 
-    double = _semidirect(ext, _coadjoint_tensor(ext), ext.twist.transpose())
-    double = Algebra3(double.dim, double.bracket, double.twist,
-                      label="nilpotent-double")
+    double = _semidirect(ext, _coadjoint_tensor(ext), ext.twist.transpose(),
+                         "nilpotent-double")
     metric = standard_form(N)
     Dhat = Mat.block_diag(D, -D.transpose())
     omega, om_rep, der_rep, met_rep = _symplectic_from_derivation(

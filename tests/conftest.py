@@ -176,7 +176,7 @@ def symplectic_o_operator():
 def symp_prelie():
     """Nontrivial compatible pre-Lie on N4 from the symplectic O-operator."""
     from homlie3 import compatible_prelie
-    return compatible_prelie(n4(), symplectic_o_operator())
+    return compatible_prelie(symplectic_o_operator())
 
 
 def closed_form_kernel(a):

@@ -54,8 +54,10 @@ assumed; the package's reports must equal theirs byte for byte.
 
 The rest are helpers that only tests call: ``fraction_ops`` counts the
 ``Fraction`` arithmetic of an action, ``derivation_system`` and
-``sparse_kernel_rows`` lay the package's sparse rows out densely, and
-``base_projection`` reads a base bracket back out of a semidirect sum.
+``sparse_kernel_rows`` lay the package's sparse rows out densely,
+``left_multiplication`` and ``right_multiplication`` are the operator
+families of a pre-Lie product, and ``base_projection`` reads a base
+bracket back out of a semidirect sum.
 """
 import fractions
 import itertools
@@ -77,7 +79,7 @@ from homlie3.bialgebra import (
     BilForm, Cobracket, MatchedPairData, dual_algebra,
 )
 from homlie3.prelie import (
-    OOperator, PreLie3, PreLieRep, left_multiplication, subadjacent_tensor,
+    OOperator, PreLie3, PreLieRep, subadjacent_tensor,
 )
 from homlie3.yangbaxter import RTensor, alpha_invariance
 
@@ -155,6 +157,11 @@ def bracket_vec(c: Tensor4, x: Mapping, y: Mapping, z: Mapping) -> dict:
                 if row:
                     vec_add_into(out, row, f * zk)
     return out
+
+
+def left_multiplication(p: PreLie3) -> tuple:
+    """L(x,y): z -> {x,y,z} as an n x n family of matrices."""
+    return _rep_family(p.product)
 
 
 def right_multiplication(p: PreLie3) -> tuple:

@@ -116,22 +116,24 @@ def test_equivalence_agreement_on_fixture_family(rng, twist_name, twist):
     assert len(cases) >= 11
     for k, c in enumerate(cases):
         res = equivalence_suite(c)
-        assert res.agree, (twist_name, k)
+        assert res.passed, (twist_name, k)
 
 
 def test_equivalence_corrupted_fails_everywhere():
     res = equivalence_suite(corrupted_cobracket(n4()))
-    assert res.agree
-    assert not res.double.passed
-    assert not res.manin.passed
-    assert not res.matched.passed
+    assert res.passed
+    assert not res.part("double_construction").passed
+    assert not res.part("manin_triple").passed
+    assert not res.part("matched_pair").passed
 
 
 def test_equivalence_passing_case_passes_everywhere(rng):
     c, _ = coboundary_cobracket(chybe_solution_on_n4(rng, drop=1))
     res = equivalence_suite(c)
-    assert res.agree
-    assert res.double.passed and res.manin.passed and res.matched.passed
+    assert res.passed
+    assert (res.part("double_construction").passed
+            and res.part("manin_triple").passed
+            and res.part("matched_pair").passed)
 
 
 def test_scaling_twist_precondition_becomes_failed_verdict():
@@ -140,7 +142,7 @@ def test_scaling_twist_precondition_becomes_failed_verdict():
     # comparable verdicts
     from conftest import N4_DIAG
     res = equivalence_suite(zero_cobracket(n4(N4_DIAG)))
-    assert not res.matched.passed
+    assert not res.part("matched_pair").passed
 
 
 def test_standard_manin_reps_shapes():

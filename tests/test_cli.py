@@ -2,6 +2,7 @@
 and serialize/parse identity on emitted artifacts."""
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -14,9 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homlie3 import (InputError, PreconditionError, RTensor, Witness,
-                     check_algebra, check_symplectic, fileio,
-                     nilpotent_extension)
-from homlie3.cli import HANDLERS, MAX_DIM, _witness_doc, main
+                     check_algebra, check_prelie, check_symplectic,
+                     compatible_prelie, equivalence_suite, fileio,
+                     nilpotent_extension, semidirect_sum)
+from homlie3.cli import HANDLERS, MAX_DIM, _witness_doc, main, report_doc
 
 from conftest import CAYLEY_S, a4_cayley, n4
 
@@ -540,9 +542,10 @@ TAKES = {
 @pytest.mark.parametrize("key", sorted(HANDLERS), ids=" ".join)
 def test_handler_inputs(key, tmp_path, capsys, monkeypatch):
     """Per verb/target: the wrong-arity message; exit 2 without a traceback
-    for a missing file or a directory as input; and the loaders and the
-    library operation are the ones on their modules at call time, where a
-    tracer or a test patches them."""
+    for a missing file or a directory as input; a library operation binds
+    every input count its verb allows, and its check one argument; and the
+    loaders and the library operation are the ones on their modules at call
+    time, where a tracer or a test patches them."""
     name = " ".join(key)
     counts = [int(c) for c in TAKES[name].split(" or ")]
     for k in (min(counts) - 1, max(counts) + 1):
@@ -568,6 +571,14 @@ def test_handler_inputs(key, tmp_path, capsys, monkeypatch):
         2, "", f"input error: stubbed {first}\n")
     if callable(verb.op):
         return
+
+    def library(name):
+        module, _, attr = name.partition(".")
+        return getattr(importlib.import_module(f"homlie3.{module}"), attr)
+    for k in counts:
+        inspect.signature(library(verb.op)).bind(*range(k))
+    if verb.check:
+        inspect.signature(library(verb.check)).bind(None)
     for loader in loaders:
         monkeypatch.setattr(fileio, f"load_{loader}",
                             lambda path, max_dim, loader=loader: (loader, path))
@@ -736,6 +747,39 @@ def test_build_subadjacent_compatible_cobracket(tmp_path, capsys):
     assert code == 0
     code, _, _ = run(["check", "double", str(tmp_path / "cobracket.cob")], capsys)
     assert code == 0
+
+
+# Verb/target pairs that run a library call as it is: the argv, the
+# loader of its input, the call, and for a built artifact its check, its
+# file and its writer.
+LIBRARY_ROWS = [
+    (["check", "equivalence", "zero.cob"], fileio.load_cobracket,
+     equivalence_suite, None, None, None),
+    (["build", "semidirect", "coadjoint.rep"], fileio.load_rep,
+     semidirect_sum, check_algebra, "semidirect.alg", fileio.algebra_to_doc),
+    (["build", "compatible-prelie", "symp.oop"], fileio.load_o_operator,
+     compatible_prelie, check_prelie, "compatible.plg", fileio.prelie_to_doc),
+]
+
+
+@pytest.mark.parametrize("argv,load,op,check,name,to_doc", LIBRARY_ROWS,
+                         ids=[" ".join(row[0][:2]) for row in LIBRARY_ROWS])
+def test_library_rows_emit_the_library_result(argv, load, op, check, name,
+                                              to_doc, tmp_path, capsys):
+    """The structured report and the written artifact of a verb are those
+    of its library call on the loaded input."""
+    *key, fixture = argv
+    report = obj = op(load(fx(fixture)))
+    if check:
+        report = check(obj)
+    code, out, err = run([*key, fx(fixture), "--format", "structured",
+                          "-o", str(tmp_path)], capsys)
+    assert (code, out, err) == (0 if report.passed else 1,
+                                fileio.dumps(report_doc(report)), "")
+    assert os.listdir(tmp_path) == ([name] if name else [])
+    if name:
+        with open(tmp_path / name) as fh:
+            assert fh.read() == fileio.dumps(to_doc(obj))
 
 
 def test_build_nilpotent_bundle(tmp_path, capsys):

@@ -39,7 +39,7 @@ from homlie3.homlie import (CheckReport, Witness, _fourterm_terms,
                             _slot_outer, _twisted_outer,
                             is_bracket_morphism, twist_slots)
 from homlie3.prelie import (_literal_prelie_rep_check, _prelie_identities,
-                            _prelie_rep_equations, left_multiplication)
+                            _prelie_rep_equations)
 from homlie3.reps import _action_tensor, coadjoint_family
 from homlie3.symplectic import (_fourterm_check, is_metric_derivation,
                                 nilpotent_extension)
@@ -685,7 +685,7 @@ def test_rep_families_match_definitions():
     for a in algebras():
         ad, coad = oracles.coadjoint_family_loop(a), coadjoint_family(a)
         assert coad == ad
-        fam = left_multiplication(PreLie3(4, a.bracket, a.twist))
+        fam = oracles.left_multiplication(PreLie3(4, a.bracket, a.twist))
         for i, j, k, l in itertools.product(range(4), repeat=4):
             assert fam[i][j].entries[l][k] == a.bracket.get(i, j, k, l)
     for p in prelie_products():
@@ -799,13 +799,13 @@ def test_action_constructions_match_dense():
               (Algebra3.abelian(4),
                OOperator(adjoint_rep(Algebra3.abelian(4)), Mat.identity(4)))]
     for a, op in cases:
-        same_prelie(compatible_prelie(a, op),
+        same_prelie(compatible_prelie(op),
                     oracles.compatible_prelie_dense(a, op))
     # both refuse a singular T and a T that is not an O-operator
     for op in (OOperator(o.rep, Mat.zeros(4, 4)),
                OOperator(adjoint_rep(n4()), Mat.identity(4))):
         with pytest.raises(PreconditionError) as new_e:
-            compatible_prelie(n4(), op)
+            compatible_prelie(op)
         with pytest.raises(PreconditionError) as old_e:
             oracles.compatible_prelie_dense(n4(), op)
         assert (str(new_e.value), new_e.value.witness) == \

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from homlie3 import (InputError, Mat, PreconditionError, Tensor4,
                      check_algebra, check_metric, check_symplectic,
-                     derivation_space, exactlin, fileio, is_derivation,
-                     mat_inverse, mat_rank, nilpotent_extension, rat,
-                     rat_str)
+                     coboundary_cobracket, derivation_space, exactlin, fileio,
+                     is_derivation, mat_inverse, mat_rank,
+                     nilpotent_extension, rat, rat_str)
 from homlie3.exactlin import _gauss_jordan, dense, sparse_kernel
 from homlie3.symplectic import _truncated_extension, is_metric_derivation
 
@@ -686,6 +686,44 @@ def test_values_are_parsed_once_and_nondegeneracy_needs_no_inverse(tmp_path):
                   lambda: check_algebra(double, regular=True)):
         report, calls = count_calls(exactlin.mat_inverse, check)
         assert report.passed and calls == 0
+
+
+def _distinct_values(doc: dict, rows: str) -> int:
+    """The distinct values of a document's ``rows`` field, plus those of its
+    twist (if it has one) and of its inline algebra (if it has one)."""
+    count = len({row[-1] for row in doc[rows]})
+    if "twist" in doc:
+        count += len(set().union(*doc["twist"]))
+    if "algebra" in doc:
+        count += _distinct_values(doc["algebra"], "bracket")
+    return count
+
+
+def test_prelie_and_cobracket_values_are_parsed_once(tmp_path):
+    """A .plg load and a .cob load (the .cob written from ``build cobracket
+    r12.rmat``) call ``rat`` at most once per distinct value in the file,
+    and build the tensors that ``Tensor4.from_entries`` builds from the
+    rows: the pre-Lie product skew-completed in its first two slots, the
+    dual bracket as it is written."""
+    fx = os.path.join(os.path.dirname(__file__), "fixtures")
+    plg = os.path.join(fx, "n4prelie.plg")
+    cob = str(tmp_path / "cobracket.cob")
+    c, _ = coboundary_cobracket(fileio.load_rtensor(os.path.join(fx, "r12.rmat")))
+    fileio.dump(fileio.cobracket_to_doc(c), cob)
+    for path, rows in ((plg, "bracket"), (cob, "delta")):
+        with open(path) as fh:
+            doc = json.load(fh)
+        loader = fileio.load_prelie if rows == "bracket" else fileio.load_cobracket
+        loaded, calls = count_calls(exactlin.rat, lambda: loader(path))
+        assert 0 < calls <= _distinct_values(doc, rows), path
+        entries = [(i - 1, j - 1, k - 1, l - 1, v) for i, j, k, l, v in doc[rows]]
+        if rows == "bracket":
+            tensor = loaded.product
+            entries += [(j, i, k, l, -F(v)) for i, j, k, l, v in entries]
+        else:
+            tensor = loaded.dual_c
+            assert loaded == c
+        assert tensor == Tensor4.from_entries((4,) * 4, entries)
 
 
 _VALUES = st.one_of(st.integers(-3, 3),

@@ -164,7 +164,7 @@ def test_compatible_prelie_roundtrip():
     # Prop 3.7: invertible T gives a pre-Lie whose sub-adjacent bracket
     # recovers the original structure constants exactly
     a = n4()
-    p = compatible_prelie(a, symplectic_o_operator())
+    p = compatible_prelie(symplectic_o_operator())
     assert check_prelie(p).passed
     assert p.product != Tensor4.zero((4,) * 4)
     assert subadjacent(p).bracket == a.bracket
@@ -174,7 +174,7 @@ def test_compatible_prelie_roundtrip():
 def test_compatible_prelie_rejects_singular_t():
     a = n4()
     with pytest.raises(PreconditionError):
-        compatible_prelie(a, OOperator(adjoint_rep(a), Mat.zeros(4, 4)))
+        compatible_prelie(OOperator(adjoint_rep(a), Mat.zeros(4, 4)))
 
 
 def test_induced_prelie_intertwines_subadjacent():

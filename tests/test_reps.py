@@ -46,8 +46,10 @@ def test_coadjoint_passes_for_pairing_orthogonal_twists():
 
 
 def test_naive_coadjoint_fails_for_scaling_twist():
-    # the literal dual twist transpose(A) breaks intertwining when
-    # transpose(A) @ A != identity; recorded as a real verdict, not hidden
+    # the literal dual twist transpose(A) breaks intertwining at (e1, e2)
+    # for diag(2,2,2,8), as it does for the orthogonal Cayley twist of A4;
+    # only the identity twists tried pass (ROADMAP item 1). Recorded as a
+    # real verdict, not hidden
     r = check_representation(coadjoint_rep(n4(N4_DIAG)))
     assert not r.passed
     assert not r.part("intertwine").passed
@@ -71,7 +73,7 @@ def test_rho_skew_completion():
 def test_semidirect_of_adjoint_passes_and_projects(rng):
     for _ in range(5):
         a = random_nilpotent(rng, 3, 1, rng.choice([1, -1]))
-        total = semidirect_sum(a, adjoint_rep(a))
+        total = semidirect_sum(adjoint_rep(a))
         assert check_algebra(total).passed
         assert base_projection(total, a.dim) == a.bracket
 
@@ -92,7 +94,7 @@ def test_semidirect_randomized_suite(rng):
             rep = coadjoint_rep(a)
         else:
             rep = rank1_rep(rng, a, gens, m=3)
-        total = semidirect_sum(a, rep)
+        total = semidirect_sum(rep)
         assert check_algebra(total).passed, (count, kind)
         assert base_projection(total, a.dim) == a.bracket
         count += 1
@@ -108,7 +110,7 @@ def test_semidirect_rejects_invalid_rep(rng):
     if r.passed:
         pytest.skip("random family happened to be a representation")
     with pytest.raises(PreconditionError):
-        semidirect_sum(a, rep)
+        semidirect_sum(rep)
 
 
 def test_rep_shape_validation():
@@ -156,13 +158,14 @@ def test_semidirect_sum_matches_dense_oracle():
                                               "fixtures", "coadjoint.rep")))
     checked = 0
     for r in cases:
-        new = reps._semidirect(r.base, reps._action_tensor(r.rho), r.A)
         old = semidirect_sum_dense(r.base, r)
+        new = reps._semidirect(r.base, reps._action_tensor(r.rho), r.A,
+                               old.label)
         assert (new.bracket, new.twist, new.label) == \
             (old.bracket, old.twist, old.label)
         assert new.bracket != Tensor4.zero(new.bracket.dims)
         if check_representation(r).passed:
-            assert semidirect_sum(r.base, r) == new
+            assert semidirect_sum(r) == new
             checked += 1
     assert 0 < checked < len(cases)
 
@@ -299,7 +302,7 @@ def _big_corpus():
     def scaled(a, lam):
         return Algebra3(a.dim, a.bracket.scale(lam), a.twist, a.label)
     a4t = adjoint_rep(scaled(a4_cayley(), F(-(10 ** 20 + 7), 13)))
-    ext = adjoint_rep(scaled(semidirect_sum(n4(), coadjoint_rep(n4())),
+    ext = adjoint_rep(scaled(semidirect_sum(coadjoint_rep(n4())),
                              F(10 ** 20 + 9, 11)))
     P = Mat.diag([BIG_RHO * (k - 3) for k in range(8)])
     Q = Mat.diag([BIG_RHO * k * k for k in range(8)])  # commutes with P

@@ -128,7 +128,8 @@ def test_nilpotent_double_equals_coadjoint_semidirect_sum():
             ext = bundle.extension
             coad = Rep3(ext, ext.dim, coadjoint_family(ext),
                         ext.twist.transpose())
-            old = _semidirect(ext, _action_tensor(coad.rho), coad.A)
+            old = _semidirect(ext, _action_tensor(coad.rho), coad.A,
+                              "nilpotent-double")
             assert bundle.double.bracket == old.bracket, (base.label, steps)
             assert bundle.double.twist == old.twist, (base.label, steps)
 
