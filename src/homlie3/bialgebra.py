@@ -90,26 +90,27 @@ def _matched_side(c: Tensor4, A: Mat, act: Tensor4, B: Mat,
     (2.1)-(2.3), keyed (x, x, x, a, a); its mirror with (L', rho, mu) is
     (2.4)-(2.6). The bare second arguments of an action carry the twist, so
     every term has twist degree two, matching the Hom-Jacobi expansion; at
-    identity twist these are the printed equations.
+    identity twist these are the printed equations. c is skew, as both
+    representations require, so c_0 = [m, a(x), a(y)] by m is each twisted
+    slot part of c, negated in slot 1.
     """
     cr, ar, orr = dict(c.rows()), dict(act.rows()), dict(other.rows())
     act_bb = _slot_outer(act, 2, {0: B, 1: B})
     act_0 = _slot_outer(act, 0, {1: B, 2: A})
     c_0 = _slot_outer(c, 0, {1: A, 2: A})
-    c_2 = _slot_outer(c, 2, {0: A, 1: A})
     return (
         # mu(a'(a4), a'(a5))[x1,x2,x3] - [mu(a4,a5)x1, a(x2), a(x3)]
         #   - [a(x1), mu(a4,a5)x2, a(x3)] - [a(x1), a(x2), mu(a4,a5)x3]
         [(1, cr, act_bb, (0, 1, 2, 3, 4)),
          (-1, ar, c_0, (2, 3, 4, 0, 1)),
-         (-1, ar, _slot_outer(c, 1, {0: A, 2: A}), (3, 2, 4, 0, 1)),
-         (-1, ar, c_2, (3, 4, 2, 0, 1))],
+         (1, ar, c_0, (3, 2, 4, 0, 1)),
+         (-1, ar, c_0, (3, 4, 2, 0, 1))],
         # mu(rho(x1,x4)a5, a'(a3))a(x2) - mu(rho(x2,x4)a5, a'(a3))a(x1)
         #   - mu(rho(x1,x2)a3, a'(a5))a(x4) + [a(x1), a(x2), mu(a3,a5)x4]
         [(1, orr, act_0, (0, 4, 1, 3, 2)),
          (-1, orr, act_0, (4, 0, 1, 3, 2)),
          (-1, orr, act_0, (0, 1, 4, 2, 3)),
-         (1, ar, c_2, (3, 4, 2, 0, 1))],
+         (1, ar, c_0, (3, 4, 2, 0, 1))],
         # [mu(a2,a3)x1, a(x4), a(x5)] - mu(a'(a2), a'(a3))[x1,x4,x5]
         #   - mu(rho(x4,x5)a2, a'(a3))a(x1) - mu(a'(a2), rho(x4,x5)a3)a(x1)
         [(1, ar, c_0, (2, 3, 4, 0, 1)),

@@ -269,6 +269,11 @@ class Mat:
         nz = other.nonzeros
         out = []
         for pairs in self.nonzeros:
+            if len(pairs) == 1:  # a * other[k], sorted and with no zero
+                (k, a), = pairs
+                out.append(nz[k] if a == 1 else
+                           [(j, _normal(a * b)) for j, b in nz[k]])
+                continue
             acc: dict = {}
             for k, a in pairs:
                 for j, b in nz[k]:

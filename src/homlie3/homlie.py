@@ -36,9 +36,10 @@ scan visits each orbit once and is cached on the algebra (``_skew``). A
 residual skew in a group of key indices is zero at a repeated index and
 elsewhere +-1 times its value at the key with the group sorted, which is
 lex before it. So each identity has one term list, prefiltered to the
-sorted key of each orbit, and the twisted outer parts of Hom-Jacobi and
-multiplicativity are built in one pass, at increasing index pairs, from
-2x2 minors of the twist formed once per pair (``_twisted_outer``).
+sorted key of each orbit, read from bracket views formed once per algebra
+(``_views``). As [x, m, y] = -[m, x, y] = -[x, y, m], one slot grouping,
+its sign folded into each term, serves every slot, as does one twisted
+part from 2x2 minors of the twist formed once per pair (``_twisted_outer``).
 
 Rational data is checked on ints. A check builds its terms from sources
 lifted by their denominators (``Mat.lifted``, ``Tensor4.lifted``; an
@@ -208,6 +209,11 @@ class Algebra3(Record):
         return _skew_scan(self.bracket)
 
     @cached_property
+    def _views(self) -> tuple:
+        """``_bracket_views``, formed once, read by every identity."""
+        return _bracket_views(self.bracket)
+
+    @cached_property
     def _lift(self) -> tuple:
         """(L, Dc, Da), formed once per algebra: Dc and Da the denominators
         of the bracket and the twist, and L the algebra with both lifted to
@@ -254,6 +260,22 @@ def twist_slots(c: Tensor4, mats: Mapping[int, Mat]) -> dict:
                     vec_add_into(row, lvec, fxy * fz)
     out = {key: vec for key, vec in out.items() if vec}
     return unlift(out, d) if d != 1 else out
+
+
+def _bracket_views(c: Tensor4) -> tuple:
+    """(xyz, xy, slot): c's rows at i < j < k and at i < j, and its rows
+    (m, x, y) at x < y as {m: [((x, y), vec)]}, in one pass. They share c's
+    row dicts, so every reader treats them as read-only."""
+    xyz, xy, slot = {}, {}, {}
+    for t, vec in c.rows():
+        i, j, k = t
+        if j < k:
+            slot.setdefault(i, []).append(((j, k), vec))
+        if i < j:
+            xy[t] = vec
+            if j < k:
+                xyz[t] = vec
+    return xyz, xy, slot
 
 
 def _skew_scan(c: Tensor4) -> CheckReport:
@@ -427,59 +449,49 @@ def _minors(A: Mat, a: int, b: int) -> list:
                 - rb.get(x, ZERO) * ra.get(y, ZERO))]
 
 
-def _twisted_outer(a: Algebra3) -> tuple:
-    """For each slot, _slot_outer of a skew bracket with the twist in the
-    two other slots, at others[0] < others[1] only. As sum_{a,b} A[a][x]
-    A[b][y] c[..a..b..] = sum_{a<b} (A[a][x] A[b][y] - A[b][x] A[a][y])
-    c[..a..b..], one pass over the rows with a < b in the twisted slots
-    fills all three, from the nonzero 2x2 minors of the twist's rows a, b
-    at columns x < y, formed once per pair."""
-    A = a.twist
-    minors: dict = {}
-    outs = o0, o1, o2 = ({}, {}, {})
-    for (i, j, k), lvec in a.bracket.rows():
-        for m, ab, out in ((i, (j, k), o0), (j, (i, k), o1), (k, (i, j), o2)):
-            if ab[0] >= ab[1]:
-                continue
-            if ab not in minors:
-                minors[ab] = _minors(A, *ab)
-            acc = out.setdefault(m, {})
-            for xy, d in minors[ab]:
+def _twisted_outer(a: Algebra3) -> dict:
+    """{m: [((x, y), vec)]}: [m, a(x), a(y)] = [a(x), a(y), m] of a skew
+    bracket at x < y only. As sum_{p,q} A[p][x] A[q][y] c[m,p,q] = sum_{p<q}
+    (A[p][x] A[q][y] - A[q][x] A[p][y]) c[m,p,q], one pass over ``slot``
+    fills it, from nonzero 2x2 minors of twist rows p < q, each formed once."""
+    A, minors, out = a.twist, {}, {}
+    for m, pairs in a._views[2].items():
+        acc: dict = {}
+        for pq, lvec in pairs:
+            if pq not in minors:
+                minors[pq] = _minors(A, *pq)
+            for xy, d in minors[pq]:
                 if xy in acc:
                     vec_add_into(acc[xy], lvec, d)
                 elif d == 1:
                     acc[xy] = dict(lvec)
                 else:
                     acc[xy] = {l: d * v for l, v in lvec.items()}
-    return tuple({m: pairs for m, acc in out.items()
-                  if (pairs := [(xy, vec) for xy, vec in acc.items() if vec])}
-                 for out in outs)
+        if pairs := [(xy, vec) for xy, vec in acc.items() if vec]:
+            out[m] = pairs
+    return out
 
 
-def _hom_jacobi_terms(a: Algebra3, outer: tuple) -> list:
+def _hom_jacobi_terms(a: Algebra3, outer: dict) -> list:
     """The Hom-Jacobi residual of a skew bracket at the keys (x, y, u, v, w)
-    with x < y, u < v < w, outer being _twisted_outer(a), whose last part
-    is [a(x), a(y), m] by m.
+    with x < y, u < v < w, outer being _twisted_outer(a).
 
     A skew bracket makes every term skew in (x, y); swapping two of u, v, w
     negates the first term and takes each other one to minus another."""
-    c = dict(a.bracket.rows())
-    uvw = {t: v for t, v in c.items() if t[0] < t[1] < t[2]}
-    xy = {t: v for t, v in c.items() if t[0] < t[1]}
+    xyz, xy, _ = a._views
     # [a(x),a(y),[u,v,w]] - [[x,y,u],a(v),a(w)] - [a(u),[x,y,v],a(w)]
-    #   - [a(u),a(v),[x,y,w]]; the key test orders u, v, w across parts
-    return [(1, uvw, outer[2], (3, 4, 0, 1, 2)),
-            (-1, xy, outer[0], (0, 1, 2, 3, 4), _tail_increasing),
-            (-1, xy, outer[1], (0, 1, 3, 2, 4), _tail_increasing),
-            (-1, xy, outer[2], (0, 1, 3, 4, 2), _tail_increasing)]
+    #   - [a(u),a(v),[x,y,w]] (slot 1 is -outer); the key test orders u,v,w
+    return [(1, xyz, outer, (3, 4, 0, 1, 2)),
+            (-1, xy, outer, (0, 1, 2, 3, 4), _tail_increasing),
+            (1, xy, outer, (0, 1, 3, 2, 4), _tail_increasing),
+            (-1, xy, outer, (0, 1, 3, 4, 2), _tail_increasing)]
 
 
 def _morphism_terms(a: Algebra3, phi: Mat, t12: dict) -> list:
     """phi([x,y,z]) - [phi x, phi y, phi z] at key (x, y, z), t12 being
     [phi x, phi y, m] by m at x < y: a skew bracket makes both sides skew
     in (x, y, z), so only x < y < z is formed."""
-    c = {t: v for t, v in a.bracket.rows() if t[0] < t[1] < t[2]}
-    return [(1, c, _image(phi), (0, 1, 2)),
+    return [(1, a._views[0], _image(phi), (0, 1, 2)),
             (-1, _columns(phi), t12, (1, 2, 0), _tail_increasing)]
 
 
@@ -490,7 +502,6 @@ def check_algebra(a: Algebra3, regular: bool = False) -> CheckReport:
     parts = [("skew", a._skew)]
     if not parts[0][1].passed:
         return CheckReport.combine(parts)
-    # [a(x), a(y), z] grouped by z at x < y, shared by both checks
     n = a.dim
     lifted, Dc, Da = a._lift
     outer = _twisted_outer(lifted)
@@ -498,7 +509,7 @@ def check_algebra(a: Algebra3, regular: bool = False) -> CheckReport:
         "hom_jacobi", _hom_jacobi_terms(lifted, outer), (n,) * 5, n,
         lhs=1, nominal=True, scales=(Dc * Dc * Da * Da,) * 4)))
     parts.append(("multiplicative", _identity(
-        "multiplicative", _morphism_terms(lifted, lifted.twist, outer[2]),
+        "multiplicative", _morphism_terms(lifted, lifted.twist, outer),
         (n,) * 3, n, lhs=1, scales=(Dc * Da, Dc * Da ** 3))))
     if regular:
         parts.append(("regular", _flag(mat_rank(a.twist) == n, "regular")))
@@ -598,24 +609,22 @@ def derivation_space(a: Algebra3, form: Mat | None = None) -> tuple:
     n = a.dim
     out = []
     for v in sparse_kernel(_derivation_rows(a, form), n * n):
-        rows = [[ZERO] * n for _ in range(n)]
-        for col, x in v.items():
-            rows[col // n][col % n] = x
-        out.append(Mat._of(rows))
+        rows = [[] for _ in range(n)]
+        for col, x in sorted(v.items()):
+            rows[col // n].append((col % n, x))
+        out.append(Mat._sparse(rows, n))
     return tuple(out)
 
 
 def _leibniz_terms(a: Algebra3, d: Mat) -> list:
     """D[x,y,z] - [Dx,y,z] - [x,Dy,z] - [x,y,Dz] at key (x, y, z), formed at
     x < y < z only: over a skew bracket the sum is skew in (x, y, z),
-    though a single slot term such as [Dx,y,z] is not."""
-    c = dict(a.bracket.rows())
-    xyz = {t: v for t, v in c.items() if t[0] < t[1] < t[2]}
-    cols = _columns(d)
+    though [Dx,y,z] alone is not; slots read [m,x,y] = -[x,m,y] = [x,y,m]."""
+    (xyz, _, slot), cols = a._views, _columns(d)
     return [(1, xyz, _image(d), (0, 1, 2)),
-            (-1, cols, _by_slot(c, 0, True), (0, 1, 2), _tail_increasing),
-            (-1, cols, _by_slot(c, 1, True), (1, 0, 2), _tail_increasing),
-            (-1, cols, _by_slot(c, 2, True), (1, 2, 0), _tail_increasing)]
+            (-1, cols, slot, (0, 1, 2), _tail_increasing),
+            (1, cols, slot, (1, 0, 2), _tail_increasing),
+            (-1, cols, slot, (1, 2, 0), _tail_increasing)]
 
 
 def is_derivation(a: Algebra3, d: Mat) -> Witness | None:
@@ -644,8 +653,7 @@ def _fourterm_terms(a: Algebra3, M: Mat) -> list:
     whatever M (swapping x and y, y and z, or z and w negates it), so it is
     formed only at x < y < z < w, each term reading its bracket at the
     sorted triple (an even permutation of the one written)."""
-    c = {t: v for t, v in a.bracket.rows() if t[0] < t[1] < t[2]}
-    P = _pairing(M)
+    c, P = a._views[0], _pairing(M)
     # T(x,y,z,w) - T(y,z,w,x) + T(x,z,w,y) - T(x,y,w,z)
     return [(sign, c, P, order, _increasing4) for sign, order in (
         (1, (0, 1, 2, 3)), (-1, (3, 0, 1, 2)),
@@ -656,6 +664,6 @@ def _invariance_terms(a: Algebra3, M1: Mat, M2: Mat) -> list:
     """[x,y,z]^T M1 w + [x,y,w]^T M2 z at key (x, y, z, w), only at x < y,
     where a skew bracket makes both terms skew: metric invariance with
     (B, B^T), and pseudo-metric invariance with (B A, B A)."""
-    c = {t: v for t, v in a.bracket.rows() if t[0] < t[1]}
+    c = a._views[1]
     return [(1, c, _pairing(M1), (0, 1, 2, 3)),
             (1, c, _pairing(M2), (0, 1, 3, 2))]

@@ -109,16 +109,15 @@ def _symplectic_from_derivation(a: Algebra3, form: BilForm, D: Mat) -> tuple:
 
 def derivation_from_symplectic(a: Algebra3, metric: BilForm,
                                omega: BilForm) -> tuple:
-    """D = (B^-1 W^T A)^T for the metric B, the 2-form W and the twist A.
+    """D = B^-1 W^T A for the metric B, the 2-form W and the twist A.
 
-    symplectic_from_derivation builds W from D^T B = A^T W, whose solution
-    for a symmetric B is B^-1 W^T A; the two agree where that matrix is
-    symmetric, as for the diagonal derivation of a nilpotent bundle.
+    symplectic_from_derivation builds W from D^T B = A^T W; transposed,
+    that is B D = W^T A for a symmetric B, so D = B^-1 W^T A.
     Returns (D, CheckReport) with the metric-derivation verdict."""
     Binv = mat_inverse(metric.matrix)
     if Binv is None:
         raise PreconditionError("metric is degenerate")
-    D = (Binv @ omega.matrix.transpose() @ a.twist).transpose()
+    D = Binv @ omega.matrix.transpose() @ a.twist
     return D, is_metric_derivation(a, metric, D)
 
 

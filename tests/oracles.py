@@ -52,6 +52,11 @@ assumed; the package's reports must equal theirs byte for byte.
   = T rho(x,y) T^-1 z), ``coadjoint_family_loop`` and ``compose_slots``
   ((x,y,z) -> [m0 x, m1 y, m2 z]).
 
+``compose_slots`` and ``hom_jacobi_residual_loop`` clear denominators
+with their own lift (``lift_rows``: multiply by the lcm, compose on ints,
+divide back), not the package's ``lifted`` and ``unlift``; with
+``lift=False`` they compose the rational values.
+
 The rest are helpers that only tests call: ``fraction_ops`` counts the
 ``Fraction`` arithmetic of an action, ``derivation_system`` and
 ``sparse_kernel_rows`` lay the package's sparse rows out densely,
@@ -61,6 +66,7 @@ bracket back out of a semidirect sum.
 """
 import fractions
 import itertools
+import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -182,16 +188,38 @@ def sparse_kernel_rows(system: Mat) -> tuple:
                  for v in sparse_kernel(map(sparse_of, system.entries), n))
 
 
-def compose_slots(c: Tensor4, mats: Mapping) -> dict:
-    """Compose the bracket with linear maps in the given argument slots.
+def lift_rows(rows: Mapping, lift: bool = True) -> tuple:
+    """(d, {key: {l: d * v}}) for rows {key: {l: v}} of rationals, d the lcm
+    of their denominators, so that the lifted values are ints: the oracles'
+    own lift, apart from the package's. (1, rows) without ``lift``."""
+    if not lift:
+        return 1, rows
+    d = math.lcm(*(v.denominator for vec in rows.values() for v in vec.values()))
+    return d, {key: {l: v.numerator * (d // v.denominator)
+                     for l, v in vec.items()} for key, vec in rows.items()}
 
-    Returns {(i,j,k): {l: val}} for the tensor of (x,y,z) ->
-    [m0(x), m1(y), m2(z)] where ms is mats.get(slot, identity).
-    """
-    # for each original index a, the columns x with M[a][x] != 0
-    row_sup = {s: m.nonzeros for s, m in mats.items()}
+
+def divided(rows: Mapping, d: int) -> dict:
+    """The rows {key: {l: v / d}}; rows itself when d is 1."""
+    if d == 1:
+        return rows
+    return {key: {l: Fraction(v, d) for l, v in vec.items()}
+            for key, vec in rows.items()}
+
+
+def compose_lifted(c: Tensor4, mats: Mapping, lift: bool = True) -> tuple:
+    """(d, d * compose_slots(c, mats)), composed on the inputs lifted to ints
+    by ``lift_rows``, d the product of their denominators; (1, the
+    composition of the rational values) without ``lift``."""
+    d, rows = lift_rows(dict(c.rows()), lift)
+    # for each original index a, the (x, M[a][x]) with M[a][x] != 0
+    row_sup = {}
+    for s, m in mats.items():
+        dm, sup = lift_rows(dict(enumerate(map(dict, m.nonzeros))), lift)
+        d *= dm
+        row_sup[s] = [tuple(vec.items()) for vec in sup.values()]
     out: dict = {}
-    for (a, b, k), lvec in c.rows():
+    for (a, b, k), lvec in rows.items():
         ch0 = row_sup[0][a] if 0 in row_sup else ((a, 1),)
         ch1 = row_sup[1][b] if 1 in row_sup else ((b, 1),)
         ch2 = row_sup[2][k] if 2 in row_sup else ((k, 1),)
@@ -201,7 +229,19 @@ def compose_slots(c: Tensor4, mats: Mapping) -> dict:
                 for z, fz in ch2:
                     row = out.setdefault((x, y, z), {})
                     vec_add_into(row, lvec, fxy * fz)
-    return {key: vec for key, vec in out.items() if vec}
+    return d, {key: vec for key, vec in out.items() if vec}
+
+
+def compose_slots(c: Tensor4, mats: Mapping, lift: bool = True) -> dict:
+    """Compose the bracket with linear maps in the given argument slots.
+
+    Returns {(i,j,k): {l: val}} for the tensor of (x,y,z) ->
+    [m0(x), m1(y), m2(z)] where ms is mats.get(slot, identity): composed
+    on ints and divided back once (``compose_lifted``), or on the rational
+    values without ``lift``.
+    """
+    d, rows = compose_lifted(c, mats, lift)
+    return divided(rows, d)
 
 
 def _op(m: Mat) -> dict:
@@ -305,14 +345,18 @@ def check_representation_walk(r: Rep3) -> CheckReport:
         ("exchange", walk("rep_exchange", 4, exchange))])
 
 
-def hom_jacobi_residual_loop(a: Algebra3) -> dict:
+def hom_jacobi_residual_loop(a: Algebra3, lift: bool = True) -> dict:
     """The Hom-Jacobi residual {(x, y, u, v, w): {l: value}} at every key it
     is nonzero, using no skewness (the accumulation of
-    hom_jacobi_check_loop)."""
-    c, A = a.bracket, a.twist
-    t12 = compose_slots(c, {0: A, 1: A})
-    t23 = compose_slots(c, {1: A, 2: A})
-    t13 = compose_slots(c, {0: A, 2: A})
+    hom_jacobi_check_loop). Every term composes the bracket and the twist
+    twice each, so it is accumulated on ints, from the bracket lifted by Dc
+    and the twisted parts by Dc Da**2, and divided back by (Dc Da)**2;
+    without ``lift``, on the rational values."""
+    A = a.twist
+    dc, c = lift_rows(dict(a.bracket.rows()), lift)
+    d, t12 = compose_lifted(a.bracket, {0: A, 1: A}, lift)
+    t23 = compose_lifted(a.bracket, {1: A, 2: A}, lift)[1]
+    t13 = compose_lifted(a.bracket, {0: A, 2: A}, lift)[1]
     t12_by_third: dict = {}
     for (i, j, m), vec in t12.items():
         t12_by_third.setdefault(m, []).append((i, j, vec))
@@ -328,7 +372,7 @@ def hom_jacobi_residual_loop(a: Algebra3) -> dict:
     def add(key, vec, scale):
         vec_add_into(residual.setdefault(key, {}), vec, scale)
 
-    for (i, j, k), row in c.rows():
+    for (i, j, k), row in c.items():
         for m, f in row.items():
             # [a(x), a(y), [u,v,w]] with (u,v,w) = (i,j,k)
             for x, y, vec in t12_by_third.get(m, ()):
@@ -342,7 +386,8 @@ def hom_jacobi_residual_loop(a: Algebra3) -> dict:
             # -[a(u), a(v), [x,y,w]] with (x,y,w) = (i,j,k)
             for u, v, vec in t12_by_third.get(m, ()):
                 add((i, j, u, v, k), vec, -f)
-    return {key: slot for key, slot in residual.items() if slot}
+    return divided({key: slot for key, slot in residual.items() if slot},
+                   dc * d)
 
 
 def hom_jacobi_check_loop(a: Algebra3,

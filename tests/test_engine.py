@@ -10,6 +10,7 @@ bialgebra corpus adds the dim-5 nilp5. It passes and fails every ported
 part, and some failures come late in lex order, so a wrong index order or
 an off-by-one in the lex count shows.
 """
+import copy
 import functools
 import itertools
 import random
@@ -31,9 +32,9 @@ from homlie3 import (Algebra3, BilForm, Cobracket, MatchedPairData, Mat,
                      manin_bracket, mat_inverse, rep_from_upper,
                      semidirect_prelie, triple_bracket, verify_residual,
                      yau_twist)
-from homlie3.bialgebra import _matched_sum, standard_manin_reps
+from homlie3.bialgebra import _matched_side, _matched_sum, standard_manin_reps
 from homlie3.cli import report_doc
-from homlie3.homlie import (CheckReport, Witness, _fourterm_terms,
+from homlie3.homlie import (CheckReport, Witness, _by_slot, _fourterm_terms,
                             _hom_jacobi_terms, _invariance_terms,
                             _leibniz_terms, _morphism_terms, _residual,
                             _slot_outer, _twisted_outer,
@@ -193,29 +194,126 @@ def increasing(outer: dict) -> dict:
     return {m: pairs for m, pairs in out.items() if pairs}
 
 
+def as_dicts(outer: dict, sign=1) -> dict:
+    """An outer part as {m: {others: sign * vec}}, with no repeated others."""
+    out = {m: {o: {l: sign * v for l, v in vec.items()} for o, vec in pairs}
+           for m, pairs in outer.items()}
+    assert [len(p) for p in out.values()] == [len(p) for p in outer.values()]
+    return out
+
+
+def skew_algebras():
+    out = [a for a in algebras() if a._skew.passed]
+    assert len(out) >= 10
+    return out
+
+
+def test_slot_view_is_each_slot_grouping_of_a_skew_bracket():
+    """The ``slot`` view, [m, x, y] by m at x < y, is the grouping of the
+    rows by their index in slot 0, minus that in slot 1 and that in slot
+    2; ``xyz`` and ``xy`` are the rows at i < j < k and at i < j."""
+    for a in skew_algebras():
+        c, (xyz, xy, slot) = dict(a.bracket.rows()), a._views
+        assert as_dicts(slot) == as_dicts(_by_slot(c, 0, True)), a.label
+        assert as_dicts(slot, -1) == as_dicts(_by_slot(c, 1, True)), a.label
+        assert as_dicts(slot) == as_dicts(_by_slot(c, 2, True)), a.label
+        assert xyz == {t: r for t, r in c.items() if t[0] < t[1] < t[2]}
+        assert xy == {t: r for t, r in c.items() if t[0] < t[1]}
+
+
 def test_skew_twisted_outer_parts_are_the_increasing_full_ones():
-    """Once skew has passed, each twisted outer part of Hom-Jacobi, built
-    from 2x2 minors of the twist, is the full part kept at others[0] <
-    others[1]: no pair lost, none added, no repeated others."""
-    skewed = 0
-    for a in algebras():
-        if not a._skew.passed:
-            continue
-        skewed += 1
+    """Once skew has passed, the one twisted outer part of Hom-Jacobi,
+    built from 2x2 minors of the twist, is each full part kept at others[0]
+    < others[1], negated for slot 1: no pair lost, none added, no repeated
+    others."""
+    for a in skew_algebras():
+        outer = _twisted_outer(a)
         for slot in range(3):
-            reduced = _twisted_outer(a)[slot]
-            got = {m: dict(pairs) for m, pairs in reduced.items()}
-            assert [len(p) for p in got.values()] == \
-                [len(p) for p in reduced.values()], (a.label, slot)
             full = _slot_outer(a.bracket, slot,
                                {s: a.twist for s in range(3) if s != slot})
+            got = as_dicts(outer, -1 if slot == 1 else 1)
             assert got == increasing(full), (a.label, slot)
-    assert skewed >= 10
+
+
+def test_matched_side_twists_one_slot_part():
+    """The full twisted parts of a skew bracket that ``_matched_side``
+    reads are one part, negated in slot 1, and its equations (2.1) and
+    (2.2) have the residuals of the terms written with all three parts."""
+    for a in skew_algebras():
+        A = a.twist
+        c_0 = as_dicts(_slot_outer(a.bracket, 0, {1: A, 2: A}))
+        assert as_dicts(_slot_outer(a.bracket, 1, {0: A, 2: A}), -1) == c_0
+        assert as_dicts(_slot_outer(a.bracket, 2, {0: A, 1: A})) == c_0
+    nonzero = 0
+    for m in matched_pairs():
+        rho, mu = _action_tensor(m.rho.rho), _action_tensor(m.mu.rho)
+        for alg, act, B, other in ((m.left, mu, m.right.twist, rho),
+                                   (m.right, rho, m.left.twist, mu)):
+            c, A = alg.bracket, alg.twist
+            eqs = _matched_side(c, A, act, B, other)
+            ar, parts = dict(act.rows()), [
+                _slot_outer(c, s, {t: A for t in range(3) if t != s})
+                for s in range(3)]
+            written = (
+                eqs[0][:1] + [(-1, ar, parts[0], (2, 3, 4, 0, 1)),
+                              (-1, ar, parts[1], (3, 2, 4, 0, 1)),
+                              (-1, ar, parts[2], (3, 4, 2, 0, 1))],
+                eqs[1][:3] + [(1, ar, parts[2], (3, 4, 2, 0, 1))])
+            for terms, want in zip(eqs, written):
+                assert _residual(terms) == _residual(want)
+                nonzero += bool(_residual(want))
+    assert nonzero
+
+
+def test_checks_leave_the_views_unchanged():
+    """Every check and construction over the corpus reads the shared views
+    and the row dicts they hold without writing to them; A4 with a
+    unipotent twist adds twisted rows of several unit minors at one key."""
+    rng = random.Random(20190324)
+    unipotent = Mat([[int(q - p in (0, 1)) for q in range(4)] for p in range(4)])
+    for a in skew_algebras() + [a4().replace(twist=unipotent)]:
+        algs = list({id(x): x for x in (a, a._lift[0])}.values())
+        before = [copy.deepcopy(x._views) for x in algs]
+        ders = derivation_space(a)
+        valid = check_algebra(a).passed
+        for d in ders[:2] + (mat_mutant(Mat.identity(4), rng),):
+            is_derivation(a, d)
+            is_metric_derivation(a, SYMMETRIC, d)
+        is_bracket_morphism(a, a.twist)
+        for form in (SYMMETRIC, BilForm(4, random_form(rng, "symmetric"),
+                                        "symmetric")):
+            check_metric(a, form)
+            check_invariance(a, form)
+        for form in (SKEW, BilForm(4, random_form(rng, "skew"), "skew")):
+            check_symplectic(a, form)
+            closed_form_check(a, form)
+        check_representation(rep_from_upper(a, 2, {}, Mat.identity(2)))
+        if valid:  # the adjoint reps need a valid algebra
+            check_representation(adjoint_rep(a))
+            check_representation(coadjoint_rep(a))
+        fileio.algebra_to_doc(a)
+        assert [x._views for x in algs] == before, a.label
+    for m in matched_pairs():
+        before = [copy.deepcopy(x._views) for x in (m.left, m.right)]
+        check_matched_pair(m)
+        assert [m.left._views, m.right._views] == before
+
+
+def test_nilpotent_build_forms_each_algebras_views_once(monkeypatch):
+    """One steps-7 build of N4 forms the views of the base, the extension
+    and the double once each, for all the checks of its report."""
+    calls, views = [], homlie._bracket_views
+    monkeypatch.setattr(homlie, "_bracket_views", lambda c: (
+        calls.append(c), views(c))[1])
+    bundle, report = nilpotent_extension(n4(), 7)
+    assert report.passed
+    assert sorted(map(id, calls)) == sorted(id(x.bracket) for x in (
+        bundle.base, bundle.extension, bundle.double))
 
 
 def test_twist_minors_are_formed_once_per_check(monkeypatch):
     """check_algebra on the dim-48 nilpotent double forms the minors of
-    each pair of twist rows once, for all three twisted slots: exactly the
+    each pair of twist rows once, for the one twisted part: exactly the
     pairs a < b that some bracket row holds in two of its slots."""
     double = nilpotent_extension(n4(N4_DIAG), 7)[0].double
     calls, minors = [], homlie._minors
@@ -246,7 +344,7 @@ def test_hom_jacobi_and_multiplicative_match_loops():
                      oracles.multiplicative_check_loop(a), 4 ** 3)
         outer = _twisted_outer(a)
         got = (_residual(_hom_jacobi_terms(a, outer)),
-               _residual(_morphism_terms(a, a.twist, outer[2])))
+               _residual(_morphism_terms(a, a.twist, outer)))
         for res, want in zip(got, full):
             assert res == {k: v for k, v in want.items()
                            if sorted_key(k)}, a.label
@@ -258,6 +356,22 @@ def test_hom_jacobi_and_multiplicative_match_loops():
     # a bracket that fails skew gets no Hom-Jacobi or multiplicative part
     rep = check_algebra(nonskew_mutant())
     assert not rep.passed and [name for name, _ in rep.parts] == ["skew"]
+
+
+def test_oracle_lift_equals_rational_arithmetic():
+    """The oracles' Hom-Jacobi residual and compose_slots, composed on ints
+    by their own lift, equal the same walks over rational values, on a
+    mutant of the Cayley-twisted A4 with both its bracket and its twist
+    scaled to rationals, whose residual does not vanish."""
+    m = mutant(a4_cayley(), random.Random(20190325))
+    a = Algebra3(4, m.bracket.scale(F(5, 3)),
+                 oracles.mat_scale(m.twist, F(2, 5)), "cayley-rational")
+    assert a.bracket.den % 3 == 0 and a.twist.den % 5 == 0
+    lifted = oracles.hom_jacobi_residual_loop(a)
+    assert lifted and lifted == oracles.hom_jacobi_residual_loop(a, lift=False)
+    for mats in ({0: a.twist, 1: a.twist}, {2: a.twist}):
+        assert oracles.compose_slots(a.bracket, mats) == \
+            oracles.compose_slots(a.bracket, mats, lift=False)
 
 
 def test_is_derivation_matches_loop():

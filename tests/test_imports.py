@@ -241,10 +241,11 @@ def test_every_oracle_is_used():
     assert unreferenced_functions(sources, "oracles.py") == []
 
 
-# The residual engine, its composed outer parts and the checkers that the
-# oracles stand in for; the term builders are the names ``_*_terms``.
+# The residual engine, its composed outer parts, the cached views of a
+# bracket and the checkers that the oracles stand in for; the term builders
+# are the names ``_*_terms``.
 ENGINE = frozenset({"_identity", "_residual", "_twisted_outer", "_by_slot",
-                    "_slot_outer", "twist_slots", "check_algebra",
+                    "_slot_outer", "_views", "twist_slots", "check_algebra",
                     "check_representation", "check_o_operator"})
 
 

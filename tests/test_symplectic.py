@@ -162,6 +162,20 @@ def test_thm_5_3_roundtrip_exact_identity(steps):
     assert omega2.matrix == omega.matrix
 
 
+def test_roundtrip_returns_a_derivation_that_is_not_symmetric():
+    """D' = D + ad(e1, e2) on the double of N4[t]/t^4 is a metric
+    derivation with D'^T != D'; the round trip gives D' back, not D'^T."""
+    bundle, _ = nilpotent_extension(n4(), 4)
+    a, B, N = bundle.double, bundle.metric, bundle.double.dim
+    ad = Mat([[a.bracket.get(0, 1, k, l) for k in range(N)] for l in range(N)])
+    D = bundle.double_derivation + ad
+    assert is_metric_derivation(a, B, D).passed and D.transpose() != D
+    omega, r1 = symplectic_from_derivation(a, B, D)
+    assert r1.passed
+    D2, r2 = derivation_from_symplectic(a, B, omega)
+    assert D2 == D and r2.passed
+
+
 def test_symplectic_from_derivation_guards_non_skew():
     a = Algebra3.abelian(2)
     B = BilForm(2, Mat.identity(2), "symmetric")
